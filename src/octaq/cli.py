@@ -1,7 +1,7 @@
 """Command-line interface: JSON reports on stdout, diagnostics on stderr.
 
 Exit codes: 0 success, 2 validation failure (bad input, out-of-scope
-value, failed table row), 3 computational limit (factorization bound,
+value, failed table row), 3 computational limit (factoring budget,
 search box, or precision exhausted).
 """
 
@@ -34,16 +34,21 @@ _TERM_RE = re.compile(
     r"(?:\^(?P<exp>\d+))?$")
 
 
+def parse_rational(text: str) -> Fraction:
+    """A rational number such as '-3', '7/2' or '0.5'; ParseError
+    otherwise (zero denominators included)."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad number {text!r}") from exc
+
+
 def parse_polynomial(text: str) -> UniPoly:
     """Accept either a comma-separated ascending coefficient list
     ('-1,-1,0,0,1') or a human-readable expression ('x^4+37x-43')."""
     text = text.strip()
     if "," in text:
-        try:
-            coeffs = [Fraction(c.strip()) for c in text.split(",")]
-        except ValueError as exc:
-            raise ParseError(f"bad coefficient list: {exc}") from exc
-        return qpoly(coeffs)
+        return qpoly([parse_rational(c) for c in text.split(",")])
     compact = text.replace(" ", "")
     if not compact:
         raise ParseError("empty polynomial")
@@ -53,7 +58,7 @@ def parse_polynomial(text: str) -> UniPoly:
         m = _TERM_RE.match(chunk)
         if not m or (m.group("num") is None and m.group("var") is None):
             raise ParseError(f"cannot parse term {chunk!r}")
-        value = Fraction((m.group("sign") or "") + (m.group("num") or "1"))
+        value = parse_rational((m.group("sign") or "") + (m.group("num") or "1"))
         if m.group("var"):
             exp = int(m.group("exp") or 1)
         else:
@@ -188,7 +193,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_qcurve_from_t(args) -> int:
-    t = Fraction(args.t)
+    t = parse_rational(args.t)
     rec = curve_from_t(t)
     wr = weil_restriction_factor(t)
     _emit({
@@ -308,8 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="octaq",
         description="Exact analysis of octahedral quartic fields, their "
                     "embedding problems, and degree-2 Q-curve data")
-    ap.add_argument("--factor-bound", type=int, default=None,
-                    help="trial-division bound (env OCTA_FACTOR_BOUND)")
+    ap.add_argument("--factor-budget", type=int, default=None,
+                    help="Pollard rho iterations per factorization; a number"
+                         " not split or proven prime within it stops the"
+                         " command with exit 3 (env OCTA_FACTOR_BUDGET)")
     ap.add_argument("--box", type=int, default=None,
                     help="principalize search box (env OCTA_SEARCH_BOX)")
     ap.add_argument("--digits", type=int, default=None,
@@ -359,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {"OCTA_FACTOR_BOUND": args.factor_bound,
+    overrides = {"OCTA_FACTOR_BUDGET": args.factor_budget,
                  "OCTA_SEARCH_BOX": args.box,
                  "OCTA_PRECISION": args.digits}
     saved = {k: os.environ.get(k) for k, v in overrides.items()
@@ -373,7 +380,7 @@ def main(argv=None) -> int:
         _emit({"schema": SCHEMA,
                "error": {"type": type(exc).__name__, "message": str(exc)}})
         return 3
-    except (ValidationFailure, ValueError) as exc:
+    except ValidationFailure as exc:
         _emit({"schema": SCHEMA,
                "error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2

@@ -6,8 +6,10 @@ explicit values to the functions that accept them.
 
 import os
 
+from .errors import ValidationFailure
+
 _DEFAULTS = {
-    "OCTA_FACTOR_BOUND": 1_000_000,  # trial-division bound
+    "OCTA_FACTOR_BUDGET": 10**6,     # Pollard rho iterations per factorization
     "OCTA_SEARCH_BOX": 50,           # principalize lattice box
     "OCTA_PRECISION": 60,            # root-finding digits
     "OCTA_SYMBOLIC_SAMPLES": 20,     # sampled t values for per-t arithmetic checks
@@ -18,11 +20,17 @@ def _get(name: str) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return _DEFAULTS[name]
-    return int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValidationFailure(f"{name}={raw!r} is not an integer") from None
+    if value < 0:
+        raise ValidationFailure(f"{name}={raw!r} is negative")
+    return value
 
 
-def factor_bound() -> int:
-    return _get("OCTA_FACTOR_BOUND")
+def factor_budget() -> int:
+    return _get("OCTA_FACTOR_BUDGET")
 
 
 def search_box() -> int:

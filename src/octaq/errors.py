@@ -15,11 +15,12 @@ class ValidationFailure(OctaqError):
 
 
 class ComputationalLimit(OctaqError):
-    """A configured search/precision/factorization bound was exhausted."""
+    """A configured search bound, precision or factoring budget was exhausted."""
 
 
 class FactorizationIncomplete(ComputationalLimit):
-    """Trial division left a cofactor above the bound."""
+    """A cofactor was neither split within the factoring budget nor proven
+    prime (primality is proven only below rationals.PSI_13)."""
 
 
 class PrecisionExhausted(ComputationalLimit):

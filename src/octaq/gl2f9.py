@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
+from .errors import OctaqError
+
 # -- field tables --------------------------------------------------------------
 
 # code = a + 3b  <->  a + b*zeta, zeta^2 = zeta + 1
@@ -164,7 +166,8 @@ def group(generators) -> MatGroup:
         if mat_det(g) == ZERO:
             raise ValueError("generators must be invertible")
     els = closure(gens)
-    assert 5760 % len(els) == 0
+    if 5760 % len(els):
+        raise OctaqError(f"closure of order {len(els)} does not divide 5760")
     return MatGroup(elements=els, generators=gens)
 
 
@@ -217,8 +220,10 @@ def gl2f9() -> MatGroup:
         # diag(zeta, 1) and the order-3-ish companion generate everything
         g1 = mat(ZETA, ZERO, ZERO, ONE)
         g2 = mat(MINUS_ONE, ONE, MINUS_ONE, ZERO)
-        _GL2F9 = group([g1, g2])
-        assert _GL2F9.order == 5760
+        full = group([g1, g2])
+        if full.order != 5760:
+            raise OctaqError(f"generators give order {full.order}, not 5760")
+        _GL2F9 = full
     return _GL2F9
 
 
@@ -445,6 +450,8 @@ def s4_conjugacy_scan() -> dict:
             if profile == _S4_ORDER_PROFILE:
                 found.add(sub)
     subs = list(found)
+    if not subs:
+        raise OctaqError("no S4 subgroup of PGL2(F9) found")
     base = subs[0]
     orbit = set()
     for gg in pgl:

@@ -136,11 +136,11 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, v) -> int:
     return sign
 
 
-def _support(x: Fraction, bound: Optional[int] = None) -> set[int]:
+def _support(x: Fraction, budget: Optional[int] = None) -> set[int]:
     primes: set[int] = set()
     for n in (x.numerator, x.denominator):
         if abs(n) != 1:
-            f = factorize(n, bound)
+            f = factorize(n, budget)
             if not f.complete:
                 raise FactorizationIncomplete(
                     f"cannot list the prime support of {n}")
@@ -149,7 +149,7 @@ def _support(x: Fraction, bound: Optional[int] = None) -> set[int]:
 
 
 def brauer_class(a: Fraction | int, b: Fraction | int,
-                 bound: Optional[int] = None) -> BrauerClass:
+                 budget: Optional[int] = None) -> BrauerClass:
     """Class of the quaternion algebra (a, b) as its ramification set.
 
     Only 2, infinity, and the odd primes in the support of a and b can
@@ -159,8 +159,8 @@ def brauer_class(a: Fraction | int, b: Fraction | int,
     if a == 0 or b == 0:
         raise ValueError("Brauer class needs nonzero arguments")
     candidates: set = {2, INF}
-    candidates.update(_support(a, bound))
-    candidates.update(_support(b, bound))
+    candidates.update(_support(a, budget))
+    candidates.update(_support(b, budget))
     ramified = frozenset(v for v in candidates if hilbert_symbol(a, b, v) == -1)
     return BrauerClass(ramified)
 
@@ -173,7 +173,7 @@ def class_product(*classes: BrauerClass) -> BrauerClass:
 
 
 def witt_invariant_diagonal(coeffs: Iterable[Fraction | int],
-                            bound: Optional[int] = None) -> BrauerClass:
+                            budget: Optional[int] = None) -> BrauerClass:
     """Hasse-Witt invariant of <a_1, ..., a_n>: product of (a_i, a_j), i<j."""
     cs = [Fraction(c) for c in coeffs]
     if any(c == 0 for c in cs):
@@ -181,5 +181,5 @@ def witt_invariant_diagonal(coeffs: Iterable[Fraction | int],
     out = TRIVIAL
     for i in range(len(cs)):
         for j in range(i + 1, len(cs)):
-            out = out * brauer_class(cs[i], cs[j], bound)
+            out = out * brauer_class(cs[i], cs[j], budget)
     return out

@@ -32,7 +32,7 @@ from typing import Optional
 
 from . import config
 from .errors import (CyclotomicExcluded, DegenerateParameter,
-                     ExcludedParameter, NotPrimitive)
+                     ExcludedParameter, NotPrimitive, OctaqError)
 from .hilbert import brauer_class
 from .polynomials import (QQ, FunctionField, QuadField, RatFunc, UniPoly,
                           discriminant, lift_poly, poly_gcd,
@@ -143,7 +143,9 @@ def t_from_principal(g: PrincipalQuartic) -> Fraction:
         raise CyclotomicExcluded(
             "discriminant class -3: determinant character is cyclotomic")
     t = -disc / (27 * g.b**4)
-    assert not is_square(t)
+    if is_square(t):
+        raise OctaqError(f"t = {t} from an irreducible principal quartic"
+                         " is a square")
     return t
 
 

@@ -28,7 +28,8 @@ import mpmath
 
 from . import config
 from .errors import (DegenerateUnresolvable, FactorizationIncomplete,
-                     NotPrimitive, NotPrincipal, Reducible, SearchExhausted)
+                     NotPrimitive, NotPrincipal, OctaqError, Reducible,
+                     SearchExhausted)
 from .hilbert import BrauerClass, brauer_class, witt_invariant_diagonal
 from .polynomials import (UniPoly, char_poly, discriminant, poly_gcd,
                           power_sums, qpoly)
@@ -256,7 +257,7 @@ def is_irreducible_quartic(f: UniPoly) -> bool:
     irreducibility and an exactly-verified factor hunt certifies
     reducibility.  The combination only fails to decide for pathological
     inputs, which then fall back to the exhaustive method and its
-    factorization bound rather than guessing.
+    factoring budget rather than guessing.
     """
     if f.degree != 4 or f.lc != 1:
         raise ValueError("need a monic quartic")
@@ -373,7 +374,8 @@ def depress(f: UniPoly) -> ReducedQuartic:
         raise Reducible(f"{f!r} factors over Q")
     a3 = Fraction(f[3])
     shifted = f.compose(qpoly([-a3 / 4, 1]))
-    assert not shifted[3]
+    if shifted[3]:
+        raise OctaqError(f"depressing {f!r} left a cubic term")
     return ReducedQuartic(shifted[2], shifted[1], shifted[0])
 
 
@@ -562,7 +564,7 @@ def _normalize_principal(b: Fraction, c: Fraction) -> tuple[PrincipalQuartic, Fr
     of b positive.
 
     Denominators must factor completely (integrality is exact); numerator
-    content hidden behind the trial-division bound merely stays in place,
+    content hidden in an unfactored cofactor merely stays in place,
     which only affects canonicality, never correctness.
     """
     primes: set[int] = set()

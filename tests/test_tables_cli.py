@@ -155,11 +155,39 @@ def test_cli_verify_tables_mutated(tmp_path, capsys):
 
 def test_cli_factor_bound_exhaustion_exit_code(capsys):
     import os
-    before = os.environ.get("OCTA_FACTOR_BOUND")
-    code, data = run_cli(capsys, "--factor-bound", "2", "analyze", "x^4+x-1")
+    # disc(x^4+67x+1) = -4583 * 118717: past the trial-division table, so
+    # only rho can split it
+    before = os.environ.get("OCTA_FACTOR_BUDGET")
+    code, data = run_cli(capsys, "--factor-budget", "0", "analyze",
+                         "x^4+67x+1")
     assert code == 3
     assert data["error"]["type"] == "FactorizationIncomplete"
-    assert os.environ.get("OCTA_FACTOR_BOUND") == before  # override restored
+    assert os.environ.get("OCTA_FACTOR_BUDGET") == before  # override restored
+    code, data = run_cli(capsys, "analyze", "x^4+67x+1")
+    assert code == 0 and data["disc_class"] == -544080011
+
+
+@pytest.mark.parametrize("argv", [
+    ("qcurve", "from-t", "1/0"),
+    ("qcurve", "from-t", "abc"),
+    ("analyze", "1/0,0,0,0,1"),
+    ("analyze", "abc,0,0,0,1"),
+    ("analyze", "x^4+1/0x-1"),
+])
+def test_cli_bad_number_exit_code(capsys, argv):
+    code, data = run_cli(capsys, *argv)
+    assert code == 2
+    assert data["error"]["type"] == "ParseError"
+
+
+def test_cli_internal_value_error_is_not_bad_input(monkeypatch):
+    from octaq import cli
+
+    def broken(args):
+        raise ValueError("division is not exact")
+    monkeypatch.setattr(cli, "cmd_symbolic", broken)
+    with pytest.raises(ValueError):
+        main(["symbolic"])
 
 
 def test_cli_verify_tables_worker_pool(tmp_path, capsys):
