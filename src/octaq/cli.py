@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 validation failure (bad input, out-of-scope
 value, failed table row), 3 computational limit (factoring budget,
-search box, or precision exhausted).
+search box, or split-prime search exhausted).
 """
 
 from __future__ import annotations
@@ -16,14 +16,14 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .embedding import classify, endo_algebras
-from .errors import (ComputationalLimit, OctaqError, ParseError,
-                     ValidationFailure)
+from .errors import (ComputationalLimit, NotOctahedral, OctaqError,
+                     ParseError, ValidationFailure)
 from .gl2f9 import (five_groups, s4_conjugacy_scan, verify_outer_involutions,
                     verify_subgroup_classification)
 from .polynomials import UniPoly, poly_str, qpoly
 from .qcurve import (curve_from_t, symbolic_suite, t_from_principal,
                      weil_restriction_factor)
-from .quartic import PrincipalQuartic, depress, principalize
+from .quartic import PrincipalQuartic, depress, galois_is_S4, principalize
 from .rationals import squarefree_part
 from .tables import load_bundled_corpus, parse_table, verify_table_row
 
@@ -216,10 +216,13 @@ def cmd_qcurve_from_t(args) -> int:
 
 def cmd_qcurve_from_quartic(args) -> int:
     poly = _require_monic_quartic(parse_polynomial(args.polynomial))
+    reduced = depress(poly)
+    if not galois_is_S4(reduced):
+        raise NotOctahedral(f"{poly_str(poly)} does not have Galois group S4")
     if not poly[2] and not poly[3]:
         principal = PrincipalQuartic(poly[1], poly[0])
     else:
-        principal, _ = principalize(depress(poly))
+        principal, _ = principalize(reduced)
     t = t_from_principal(principal)
     rec = curve_from_t(t)
     _emit({
@@ -237,9 +240,9 @@ def cmd_qcurve_from_quartic(args) -> int:
 
 
 def _verify_row_worker(payload):
-    row, box, digits = payload
+    row, box = payload
     try:
-        return verify_table_row(row, box=box, digits=digits)
+        return verify_table_row(row, box=box)
     except OctaqError as exc:
         return {"d": row.expected_disc, "table": row.table_id,
                 "line": row.line, "passed": False,
@@ -252,7 +255,7 @@ def cmd_verify_tables(args) -> int:
     else:
         with open(args.path, encoding="utf-8") as fh:
             rows = parse_table(fh.read())
-    payloads = [(row, args.box, args.digits) for row in rows]
+    payloads = [(row, args.box) for row in rows]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_verify_row_worker, payloads))
@@ -319,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                          " command with exit 3 (env OCTA_FACTOR_BUDGET)")
     ap.add_argument("--box", type=int, default=None,
                     help="principalize search box (env OCTA_SEARCH_BOX)")
-    ap.add_argument("--digits", type=int, default=None,
-                    help="root-finding digits (env OCTA_PRECISION)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full dossier for one quartic")
@@ -367,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {"OCTA_FACTOR_BUDGET": args.factor_budget,
-                 "OCTA_SEARCH_BOX": args.box,
-                 "OCTA_PRECISION": args.digits}
+                 "OCTA_SEARCH_BOX": args.box}
     saved = {k: os.environ.get(k) for k, v in overrides.items()
              if v is not None}
     for k, v in overrides.items():

@@ -32,7 +32,8 @@ from typing import Optional
 
 from . import config
 from .errors import (CyclotomicExcluded, DegenerateParameter,
-                     ExcludedParameter, NotPrimitive, OctaqError)
+                     ExcludedParameter, NotOctahedral, NotPrimitive,
+                     OctaqError)
 from .hilbert import brauer_class
 from .polynomials import (QQ, FunctionField, QuadField, RatFunc, UniPoly,
                           discriminant, lift_poly, poly_gcd,
@@ -138,6 +139,9 @@ def curve_from_t(t: Fraction | int) -> QCurveRecord:
 def t_from_principal(g: PrincipalQuartic) -> Fraction:
     """t = -disc(g)/(27 b^4) = 1 - 256 c^3/(27 b^4); the square class of t
     is that of -3 disc(g), so Q(sqrt(t)) = Q(sqrt(-3 d))."""
+    if g.b == 0:
+        raise NotOctahedral(f"{g} has b = 0: X^4 + c is not octahedral and"
+                            " t is undefined")
     disc = g.disc()
     if squarefree_part(disc) == -3:
         raise CyclotomicExcluded(

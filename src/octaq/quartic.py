@@ -16,6 +16,7 @@ a != 0 and d != 2a in Q*/Q*^2; they must always agree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import warnings
@@ -24,8 +25,6 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Optional
 
-import mpmath
-
 from . import config
 from .errors import (DegenerateUnresolvable, FactorizationIncomplete,
                      NotPrimitive, NotPrincipal, OctaqError, Reducible,
@@ -33,18 +32,23 @@ from .errors import (DegenerateUnresolvable, FactorizationIncomplete,
 from .hilbert import BrauerClass, brauer_class, witt_invariant_diagonal
 from .polynomials import (UniPoly, char_poly, discriminant, poly_gcd,
                           power_sums, qpoly)
-from .rationals import (factorize, is_square, rational_reconstruct,
-                        same_square_class, squarefree_part)
-from .roots import complex_roots, mpf_to_fraction
+from .rationals import (_primes_below, factorize, is_square,
+                        rational_reconstruct, same_square_class,
+                        squarefree_part)
 
 
 # -- irreducibility over Q ----------------------------------------------------
 
 
+def _model_scale(f: UniPoly) -> int:
+    """The e of _integer_model: the lcm of the coefficient denominators."""
+    return lcm(*[Fraction(c).denominator for c in f.coeffs])
+
+
 def _integer_model(f: UniPoly) -> list[int]:
     """Monic integer polynomial defining the same field (X -> X/e)."""
     n = f.degree
-    e = lcm(*[Fraction(c).denominator for c in f.coeffs])
+    e = _model_scale(f)
     return [int(Fraction(f[i]) * e ** (n - i)) for i in range(n + 1)]
 
 
@@ -115,46 +119,86 @@ def _fp_trim(a: list[int]) -> list[int]:
 
 
 def _fp_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    """a * b mod the monic f over F_p, reducing mod p once per
+    coefficient."""
+    n = len(f) - 1
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    # reduce mod monic f of degree 4
-    for k in range(len(out) - 1, 3, -1):
-        c = out[k]
+                out[i + j] += x * y
+    for k in range(len(out) - 1, n - 1, -1):
+        c = out[k] % p
         if c:
-            out[k] = 0
-            for i in range(4):
-                out[k - 4 + i] = (out[k - 4 + i] - c * f[i]) % p
-    return _fp_trim(out[:4])
+            for i in range(n):
+                out[k - n + i] -= c * f[i]
+    return _fp_trim([x % p for x in out[:n]])
 
 
-def _fp_xpow_mod(e: int, f: list[int], p: int) -> list[int]:
+def _fp_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """base^e mod f over F_p, left to right, so the multiplications are by
+    the (short) base."""
     result = [1]
-    base = [0, 1]
-    while e:
-        if e & 1:
+    for bit in bin(e)[2:]:
+        result = _fp_mulmod(result, result, f, p)
+        if bit == "1":
             result = _fp_mulmod(result, base, f, p)
-        base = _fp_mulmod(base, base, f, p)
-        e >>= 1
     return result
 
 
-def _fp_gcd_deg(a: list[int], b: list[int], p: int) -> int:
-    a, b = _fp_trim(list(a)), _fp_trim(list(b))
+def _fp_xpow_mod(e: int, f: list[int], p: int) -> list[int]:
+    return _fp_powmod([0, 1], e, f, p)
+
+
+def _fp_divmod(a: list[int], b: list[int], p: int
+               ) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by a nonzero trimmed b over F_p."""
+    r = _fp_trim([x % p for x in a])
+    inv = pow(b[-1], -1, p)
+    d = len(b) - 1
+    q = [0] * max(len(r) - d, 0)
+    while r and len(r) - 1 >= d:
+        k = len(r) - 1 - d
+        c = (r[-1] * inv) % p
+        q[k] = c
+        for i in range(len(b)):
+            r[k + i] = (r[k + i] - c * b[i]) % p
+        _fp_trim(r)
+    return q, r
+
+
+def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p ([] when a and b are both zero)."""
+    a, b = _fp_trim([x % p for x in a]), _fp_trim([x % p for x in b])
     while b:
-        inv = pow(b[-1], -1, p)
-        d = len(b) - 1
-        r = list(a)
-        while len(r) - 1 >= d and r:
-            k = len(r) - 1 - d
-            c = (r[-1] * inv) % p
-            for i in range(len(b)):
-                r[k + i] = (r[k + i] - c * b[i]) % p
-            _fp_trim(r)
-        a, b = b, r
-    return len(a) - 1
+        a, b = b, _fp_divmod(a, b, p)[1]
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [(x * inv) % p for x in a]
+
+
+def _fp_roots(h: list[int], p: int) -> list[int]:
+    """Sorted roots over F_p, p odd, of a monic h that is a product of
+    distinct linear factors.
+
+    Deterministic equal-degree splitting: gcd(h, (X + a)^((p-1)/2) - 1)
+    for a = 0, 1, ... separates the roots r with r + a a nonzero square.
+    Two distinct roots r, s are separated by some a < p, since the values
+    chi((r + a)(s + a)) sum to -1 over a."""
+    if len(h) == 2:
+        return [-h[0] % p]
+    for a in range(p):
+        w = _fp_powmod([a, 1], (p - 1) // 2, h, p) or [0]
+        w[0] = (w[0] - 1) % p
+        g = _fp_gcd(h, _fp_trim(w), p)
+        if 1 < len(g) < len(h):
+            rest = _fp_divmod(h, g, p)[0]
+            return sorted(_fp_roots(g, p) + _fp_roots(rest, p))
+    raise OctaqError(f"{h} is not a product of distinct linear factors"
+                     f" mod {p}")
 
 
 def _fp_compose_mod(outer: list[int], inner: list[int], f: list[int],
@@ -178,12 +222,12 @@ def _modp_pattern(c: list[int], p: int) -> Optional[tuple[int, int]]:
     (bad prime).  X^(p^2) mod f is the Frobenius composed with itself."""
     cp = [x % p for x in c]
     deriv = _fp_trim([(i * cp[i]) % p for i in range(1, 5)])
-    if not deriv or _fp_gcd_deg(cp, deriv, p) > 0:
+    if not deriv or len(_fp_gcd(cp, deriv, p)) > 1:
         return None
     frob = _fp_xpow_mod(p, cp, p)
     frob2 = _fp_compose_mod(frob, frob, cp, p)
-    d1 = _fp_gcd_deg(_sub_x(frob, p), cp, p)
-    d2 = _fp_gcd_deg(_sub_x(frob2, p), cp, p)
+    d1 = len(_fp_gcd(_sub_x(frob, p), cp, p)) - 1
+    d2 = len(_fp_gcd(_sub_x(frob2, p), cp, p)) - 1
     return d1, d2
 
 
@@ -220,32 +264,100 @@ def _irreducible_by_modp(c: list[int]) -> Optional[bool]:
     return None
 
 
-def _reducible_by_roots(c: list[int]) -> bool:
-    """Hunt for a monic integer factor near the complex roots and verify
-    it exactly; True only on a verified factor."""
-    f = qpoly(c)
-    if poly_gcd(f, f.derivative()).degree > 0:
-        return True
-    roots = complex_roots(f, digits=40)
-    # linear factors: integer roots sit next to real approximations
+@functools.cache
+def _split_primes() -> tuple[int, ...]:
+    """The odd primes below 2^14, all tried before a split-prime search
+    gives up: an S4 quartic splits completely at primes of density 1/24,
+    so running out is a computational limit, never an answer.  Sieved on
+    first use, which keeps the import cheap."""
+    return _primes_below(1 << 14)[1:]
+
+
+def _split_prime(c: list[int], disc: int, avoid: int = 1) -> int:
+    """Smallest odd prime p dividing neither disc = disc(c) != 0 nor avoid
+    at which the monic integer quartic c splits into distinct linear
+    factors, i.e. X^p = X mod (c, p).  By Stickelberger's theorem disc is
+    then a square mod p, which rules out half the primes cheaply."""
+    for p in _split_primes():
+        d = disc % p
+        if (d and avoid % p and pow(d, (p - 1) // 2, p) == 1
+                and _fp_xpow_mod(p, [x % p for x in c], p) == [0, 1]):
+            return p
+    raise SearchExhausted(
+        f"no odd prime up to {_split_primes()[-1]} splits {c} into distinct"
+        " linear factors")
+
+
+def _eval_mod(c: list[int], x: int, m: int) -> int:
+    acc = 0
+    for coeff in reversed(c):
+        acc = (acc * x + coeff) % m
+    return acc
+
+
+def _lift_roots(c: list[int], roots: list[int], p: int, j: int, k: int
+                ) -> list[int]:
+    """Newton lifting of simple roots of c from mod p^j to mod p^k."""
+    dc = [i * c[i] for i in range(1, len(c))]
+    out = []
     for r in roots:
-        if abs(r.imag) < 1e-10:
-            base = int(mpmath.nint(r.real))
-            for cand in (base - 1, base, base + 1):
-                if f.eval(Fraction(cand)) == 0:
-                    return True
-    # quadratic factors: pair the roots and round the symmetric functions
-    for i, j in itertools.combinations(range(4), 2):
-        s = roots[i].as_mpc() + roots[j].as_mpc()
-        q = roots[i].as_mpc() * roots[j].as_mpc()
-        if abs(s.imag) > 1e-8 or abs(q.imag) > 1e-8:
-            continue
-        u0, v0 = int(mpmath.nint(s.real)), int(mpmath.nint(q.real))
-        for du in (-1, 0, 1):
-            for dv in (-1, 0, 1):
-                quad = qpoly([v0 + dv, -(u0 + du), 1])
-                if (f % quad).is_zero():
-                    return True
+        e = j
+        while e < k:
+            e = min(2 * e, k)
+            m = p**e
+            r = (r - _eval_mod(c, r, m) * pow(_eval_mod(dc, r, m), -1, m)) % m
+        out.append(r)
+    return out
+
+
+def _cauchy_bound(c: list[int]) -> int:
+    """Every complex root z of the monic c has |z| < 1 + max |c_i|."""
+    return 1 + max(abs(x) for x in c[:-1])
+
+
+def _p_adic_roots(c: list[int], p: int, k: int) -> list[int]:
+    """The four roots mod p^k of c, which splits completely mod p."""
+    return _lift_roots(c, _fp_roots([x % p for x in c], p), p, 1, k)
+
+
+def _precision_for(p: int, bound: int) -> int:
+    """Smallest k with p^k > bound."""
+    k, m = 1, p
+    while m <= bound:
+        k, m = k + 1, m * p
+    return k
+
+
+def _from_roots(roots: list[int], m: int) -> list[int]:
+    """Ascending coefficients of prod (Y - r) mod m."""
+    h = [1]
+    for r in roots:
+        h = [(s - r * x) % m for s, x in zip([0] + h, h + [0])]
+    return h
+
+
+def _reducible_by_hensel(c: list[int]) -> bool:
+    """Decide reducibility of the monic integer quartic c exactly.
+
+    A repeated factor shows in a zero discriminant.  Otherwise, at a prime
+    p where c splits into distinct linear factors, any monic integer
+    factor of degree 1 or 2 is the product of the matching p-adic linear
+    factors, with coefficients below (1 + R)^2 for the root bound R; so
+    lifting the roots past twice that bound and trying the 4 single roots
+    and the 3 pairs containing the first root (a 2 + 2 split or its
+    complement) finds every factor by exact division."""
+    disc = discriminant(qpoly(c))
+    if disc == 0:
+        return True
+    p = _split_prime(c, disc.numerator)
+    k = _precision_for(p, 2 * (1 + _cauchy_bound(c))**2)
+    m = p**k
+    roots = _p_adic_roots(c, p, k)
+    f = qpoly(c)
+    for subset in ((0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3)):
+        h = _from_roots([roots[i] for i in subset], m)
+        if (f % qpoly([x - m if 2 * x > m else x for x in h])).is_zero():
+            return True
     return False
 
 
@@ -254,10 +366,8 @@ def is_irreducible_quartic(f: UniPoly) -> bool:
 
     Small constant terms go through exhaustive divisor enumeration (which
     decides both ways); otherwise mod-p factorization patterns certify
-    irreducibility and an exactly-verified factor hunt certifies
-    reducibility.  The combination only fails to decide for pathological
-    inputs, which then fall back to the exhaustive method and its
-    factoring budget rather than guessing.
+    irreducibility fast and, when they do not, a Hensel-lifted factor
+    search at a completely split prime decides both ways.
     """
     if f.degree != 4 or f.lc != 1:
         raise ValueError("need a monic quartic")
@@ -268,9 +378,7 @@ def is_irreducible_quartic(f: UniPoly) -> bool:
         return not _has_rational_root(c) and not _has_quadratic_factor(c)
     if _irreducible_by_modp(c):
         return True
-    if _reducible_by_roots(c):
-        return False
-    return not _has_rational_root(c) and not _has_quadratic_factor(c)
+    return not _reducible_by_hensel(c)
 
 
 def cubic_has_rational_root(f: UniPoly) -> bool:
@@ -597,6 +705,9 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _val(x: Fraction, q: int) -> int:
+    """The q-adic valuation of a nonzero rational x."""
+    if x == 0:
+        raise OctaqError("the valuation of 0 is infinite")
     v = 0
     n = x.numerator
     while n % q == 0:
@@ -690,16 +801,29 @@ def _verify_certificate(f: UniPoly, g: UniPoly, cert: FieldCertificate) -> bool:
     return acc.is_zero()
 
 
-def same_field(f: UniPoly, g: UniPoly,
-               digits: Optional[int] = None) -> Optional[FieldCertificate]:
-    """Exactly-verified certificate that f and g define the same quartic
-    field, or None.
+# the first p-adic modulus tried: the certificates of the table corpus and
+# of the principal family reconstruct modulo 2^21, so one step usually
+# suffices, and the denominator filter of _reconstruct_certificate lets
+# fewer wrong matchings through at a larger modulus
+_FIRST_MODULUS = 1 << 64
 
-    Strategy: reject on discriminant square class; otherwise match a fixed
-    complex root beta of f against root orderings of g, solve the linear
-    system for gamma = q + p beta + n beta^2 + m beta^3 through the four
-    embeddings, reconstruct rational coefficients and re-verify exactly.
-    A numerically found candidate is never trusted without the exact check.
+
+def same_field(f: UniPoly, g: UniPoly) -> Optional[FieldCertificate]:
+    """Exactly verified certificate that f and g define the same quartic
+    field, or None when they provably do not.
+
+    Exact p-adic strategy, no floating point (Wang's modular rational
+    reconstruction; Cohen, GTM 138, 3.5 and 4.5).  Reject on the
+    discriminant square class.  Take the monic integer models F and G,
+    with roots e_f beta and e_g gamma, and the smallest prime p not
+    dividing e_f e_g disc(F) disc(G) at which F splits completely.  By
+    Dedekind, p splits completely in the field of F, so G splits too when
+    the fields agree; if it does not, they differ.  Otherwise lift the
+    roots of F and G to p^k and, for each of the 24 matchings of roots,
+    interpolate U with U(root of F) = matched root of G, reconstruct its
+    rational coefficients modulo p^k and verify the candidate exactly,
+    doubling k until p^k passes the height bound of _certificate_height.
+    Past it, no certificate exists and None is a proof.
     """
     for h in (f, g):
         if h.degree != 4 or h.lc != 1:
@@ -710,48 +834,75 @@ def same_field(f: UniPoly, g: UniPoly,
     dg = discriminant(g)
     if not same_square_class(df, dg):
         return None
-    base = digits if digits is not None else config.precision()
-    for scale in (1, 2, 4):
-        cert = _same_field_at(f, g, base * scale)
-        if cert is not None:
-            return cert
-    return None
-
-
-def _same_field_at(f: UniPoly, g: UniPoly, digits: int
-                   ) -> Optional[FieldCertificate]:
-    rf = complex_roots(f, digits)
-    rg = complex_roots(g, digits)
-    with mpmath.workdps(2 * digits + 20):
-        betas = [r.as_mpc() for r in rf]
-        gammas = [r.as_mpc() for r in rg]
-        vander = mpmath.matrix([[b**k for k in range(4)] for b in betas])
-        try:
-            vinv = vander**-1
-        except ZeroDivisionError:
-            return None
-        eps = Fraction(1, 10**(digits // 2))
-        qmax = 10**(digits // 3)
-        for perm in itertools.permutations(range(4)):
-            rhs = mpmath.matrix([gammas[perm[i]] for i in range(4)])
-            sol = vinv * rhs
-            coeffs = []
-            ok = True
-            for i in range(4):
-                z = sol[i]
-                if abs(z.imag) > mpmath.mpf(10)**(-digits // 2):
-                    ok = False
-                    break
-                approx = mpf_to_fraction(z.real)
-                rec = rational_reconstruct(approx, eps, qmax)
-                if rec is None:
-                    ok = False
-                    break
-                coeffs.append(rec)
-            if not ok:
-                continue
-            cert = FieldCertificate(q=coeffs[0], p=coeffs[1],
-                                    n=coeffs[2], m=coeffs[3])
-            if _verify_certificate(f, g, cert):
+    ef, eg = _model_scale(f), _model_scale(g)
+    big_f, big_g = _integer_model(f), _integer_model(g)
+    # disc(F) = e^12 disc(f) for the substitution X -> X/e of a quartic
+    disc_f = (df * ef**12).numerator
+    disc_g = (dg * eg**12).numerator
+    p = _split_prime(big_f, disc_f, ef * eg * disc_g)
+    if _fp_xpow_mod(p, [x % p for x in big_g], p) != [0, 1]:
+        return None
+    height = _certificate_height(big_f, big_g)
+    k = _precision_for(p, _FIRST_MODULUS)
+    betas = _p_adic_roots(big_f, p, k)
+    gammas = _p_adic_roots(big_g, p, k)
+    while True:
+        m = p**k
+        basis = _interpolation_basis(betas, m)
+        for perm in itertools.permutations(gammas):
+            cert = _reconstruct_certificate(basis, perm, m, disc_f, ef, eg)
+            if cert is not None and _verify_certificate(f, g, cert):
                 return cert
-    return None
+        if m > 2 * height**2:
+            return None
+        k_next = min(2 * k, _precision_for(p, 2 * height**2))
+        betas = _lift_roots(big_f, betas, p, k, k_next)
+        gammas = _lift_roots(big_g, gammas, p, k, k_next)
+        k = k_next
+
+
+def _certificate_height(big_f: list[int], big_g: list[int]) -> int:
+    """H bounding |r| and s of every coefficient r/s of U, where
+    U(Y) = e_g u(Y / e_f) maps a root B of F to a root C of G.
+
+    C is integral and i O_K lies in Z[B] for the index i of Z[B], so
+    i U has integer coefficients and s <= i <= sqrt|disc F|.  By Lagrange
+    interpolation over the complex roots, with R the Cauchy bound of F,
+    |U_k| <= 4 R_G (1 + R)^3 max 1/|F'(B_i)|, and
+    |F'(B_i)| >= |disc F| / (2R)^9 since the four |F'(B_j)| <= (2R)^3
+    multiply to |disc F|.  Hence |r| = |U_k| s <= H and s <= (2R)^6 <= H
+    for H = 4 R_G (1 + R)^3 (2R)^9.  Wang's reconstruction modulo
+    M > 2 H^2 then recovers every coefficient uniquely."""
+    r_f = _cauchy_bound(big_f)
+    return 4 * _cauchy_bound(big_g) * (1 + r_f)**3 * (2 * r_f)**9
+
+
+def _interpolation_basis(nodes: list[int], m: int) -> list[list[int]]:
+    """Lagrange basis mod m: L_i(nodes[j]) = [i == j], for nodes whose
+    differences are units mod m."""
+    basis = []
+    for i, x in enumerate(nodes):
+        others = nodes[:i] + nodes[i + 1:]
+        den = 1
+        for y in others:
+            den = den * (x - y) % m
+        inv = pow(den, -1, m)
+        basis.append([c * inv % m for c in _from_roots(others, m)])
+    return basis
+
+
+def _reconstruct_certificate(basis: list[list[int]], values, m: int,
+                             disc_f: int, ef: int, eg: int
+                             ) -> Optional[FieldCertificate]:
+    """Rational u with U = sum values[i] basis[i] mod m, or None when a
+    coefficient has no reconstruction or a denominator not dividing
+    disc(F) (impossible for the true U, see _certificate_height)."""
+    coeffs = []
+    for t in range(4):
+        residue = sum(v * b[t] for v, b in zip(values, basis)) % m
+        x = rational_reconstruct(residue, m)
+        if x is None or disc_f % x.denominator:
+            return None
+        coeffs.append(x * Fraction(ef)**t / eg)
+    return FieldCertificate(q=coeffs[0], p=coeffs[1], n=coeffs[2],
+                            m=coeffs[3])

@@ -250,35 +250,26 @@ def same_square_class(x: Fraction | int, y: Fraction | int) -> bool:
     return is_square(x * y)
 
 
-def rational_reconstruct(
-    x: Fraction, eps: Fraction, qmax: int
-) -> Optional[Fraction]:
-    """Best rational p/q with q <= qmax and |x - p/q| <= eps, via continued
-    fractions; None when no convergent fits the window.
+def rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
+    """The fraction r/s with r = a s mod m, |r| <= N and 0 < s <= N for
+    N = isqrt((m - 1) // 2), or None when there is none.
 
-    Any sufficiently good rational (|x - p/q| < 1/(2 q^2)) is a convergent
-    of x, so scanning convergents is exhaustive for the recovery use case.
-    The caller must re-verify the returned value exactly.
+    Wang's modular rational reconstruction: run the extended Euclidean
+    algorithm on (m, a) until the remainder is at most N; since
+    2 N^2 < m the answer is unique and that row gives it (von zur Gathen
+    and Gerhard, Modern Computer Algebra, Theorem 5.26).
     """
-    if qmax < 1:
+    if m < 2:
+        raise ValueError(f"modulus {m} is below 2")
+    bound = isqrt((m - 1) // 2)
+    r0, r1 = m, a % m
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if s1 > bound or gcd(r1, s1) != 1 or gcd(s1, m) != 1:
         return None
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = int(x.numerator // x.denominator), 1
-    rem = x - p_cur
-    best: Optional[Fraction] = None
-    if abs(x - Fraction(p_cur, q_cur)) <= eps:
-        best = Fraction(p_cur, q_cur)
-    while rem != 0 and q_cur <= qmax:
-        rec = 1 / rem
-        a = int(rec.numerator // rec.denominator)
-        rem = rec - a
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        if q_cur > qmax:
-            break
-        cand = Fraction(p_cur, q_cur)
-        if abs(x - cand) <= eps:
-            best = cand
-            if rem == 0:
-                break
-    return best
+    return Fraction(r1, s1)

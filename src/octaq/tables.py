@@ -90,8 +90,7 @@ def load_bundled_corpus(validate: bool = True) -> list[TableRow]:
     return parse_table(text, validate=validate)
 
 
-def verify_table_row(row: TableRow, box: Optional[int] = None,
-                     digits: Optional[int] = None) -> dict:
+def verify_table_row(row: TableRow, box: Optional[int] = None) -> dict:
     """Re-derive everything the row claims; returns a result dict with a
     'passed' flag and a list of failures."""
     failures = []
@@ -115,7 +114,7 @@ def verify_table_row(row: TableRow, box: Optional[int] = None,
         failures.append(f"star flag mismatch: (2,-3d) trivial is"
                         f" {report.star_norm2}, row says {row.star}")
 
-    cert = same_field(row.source_poly(), row.principal_poly(), digits=digits)
+    cert = same_field(row.source_poly(), row.principal_poly())
     checks["same_field"] = cert is not None
     if cert is None:
         failures.append("no field-equality certificate found")

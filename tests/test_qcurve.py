@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from octaq.errors import (CyclotomicExcluded, DegenerateParameter,
-                          ExcludedParameter)
+                          ExcludedParameter, NotOctahedral)
 from octaq.polynomials import QQ, QuadField, UniPoly, discriminant, qpoly
 from octaq.qcurve import (J_AT_CUSP, SymbolicContext, curve_from_t, family,
                           principal_quartic_poly, symbolic_suite,
@@ -36,6 +36,8 @@ def test_t_from_principal_example():
     t = t_from_principal(g)
     assert t == Fraction(283, 27)
     assert squarefree_part(t) == 849 == squarefree_part(-3 * -283)
+    with pytest.raises(NotOctahedral):
+        t_from_principal(PrincipalQuartic(0, 1))  # x^4 + 1: b = 0
 
 
 def test_round_trip():

@@ -2,15 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from octaq.errors import NotPrincipal, Reducible
+from octaq import quartic
+from octaq.errors import (NotPrimitive, NotPrincipal, OctaqError, Reducible,
+                          SearchExhausted)
 from octaq.hilbert import INF, brauer_class
 from octaq.polynomials import count_real_roots, discriminant, qpoly
 from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
-                           depress, galois_is_S4, is_irreducible_quartic,
-                           is_principal, principalize, resolvent_cubic,
-                           same_field, trace_form, trace_zero_gram,
-                           tschirnhaus, witt_formula)
+                           _fp_xpow_mod, _model_scale, _split_prime, _val,
+                           _verify_certificate, depress, galois_is_S4,
+                           is_irreducible_quartic, is_principal, principalize,
+                           resolvent_cubic, same_field, trace_form,
+                           trace_zero_gram, tschirnhaus, witt_formula)
 from octaq.rationals import same_square_class, squarefree_part
 from octaq.tables import load_bundled_corpus
 
@@ -43,10 +48,10 @@ def test_irreducibility():
 
 
 def test_irreducibility_routes_agree():
-    # divisor enumeration vs mod-p certificates vs exact factor hunt
+    # divisor enumeration vs mod-p certificates vs Hensel factor search
     from octaq.quartic import (_has_quadratic_factor, _has_rational_root,
                                _integer_model, _irreducible_by_modp,
-                               _reducible_by_roots)
+                               _reducible_by_hensel)
     rng = random.Random(271)
     for _ in range(400):
         c = [rng.randint(-30, 30) for _ in range(4)] + [1]
@@ -55,8 +60,7 @@ def test_irreducibility_routes_agree():
         assert is_irreducible_quartic(f) == ref, c
         if _irreducible_by_modp(c) is True:
             assert ref, c
-        if _reducible_by_roots(c) is True:
-            assert not ref, c
+        assert _reducible_by_hensel(c) == (not ref), c
 
 
 def test_irreducibility_large_coefficients():
@@ -188,8 +192,15 @@ def test_witt_formula_degenerate_dodge_cases():
 
 def test_same_field_escalates_precision():
     cert = same_field(qpoly([-1, -1, 4, -1, 1]),
-                      qpoly([-47681, 424, 0, 0, 1]), digits=15)
-    assert cert is not None
+                      qpoly([-47681, 424, 0, 0, 1]))
+    assert (cert.m, cert.n, cert.p, cert.q) == (5, -4, 28, -4)
+    # coefficients near 10^12 do not reconstruct modulo the first p^k of
+    # about 2^64, so the p-adic precision has to double
+    f = ReducedQuartic(0, 1, -1)
+    m, n, p = 10**12 + 39, -(10**12 - 11), 3 * 10**11 + 7
+    g = tschirnhaus(f, m, n, p)
+    cert = same_field(f.poly(), g.poly())
+    assert (cert.m, cert.n, cert.p, cert.q) == (m, n, p, Fraction(3 * m, 4))
 
 
 def test_two_path_witt_agreement_random():
@@ -309,6 +320,68 @@ def test_same_field_table_row():
 
 def test_same_field_rejects_different_fields():
     assert same_field(qpoly([-1, 1, 0, 0, 1]), qpoly([1, 1, 0, 0, 1])) is None
+    # same discriminant class -3, both split completely at 211: the
+    # difference is proved by exhausting the certificate height bound
+    assert same_field(qpoly([-3, 1, -6, 0, 1]),
+                      qpoly([-3, 3, -6, 0, 1])) is None
+
+
+def test_same_field_split_prime_proves_difference():
+    # x^4 + 2x - 6 and x^4 + 2x - 1 share the discriminant class -43
+    F, G = [-6, 2, 0, 0, 1], [-1, 2, 0, 0, 1]
+    f, g = qpoly(F), qpoly(G)
+    assert squarefree_part(discriminant(f)) == squarefree_part(
+        discriminant(g)) == -43
+    p = _split_prime(F, discriminant(f).numerator, discriminant(g).numerator)
+    assert _fp_xpow_mod(p, [x % p for x in G], p) != [0, 1]
+    assert same_field(f, g) is None
+
+
+def test_same_field_rational_coefficients():
+    # denominators force the monic integer models X -> X/e with e > 1
+    f = ReducedQuartic(Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6))
+    m, n, p = Fraction(1, 2), Fraction(-2), Fraction(3, 5)
+    g = tschirnhaus(f, m, n, p)
+    assert _model_scale(f.poly()) > 1 and _model_scale(g.poly()) > 1
+    cert = same_field(f.poly(), g.poly())
+    assert (cert.m, cert.n, cert.p) == (m, n, p)
+    assert _verify_certificate(f.poly(), g.poly(), cert)
+
+
+def test_same_field_names_the_split_prime_cap(monkeypatch):
+    # x^4 + x - 1 splits completely first at 59
+    monkeypatch.setattr(quartic, "_split_primes", lambda: (3, 5, 7))
+    with pytest.raises(SearchExhausted, match="up to 7"):
+        same_field(qpoly([-1, 1, 0, 0, 1]), qpoly([-1, -1, 0, 0, 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(-12, 12)] * 3),
+       st.sampled_from([1, 2, 3, 4]),
+       st.tuples(*[st.integers(-4, 4)] * 3).filter(any))
+def test_same_field_recovers_tschirnhaus(abc, den, mnp):
+    try:
+        f = ReducedQuartic(*(Fraction(x, den) for x in abc))
+    except Reducible:
+        assume(False)
+    assume(galois_is_S4(f))
+    try:
+        g = tschirnhaus(f, *mnp)
+    except NotPrimitive:
+        assume(False)
+    cert = same_field(f.poly(), g.poly())
+    assert cert is not None and _verify_certificate(f.poly(), g.poly(), cert)
+    # an S4 quartic field has no automorphism but the identity, so the
+    # certificate is the transformation itself
+    m, n, p = mnp
+    assert (cert.m, cert.n, cert.p, cert.q) == (m, n, p,
+                                                (3 * f.b * m + 2 * f.a * n) / 4)
+
+
+def test_valuation_of_zero_raises():
+    assert _val(Fraction(-18, 5), 3) == 2 and _val(Fraction(2, 45), 3) == -2
+    with pytest.raises(OctaqError):
+        _val(Fraction(0), 3)
 
 
 def test_obstruction_composition_identity_on_corpus():

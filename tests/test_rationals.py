@@ -128,19 +128,26 @@ def test_is_square():
 
 
 def test_rational_reconstruct_examples():
-    eps = Fraction(1, 10**8)
-    assert rational_reconstruct(Fraction(50000000, 10**8), eps, 100) == Fraction(1, 2)
-    assert rational_reconstruct(Fraction(33333333, 10**8), eps, 100) == Fraction(1, 3)
-    pi_approx = Fraction(1415926535, 10**10)
-    assert rational_reconstruct(pi_approx, Fraction(1, 10**10), 10) is None
+    m = 10**9 + 7
+    assert rational_reconstruct(pow(2, -1, m), m) == Fraction(1, 2)
+    assert rational_reconstruct(-pow(3, -1, m), m) == Fraction(-1, 3)
+    assert rational_reconstruct(12345, m) == 12345
+    # modulo 10 only 0, +-1, +-2 and +-1/2 fit the bound 2, and 1/2 is
+    # not invertible: 5 and 7 have no reconstruction
+    assert rational_reconstruct(5, 10) is None
+    assert rational_reconstruct(7, 10) is None
+    with pytest.raises(ValueError):
+        rational_reconstruct(0, 1)
 
 
 def test_rational_reconstruct_recovers_perturbed():
     rng = random.Random(5)
-    for _ in range(2000):
-        p = rng.randint(-10**4, 10**4)
-        q = rng.randint(1, 10**4)
-        x = Fraction(p, q)
-        noise = Fraction(rng.randint(-5, 5), 10**12)
-        got = rational_reconstruct(x + noise, Fraction(1, 10**10), 10**4)
-        assert got == x
+    for m in (10**9 + 7, 3**40):
+        for _ in range(1000):
+            x = Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**4))
+            if x.denominator % 3 == 0:
+                continue
+            residue = x.numerator * pow(x.denominator, -1, m) % m
+            assert rational_reconstruct(residue, m) == x
+            # a perturbed residue is some other fraction, or none
+            assert rational_reconstruct(residue + 1, m) != x

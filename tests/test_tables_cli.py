@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -145,6 +146,31 @@ def test_cli_qcurve_degenerate(capsys):
     assert data["error"]["type"] == "DegenerateParameter"
 
 
+@pytest.mark.parametrize("poly", ["x^4+1", "x^4-2"])
+def test_cli_qcurve_from_quartic_non_octahedral(capsys, poly):
+    # X^4 + c passes as a principal model with b = 0, where t is undefined
+    code, data = run_cli(capsys, "qcurve", "from-quartic", poly)
+    assert code == 2
+    assert data["error"]["type"] == "NotOctahedral"
+
+
+def test_cli_qcurve_from_quartic_non_s4_ends():
+    # principalize used to reach a model with b = 0 and loop on its
+    # valuation, so run it in a child process under a timeout
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import octaq
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(octaq.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "octaq.cli", "qcurve", "from-quartic",
+         "x^4+3x^2+1"], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "NotOctahedral"
+
+
 def test_cli_verify_tables_mutated(tmp_path, capsys):
     fixture = tmp_path / "mut.txt"
     fixture.write_text("2 ; -283 ; -1,-1,0,0,1 ; 1,-1 ; 0\n")
@@ -154,7 +180,6 @@ def test_cli_verify_tables_mutated(tmp_path, capsys):
 
 
 def test_cli_factor_bound_exhaustion_exit_code(capsys):
-    import os
     # disc(x^4+67x+1) = -4583 * 118717: past the trial-division table, so
     # only rho can split it
     before = os.environ.get("OCTA_FACTOR_BUDGET")
