@@ -2,6 +2,8 @@
 central embedding problems in GL2(F9), and the correspondence with
 degree-2 Q-curves."""
 
+from types import ModuleType as _ModuleType
+
 from .embedding import (DiscDecomposition, EmbeddingReport, EndoReport,
                         classify, decompose_discriminant, det_field,
                         endo_algebras, obstruction, splitting_obstruction)
@@ -26,4 +28,6 @@ from .tables import TableRow, load_bundled_corpus, parse_table, verify_table_row
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported public names, not the submodules that importing them binds
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

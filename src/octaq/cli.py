@@ -23,8 +23,8 @@ from .gl2f9 import (five_groups, s4_conjugacy_scan, verify_outer_involutions,
 from .polynomials import UniPoly, poly_str, qpoly
 from .qcurve import (curve_from_t, symbolic_suite, t_from_principal,
                      weil_restriction_factor)
-from .quartic import PrincipalQuartic, depress, galois_is_S4, principalize
-from .rationals import squarefree_part
+from .quartic import PrincipalQuartic, depress, principalize
+from .rationals import FACTOR_BUDGET, squarefree_part
 from .tables import load_bundled_corpus, parse_table, verify_table_row
 
 SCHEMA = 1
@@ -76,10 +76,6 @@ def _require_monic_quartic(p: UniPoly) -> UniPoly:
     return p
 
 
-def _frac(x) -> str:
-    return str(x)
-
-
 def _place(v) -> object:
     return "oo" if v == float("inf") else v
 
@@ -89,31 +85,26 @@ def _brauer_json(cls) -> list:
 
 
 def _quad_json(q) -> dict:
-    return {"rational": _frac(q.u), "surd": _frac(q.v),
-            "radicand": _frac(q.field.t)}
+    return {"rational": str(q.u), "surd": str(q.v),
+            "radicand": str(q.field.t)}
 
 
-def _report_quartic(poly: UniPoly) -> dict:
-    from .quartic import trace_form
+def cmd_analyze(args) -> int:
+    poly = _require_monic_quartic(parse_polynomial(args.polynomial))
     reduced = depress(poly)
     report = classify(reduced)
-    tf = trace_form(reduced)
     out = {
         "schema": SCHEMA,
         "input": poly_str(poly),
-        "reduced": [_frac(reduced.c), _frac(reduced.b), _frac(reduced.a),
+        "reduced": [str(reduced.c), str(reduced.b), str(reduced.a),
                     "0", "1"],
-        "disc": _frac(reduced.disc()),
+        "disc": str(reduced.disc()),
         "disc_class": report.d,
         "galois_s4": True,
-        "witt_ramified": _brauer_json(tf.witt),
+        "witt_ramified": _brauer_json(reduced.trace_data.witt),
         "principal": report.principal,
         "embedding": {
-            "2S4+": report.solvable_2s4_plus,
-            "4S4+": report.solvable_4s4_plus,
-            "4S4-": report.solvable_4s4_minus,
-            "8S4-": report.solvable_8s4_minus,
-            "type": list(report.type_8s4_minus),
+            **report.flags(),
             "norm_2": report.star_norm2,
             "norm_-1": report.norm_minus1,
             "norm_-2": report.norm_minus2,
@@ -122,27 +113,22 @@ def _report_quartic(poly: UniPoly) -> dict:
     if report.principal and report.d != -3:
         endo = endo_algebras(report)
         out["endomorphism_algebras"] = [
-            {"case": c.label, "algebra": c.algebra, "b": _frac(c.b),
-             "r": _frac(c.r), "K_eps": c.k_eps.text, "factors": c.factors}
+            {"case": c.label, "algebra": c.algebra, "b": str(c.b),
+             "r": str(c.r), "K_eps": c.k_eps.text, "factors": c.factors}
             for c in endo.cases]
-        principal_form, cert = principalize(reduced)
+        principal_form, cert = principalize(reduced, box=args.box)
         t = t_from_principal(principal_form)
-        out["principal_form"] = [_frac(principal_form.b),
-                                 _frac(principal_form.c)]
-        out["certificate"] = [_frac(cert.m), _frac(cert.n), _frac(cert.p),
-                              _frac(cert.q)]
+        out["principal_form"] = [str(principal_form.b),
+                                 str(principal_form.c)]
+        out["certificate"] = [str(cert.m), str(cert.n), str(cert.p),
+                              str(cert.q)]
         out["qcurve"] = {
-            "t": _frac(t),
+            "t": str(t),
             "field_k": f"Q(sqrt({squarefree_part(-3 * report.d)}))",
-            "g_t": [_frac(-3 * (t - 1) ** 3), _frac(4 * (t - 1) ** 2),
+            "g_t": [str(-3 * (t - 1) ** 3), str(4 * (t - 1) ** 2),
                     "0", "0", "1"],
         }
-    return out
-
-
-def cmd_analyze(args) -> int:
-    poly = _require_monic_quartic(parse_polynomial(args.polynomial))
-    _emit(_report_quartic(poly))
+    _emit(out)
     return 0
 
 
@@ -153,10 +139,10 @@ def cmd_principalize(args) -> int:
     _emit({
         "schema": SCHEMA,
         "input": poly_str(poly),
-        "principal_form": [_frac(out.b), _frac(out.c)],
+        "principal_form": [str(out.b), str(out.c)],
         "polynomial": poly_str(out.poly()),
-        "certificate": {"m": _frac(cert.m), "n": _frac(cert.n),
-                        "p": _frac(cert.p), "q": _frac(cert.q)},
+        "certificate": {"m": str(cert.m), "n": str(cert.n),
+                        "p": str(cert.p), "q": str(cert.q)},
     })
     return 0
 
@@ -177,13 +163,7 @@ def cmd_classify(args) -> int:
             "d7": report.decomposition.d7,
         },
         "principal": report.principal,
-        "embedding": {
-            "2S4+": report.solvable_2s4_plus,
-            "4S4+": report.solvable_4s4_plus,
-            "4S4-": report.solvable_4s4_minus,
-            "8S4-": report.solvable_8s4_minus,
-            "type": list(report.type_8s4_minus),
-        },
+        "embedding": report.flags(),
         "norms": {"2": report.star_norm2, "-1": report.norm_minus1,
                   "-2": report.norm_minus2},
         "table": report.table_id(),
@@ -198,13 +178,13 @@ def cmd_qcurve_from_t(args) -> int:
     wr = weil_restriction_factor(t)
     _emit({
         "schema": SCHEMA,
-        "t": _frac(t),
+        "t": str(t),
         "j_invariant": _quad_json(rec.j),
         "j_at_cusp": 1728,
         "model": {"A": _quad_json(rec.model[0]), "B": _quad_json(rec.model[1])},
         "torsion_quartic": [_quad_json(c) for c in rec.f_t.coeffs],
-        "principal_quartic": [_frac(c) for c in rec.g_t.coeffs],
-        "companion_quartic": [_frac(c) for c in rec.h_t.coeffs],
+        "principal_quartic": [str(c) for c in rec.g_t.coeffs],
+        "companion_quartic": [str(c) for c in rec.h_t.coeffs],
         "weil_restriction": {
             "resultant_degree": wr.resultant_degree,
             "companion_divides": wr.divisible,
@@ -217,24 +197,24 @@ def cmd_qcurve_from_t(args) -> int:
 def cmd_qcurve_from_quartic(args) -> int:
     poly = _require_monic_quartic(parse_polynomial(args.polynomial))
     reduced = depress(poly)
-    if not galois_is_S4(reduced):
+    if not reduced.is_s4:
         raise NotOctahedral(f"{poly_str(poly)} does not have Galois group S4")
     if not poly[2] and not poly[3]:
         principal = PrincipalQuartic(poly[1], poly[0])
     else:
-        principal, _ = principalize(reduced)
+        principal, _ = principalize(reduced, box=args.box)
     t = t_from_principal(principal)
     rec = curve_from_t(t)
     _emit({
         "schema": SCHEMA,
         "input": poly_str(poly),
-        "principal_form": [_frac(principal.b), _frac(principal.c)],
-        "t": _frac(t),
+        "principal_form": [str(principal.b), str(principal.c)],
+        "t": str(t),
         "field_k": f"Q(sqrt({squarefree_part(t)}))",
         "j_invariant": _quad_json(rec.j),
         "model": {"A": _quad_json(rec.model[0]), "B": _quad_json(rec.model[1])},
-        "principal_quartic": [_frac(c) for c in rec.g_t.coeffs],
-        "companion_quartic": [_frac(c) for c in rec.h_t.coeffs],
+        "principal_quartic": [str(c) for c in rec.g_t.coeffs],
+        "companion_quartic": [str(c) for c in rec.h_t.coeffs],
     })
     return 0
 
@@ -249,6 +229,12 @@ def _verify_row_worker(payload):
                 "failures": [f"{type(exc).__name__}: {exc}"]}
 
 
+def _set_factor_budget(budget: int) -> None:
+    """Pool initializer: a worker does not inherit the parent's context
+    under the spawn start method."""
+    FACTOR_BUDGET.set(budget)
+
+
 def cmd_verify_tables(args) -> int:
     if args.path is None:
         rows = load_bundled_corpus()
@@ -257,7 +243,9 @@ def cmd_verify_tables(args) -> int:
             rows = parse_table(fh.read())
     payloads = [(row, args.box) for row in rows]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs,
+                                 initializer=_set_factor_budget,
+                                 initargs=(args.factor_budget,)) as pool:
             results = list(pool.map(_verify_row_worker, payloads))
     else:
         results = [_verify_row_worker(p) for p in payloads]
@@ -316,12 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="octaq",
         description="Exact analysis of octahedral quartic fields, their "
                     "embedding problems, and degree-2 Q-curve data")
-    ap.add_argument("--factor-budget", type=int, default=None,
+    ap.add_argument("--factor-budget", type=int, default=FACTOR_BUDGET.get(),
                     help="Pollard rho iterations per factorization; a number"
                          " not split or proven prime within it stops the"
-                         " command with exit 3 (env OCTA_FACTOR_BUDGET)")
-    ap.add_argument("--box", type=int, default=None,
-                    help="principalize search box (env OCTA_SEARCH_BOX)")
+                         " command with exit 3 (default %(default)s)")
+    ap.add_argument("--box", type=int, default=50,
+                    help="principalize search box (default %(default)s)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full dossier for one quartic")
@@ -354,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_tables)
 
     p = sub.add_parser("symbolic", help="symbolic identity suite over Q(s)")
-    p.add_argument("--samples", type=int, default=None,
-                   help="sampled t count for the Witt check")
+    p.add_argument("--samples", type=int, default=20,
+                   help="sampled t count for the Witt check"
+                        " (default %(default)s)")
     p.set_defaults(fn=cmd_symbolic)
 
     p = sub.add_parser("gl2f9", help="finite matrix-group verification")
@@ -367,14 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {"OCTA_FACTOR_BUDGET": args.factor_budget,
-                 "OCTA_SEARCH_BOX": args.box}
-    saved = {k: os.environ.get(k) for k, v in overrides.items()
-             if v is not None}
-    for k, v in overrides.items():
-        if v is not None:
-            os.environ[k] = str(v)
+    budget = FACTOR_BUDGET.set(args.factor_budget)
     try:
+        for flag, value in (("--factor-budget", args.factor_budget),
+                            ("--box", args.box)):
+            if value < 0:
+                raise ValidationFailure(f"{flag} {value} is negative")
         return args.fn(args)
     except ComputationalLimit as exc:
         _emit({"schema": SCHEMA,
@@ -385,11 +372,7 @@ def main(argv=None) -> int:
                "error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2
     finally:
-        for k, old in saved.items():
-            if old is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = old
+        FACTOR_BUDGET.reset(budget)
 
 
 if __name__ == "__main__":

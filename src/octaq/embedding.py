@@ -27,7 +27,8 @@ from typing import Optional
 from .errors import (CyclotomicExcluded, FactorizationIncomplete,
                      InvalidTypeParameter, NotOctahedral, SearchExhausted)
 from .hilbert import BrauerClass, brauer_class
-from .quartic import ReducedQuartic, galois_is_S4, is_principal
+from .polynomials import poly_str
+from .quartic import ReducedQuartic, is_principal
 from .rationals import factorize, is_square, squarefree_part
 
 
@@ -86,6 +87,15 @@ class EmbeddingReport:
             return 3
         return 5 if self.norm_minus1 else 4
 
+    def flags(self) -> dict:
+        """Solvability of the four embedding problems and the 8S4- type,
+        keyed as in the JSON reports."""
+        return {"2S4+": self.solvable_2s4_plus,
+                "4S4+": self.solvable_4s4_plus,
+                "4S4-": self.solvable_4s4_minus,
+                "8S4-": self.solvable_8s4_minus,
+                "type": list(self.type_8s4_minus)}
+
 
 def classify(f: ReducedQuartic) -> EmbeddingReport:
     """Full embedding-problem report for an S4 quartic.
@@ -96,8 +106,9 @@ def classify(f: ReducedQuartic) -> EmbeddingReport:
     a non-principal field evaluate ``obstruction`` with explicit (b, r)
     instead of reading the three flags.
     """
-    if not galois_is_S4(f):
-        raise NotOctahedral(f"{f} does not have Galois group S4")
+    if not f.is_s4:
+        raise NotOctahedral(
+            f"{poly_str(f.poly())} does not have Galois group S4")
     d = f.disc_class()
     dec = decompose_discriminant(d)
     principal = is_principal(f)
@@ -150,10 +161,6 @@ def _sqrt_exact(x: Fraction) -> Fraction:
     return Fraction(isqrt(x.numerator), isqrt(x.denominator))
 
 
-def _fmt(q: Fraction) -> str:
-    return str(q)
-
-
 def det_field(b: Fraction | int, r: Fraction | int,
               max_x: int = 10**6) -> FieldDescription:
     """Fixed field of the determinant character for type parameters (b, r):
@@ -179,8 +186,8 @@ def det_field(b: Fraction | int, r: Fraction | int,
     x = Fraction(y) * scale
     rr = squarefree_part(r)  # same field up to the square factor
     rtxt = "" if rr == 1 else ("-" if rr == -1 else f"{rr}*")
-    xtxt = "" if x == 1 else f"{_fmt(x)}*"
-    text = f"Q(sqrt({rtxt}({_fmt(b)} + {xtxt}sqrt({_fmt(b)}))))"
+    xtxt = "" if x == 1 else f"{x}*"
+    text = f"Q(sqrt({rtxt}({b} + {xtxt}sqrt({b}))))"
     return FieldDescription(b=b, r=r, x=x, text=text)
 
 

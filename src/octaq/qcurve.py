@@ -30,13 +30,12 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from . import config
 from .errors import (CyclotomicExcluded, DegenerateParameter,
                      ExcludedParameter, NotOctahedral, NotPrimitive,
                      OctaqError)
 from .hilbert import brauer_class
 from .polynomials import (QQ, FunctionField, QuadField, RatFunc, UniPoly,
-                          discriminant, lift_poly, poly_gcd,
+                          discriminant, lift_poly, poly_gcd, poly_str,
                           resultant_bivariate)
 from .quartic import (PrincipalQuartic, ReducedQuartic,
                       _normalize_principal, reduced_tschirnhaus_poly,
@@ -140,8 +139,8 @@ def t_from_principal(g: PrincipalQuartic) -> Fraction:
     """t = -disc(g)/(27 b^4) = 1 - 256 c^3/(27 b^4); the square class of t
     is that of -3 disc(g), so Q(sqrt(t)) = Q(sqrt(-3 d))."""
     if g.b == 0:
-        raise NotOctahedral(f"{g} has b = 0: X^4 + c is not octahedral and"
-                            " t is undefined")
+        raise NotOctahedral(f"{poly_str(g.poly())} has b = 0: X^4 + c is not"
+                            " octahedral and t is undefined")
     disc = g.disc()
     if squarefree_part(disc) == -3:
         raise CyclotomicExcluded(
@@ -249,34 +248,35 @@ def weil_restriction_factor(t: Optional[Fraction] = None) -> WeilRestrictionReco
     t = None runs the symbolic version over Q(s) with t = s^2.
     """
     if t is None:
-        ctx = SymbolicContext()
-        F = ctx.field
-        biv = _binomial_expand(F, ctx.f_t.coeffs, ctx.s)
-        pt, rt = [], []
-        for entry in biv:
-            even_cs, odd_cs = [], []
-            for cf in entry.coeffs:
-                ev, od = _split_parity(cf)
-                even_cs.append(ev)
-                odd_cs.append(od)
-            pt.append(UniPoly(F, even_cs))
-            rt.append(UniPoly(F, odd_cs))
-        companion = ctx.h_t
-    else:
-        record = curve_from_t(t)
-        K = record.quad_field
-        biv = _binomial_expand(K, record.f_t.coeffs, K.sqrt_t)
-        pt, rt = [], []
-        for entry in biv:
-            pt.append(UniPoly(QQ, [c.u for c in entry.coeffs]))
-            rt.append(UniPoly(QQ, [c.v for c in entry.coeffs]))
-        companion = record.h_t
-        F = QQ
+        return _symbolic_weil_restriction(SymbolicContext())
+    record = curve_from_t(t)
+    K = record.quad_field
+    pt, rt = [], []
+    for entry in _binomial_expand(K, record.f_t.coeffs, K.sqrt_t):
+        pt.append(UniPoly(QQ, [c.u for c in entry.coeffs]))
+        rt.append(UniPoly(QQ, [c.v for c in entry.coeffs]))
+    return _weil_record(pt, rt, record.h_t)
+
+
+def _symbolic_weil_restriction(ctx: SymbolicContext) -> WeilRestrictionRecord:
+    """weil_restriction_factor over Q(s), on the polynomials of ctx."""
+    F = ctx.field
+    pt, rt = [], []
+    for entry in _binomial_expand(F, ctx.f_t.coeffs, ctx.s):
+        halves = [_split_parity(cf) for cf in entry.coeffs]
+        pt.append(UniPoly(F, [ev for ev, _ in halves]))
+        rt.append(UniPoly(F, [od for _, od in halves]))
+    return _weil_record(pt, rt, ctx.h_t)
+
+
+def _weil_record(pt: list[UniPoly], rt: list[UniPoly], companion: UniPoly
+                 ) -> WeilRestrictionRecord:
+    """Res_Y(P, R) from the coefficient lists in Y and its division by the
+    companion quartic, given over the coefficient field of P and R."""
     while rt and rt[-1].is_zero():
         rt.pop()
     res = resultant_bivariate(pt, rt)
-    lifted = companion if F is QQ else lift_poly(companion, F)
-    quot, rem = res.divmod(lifted)
+    quot, rem = res.divmod(companion)
     divisible = rem.is_zero()
     return WeilRestrictionRecord(
         resultant_degree=res.degree,
@@ -360,24 +360,8 @@ def _check_disc_companion(ctx: SymbolicContext) -> bool:
 
 
 def _check_weil_divisibility(ctx: SymbolicContext) -> bool:
-    F = ctx.field
-    biv = _binomial_expand(F, ctx.f_t.coeffs, ctx.s)
-    pt, rt = [], []
-    for entry in biv:
-        evens, odds = [], []
-        for cf in entry.coeffs:
-            ev, od = _split_parity(cf)
-            evens.append(ev)
-            odds.append(od)
-        pt.append(UniPoly(F, evens))
-        rt.append(UniPoly(F, odds))
-    while rt and rt[-1].is_zero():
-        rt.pop()
-    res = resultant_bivariate(pt, rt)
-    if res.degree != 16:
-        return False
-    _, rem = res.divmod(ctx.h_t)
-    return rem.is_zero()
+    record = _symbolic_weil_restriction(ctx)
+    return record.resultant_degree == 16 and record.divisible
 
 
 def _check_tsc_companion_to_principal(ctx: SymbolicContext) -> bool:
@@ -418,11 +402,9 @@ def _check_witt_companion(samples: int) -> tuple[bool, str]:
     return (not failures, ", ".join(failures))
 
 
-def symbolic_suite(samples: Optional[int] = None,
+def symbolic_suite(samples: int = 20,
                    ctx: Optional[SymbolicContext] = None) -> list[SuiteEntry]:
     """Run every displayed identity; returns one pass/fail entry each."""
-    if samples is None:
-        samples = config.symbolic_samples()
     if ctx is None:
         ctx = SymbolicContext()
     entries = []

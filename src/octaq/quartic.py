@@ -25,13 +25,12 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Optional
 
-from . import config
 from .errors import (DegenerateUnresolvable, FactorizationIncomplete,
                      NotPrimitive, NotPrincipal, OctaqError, Reducible,
                      SearchExhausted)
 from .hilbert import BrauerClass, brauer_class, witt_invariant_diagonal
 from .polynomials import (UniPoly, char_poly, discriminant, poly_gcd,
-                          power_sums, qpoly)
+                          poly_str, power_sums, qpoly)
 from .rationals import (_primes_below, factorize, is_square,
                         rational_reconstruct, same_square_class,
                         squarefree_part)
@@ -390,7 +389,10 @@ def cubic_has_rational_root(f: UniPoly) -> bool:
 
 @dataclass(frozen=True)
 class ReducedQuartic:
-    """X^4 + aX^2 + bX + c, irreducible over Q."""
+    """X^4 + aX^2 + bX + c, irreducible over Q (hence separable).
+
+    The S4 test and the trace form are computed on first use and kept, so
+    every stage handed the same quartic shares one computation."""
 
     a: Fraction
     b: Fraction
@@ -403,11 +405,17 @@ class ReducedQuartic:
         p = self.poly()
         if not is_irreducible_quartic(p):
             raise Reducible(f"{p!r} factors over Q")
-        if discriminant(p) == 0:
-            raise Reducible("zero discriminant")
 
     def poly(self) -> UniPoly:
         return qpoly([self.c, self.b, self.a, 0, 1])
+
+    @functools.cached_property
+    def is_s4(self) -> bool:
+        return galois_is_S4(self)
+
+    @functools.cached_property
+    def trace_data(self) -> TraceFormData:
+        return trace_form(self)
 
     def disc(self) -> Fraction:
         a, b, c = self.a, self.b, self.c
@@ -420,7 +428,7 @@ class ReducedQuartic:
 
 @dataclass(frozen=True)
 class PrincipalQuartic:
-    """X^4 + bX + c, irreducible over Q."""
+    """X^4 + bX + c, irreducible over Q (hence separable)."""
 
     b: Fraction
     c: Fraction
@@ -431,8 +439,6 @@ class PrincipalQuartic:
         p = self.poly()
         if not is_irreducible_quartic(p):
             raise Reducible(f"{p!r} factors over Q")
-        if self.disc() == 0:
-            raise Reducible("zero discriminant")
 
     def poly(self) -> UniPoly:
         return qpoly([self.c, self.b, 0, 0, 1])
@@ -475,16 +481,18 @@ class TraceFormData:
 
 def depress(f: UniPoly) -> ReducedQuartic:
     """Shift X -> X - a3/4 to kill the cubic term; same field and
-    discriminant class."""
+    discriminant class.  The shift preserves irreducibility, so
+    ReducedQuartic's check decides it for f."""
     if f.degree != 4 or f.lc != 1:
         raise ValueError("need a monic quartic")
-    if not is_irreducible_quartic(f):
-        raise Reducible(f"{f!r} factors over Q")
     a3 = Fraction(f[3])
     shifted = f.compose(qpoly([-a3 / 4, 1]))
     if shifted[3]:
         raise OctaqError(f"depressing {f!r} left a cubic term")
-    return ReducedQuartic(shifted[2], shifted[1], shifted[0])
+    try:
+        return ReducedQuartic(shifted[2], shifted[1], shifted[0])
+    except Reducible:
+        raise Reducible(f"{f!r} factors over Q") from None
 
 
 def reduced_tschirnhaus_poly(f: UniPoly, m, n, p) -> UniPoly:
@@ -650,7 +658,8 @@ def witt_formula(f: ReducedQuartic, max_tries: int = 20) -> BrauerClass:
         except NotPrimitive:
             continue
     raise DegenerateUnresolvable(
-        f"no non-degenerate model of {f} after {max_tries} perturbations")
+        f"no non-degenerate model of {poly_str(f.poly())} after {max_tries}"
+        " perturbations")
 
 
 # -- principality ------------------------------------------------------------
@@ -659,10 +668,10 @@ def witt_formula(f: ReducedQuartic, max_tries: int = 20) -> BrauerClass:
 def is_principal(f: ReducedQuartic) -> bool:
     """w = (-1, -d): the trace-zero form represents zero, so the field has
     a defining polynomial X^4 + bX + c."""
-    if not galois_is_S4(f):
+    if not f.is_s4:
         warnings.warn("principality criterion evaluated on a non-S4 quartic",
                       stacklevel=2)
-    tf = trace_form(f)
+    tf = f.trace_data
     return tf.witt == brauer_class(-1, -tf.disc_class)
 
 
@@ -741,7 +750,7 @@ def _isotropy_p_solutions(g: list[list[Fraction]], m: int, n: int
     return [(-b + root) / (2 * a), (-b - root) / (2 * a)]
 
 
-def principalize(f: ReducedQuartic, box: Optional[int] = None
+def principalize(f: ReducedQuartic, box: int = 50
                  ) -> tuple[PrincipalQuartic, FieldCertificate]:
     """Find a trace-zero gamma = m beta^3 + n beta^2 + p beta + q with
     Tr(gamma^2) = 0 as well; the output is the normalized minimal
@@ -753,11 +762,10 @@ def principalize(f: ReducedQuartic, box: Optional[int] = None
     The criterion itself is exact; exhausting the box raises
     SearchExhausted rather than returning a wrong answer.
     """
-    if box is None:
-        box = config.search_box()
     if not is_principal(f):
-        raise NotPrincipal(f"Witt invariant differs from (-1, -d) for {f}")
-    g = trace_zero_gram(f)
+        raise NotPrincipal("Witt invariant differs from (-1, -d) for"
+                           f" {poly_str(f.poly())}")
+    g = f.trace_data.gram
     for m, n in _mn_shells(box):
         for pf in _isotropy_p_solutions(g, m, n):
             if m == 0 and n == 0 and pf == 0:
@@ -768,8 +776,8 @@ def principalize(f: ReducedQuartic, box: Optional[int] = None
                 raise AssertionError("isotropic vector gave nonzero X^2 term")
             if poly_gcd(gp, gp.derivative()).degree > 0:
                 continue
-            if not is_irreducible_quartic(gp):
-                continue
+            # a squarefree gp is the minimal polynomial of a generator of
+            # the field, so irreducible; PrincipalQuartic checks it again
             out, r = _normalize_principal(gp[1], gp[0])
             q = (3 * f.b * mf + 2 * f.a * nf) / 4
             cert = FieldCertificate(m=mf * r, n=nf * r, p=pf * r, q=q * r)

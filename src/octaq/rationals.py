@@ -15,6 +15,7 @@ instead of guessing.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +24,6 @@ from math import gcd, isqrt
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from . import config
 from .errors import FactorizationIncomplete, OctaqError
 
 
@@ -43,6 +43,10 @@ _SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PSI_13 = 3_317_044_064_679_887_385_961_981
 _RHO_BATCH = 128  # rho iterations per gcd
+
+# Pollard rho iterations per factorization when no budget is passed; the
+# CLI sets it from --factor-budget
+FACTOR_BUDGET: ContextVar[int] = ContextVar("factor_budget", default=10**6)
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,7 @@ class IntegerFactorization:
 
 def factorize(n: int, budget: Optional[int] = None) -> IntegerFactorization:
     """Prime factorization of n != 0, as far as ``budget`` rho iterations
-    (default ``config.factor_budget()``) reach.
+    (default ``FACTOR_BUDGET.get()``) reach.
 
     Results are memoized on (|n|, budget); equal arguments always give
     the same result, since the rho constants are fixed.
@@ -101,7 +105,7 @@ def factorize(n: int, budget: Optional[int] = None) -> IntegerFactorization:
     if n == 0:
         raise ValueError("0 has no factorization")
     if budget is None:
-        budget = config.factor_budget()
+        budget = FACTOR_BUDGET.get()
     if budget < 0:
         raise ValueError(f"factoring budget {budget} is negative")
     result = _factorize(abs(n), budget)

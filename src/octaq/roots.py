@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import mpmath
 
-from . import config
 from .errors import PrecisionExhausted
 from .polynomials import UniPoly, poly_gcd
 
@@ -50,7 +49,7 @@ def _residual(coeffs: list[Fraction], z, dps: int) -> mpmath.mpf:
         return abs(acc)
 
 
-def complex_roots(f: UniPoly, digits: int | None = None) -> list[ComplexApprox]:
+def complex_roots(f: UniPoly, digits: int = 60) -> list[ComplexApprox]:
     """All deg(f) roots with certified residual |f(z)| < 10**-digits.
 
     Requires f squarefree (checked through gcd with the derivative).
@@ -58,8 +57,6 @@ def complex_roots(f: UniPoly, digits: int | None = None) -> list[ComplexApprox]:
     working-precision cap.  mpf values keep their full mantissa once
     created, so the approximations stay valid outside the working context.
     """
-    if digits is None:
-        digits = config.precision()
     if f.degree < 1:
         raise ValueError("need degree >= 1")
     if poly_gcd(f, f.derivative()).degree > 0:

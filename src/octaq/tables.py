@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
 
 from .embedding import classify, endo_algebras
 from .errors import ParseError, ValidationError
@@ -90,7 +89,7 @@ def load_bundled_corpus(validate: bool = True) -> list[TableRow]:
     return parse_table(text, validate=validate)
 
 
-def verify_table_row(row: TableRow, box: Optional[int] = None) -> dict:
+def verify_table_row(row: TableRow, box: int = 50) -> dict:
     """Re-derive everything the row claims; returns a result dict with a
     'passed' flag and a list of failures."""
     failures = []
@@ -136,13 +135,7 @@ def verify_table_row(row: TableRow, box: Optional[int] = None) -> dict:
         "checks": checks,
         "passed": not failures,
         "failures": failures,
-        "embedding": {
-            "2S4+": report.solvable_2s4_plus,
-            "4S4+": report.solvable_4s4_plus,
-            "4S4-": report.solvable_4s4_minus,
-            "8S4-": report.solvable_8s4_minus,
-            "type": list(report.type_8s4_minus),
-        },
+        "embedding": report.flags(),
         "algebras": sorted(endo_algebras(report).algebras())
         if report.principal and report.d != -3 else [],
         "certificate": None if cert is None else

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from octaq import quartic
-from octaq.errors import (NotPrimitive, NotPrincipal, OctaqError, Reducible,
-                          SearchExhausted)
+from octaq.embedding import classify
+from octaq.errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
+                          OctaqError, Reducible, SearchExhausted)
 from octaq.hilbert import INF, brauer_class
 from octaq.polynomials import count_real_roots, discriminant, qpoly
 from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
@@ -128,6 +130,23 @@ def test_tschirnhaus_preserves_field_and_disc_class():
         done += 1
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(*[st.integers(-8, 8)] * 3),
+       st.tuples(*[st.integers(-3, 3)] * 3).filter(any))
+@pytest.mark.filterwarnings("ignore:principality criterion")
+def test_tschirnhaus_preserves_invariants(abc, mnp):
+    try:
+        f = ReducedQuartic(*abc)
+        g = tschirnhaus(f, *mnp)
+    except (Reducible, NotPrimitive):
+        assume(False)
+    assert g.disc_class() == f.disc_class()
+    assert g.is_s4 == f.is_s4 == galois_is_S4(g)
+    assert is_principal(g) == is_principal(f)
+    # each quartic keeps its own trace form, not that of another model
+    assert g.trace_data == trace_form(g) and f.trace_data == trace_form(f)
+
+
 # -- resolvent and Galois group ---------------------------------------------------
 
 
@@ -180,6 +199,13 @@ def test_gram_matches_power_sums():
 def test_witt_formula_examples():
     assert witt_formula(ReducedQuartic(-6, 8, 51)).ramified == frozenset({3, INF})
     assert witt_formula(ReducedQuartic(0, 1, -1)).ramified == frozenset({2, 283})
+
+
+def test_witt_formula_names_the_polynomial():
+    with pytest.raises(DegenerateUnresolvable) as info:
+        witt_formula(ReducedQuartic(-6, 8, 51), max_tries=0)
+    assert "x^4 - 6*x^2 + 8*x + 51" in str(info.value)
+    assert "Fraction(" not in str(info.value)
 
 
 def test_witt_formula_degenerate_dodge_cases():
@@ -270,6 +296,23 @@ def test_principalize_not_principal():
                     with pytest.raises(NotPrincipal):
                         principalize(f)
                     return
+
+
+def test_invariants_computed_once_per_quartic(monkeypatch):
+    calls = Counter()
+    for name in ("is_irreducible_quartic", "galois_is_S4", "trace_form"):
+        def counted(*args, _name=name, _fn=getattr(quartic, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(quartic, name, counted)
+    f = depress(qpoly([-1, -1, 0, 0, 1]))
+    classify(f)
+    principalize(f)
+    assert is_principal(f)
+    # one irreducibility proof for f (in ReducedQuartic) and one for the
+    # principal model (in PrincipalQuartic)
+    assert calls == {"is_irreducible_quartic": 2, "galois_is_S4": 1,
+                     "trace_form": 1}
 
 
 def test_principalize_output_properties():

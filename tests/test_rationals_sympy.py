@@ -1,6 +1,6 @@
 """Differential checks against sympy, which is not a dependency of octaq:
-the factoring engine, quartic irreducibility and discriminants.  The
-module skips when sympy is missing."""
+the factoring engine, quartic irreducibility, discriminants and
+resultants.  The module skips when sympy is missing."""
 
 import random
 from fractions import Fraction
@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octaq.polynomials import discriminant, qpoly
+from octaq.polynomials import discriminant, qpoly, resultant
 from octaq.quartic import is_irreducible_quartic
 from octaq.rationals import factorize, squarefree_part
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.subresultants_qq_zz import sylvester
+
 X = sympy.symbols("x")
 
 M89 = 2**89 - 1
@@ -85,3 +87,20 @@ def test_discriminant_matches_sympy(low):
     coeffs = low + [Fraction(1)]
     assert discriminant(qpoly(coeffs)) == Fraction(
         str(sympy.discriminant(_sympy_poly(coeffs).as_expr(), X)))
+
+
+small_fractions = st.fractions(max_denominator=30).map(
+    lambda x: x.limit_denominator(30))
+nonzero_poly = st.lists(small_fractions, min_size=1, max_size=6).filter(
+    lambda c: c[-1] != 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonzero_poly, nonzero_poly)
+def test_resultant_matches_sympy(f, g):
+    # the determinant of the Sylvester matrix, which defines the resultant:
+    # sympy.resultant (1.14) has the wrong sign when deg f < deg g and both
+    # degrees are odd, e.g. it gives 1 for Res(x + 1, x^3) = -1
+    expected = sylvester(_sympy_poly(f).as_expr(), _sympy_poly(g).as_expr(),
+                         X).det()
+    assert resultant(qpoly(f), qpoly(g)) == Fraction(str(expected))

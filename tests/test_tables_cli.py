@@ -3,10 +3,12 @@ import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octaq.cli import main, parse_polynomial
 from octaq.errors import ParseError, ValidationError
-from octaq.polynomials import qpoly
+from octaq.polynomials import poly_str, qpoly
 from octaq.tables import (load_bundled_corpus, parse_table, verify_table_row)
 
 CORPUS = load_bundled_corpus(validate=False)
@@ -55,6 +57,13 @@ def test_polynomial_string_parser():
     assert parse_polynomial("3/2x^2+1") == qpoly([1, 0, Fraction(3, 2)])
     with pytest.raises(ParseError):
         parse_polynomial("x^4+y-1")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(max_denominator=50), max_size=7))
+def test_parse_polynomial_round_trips_poly_str(coeffs):
+    p = qpoly(coeffs)
+    assert parse_polynomial(poly_str(p)) == p
 
 
 # -- row verification and mutation controls -------------------------------------
@@ -114,6 +123,21 @@ def test_cli_analyze_table5_row(capsys):
     assert emb["8S4-"] is True
     algebras = {c["algebra"] for c in data["endomorphism_algebras"]}
     assert "Q(i)" in algebras
+
+
+@pytest.mark.parametrize("argv, error, poly", [
+    (("analyze", "x^4-6x^2+8x+51"), "NotOctahedral", "x^4 - 6*x^2 + 8*x + 51"),
+    (("classify", "x^4+1"), "NotOctahedral", "x^4 + 1"),
+    # totally real S4 fields are never principal
+    (("principalize", "x^4-10x^2-6x+1"), "NotPrincipal",
+     "x^4 - 10*x^2 - 6*x + 1"),
+])
+def test_cli_error_names_the_polynomial(capsys, argv, error, poly):
+    code, data = run_cli(capsys, *argv)
+    assert code == 2
+    assert data["error"]["type"] == error
+    assert poly in data["error"]["message"]
+    assert "Fraction(" not in data["error"]["message"]
 
 
 def test_cli_byte_reproducible(capsys):
@@ -190,6 +214,25 @@ def test_cli_factor_bound_exhaustion_exit_code(capsys):
     assert os.environ.get("OCTA_FACTOR_BUDGET") == before  # override restored
     code, data = run_cli(capsys, "analyze", "x^4+67x+1")
     assert code == 0 and data["disc_class"] == -544080011
+
+
+@pytest.mark.parametrize("command", [("analyze",), ("qcurve", "from-quartic")])
+def test_cli_box_reaches_principalize(capsys, command):
+    # x^4 + x^3 - 1 is principal, but not of the shape X^4 + bX + c, and
+    # box 0 leaves only the excluded (m, n) = (0, 0)
+    code, data = run_cli(capsys, "--box", "0", *command, "x^4+x^3-1")
+    assert code == 3
+    assert data["error"]["type"] == "SearchExhausted"
+    code, data = run_cli(capsys, *command, "x^4+x^3-1")
+    assert code == 0
+
+
+@pytest.mark.parametrize("flag", ["--box", "--factor-budget"])
+def test_cli_negative_setting_is_bad_input(capsys, flag):
+    code, data = run_cli(capsys, flag, "-1", "analyze", "x^4+x-1")
+    assert code == 2
+    assert data["error"]["type"] == "ValidationFailure"
+    assert flag in data["error"]["message"]
 
 
 @pytest.mark.parametrize("argv", [
