@@ -23,7 +23,7 @@ from .gl2f9 import (five_groups, s4_conjugacy_scan, verify_outer_involutions,
 from .polynomials import UniPoly, poly_str, qpoly
 from .qcurve import (curve_from_t, symbolic_suite, t_from_principal,
                      weil_restriction_factor)
-from .quartic import PrincipalQuartic, depress, principalize
+from .quartic import ReducedQuartic, depress, principalize
 from .rationals import FACTOR_BUDGET, squarefree_part
 from .tables import load_bundled_corpus, parse_table, verify_table_row
 
@@ -70,10 +70,16 @@ def parse_polynomial(text: str) -> UniPoly:
     return qpoly([coeffs.get(i, Fraction(0)) for i in range(top + 1)])
 
 
-def _require_monic_quartic(p: UniPoly) -> UniPoly:
-    if p.degree != 4 or p.lc != 1:
-        raise ParseError(f"need a monic quartic, got {poly_str(p)}")
-    return p
+def _s4_quartic(text: str) -> tuple[UniPoly, ReducedQuartic]:
+    """The monic quartic the user typed and its depressed form, which
+    must have Galois group S4."""
+    poly = parse_polynomial(text)
+    if poly.degree != 4 or poly.lc != 1:
+        raise ParseError(f"need a monic quartic, got {poly_str(poly)}")
+    reduced = depress(poly)
+    if not reduced.is_s4:
+        raise NotOctahedral(f"{poly_str(poly)} does not have Galois group S4")
+    return poly, reduced
 
 
 def _place(v) -> object:
@@ -90,8 +96,7 @@ def _quad_json(q) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    poly = _require_monic_quartic(parse_polynomial(args.polynomial))
-    reduced = depress(poly)
+    poly, reduced = _s4_quartic(args.polynomial)
     report = classify(reduced)
     out = {
         "schema": SCHEMA,
@@ -133,8 +138,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_principalize(args) -> int:
-    poly = _require_monic_quartic(parse_polynomial(args.polynomial))
-    reduced = depress(poly)
+    poly, reduced = _s4_quartic(args.polynomial)
     out, cert = principalize(reduced, box=args.box)
     _emit({
         "schema": SCHEMA,
@@ -148,8 +152,8 @@ def cmd_principalize(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    poly = _require_monic_quartic(parse_polynomial(args.polynomial))
-    report = classify(depress(poly))
+    poly, reduced = _s4_quartic(args.polynomial)
+    report = classify(reduced)
     out = {
         "schema": SCHEMA,
         "input": poly_str(poly),
@@ -195,12 +199,9 @@ def cmd_qcurve_from_t(args) -> int:
 
 
 def cmd_qcurve_from_quartic(args) -> int:
-    poly = _require_monic_quartic(parse_polynomial(args.polynomial))
-    reduced = depress(poly)
-    if not reduced.is_s4:
-        raise NotOctahedral(f"{poly_str(poly)} does not have Galois group S4")
+    poly, reduced = _s4_quartic(args.polynomial)
     if not poly[2] and not poly[3]:
-        principal = PrincipalQuartic(poly[1], poly[0])
+        principal = reduced  # already X^4 + bX + c
     else:
         principal, _ = principalize(reduced, box=args.box)
     t = t_from_principal(principal)

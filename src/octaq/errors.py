@@ -69,7 +69,3 @@ class InvalidTypeParameter(ValidationFailure):
 
 class ParseError(ValidationFailure):
     """Malformed table file or polynomial string."""
-
-
-class ValidationError(ValidationFailure):
-    """Table row violates a structural invariant."""

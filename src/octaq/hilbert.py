@@ -20,14 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import FactorizationIncomplete, OctaqError
 from .rationals import factorize
 
 INF = float("inf")
-
-Place = object  # int prime or INF
 
 
 def is_prime(n: int) -> bool:
@@ -60,9 +58,6 @@ class BrauerClass:
 
     def __mul__(self, other: "BrauerClass") -> "BrauerClass":
         return BrauerClass(self.ramified ^ other.ramified)
-
-    def symbol_at(self, v) -> int:
-        return -1 if v in self.ramified else 1
 
     def places(self) -> list:
         return sorted(self.ramified)
@@ -136,11 +131,11 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, v) -> int:
     return sign
 
 
-def _support(x: Fraction, budget: Optional[int] = None) -> set[int]:
+def _support(x: Fraction) -> set[int]:
     primes: set[int] = set()
     for n in (x.numerator, x.denominator):
         if abs(n) != 1:
-            f = factorize(n, budget)
+            f = factorize(n)
             if not f.complete:
                 raise FactorizationIncomplete(
                     f"cannot list the prime support of {n}")
@@ -148,8 +143,7 @@ def _support(x: Fraction, budget: Optional[int] = None) -> set[int]:
     return primes
 
 
-def brauer_class(a: Fraction | int, b: Fraction | int,
-                 budget: Optional[int] = None) -> BrauerClass:
+def brauer_class(a: Fraction | int, b: Fraction | int) -> BrauerClass:
     """Class of the quaternion algebra (a, b) as its ramification set.
 
     Only 2, infinity, and the odd primes in the support of a and b can
@@ -159,8 +153,8 @@ def brauer_class(a: Fraction | int, b: Fraction | int,
     if a == 0 or b == 0:
         raise ValueError("Brauer class needs nonzero arguments")
     candidates: set = {2, INF}
-    candidates.update(_support(a, budget))
-    candidates.update(_support(b, budget))
+    candidates.update(_support(a))
+    candidates.update(_support(b))
     ramified = frozenset(v for v in candidates if hilbert_symbol(a, b, v) == -1)
     return BrauerClass(ramified)
 
@@ -172,8 +166,7 @@ def class_product(*classes: BrauerClass) -> BrauerClass:
     return out
 
 
-def witt_invariant_diagonal(coeffs: Iterable[Fraction | int],
-                            budget: Optional[int] = None) -> BrauerClass:
+def witt_invariant_diagonal(coeffs: Iterable[Fraction | int]) -> BrauerClass:
     """Hasse-Witt invariant of <a_1, ..., a_n>: product of (a_i, a_j), i<j."""
     cs = [Fraction(c) for c in coeffs]
     if any(c == 0 for c in cs):
@@ -181,5 +174,5 @@ def witt_invariant_diagonal(coeffs: Iterable[Fraction | int],
     out = TRIVIAL
     for i in range(len(cs)):
         for j in range(i + 1, len(cs)):
-            out = out * brauer_class(cs[i], cs[j], budget)
+            out = out * brauer_class(cs[i], cs[j])
     return out

@@ -241,12 +241,6 @@ class UniPoly:
     def scale(self, c) -> "UniPoly":
         return UniPoly(self.field, [a * c for a in self.coeffs])
 
-    def shift_degree(self, k: int) -> "UniPoly":
-        """Multiply by X**k."""
-        if self.is_zero():
-            return self
-        return UniPoly(self.field, (self.field.zero,) * k + self.coeffs)
-
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
@@ -301,10 +295,6 @@ class UniPoly:
             acc = acc * inner + UniPoly(self.field, (c,))
         return acc
 
-    def map_coeffs(self, fn, field=None) -> "UniPoly":
-        return UniPoly(field if field is not None else self.field,
-                       [fn(c) for c in self.coeffs])
-
     def __repr__(self):
         return f"UniPoly({poly_str(self)})"
 
@@ -316,10 +306,6 @@ def poly(field, coeffs: Sequence) -> UniPoly:
 
 def qpoly(coeffs: Sequence[Scalar]) -> UniPoly:
     return poly(QQ, coeffs)
-
-
-def x_poly(field) -> UniPoly:
-    return UniPoly(field, (field.zero, field.one))
 
 
 def poly_str(p: UniPoly, var: str = "x") -> str:

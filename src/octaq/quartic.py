@@ -404,7 +404,7 @@ class ReducedQuartic:
         object.__setattr__(self, "c", Fraction(self.c))
         p = self.poly()
         if not is_irreducible_quartic(p):
-            raise Reducible(f"{p!r} factors over Q")
+            raise Reducible(f"{poly_str(p)} factors over Q")
 
     def poly(self) -> UniPoly:
         return qpoly([self.c, self.b, self.a, 0, 1])
@@ -426,31 +426,15 @@ class ReducedQuartic:
         return squarefree_part(self.disc())
 
 
-@dataclass(frozen=True)
-class PrincipalQuartic:
-    """X^4 + bX + c, irreducible over Q (hence separable)."""
+class PrincipalQuartic(ReducedQuartic):
+    """X^4 + bX + c: a ReducedQuartic with a = 0."""
 
-    b: Fraction
-    c: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "c", Fraction(self.c))
-        p = self.poly()
-        if not is_irreducible_quartic(p):
-            raise Reducible(f"{p!r} factors over Q")
-
-    def poly(self) -> UniPoly:
-        return qpoly([self.c, self.b, 0, 0, 1])
-
-    def disc(self) -> Fraction:
-        return -27 * self.b**4 + 256 * self.c**3
-
-    def disc_class(self) -> int:
-        return squarefree_part(self.disc())
+    def __init__(self, b, c):
+        super().__init__(Fraction(0), b, c)
 
     def reduced(self) -> ReducedQuartic:
-        return ReducedQuartic(Fraction(0), self.b, self.c)
+        """The quartic itself, so its S4 test and trace form are shared."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -492,7 +476,7 @@ def depress(f: UniPoly) -> ReducedQuartic:
     try:
         return ReducedQuartic(shifted[2], shifted[1], shifted[0])
     except Reducible:
-        raise Reducible(f"{f!r} factors over Q") from None
+        raise Reducible(f"{poly_str(f)} factors over Q") from None
 
 
 def reduced_tschirnhaus_poly(f: UniPoly, m, n, p) -> UniPoly:
@@ -526,13 +510,12 @@ def reduced_tschirnhaus_poly(f: UniPoly, m, n, p) -> UniPoly:
 
 def tschirnhaus(f: ReducedQuartic, m, n, p) -> ReducedQuartic:
     """Reduced Tschirnhaus transformation over Q; raises NotPrimitive when
-    the image does not generate the field (non-squarefree image)."""
+    the image does not generate the field, i.e. its characteristic
+    polynomial is not irreducible (ReducedQuartic proves which)."""
     if not (m or n or p):
         raise ValueError("(m, n, p) must be nonzero")
     g = reduced_tschirnhaus_poly(f.poly(), Fraction(m), Fraction(n),
                                  Fraction(p))
-    if poly_gcd(g, g.derivative()).degree > 0:
-        raise NotPrimitive(f"image of Tsc(...;{m},{n},{p}) is not primitive")
     try:
         return ReducedQuartic(g[2], g[1], g[0])
     except Reducible as exc:
@@ -836,8 +819,8 @@ def same_field(f: UniPoly, g: UniPoly) -> Optional[FieldCertificate]:
     for h in (f, g):
         if h.degree != 4 or h.lc != 1:
             raise ValueError("need monic quartics")
-    if not is_irreducible_quartic(f) or not is_irreducible_quartic(g):
-        raise Reducible("same_field needs irreducible quartics")
+        if not is_irreducible_quartic(h):
+            raise Reducible(f"{poly_str(h)} factors over Q")
     df = discriminant(f)
     dg = discriminant(g)
     if not same_square_class(df, dg):

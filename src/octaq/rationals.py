@@ -234,7 +234,7 @@ def is_square(x: Fraction | int) -> bool:
     return rn * rn == x.numerator and rd * rd == x.denominator
 
 
-def squarefree_part(x: Fraction | int, budget: Optional[int] = None) -> int:
+def squarefree_part(x: Fraction | int) -> int:
     """The unique squarefree integer d with x/d a nonzero rational square.
 
     For x = num/den in lowest terms this is the squarefree part of
@@ -243,7 +243,7 @@ def squarefree_part(x: Fraction | int, budget: Optional[int] = None) -> int:
     x = Fraction(x)
     if x == 0:
         raise ValueError("0 has no squarefree part")
-    return factorize(x.numerator * x.denominator, budget).squarefree_part()
+    return factorize(x.numerator * x.denominator).squarefree_part()
 
 
 def same_square_class(x: Fraction | int, y: Fraction | int) -> bool:

@@ -28,7 +28,7 @@ from octaq.polynomials import QQ
 from octaq.rationals import is_square
 from octaq.tables import load_bundled_corpus, parse_table, verify_table_row
 
-CORPUS = load_bundled_corpus(validate=False)
+CORPUS = load_bundled_corpus()
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:

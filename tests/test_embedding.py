@@ -14,7 +14,7 @@ from octaq.quartic import ReducedQuartic, depress, galois_is_S4, trace_form
 from octaq.rationals import squarefree_part
 from octaq.tables import load_bundled_corpus
 
-CORPUS = load_bundled_corpus(validate=False)
+CORPUS = load_bundled_corpus()
 
 
 def corpus_reports():

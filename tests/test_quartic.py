@@ -21,7 +21,7 @@ from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
 from octaq.rationals import same_square_class, squarefree_part
 from octaq.tables import load_bundled_corpus
 
-CORPUS = load_bundled_corpus(validate=False)
+CORPUS = load_bundled_corpus()
 
 
 def rand_s4_quartic(rng, bound=20):
@@ -300,19 +300,33 @@ def test_principalize_not_principal():
 
 def test_invariants_computed_once_per_quartic(monkeypatch):
     calls = Counter()
-    for name in ("is_irreducible_quartic", "galois_is_S4", "trace_form"):
+    for name in ("is_irreducible_quartic", "galois_is_S4", "trace_form",
+                 "discriminant"):
         def counted(*args, _name=name, _fn=getattr(quartic, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(quartic, name, counted)
     f = depress(qpoly([-1, -1, 0, 0, 1]))
     classify(f)
-    principalize(f)
+    out, _ = principalize(f)
     assert is_principal(f)
     # one irreducibility proof for f (in ReducedQuartic) and one for the
     # principal model (in PrincipalQuartic)
     assert calls == {"is_irreducible_quartic": 2, "galois_is_S4": 1,
                      "trace_form": 1}
+    # the principal model is its own reduced form and shares its caches
+    assert out.reduced() is out
+    assert is_principal(out.reduced())
+    assert calls["is_irreducible_quartic"] == 2
+    assert calls["trace_form"] == 2
+
+    # a table row: depress and principalize prove one quartic each, and
+    # same_field both of its inputs and their discriminants
+    from octaq.tables import verify_table_row
+    calls.clear()
+    assert verify_table_row(CORPUS[0])["passed"]
+    assert calls["is_irreducible_quartic"] == 4
+    assert calls["discriminant"] == 2
 
 
 def test_principalize_output_properties():

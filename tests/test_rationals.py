@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from octaq.errors import FactorizationIncomplete
 from octaq.hilbert import is_prime
-from octaq.rationals import (PSI_13, _strong_probable_prime, factorize,
-                             is_square, rational_reconstruct,
+from octaq.rationals import (FACTOR_BUDGET, PSI_13, _strong_probable_prime,
+                             factorize, is_square, rational_reconstruct,
                              same_square_class, squarefree_part)
 
 M89 = 2**89 - 1  # prime, but above PSI_13
@@ -54,8 +54,12 @@ def test_factorize_incomplete_flagged():
     assert not f.complete and f.cofactor == p * q
     with pytest.raises(FactorizationIncomplete):
         f.squarefree_part()
-    with pytest.raises(FactorizationIncomplete):
-        squarefree_part(p * q, budget=0)
+    token = FACTOR_BUDGET.set(0)
+    try:
+        with pytest.raises(FactorizationIncomplete):
+            squarefree_part(p * q)
+    finally:
+        FACTOR_BUDGET.reset(token)
     assert factorize(p * q).factors == {p: 1, q: 1}
 
 

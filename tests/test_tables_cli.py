@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octaq.cli import main, parse_polynomial
-from octaq.errors import ParseError, ValidationError
+from octaq.errors import ParseError
 from octaq.polynomials import poly_str, qpoly
 from octaq.tables import (load_bundled_corpus, parse_table, verify_table_row)
 
-CORPUS = load_bundled_corpus(validate=False)
+CORPUS = load_bundled_corpus()
 
 
 # -- parsing -------------------------------------------------------------------
@@ -34,11 +34,10 @@ def test_parse_table_malformed():
         parse_table("1 ; -283 ; -1,-1,0,0,1 ; 1,-1")
     with pytest.raises(ParseError):
         parse_table("9 ; -283 ; -1,-1,0,0,1 ; 1,-1 ; 0")
-
-
-def test_parse_table_validation_catches_disc_mismatch():
-    with pytest.raises(ValidationError):
-        parse_table("1 ; -284 ; -1,-1,0,0,1 ; 1,-1 ; 0")
+    with pytest.raises(ParseError, match="not monic"):
+        parse_table("1 ; -283 ; -1,-1,0,0,2 ; 1,-1 ; 0")
+    with pytest.raises(ParseError, match="nonzero"):
+        parse_table("1 ; 0 ; -1,-1,0,0,1 ; 1,-1 ; 0")
 
 
 def test_bundled_corpus_shape():
@@ -80,6 +79,25 @@ def test_wrong_table_fails_loudly():
     res = verify_table_row(row)
     assert not res["passed"]
     assert any("table" in f for f in res["failures"])
+
+
+def test_verify_row_flags_disc_mismatch():
+    # parse_table proves nothing: the d column is checked per row
+    res = verify_table_row(replace(CORPUS[0], expected_disc=-284))
+    assert res["checks"]["disc"] is False
+    assert not res["passed"]
+    assert any("-284" in f for f in res["failures"])
+    assert verify_table_row(CORPUS[0])["checks"]["disc"] is True
+
+
+def test_verify_row_lets_internal_errors_through(monkeypatch):
+    from octaq import tables
+
+    def broken(f, box=50):
+        raise ZeroDivisionError("internal bug")
+    monkeypatch.setattr(tables, "principalize", broken)
+    with pytest.raises(ZeroDivisionError):
+        verify_table_row(CORPUS[0])
 
 
 def test_star_toggle_fails_loudly():
@@ -178,9 +196,7 @@ def test_cli_qcurve_from_quartic_non_octahedral(capsys, poly):
     assert data["error"]["type"] == "NotOctahedral"
 
 
-def test_cli_qcurve_from_quartic_non_s4_ends():
-    # principalize used to reach a model with b = 0 and loop on its
-    # valuation, so run it in a child process under a timeout
+def _run_child(*argv):
     import subprocess
     import sys
     from pathlib import Path
@@ -188,9 +204,25 @@ def test_cli_qcurve_from_quartic_non_s4_ends():
     import octaq
     env = {**os.environ,
            "PYTHONPATH": str(Path(octaq.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "octaq.cli", "qcurve", "from-quartic",
-         "x^4+3x^2+1"], capture_output=True, text=True, timeout=60, env=env)
+    return subprocess.run([sys.executable, "-m", "octaq.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
+def test_cli_principalize_non_octahedral_is_quiet():
+    # principalize used to answer for a non-S4 quartic with exit 0 and a
+    # UserWarning on stderr; stderr is checked in a child process
+    proc = _run_child("principalize", "x^4-6x^2+8x+51")
+    assert proc.returncode == 2
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "NotOctahedral"
+    assert "x^4 - 6*x^2 + 8*x + 51" in error["message"]
+    assert proc.stderr == ""
+
+
+def test_cli_qcurve_from_quartic_non_s4_ends():
+    # principalize used to reach a model with b = 0 and loop on its
+    # valuation, so run it in a child process under a timeout
+    proc = _run_child("qcurve", "from-quartic", "x^4+3x^2+1")
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["type"] == "NotOctahedral"
 
@@ -201,6 +233,29 @@ def test_cli_verify_tables_mutated(tmp_path, capsys):
     code, data = run_cli(capsys, "verify-tables", str(fixture), "--jobs", "1")
     assert code == 2
     assert data["failed"] == 1
+
+
+def test_cli_verify_tables_reducible_row_fails_alone(tmp_path, capsys):
+    fixture = tmp_path / "reducible.txt"
+    fixture.write_text("1 ; -283 ; -1,-1,0,0,1 ; 1,-1 ; 0\n"
+                       "1 ; -283 ; -1,0,0,0,1 ; 1,-1 ; 0\n")
+    code, data = run_cli(capsys, "verify-tables", str(fixture), "--jobs", "1")
+    assert code == 2
+    assert (data["passed"], data["failed"]) == (1, 1)
+    assert data["results"][1]["failures"] == [
+        "Reducible: x^4 - 1 factors over Q"]
+
+
+@pytest.mark.parametrize("line", [
+    "1 ; -283 ; -1,-1,0,0,2 ; 1,-1 ; 0",   # source not monic
+    "1 ; 0 ; -1,-1,0,0,1 ; 1,-1 ; 0",      # d = 0
+])
+def test_cli_verify_tables_bad_file_is_parse_error(tmp_path, capsys, line):
+    fixture = tmp_path / "bad.txt"
+    fixture.write_text(line + "\n")
+    code, data = run_cli(capsys, "verify-tables", str(fixture), "--jobs", "1")
+    assert code == 2
+    assert data["error"]["type"] == "ParseError"
 
 
 def test_cli_factor_bound_exhaustion_exit_code(capsys):
