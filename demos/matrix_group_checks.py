@@ -1,4 +1,4 @@
-"""Subgroup structure of GL2(F9) by brute force.
+"""Subgroup structure of GL2(F9) by exact finite computation.
 
 The possible images of an octahedral representation into GL2(F9) are the
 five subgroups generated by zeta^j S and zeta^k T; their isomorphism

@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gl2f9", help="finite matrix-group verification")
     p.add_argument("--conjugacy", action="store_true",
-                   help="exhaustive S4 conjugacy scan in PGL2(F9)")
+                   help="S4 conjugacy scan in PGL2(F9) over triangle pairs")
     p.set_defaults(fn=cmd_gl2f9)
     return ap
 

@@ -4,8 +4,8 @@ F9 = F3[zeta] with zeta^2 = zeta + 1, so zeta generates the multiplicative
 group (order 8) and i = zeta^2.  Field elements are coded 0..8 as
 a + 3b for a + b zeta; 2x2 matrices are packed into a single integer
 base 81, and all arithmetic runs through precomputed tables.  Groups are
-stored as explicit frozensets of packed matrices: at most 5760 elements,
-so brute force is exact and fast.
+stored as explicit frozensets of packed matrices (at most 5760 elements)
+together with the generators they were closed from.
 
 The verified statements: the generator relations between powers of
 zeta^j S and zeta^k T, the collapse of the 64 subgroups <zeta^j S,
@@ -13,10 +13,21 @@ zeta^k T> onto five groups G1..G5, their order table together with the
 SL2 intersections (which pins the 2^r S4^+- label of each), maximality of
 the index-2 members, the behaviour of the three scalar-twist involutions
 on each group, and the uniqueness of the S4 conjugacy class in PGL2(F9).
+
+Two of these proofs work on generators rather than on all elements.  A
+map on a finite group is multiplicative as soon as phi(a s) = phi(a)
+phi(s) for every element a and every generator s (induction on word
+length; inverses are positive powers).  S4 is the (2,3,4) von Dyck group
+<x, y | x^4 = y^3 = (xy)^2 = 1> (Coxeter-Moser), so every S4 subgroup of
+PGL2(F9) is generated by a "triangle pair" (a, b) of orders 4 and 3 with
+(ab)^2 = 1, and every triangle pair generates a quotient of S4, which the
+scan proves to be S4 itself.  The orbit of a subgroup under conjugation
+by a finite group is its closure under conjugation by the generators.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -358,9 +369,15 @@ def twist_f2(m: int) -> int:
 
 
 def _is_inner(g: MatGroup, mapping: dict) -> bool:
+    """Some h in g conjugates every m to mapping[m].  Candidates are
+    screened on the generators, and a match is confirmed on all elements,
+    so the answer does not rely on mapping being a homomorphism."""
     for h in g.elements:
         hi = mat_inv(h)
-        if all(mapping[m] == mat_mul(mat_mul(h, m), hi) for m in g.elements):
+        if (all(mapping[s] == mat_mul(mat_mul(h, s), hi)
+                for s in g.generators)
+                and all(mapping[m] == mat_mul(mat_mul(h, m), hi)
+                        for m in g.elements)):
             return True
     return False
 
@@ -368,7 +385,14 @@ def _is_inner(g: MatGroup, mapping: dict) -> bool:
 def verify_twist_map(g: MatGroup, twist) -> dict:
     """The twist restricted to g must be a bijective endomorphism whose
     square is an inner automorphism (the testable content of being an
-    involution of Out(g))."""
+    involution of Out(g)).
+
+    g must be closed from g.generators, as `group` builds it.  Then
+    phi(a s) = phi(a) phi(s) for every a in g and every generator s is
+    the full homomorphism property: with a = 1 it gives phi(1) = 1, and
+    induction on the length of b as a word in the generators gives
+    phi(a b) = phi(a) phi(b).  phi(1) = 1 is also checked directly, which
+    covers a group given by no non-identity generator."""
     try:
         mapping = {m: twist(m) for m in g.elements}
     except ValueError:
@@ -377,11 +401,10 @@ def verify_twist_map(g: MatGroup, twist) -> dict:
     if not into:
         return {"defined": True, "closed": False}
     bijective = len(set(mapping.values())) == g.order
-    els = list(g.elements)
-    homomorphism = all(
-        mapping[mat_mul(a, b)] == mat_mul(mapping[a], mapping[b])
-        for a in els for b in els)
-    square = {m: mapping[mapping[m]] for m in els}
+    homomorphism = mapping[IDENTITY] == IDENTITY and all(
+        mapping[mat_mul(a, s)] == mat_mul(mapping[a], mapping[s])
+        for a in g.elements for s in g.generators)
+    square = {m: mapping[mapping[m]] for m in g.elements}
     square_inner = _is_inner(g, square)
     return {"defined": True, "closed": True, "bijective": bijective,
             "homomorphism": homomorphism, "square_inner": square_inner,
@@ -408,6 +431,8 @@ def _pgl_order(m: int) -> int:
     while cur != IDENTITY:
         cur = _pgl_mul(cur, m)
         k += 1
+        if k > 720:
+            raise OctaqError("not an element of PGL2(F9)")
     return k
 
 
@@ -429,33 +454,47 @@ def _pgl_closure_capped(a: int, b: int, cap: int) -> frozenset | None:
 
 
 def s4_conjugacy_scan() -> dict:
-    """Exhaustively generate all S4 subgroups of PGL2(F9) from pairs of
-    elements of order at most 4 (every pair of elements of an S4 subgroup
-    qualifies, and S4 is 2-generated) and verify they form one conjugacy
-    class."""
-    pgl = sorted(pgl2f9())
-    small = [m for m in pgl if m != IDENTITY and _pgl_order(m) <= 4]
-    found: set[frozenset] = set()
-    for i, a in enumerate(small):
-        for b in small[i:]:
+    """Find every S4 subgroup of PGL2(F9) and verify they form one
+    conjugacy class.
+
+    Completeness rests on the presentation S4 = <x, y | x^4 = y^3 =
+    (xy)^2 = 1>: every S4 subgroup contains a pair (a, b) with ord a = 4,
+    ord b = 3 and (ab)^2 = 1, so the scan runs over all such triangle
+    pairs.  Each pair not inside an already-found subgroup is closed (at
+    most 24 elements) and must give a group with the element-order
+    profile of S4; anything else raises OctaqError.  The conjugacy class
+    of one subgroup is its closure under conjugation by the images of the
+    two generators of GL2(F9), which generate PGL2(F9)."""
+    order = {m: _pgl_order(m) for m in sorted(pgl2f9())}
+    fours = [m for m, o in order.items() if o == 4]
+    threes = [m for m, o in order.items() if o == 3]
+    subs: list[frozenset] = []
+    for a in fours:
+        for b in threes:
+            ab = _pgl_mul(a, b)
+            if _pgl_mul(ab, ab) != IDENTITY:
+                continue
+            if any(a in sub and b in sub for sub in subs):
+                continue
             sub = _pgl_closure_capped(a, b, 24)
-            if sub is None or len(sub) != 24:
-                continue
-            if sub in found:
-                continue
-            profile: dict[int, int] = {}
-            for m in sub:
-                o = _pgl_order(m)
-                profile[o] = profile.get(o, 0) + 1
-            if profile == _S4_ORDER_PROFILE:
-                found.add(sub)
-    subs = list(found)
+            if (sub is None
+                    or Counter(map(order.get, sub)) != _S4_ORDER_PROFILE):
+                raise OctaqError("a (2,3,4) triangle pair in PGL2(F9) does"
+                                 " not generate S4")
+            subs.append(sub)
     if not subs:
         raise OctaqError("no S4 subgroup of PGL2(F9) found")
-    base = subs[0]
-    orbit = set()
-    for gg in pgl:
-        gi = pgl_canon(mat_inv(gg))
-        orbit.add(frozenset(_pgl_mul(_pgl_mul(gg, m), gi) for m in base))
-    single_class = set(subs) <= orbit and orbit <= set(subs)
-    return {"subgroup_count": len(subs), "single_conjugacy_class": single_class}
+    gens = [(pgl_canon(g), pgl_canon(mat_inv(g))) for g in gl2f9().generators]
+    orbit = {subs[0]}
+    frontier = [subs[0]]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for g, gi in gens:
+                conj = frozenset(_pgl_mul(_pgl_mul(g, m), gi) for m in sub)
+                if conj not in orbit:
+                    orbit.add(conj)
+                    nxt.append(conj)
+        frontier = nxt
+    return {"subgroup_count": len(subs),
+            "single_conjugacy_class": orbit == set(subs)}

@@ -32,7 +32,7 @@ from typing import Optional
 
 from .errors import (CyclotomicExcluded, DegenerateParameter,
                      ExcludedParameter, NotOctahedral, NotPrimitive,
-                     OctaqError)
+                     NotPrincipal, OctaqError)
 from .hilbert import brauer_class
 from .polynomials import (QQ, FunctionField, QuadField, RatFunc, UniPoly,
                           discriminant, lift_poly, poly_gcd, poly_str,
@@ -135,9 +135,16 @@ def curve_from_t(t: Fraction | int) -> QCurveRecord:
     return record
 
 
+def _require_principal(g: ReducedQuartic) -> None:
+    if g.a != 0:
+        raise NotPrincipal(f"{poly_str(g.poly())} is not of the principal"
+                           " shape X^4 + bX + c")
+
+
 def t_from_principal(g: PrincipalQuartic) -> Fraction:
     """t = -disc(g)/(27 b^4) = 1 - 256 c^3/(27 b^4); the square class of t
     is that of -3 disc(g), so Q(sqrt(t)) = Q(sqrt(-3 d))."""
+    _require_principal(g)
     if g.b == 0:
         raise NotOctahedral(f"{poly_str(g.poly())} has b = 0: X^4 + c is not"
                             " octahedral and t is undefined")
@@ -193,6 +200,7 @@ def family(g: PrincipalQuartic, s_param: Fraction | int
     """Member X^4 + b_s X + c_s of the one-parameter family of principal
     polynomials defining the same field, s != -4c/(3b), together with the
     j-invariant of the attached curve in Q(sqrt(3(27 b_s^4 - 256 c_s^3)))."""
+    _require_principal(g)
     s = Fraction(s_param)
     b, c = g.b, g.c
     if 3 * b * s + 4 * c == 0:

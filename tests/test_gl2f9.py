@@ -1,10 +1,14 @@
 import pytest
 
+from octaq.errors import OctaqError
 from octaq.gl2f9 import (F9_MUL, IDENTITY, I_UNIT, MINUS_ONE, ONE, S_MAT,
-                         T_MAT, ZETA, ZETA_POW, classify_hjk, closure,
-                         five_groups, gl2f9, group, h_jk, mat, mat_det,
-                         mat_inv, mat_mul, mat_order, pgl2f9, scalar_mul,
-                         verify_outer_involutions, verify_subgroup_classification)
+                         T_MAT, ZETA, ZETA_POW, _is_inner, _pgl_order,
+                         classify_hjk, closure, five_groups, gl2f9, group,
+                         h_jk, mat, mat_det, mat_inv, mat_mul, mat_order,
+                         pgl2f9, pgl_canon, pgl_project, s4_conjugacy_scan,
+                         scalar_mul, twist_f1, twist_f2, twist_phi,
+                         verify_outer_involutions,
+                         verify_subgroup_classification, verify_twist_map)
 
 
 def test_field_construction_table():
@@ -96,3 +100,117 @@ def test_f2_trivial_on_gl2f3():
     from octaq.gl2f9 import twist_f2
     g1 = five_groups()["G1"]
     assert all(twist_f2(m) == m for m in g1.elements)
+
+
+def _full_twist_check(g, twist):
+    # the definitions, checked over all |G|^2 pairs and all candidates h
+    mapping = {m: twist(m) for m in g.elements}
+    homomorphism = all(
+        mapping[mat_mul(a, b)] == mat_mul(mapping[a], mapping[b])
+        for a in g.elements for b in g.elements)
+    square_inner = any(
+        all(mapping[mapping[m]] == mat_mul(mat_mul(h, m), mat_inv(h))
+            for m in g.elements)
+        for h in g.elements)
+    return homomorphism, square_inner
+
+
+def test_twist_check_on_generators_matches_full_check():
+    twists = {"phi": twist_phi, "f1": twist_f1, "f2": twist_f2}
+    for name, grp in five_groups().items():
+        res = verify_outer_involutions(grp)
+        for tname, twist in twists.items():
+            r = res[tname]
+            assert r["defined"] and r["closed"], (name, tname)
+            assert (r["homomorphism"], r["square_inner"]) == \
+                _full_twist_check(grp, twist), (name, tname)
+
+
+def test_twist_check_rejects_swapped_bijection():
+    # identity on G1 except for two swapped non-identity elements: a
+    # bijection that is never a homomorphism.  Every pair is tried, so
+    # swaps of x and x*s, which respect right multiplication by one
+    # involutive generator s, are among them.
+    from itertools import combinations
+    g1 = five_groups()["G1"]
+    for x, y in combinations(sorted(g1.elements - {IDENTITY}), 2):
+        swap = {x: y, y: x}
+        res = verify_twist_map(g1, lambda m: swap.get(m, m))
+        assert res["bijective"] is True
+        assert res["homomorphism"] is False, (x, y)
+        assert res["automorphism"] is False
+    assert _full_twist_check(g1, lambda m: swap.get(m, m))[0] is False
+    # a swap that fixes the generators agrees with conjugation by 1 on
+    # them; the inner test must still reject it on the other elements
+    x, y = sorted(g1.elements - {IDENTITY, *g1.generators})[:2]
+    swap = {x: y, y: x}
+    assert _is_inner(g1, {m: swap.get(m, m) for m in g1.elements}) is False
+
+
+def test_twist_check_uses_every_generator():
+    # for each generator s, swap two cosets x<s> and y<s> (x c <-> y c for c
+    # in <s>): the bijection respects right multiplication by s, so only the
+    # other generator exposes that it is not a homomorphism
+    g1 = five_groups()["G1"]
+    for s in g1.generators:
+        cyc = closure([s])
+        x = min(g1.elements - cyc)
+        y = min(g1.elements - cyc - {mat_mul(x, c) for c in cyc})
+        swap = {}
+        for c in cyc:
+            swap[mat_mul(x, c)] = mat_mul(y, c)
+            swap[mat_mul(y, c)] = mat_mul(x, c)
+        res = verify_twist_map(g1, lambda m: swap.get(m, m))
+        assert res["bijective"] is True
+        assert res["homomorphism"] is False, s
+
+
+def test_s4_scan_equals_conjugates_of_pgl2f3(monkeypatch):
+    # independent of the triangle argument: the subgroups the scan closes
+    # are exactly the conjugates of pi(GL2(F3)) under all of PGL2(F9)
+    import octaq.gl2f9 as mod
+    seen = []
+    inner = mod._pgl_closure_capped
+
+    def spy(a, b, cap):
+        seen.append(inner(a, b, cap))
+        return seen[-1]
+    monkeypatch.setattr(mod, "_pgl_closure_capped", spy)
+    res = s4_conjugacy_scan()
+    assert res == {"subgroup_count": 30, "single_conjugacy_class": True}
+    base = pgl_project(five_groups()["G1"].elements)
+    orbit = set()
+    for g in pgl2f9():
+        gi = pgl_canon(mat_inv(g))
+        orbit.add(frozenset(pgl_canon(mat_mul(mat_mul(g, m), gi))
+                            for m in base))
+    assert len(seen) == 30
+    assert set(seen) == orbit
+
+
+def test_s4_scan_rejects_a_bad_triangle_closure(monkeypatch):
+    import octaq.gl2f9 as mod
+    monkeypatch.setattr(mod, "_pgl_closure_capped", lambda a, b, cap: None)
+    with pytest.raises(OctaqError, match="triangle pair"):
+        s4_conjugacy_scan()
+
+
+def test_triangle_pairs_count():
+    # 720 = 24 * 30: each of the 30 S4 subgroups holds |Aut S4| = 24
+    # generating pairs (a, b) with ord a = 4, ord b = 3, (ab)^2 = 1
+    pgl = pgl2f9()
+    order = {m: _pgl_order(m) for m in pgl}
+    pairs = 0
+    for a in pgl:
+        for b in pgl:
+            if order[a] == 4 and order[b] == 3:
+                ab = pgl_canon(mat_mul(a, b))
+                pairs += pgl_canon(mat_mul(ab, ab)) == IDENTITY
+    assert pairs == 720
+
+
+def test_pgl_order_is_capped():
+    assert _pgl_order(IDENTITY) == 1
+    assert _pgl_order(pgl_canon(T_MAT)) == 3  # T^3 = -1
+    with pytest.raises(OctaqError, match="PGL2"):
+        _pgl_order(mat(ONE, 0, 0, 0))  # singular, idempotent

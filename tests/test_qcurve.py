@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from octaq.errors import (CyclotomicExcluded, DegenerateParameter,
-                          ExcludedParameter, NotOctahedral)
+                          ExcludedParameter, NotOctahedral, NotPrincipal)
 from octaq.polynomials import QQ, QuadField, UniPoly, discriminant, qpoly
 from octaq.qcurve import (J_AT_CUSP, SymbolicContext, curve_from_t, family,
                           principal_quartic_poly, symbolic_suite,
@@ -38,6 +38,16 @@ def test_t_from_principal_example():
     assert squarefree_part(t) == 849 == squarefree_part(-3 * -283)
     with pytest.raises(NotOctahedral):
         t_from_principal(PrincipalQuartic(0, 1))  # x^4 + 1: b = 0
+
+
+def test_principal_maps_reject_nonzero_a():
+    # h_{-1} = x^4 - 6x^2 + 8x + 51 is irreducible but not of the shape
+    # X^4 + bX + c; reading only b, c and disc used to give t = -729/4
+    h = ReducedQuartic(-6, 8, 51)
+    for fn in (t_from_principal, tschirnhaus_to_torsion,
+               lambda g: family(g, 1)):
+        with pytest.raises(NotPrincipal, match=r"x\^4 - 6\*x\^2"):
+            fn(h)
 
 
 def test_round_trip():

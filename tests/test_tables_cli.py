@@ -335,3 +335,15 @@ def test_cli_gl2f9(capsys):
     assert code == 0
     assert data["all_passed"] is True
     assert len(data["checks"]) == 16
+
+
+def test_cli_gl2f9_conjugacy(capsys):
+    import hashlib
+    code = main(["gl2f9", "--conjugacy"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["s4_conjugacy"] == {
+        "subgroup_count": 30, "single_conjugacy_class": True}
+    # stdout is pinned byte for byte to the brute-force scan's output
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "ac2db0e85faa55d70bdcdd79666a237c4ec7229a84968dec6b0d571a429ef445"
