@@ -23,7 +23,6 @@ from .quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
                       tschirnhaus, witt_formula)
 from .rationals import (IntegerFactorization, factorize, is_square,
                         rational_reconstruct, squarefree_part)
-from .roots import ComplexApprox, complex_roots
 from .tables import TableRow, load_bundled_corpus, parse_table, verify_table_row
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import FactorizationIncomplete, OctaqError
-from .rationals import factorize
+from .rationals import _val_unit, factorize
 
 INF = float("inf")
 
@@ -70,19 +70,6 @@ class BrauerClass:
 
 
 TRIVIAL = BrauerClass(frozenset())
-
-
-def _val_unit(x: Fraction, p: int) -> tuple[int, Fraction]:
-    """p-adic valuation and unit part of a nonzero rational."""
-    num, den = x.numerator, x.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
 
 
 def _legendre(u: Fraction, p: int) -> int:

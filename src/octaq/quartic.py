@@ -19,19 +19,17 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Optional
 
-from .errors import (DegenerateUnresolvable, FactorizationIncomplete,
-                     NotPrimitive, NotPrincipal, OctaqError, Reducible,
-                     SearchExhausted)
+from .errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
+                     OctaqError, Reducible, SearchExhausted)
 from .hilbert import BrauerClass, brauer_class, witt_invariant_diagonal
 from .polynomials import (UniPoly, char_poly, discriminant, poly_gcd,
                           poly_str, power_sums, qpoly)
-from .rationals import (_primes_below, factorize, is_square,
+from .rationals import (_primes_below, _val_unit, factorize, is_square,
                         rational_reconstruct, same_square_class,
                         squarefree_part)
 
@@ -49,63 +47,6 @@ def _integer_model(f: UniPoly) -> list[int]:
     n = f.degree
     e = _model_scale(f)
     return [int(Fraction(f[i]) * e ** (n - i)) for i in range(n + 1)]
-
-
-def _divisors(n: int) -> list[int]:
-    fac = factorize(abs(n))
-    if not fac.complete:
-        raise FactorizationIncomplete(
-            f"cannot enumerate divisors of {n}")
-    divs = [1]
-    for p, e in fac.factors.items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return divs
-
-
-def _has_rational_root(coeffs: list[int]) -> bool:
-    """coeffs monic integer, ascending."""
-    if coeffs[0] == 0:
-        return True
-    for d in _divisors(coeffs[0]):
-        for r in (d, -d):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = acc * r + c
-            if acc == 0:
-                return True
-    return False
-
-
-def _has_quadratic_factor(c: list[int]) -> bool:
-    """Monic integer quartic [a0,a1,a2,a3,1]: test all monic integer
-    splittings (Y^2+uY+v)(Y^2+wY+z); by Gauss's lemma this is exhaustive
-    over Q."""
-    a0, a1, a2, a3, _ = c
-    if a0 == 0:
-        return True
-    for dv in _divisors(a0):
-        for v in (dv, -dv):
-            if a0 % v:
-                continue
-            z = a0 // v
-            if z != v:
-                num = a1 - a3 * v
-                if num % (z - v):
-                    continue
-                u = num // (z - v)
-                w = a3 - u
-                if u * w + v + z == a2:
-                    return True
-            else:
-                if v * a3 != a1:
-                    continue
-                disc = a3 * a3 - 4 * (a2 - 2 * v)
-                if disc < 0:
-                    continue
-                r = isqrt(disc)
-                if r * r == disc and (a3 + r) % 2 == 0:
-                    return True
-    return False
 
 
 # small polynomial arithmetic over F_p, ascending coefficient lists
@@ -200,67 +141,40 @@ def _fp_roots(h: list[int], p: int) -> list[int]:
                      f" mod {p}")
 
 
-def _fp_compose_mod(outer: list[int], inner: list[int], f: list[int],
-                    p: int) -> list[int]:
-    """outer(inner) mod f over F_p, Horner."""
-    acc: list[int] = []
-    for coeff in reversed(outer):
-        acc = _fp_mulmod(acc, inner, f, p)
-        if coeff:
-            if acc:
-                acc[0] = (acc[0] + coeff) % p
-            else:
-                acc = [coeff % p]
-            _fp_trim(acc)
-    return acc
-
-
-def _modp_pattern(c: list[int], p: int) -> Optional[tuple[int, int]]:
-    """(degree of the linear part, degree of the part with factors of
-    degree <= 2) of f mod p, or None when the reduction is not squarefree
-    (bad prime).  X^(p^2) mod f is the Frobenius composed with itself."""
-    cp = [x % p for x in c]
-    deriv = _fp_trim([(i * cp[i]) % p for i in range(1, 5)])
-    if not deriv or len(_fp_gcd(cp, deriv, p)) > 1:
-        return None
-    frob = _fp_xpow_mod(p, cp, p)
-    frob2 = _fp_compose_mod(frob, frob, cp, p)
-    d1 = len(_fp_gcd(_sub_x(frob, p), cp, p)) - 1
-    d2 = len(_fp_gcd(_sub_x(frob2, p), cp, p)) - 1
-    return d1, d2
-
-
-def _sub_x(a: list[int], p: int) -> list[int]:
-    out = list(a) + [0] * max(0, 2 - len(a))
-    out[1] = (out[1] - 1) % p
-    return _fp_trim(out)
-
-
 _CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109)
 
 
-def _irreducible_by_modp(c: list[int]) -> Optional[bool]:
-    """True when factorization patterns mod good primes certify
-    irreducibility: a pattern (4) or (1,3) rules out quadratic splittings,
-    a rootless pattern rules out linear factors.  Never proves
-    reducibility; None when the prime budget runs out."""
-    no_root = False
-    no_quad = False
+def _irreducible_by_modp(c: list[int], disc: int) -> bool:
+    """True when Frobenius data at primes p not dividing disc = disc(c)
+    certify that the monic integer cubic or quartic c is irreducible;
+    False when no prime of _CERT_PRIMES does, which proves nothing.
+
+    Since c is squarefree mod p, its roots mod p, counted by evaluation,
+    give the degree of its linear part gcd(c, X^p - X).  A cubic with no
+    root mod p is irreducible.  A quartic with one root mod p has the
+    pattern (1,3), so no quadratic factor.  A rootless quartic is
+    irreducible mod p exactly when disc is a non-square mod p, since the
+    number of irreducible factors mod p has the parity of the degree
+    exactly when disc is a square mod p (Stickelberger; Swan, Pacific J.
+    Math. 1962); otherwise its pattern (2,2) rules out linear factors
+    only."""
+    no_root = no_quad = False
     for p in _CERT_PRIMES:
-        pat = _modp_pattern(c, p)
-        if pat is None:
+        d = disc % p
+        if not d:
             continue
-        d1, d2 = pat
-        if d2 == 0:
-            return True
-        if d1 == 0:
+        cp = [x % p for x in c]
+        roots = sum(1 for x in range(p) if not _eval_mod(cp, x, p))
+        if roots == 0:
+            if len(c) == 4 or pow(d, (p - 1) // 2, p) != 1:
+                return True
             no_root = True
-        if (d1, d2) in ((0, 0), (1, 1)):
+        elif roots == 1:
             no_quad = True
         if no_root and no_quad:
             return True
-    return None
+    return False
 
 
 @functools.cache
@@ -274,7 +188,7 @@ def _split_primes() -> tuple[int, ...]:
 
 def _split_prime(c: list[int], disc: int, avoid: int = 1) -> int:
     """Smallest odd prime p dividing neither disc = disc(c) != 0 nor avoid
-    at which the monic integer quartic c splits into distinct linear
+    at which the monic integer cubic or quartic c splits into distinct linear
     factors, i.e. X^p = X mod (c, p).  By Stickelberger's theorem disc is
     then a square mod p, which rules out half the primes cheaply."""
     for p in _split_primes():
@@ -315,7 +229,7 @@ def _cauchy_bound(c: list[int]) -> int:
 
 
 def _p_adic_roots(c: list[int], p: int, k: int) -> list[int]:
-    """The four roots mod p^k of c, which splits completely mod p."""
+    """The roots mod p^k of c, which splits completely mod p."""
     return _lift_roots(c, _fp_roots([x % p for x in c], p), p, 1, k)
 
 
@@ -335,53 +249,71 @@ def _from_roots(roots: list[int], m: int) -> list[int]:
     return h
 
 
-def _reducible_by_hensel(c: list[int]) -> bool:
-    """Decide reducibility of the monic integer quartic c exactly.
+def _reducible_by_hensel(c: list[int], disc: int) -> bool:
+    """Decide whether the monic integer cubic or quartic c with
+    disc = disc(c) != 0 factors over Q.
 
-    A repeated factor shows in a zero discriminant.  Otherwise, at a prime
-    p where c splits into distinct linear factors, any monic integer
-    factor of degree 1 or 2 is the product of the matching p-adic linear
-    factors, with coefficients below (1 + R)^2 for the root bound R; so
-    lifting the roots past twice that bound and trying the 4 single roots
-    and the 3 pairs containing the first root (a 2 + 2 split or its
-    complement) finds every factor by exact division."""
-    disc = discriminant(qpoly(c))
-    if disc == 0:
-        return True
-    p = _split_prime(c, disc.numerator)
+    At a prime p where c splits into distinct linear factors, any monic
+    integer factor of degree 1 or 2 is the product of the matching p-adic
+    linear factors, with coefficients below (1 + R)^2 for the root bound R;
+    so lifting the roots past twice that bound and trying the single roots
+    and, for a quartic, the 3 pairs containing the first root (a 2 + 2
+    split or its complement) finds every factor by exact division."""
+    p = _split_prime(c, disc)
     k = _precision_for(p, 2 * (1 + _cauchy_bound(c))**2)
     m = p**k
     roots = _p_adic_roots(c, p, k)
+    subsets = [(i,) for i in range(len(roots))]
+    if len(roots) == 4:
+        subsets += [(0, 1), (0, 2), (0, 3)]
     f = qpoly(c)
-    for subset in ((0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3)):
+    for subset in subsets:
         h = _from_roots([roots[i] for i in subset], m)
         if (f % qpoly([x - m if 2 * x > m else x for x in h])).is_zero():
             return True
     return False
 
 
-def is_irreducible_quartic(f: UniPoly) -> bool:
-    """Exact irreducibility over Q for a monic quartic.
+def _disc(c: list[int]) -> int:
+    """Discriminant of the monic integer cubic or quartic c, closed form."""
+    if len(c) == 4:
+        a0, a1, a2, _ = c
+        return (a1 * a1 * (a2 * a2 - 4 * a1) - 4 * a2**3 * a0 - 27 * a0 * a0
+                + 18 * a2 * a1 * a0)
+    a0, a1, a2, a3, _ = c
+    return (256 * a0**3 - 192 * a3 * a1 * a0**2 - 128 * a2**2 * a0**2
+            + 144 * a2 * a1**2 * a0 - 27 * a1**4 + 144 * a3**2 * a2 * a0**2
+            - 6 * a3**2 * a1**2 * a0 - 80 * a3 * a2**2 * a1 * a0
+            + 18 * a3 * a2 * a1**3 + 16 * a2**4 * a0 - 4 * a2**3 * a1**2
+            - 27 * a3**4 * a0**2 + 18 * a3**3 * a2 * a1 * a0
+            - 4 * a3**3 * a1**3 - 4 * a3**2 * a2**3 * a0
+            + a3**2 * a2**2 * a1**2)
 
-    Small constant terms go through exhaustive divisor enumeration (which
-    decides both ways); otherwise mod-p factorization patterns certify
-    irreducibility fast and, when they do not, a Hensel-lifted factor
-    search at a completely split prime decides both ways.
-    """
+
+def _irreducible(c: list[int]) -> bool:
+    """Irreducibility over Q of the monic integer cubic or quartic c.
+
+    A zero discriminant means a repeated factor.  Otherwise Frobenius data
+    at small primes usually certify irreducibility, and the Hensel factor
+    search decides the rest; no integer is factored."""
+    disc = _disc(c)
+    if disc == 0:
+        return False
+    return _irreducible_by_modp(c, disc) or not _reducible_by_hensel(c, disc)
+
+
+def is_irreducible_quartic(f: UniPoly) -> bool:
+    """Exact irreducibility over Q for a monic quartic (see _irreducible)."""
     if f.degree != 4 or f.lc != 1:
         raise ValueError("need a monic quartic")
-    c = _integer_model(f)
-    if c[0] == 0:
-        return False
-    if abs(c[0]) < 10**12:
-        return not _has_rational_root(c) and not _has_quadratic_factor(c)
-    if _irreducible_by_modp(c):
-        return True
-    return not _reducible_by_hensel(c)
+    return _irreducible(_integer_model(f))
 
 
 def cubic_has_rational_root(f: UniPoly) -> bool:
-    return _has_rational_root(_integer_model(f))
+    """Exact test for a monic cubic: reducible means a linear factor."""
+    if f.degree != 3 or f.lc != 1:
+        raise ValueError("need a monic cubic")
+    return not _irreducible(_integer_model(f))
 
 
 # -- domain types -------------------------------------------------------------
@@ -650,18 +582,19 @@ def witt_formula(f: ReducedQuartic, max_tries: int = 20) -> BrauerClass:
 
 def is_principal(f: ReducedQuartic) -> bool:
     """w = (-1, -d): the trace-zero form represents zero, so the field has
-    a defining polynomial X^4 + bX + c."""
-    if not f.is_s4:
-        warnings.warn("principality criterion evaluated on a non-S4 quartic",
-                      stacklevel=2)
+    a defining polynomial X^4 + bX + c.  This holds for every quartic
+    field, S4 or not: it is the isotropy test for a non-degenerate ternary
+    form (Serre, A Course in Arithmetic, IV.2.2, Thm 6), an isotropic form
+    has infinitely many isotropic lines, and only finitely many lines
+    consist of non-primitive elements."""
     tf = f.trace_data
     return tf.witt == brauer_class(-1, -tf.disc_class)
 
 
 def _normalize_principal(b: Fraction, c: Fraction) -> tuple[PrincipalQuartic, Fraction]:
     """Scale by r (b -> b r^3, c -> c r^4) to integer coefficients with no
-    removable (q^3, q^4) content at factorable primes, then fix the sign
-    of b positive.
+    removable (q^3, q^4) content at factorable primes (q^4 content of c
+    alone when b = 0), then fix the sign of b positive.
 
     Denominators must factor completely (integrality is exact); numerator
     content hidden in an unfactored cofactor merely stays in place,
@@ -680,9 +613,9 @@ def _normalize_principal(b: Fraction, c: Fraction) -> tuple[PrincipalQuartic, Fr
             primes.update(factorize(val.numerator).factors.keys())
     r = Fraction(1)
     for q in sorted(primes):
-        alpha = _val(b, q)
-        beta = _val(c, q)
-        k = max(_ceil_div(-alpha, 3), _ceil_div(-beta, 4))
+        k = _ceil_div(-_val_unit(c, q)[0], 4)
+        if b:
+            k = max(k, _ceil_div(-_val_unit(b, q)[0], 3))
         if k:
             r *= Fraction(q) ** k
     b2, c2 = b * r**3, c * r**4
@@ -694,22 +627,6 @@ def _normalize_principal(b: Fraction, c: Fraction) -> tuple[PrincipalQuartic, Fr
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
-
-
-def _val(x: Fraction, q: int) -> int:
-    """The q-adic valuation of a nonzero rational x."""
-    if x == 0:
-        raise OctaqError("the valuation of 0 is infinite")
-    v = 0
-    n = x.numerator
-    while n % q == 0:
-        n //= q
-        v += 1
-    d = x.denominator
-    while d % q == 0:
-        d //= q
-        v -= 1
-    return v
 
 
 def _isotropy_p_solutions(g: list[list[Fraction]], m: int, n: int

@@ -165,6 +165,15 @@ def _strip(n: int, p: int) -> tuple[int, int]:
     return n, e
 
 
+def _val_unit(x: Fraction, p: int) -> tuple[int, Fraction]:
+    """(v, u) with x = p^v u for a nonzero rational x and a p-unit u."""
+    if x == 0:
+        raise OctaqError("the valuation of 0 is infinite")
+    num, up = _strip(x.numerator, p)
+    den, down = _strip(x.denominator, p)
+    return up - down, Fraction(num, den)
+
+
 def _strong_probable_prime(n: int) -> bool:
     """Miller-Rabin to every base in _MR_BASES; n odd and above them."""
     d, s = n - 1, 0

@@ -6,19 +6,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from octaq import quartic
+from octaq import quartic, rationals
 from octaq.embedding import classify
 from octaq.errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
                           OctaqError, Reducible, SearchExhausted)
 from octaq.hilbert import INF, brauer_class
 from octaq.polynomials import count_real_roots, discriminant, qpoly
 from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
-                           _fp_xpow_mod, _model_scale, _split_prime, _val,
-                           _verify_certificate, depress, galois_is_S4,
-                           is_irreducible_quartic, is_principal, principalize,
-                           resolvent_cubic, same_field, trace_form,
-                           trace_zero_gram, tschirnhaus, witt_formula)
-from octaq.rationals import same_square_class, squarefree_part
+                           _disc, _fp_xpow_mod, _integer_model,
+                           _irreducible_by_modp, _model_scale,
+                           _reducible_by_hensel, _split_prime,
+                           _verify_certificate, cubic_has_rational_root,
+                           depress, galois_is_S4, is_irreducible_quartic,
+                           is_principal, principalize, resolvent_cubic,
+                           same_field, trace_form, trace_zero_gram,
+                           tschirnhaus, witt_formula)
+from octaq.rationals import _val_unit, same_square_class, squarefree_part
 from octaq.tables import load_bundled_corpus
 
 CORPUS = load_bundled_corpus()
@@ -49,24 +52,60 @@ def test_irreducibility():
     assert not is_irreducible_quartic(qpoly([1, 1, 2, 1, 1]))       # (x^2+1)(x^2+x+1)
 
 
+def _has_integer_root(c):
+    # the rational roots of a monic integer polynomial are integers below
+    # the Cauchy bound
+    bound = 1 + max(abs(x) for x in c[:-1])
+    return any(sum(x * r**i for i, x in enumerate(c)) == 0
+               for r in range(-bound, bound + 1))
+
+
+def _has_quadratic_factor(c):
+    # X^2 + uX + v divides the quartic c: v | c0, and |u| < 2R since u is
+    # minus a sum of two roots
+    a0, a1, a2, a3, _ = c
+    bound = 2 * (1 + max(abs(x) for x in c[:-1]))
+    for v in range(-abs(a0), abs(a0) + 1):
+        if v == 0 or a0 % v:
+            continue
+        for u in range(-bound, bound + 1):
+            # quotient X^2 + sX + t, remainder zero
+            s = a3 - u
+            t = a2 - v - u * s
+            if a1 == u * t + v * s and a0 == v * t:
+                return True
+    return False
+
+
 def test_irreducibility_routes_agree():
-    # divisor enumeration vs mod-p certificates vs Hensel factor search
-    from octaq.quartic import (_has_quadratic_factor, _has_rational_root,
-                               _integer_model, _irreducible_by_modp,
-                               _reducible_by_hensel)
+    # brute force vs mod-p certificates vs Hensel factor search
     rng = random.Random(271)
-    for _ in range(400):
-        c = [rng.randint(-30, 30) for _ in range(4)] + [1]
-        f = qpoly(c)
-        ref = not _has_rational_root(c) and not _has_quadratic_factor(c)
-        assert is_irreducible_quartic(f) == ref, c
-        if _irreducible_by_modp(c) is True:
-            assert ref, c
-        assert _reducible_by_hensel(c) == (not ref), c
+    for degree in (4, 3):
+        for _ in range(400):
+            c = [rng.randint(-30, 30) for _ in range(degree)] + [1]
+            ref = not _has_integer_root(c) and (
+                degree == 3 or not _has_quadratic_factor(c))
+            if degree == 4:
+                assert is_irreducible_quartic(qpoly(c)) == ref, c
+            else:
+                assert cubic_has_rational_root(qpoly(c)) == (not ref), c
+            disc = _disc(c)
+            if disc:
+                if _irreducible_by_modp(c, disc):
+                    assert ref, c
+                assert _reducible_by_hensel(c, disc) == (not ref), c
+            else:
+                assert not ref, c
+    # an S4 quartic and its resolvent cubic are certified before Hensel
+    for row in CORPUS:
+        f = depress(row.source_poly())
+        for g in (f.poly(), resolvent_cubic(f)):
+            c = _integer_model(g)
+            assert _irreducible_by_modp(c, _disc(c)), c
 
 
 def test_irreducibility_large_coefficients():
-    # beyond the divisor-enumeration regime: mod-p certificates decide
+    # large constant terms: no integer is factored either way
     big_c = 110788386666756895948510216909
     f = qpoly([big_c, 1, 0, 0, 1])
     assert isinstance(is_irreducible_quartic(f), bool)
@@ -74,6 +113,29 @@ def test_irreducibility_large_coefficients():
     big = 10**15 + 37
     g = qpoly([-big, 1]) * qpoly([big - 3, 1]) * qpoly([7, 1]) * qpoly([-2, 1])
     assert not is_irreducible_quartic(g)
+
+
+def test_closed_form_discriminant():
+    rng = random.Random(277)
+    for degree in (3, 4) * 100:
+        c = [rng.randint(-10**6, 10**6) for _ in range(degree)] + [1]
+        assert _disc(c) == discriminant(qpoly(c)), c
+    assert _disc([0, 0, 0, 1]) == _disc([1, 4, 6, 4, 1]) == 0
+
+
+def test_irreducibility_and_s4_factor_no_integer(monkeypatch):
+    def refuse(n, budget):
+        raise AssertionError(f"factorize({n}) called")
+    monkeypatch.setattr(rationals, "_factorize", refuse)
+    for row in CORPUS:
+        f = depress(row.source_poly())
+        assert f.is_s4
+        g = tschirnhaus(f, 1, -1, 2)
+        assert g.is_s4
+    # the resolvent cubic of X^4 + pqX + 1 has the constant term -(pq)^2,
+    # with two primes above 2^64
+    p, q = 18446744073709551653, 36893488147419103363
+    assert ReducedQuartic(0, p * q, 1).is_s4
 
 
 def test_depress_examples():
@@ -133,7 +195,6 @@ def test_tschirnhaus_preserves_field_and_disc_class():
 @settings(max_examples=80, deadline=None)
 @given(st.tuples(*[st.integers(-8, 8)] * 3),
        st.tuples(*[st.integers(-3, 3)] * 3).filter(any))
-@pytest.mark.filterwarnings("ignore:principality criterion")
 def test_tschirnhaus_preserves_invariants(abc, mnp):
     try:
         f = ReducedQuartic(*abc)
@@ -329,6 +390,28 @@ def test_invariants_computed_once_per_quartic(monkeypatch):
     assert calls["discriminant"] == 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_principalize_non_s4_fields():
+    # the isotropy test w = (-1, -d) holds for every quartic field, and a
+    # model X^4 + c (b = 0) normalizes by the valuations of c alone
+    principal = zero_b = 0
+    for a in range(-6, 7):
+        for b in range(7):
+            for c in range(-6, 7):
+                try:
+                    f = ReducedQuartic(a, b, c)
+                except Reducible:
+                    continue
+                if f.is_s4 or not is_principal(f):
+                    continue
+                out, cert = principalize(f)
+                assert same_field(f.poly(), out.poly()) is not None, (a, b, c)
+                assert _verify_certificate(f.poly(), out.poly(), cert)
+                principal += 1
+                zero_b += out.b == 0
+    assert (principal, zero_b) == (78, 19)
+
+
 def test_principalize_output_properties():
     rows = random.Random(67).sample(CORPUS, 6)
     for row in rows:
@@ -436,9 +519,10 @@ def test_same_field_recovers_tschirnhaus(abc, den, mnp):
 
 
 def test_valuation_of_zero_raises():
-    assert _val(Fraction(-18, 5), 3) == 2 and _val(Fraction(2, 45), 3) == -2
+    assert _val_unit(Fraction(-18, 5), 3) == (2, Fraction(-2, 5))
+    assert _val_unit(Fraction(2, 45), 3) == (-2, Fraction(2, 5))
     with pytest.raises(OctaqError):
-        _val(Fraction(0), 3)
+        _val_unit(Fraction(0), 3)
 
 
 def test_obstruction_composition_identity_on_corpus():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octaq.polynomials import discriminant, qpoly, resultant
-from octaq.quartic import is_irreducible_quartic
+from octaq.quartic import cubic_has_rational_root, is_irreducible_quartic
 from octaq.rationals import factorize, squarefree_part
 
 sympy = pytest.importorskip("sympy")
@@ -54,7 +54,7 @@ def _sympy_poly(coeffs):
 
 
 def test_irreducibility_matches_sympy_beyond_divisor_enumeration():
-    # |c0| >= 10^12 skips divisor enumeration: reducible quartics reach
+    # constant terms beyond divisor enumeration: reducible quartics reach
     # the Hensel factor search, and so do irreducible ones that no prime
     # pattern certifies (biquadratic fields: every pattern is 1111 or 22)
     rng = random.Random(31)
@@ -78,6 +78,20 @@ def test_irreducibility_matches_sympy_beyond_divisor_enumeration():
         assert abs(c[0]) >= 10**12
         assert is_irreducible_quartic(qpoly(c)) == \
             _sympy_poly(c).is_irreducible, c
+
+
+def test_irreducibility_matches_sympy_small_coefficients():
+    rng = random.Random(37)
+    for _ in range(300):
+        c = [rng.randint(-40, 40) for _ in range(4)] + [1]
+        assert is_irreducible_quartic(qpoly(c)) == \
+            _sympy_poly(c).is_irreducible, c
+        # one cubic in three made reducible by a linear factor
+        c = [rng.randint(-40, 40) for _ in range(3)] + [1]
+        if rng.random() < 1 / 3:
+            c = list((qpoly(c[1:]) * qpoly([rng.randint(-9, 9), 1])).coeffs)
+        assert cubic_has_rational_root(qpoly(c)) == \
+            (not _sympy_poly(c).is_irreducible), c
 
 
 @settings(max_examples=100, deadline=None)
