@@ -21,8 +21,8 @@ from .errors import (ComputationalLimit, NotOctahedral, OctaqError,
 from .gl2f9 import (five_groups, s4_conjugacy_scan, verify_outer_involutions,
                     verify_subgroup_classification)
 from .polynomials import UniPoly, poly_str, qpoly
-from .qcurve import (curve_from_t, symbolic_suite, t_from_principal,
-                     weil_restriction_factor)
+from .qcurve import (WITT_SAMPLES, curve_from_t, symbolic_suite,
+                     t_from_principal, weil_restriction_factor)
 from .quartic import ReducedQuartic, depress, principalize
 from .rationals import FACTOR_BUDGET, squarefree_part
 from .tables import load_bundled_corpus, parse_table, verify_table_row
@@ -265,6 +265,9 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_symbolic(args) -> int:
+    if not 1 <= args.samples <= len(WITT_SAMPLES):
+        raise ValidationFailure(f"--samples {args.samples} is outside"
+                                f" 1..{len(WITT_SAMPLES)}")
     entries = symbolic_suite(samples=args.samples)
     _emit({
         "schema": SCHEMA,
@@ -344,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("symbolic", help="symbolic identity suite over Q(s)")
     p.add_argument("--samples", type=int, default=20,
-                   help="sampled t count for the Witt check"
-                        " (default %(default)s)")
+                   help="sampled t count for the Witt check, 1 to"
+                        f" {len(WITT_SAMPLES)} (default %(default)s)")
     p.set_defaults(fn=cmd_symbolic)
 
     p = sub.add_parser("gl2f9", help="finite matrix-group verification")

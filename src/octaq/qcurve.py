@@ -383,23 +383,16 @@ def _check_j_two_forms(ctx: SymbolicContext) -> bool:
             == j_invariant_split(ctx.field, ctx.t, ctx.s))
 
 
-def _witt_samples(count: int) -> list[Fraction]:
-    pool = [2, 3, 5, 6, 7, 10, -1, -2, -3, -5, -6, -7, -10, -11, 13, -13,
-            15, -15, 21, -21, 22, -22, 33, -33]
-    out = []
-    for t in pool:
-        if t in (0, 1) or is_square(Fraction(t)):
-            continue
-        out.append(Fraction(t))
-        if len(out) == count:
-            break
-    return out
+# the t of the sampled Witt check, in order: none is 0, 1 or a square
+WITT_SAMPLES = tuple(Fraction(t) for t in (
+    2, 3, 5, 6, 7, 10, -1, -2, -3, -5, -6, -7, -10, -11, 13, -13,
+    15, -15, 21, -21, 22, -22, 33, -33))
 
 
 def _check_witt_companion(samples: int) -> tuple[bool, str]:
-    """w(h_t) = (-1, 3t) = (-1, -disc h_t) at sampled rational t."""
+    """w(h_t) = (-1, 3t) = (-1, -disc h_t) at the first t of WITT_SAMPLES."""
     failures = []
-    for t in _witt_samples(samples):
+    for t in WITT_SAMPLES[:samples]:
         h = companion_quartic_poly(QQ, t)
         rq = ReducedQuartic(h[2], h[1], h[0])
         w = trace_form(rq).witt
@@ -413,6 +406,8 @@ def _check_witt_companion(samples: int) -> tuple[bool, str]:
 def symbolic_suite(samples: int = 20,
                    ctx: Optional[SymbolicContext] = None) -> list[SuiteEntry]:
     """Run every displayed identity; returns one pass/fail entry each."""
+    if not 1 <= samples <= len(WITT_SAMPLES):  # no t checked is no pass
+        raise ValueError(f"samples {samples} is outside 1..{len(WITT_SAMPLES)}")
     if ctx is None:
         ctx = SymbolicContext()
     entries = []

@@ -529,14 +529,14 @@ def trace_form(f: ReducedQuartic) -> TraceFormData:
     congruent diagonal form, discriminant class and Witt invariant."""
     g = trace_zero_gram(f)
     diag, c = _sym_diagonalize(g)
-    # re-verify the congruence C^T G C = diag
-    ct_g_c = [[sum(c[a][i] * g[a][b] * c[b][j] for a in range(3)
-                   for b in range(3)) for j in range(3)] for i in range(3)]
-    for i in range(3):
-        for j in range(3):
-            expected = diag[i] if i == j else Fraction(0)
-            if ct_g_c[i][j] != expected:
-                raise AssertionError("congruence verification failed")
+    # re-verify the congruence C^T G C = diag, as C^T (G C)
+    g_c = [[sum(g[i][k] * c[k][j] for k in range(3)) for j in range(3)]
+           for i in range(3)]
+    ct_g_c = [[sum(c[k][i] * g_c[k][j] for k in range(3)) for j in range(3)]
+              for i in range(3)]
+    if ct_g_c != [[diag[i] if i == j else 0 for j in range(3)]
+                  for i in range(3)]:
+        raise AssertionError("congruence verification failed")
     det = (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
            - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
            + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
@@ -629,25 +629,31 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _isotropy_p_solutions(g: list[list[Fraction]], m: int, n: int
-                          ) -> list[Fraction]:
-    """Exact rational roots p of Q(p, n, m) = 0 for the trace-zero Gram g,
-    variables ordered (z1, z2, z3) = (beta, beta^2 - .., beta^3 - ..)."""
-    a = g[0][0]
-    b = 2 * (g[0][1] * n + g[0][2] * m)
-    c = g[1][1] * n * n + 2 * g[1][2] * m * n + g[2][2] * m * m
-    if a == 0:
-        if b == 0:
-            # p unconstrained iff c = 0 (then any nonzero p works)
-            return [Fraction(1)] if c == 0 else []
-        return [-c / b]
-    disc = b * b - 4 * a * c
-    if disc < 0 or not is_square(disc):
-        return []
-    root = Fraction(isqrt(disc.numerator), isqrt(disc.denominator))
-    if root == 0:
-        return [-b / (2 * a)]
-    return [(-b + root) / (2 * a), (-b - root) / (2 * a)]
+def _isotropic_vectors(g, box: int):
+    """Nonzero isotropic (m, n, p) of the trace-zero Gram g in the variables
+    (z1, z2, z3) = (beta, beta^2 - .., beta^3 - ..), integer (m, n) in
+    _mn_shells order: with G = L g integral, p solves G00 p^2 + 2hp + k = 0
+    in integers h, k, so one isqrt per (m, n) finds its rational roots."""
+    scale = lcm(*(x.denominator for row in g for x in row))
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = (
+        [int(x * scale) for x in row] for row in g)
+    for m, n in _mn_shells(box):
+        h = g01 * n + g02 * m
+        k = g11 * n * n + 2 * g12 * m * n + g22 * m * m
+        if g00 == 0:
+            if h:
+                yield m, n, Fraction(-k, 2 * h)
+            elif k == 0:  # p is free, so any nonzero p works
+                yield m, n, Fraction(1)
+            continue
+        disc = h * h - g00 * k
+        r = isqrt(max(disc, 0))
+        if r * r != disc:
+            continue
+        for root in ((r, -r) if r else (0,)):
+            p = Fraction(root - h, g00)
+            if m or n or p:
+                yield m, n, p
 
 
 def principalize(f: ReducedQuartic, box: int = 50
@@ -656,45 +662,41 @@ def principalize(f: ReducedQuartic, box: int = 50
     Tr(gamma^2) = 0 as well; the output is the normalized minimal
     polynomial X^4 + bX + c of gamma plus the certificate.
 
-    Search: integer (m, n) with max coordinate <= box, solving the
-    isotropy condition exactly as a quadratic in p (rational roots via a
-    square test), so the witnesses may have rational p of any height.
-    The criterion itself is exact; exhausting the box raises
-    SearchExhausted rather than returning a wrong answer.
+    Search: integer (m, n) with max coordinate <= box and rational p of
+    any height, solving the isotropy condition as a quadratic in p in
+    integers; only square hits build Fractions.  The criterion itself is
+    exact; exhausting the box raises SearchExhausted rather than
+    returning a wrong answer.
     """
     if not is_principal(f):
         raise NotPrincipal("Witt invariant differs from (-1, -d) for"
                            f" {poly_str(f.poly())}")
-    g = f.trace_data.gram
-    for m, n in _mn_shells(box):
-        for pf in _isotropy_p_solutions(g, m, n):
-            if m == 0 and n == 0 and pf == 0:
-                continue
-            mf, nf = Fraction(m), Fraction(n)
-            gp = reduced_tschirnhaus_poly(f.poly(), mf, nf, pf)
-            if gp[2] != 0:
-                raise AssertionError("isotropic vector gave nonzero X^2 term")
-            if poly_gcd(gp, gp.derivative()).degree > 0:
-                continue
-            # a squarefree gp is the minimal polynomial of a generator of
-            # the field, so irreducible; PrincipalQuartic checks it again
-            out, r = _normalize_principal(gp[1], gp[0])
-            q = (3 * f.b * mf + 2 * f.a * nf) / 4
-            cert = FieldCertificate(m=mf * r, n=nf * r, p=pf * r, q=q * r)
-            return out, cert
+    for m, n, pf in _isotropic_vectors(f.trace_data.gram, box):
+        gp = reduced_tschirnhaus_poly(f.poly(), m, n, pf)
+        if gp[2] != 0:
+            raise AssertionError("isotropic vector gave nonzero X^2 term")
+        if poly_gcd(gp, gp.derivative()).degree > 0:
+            continue
+        # a squarefree gp is the minimal polynomial of a generator of
+        # the field, so irreducible; PrincipalQuartic checks it again
+        out, r = _normalize_principal(gp[1], gp[0])
+        q = (3 * f.b * m + 2 * f.a * n) / 4
+        cert = FieldCertificate(m=m * r, n=n * r, p=pf * r, q=q * r)
+        return out, cert
     raise SearchExhausted(
         f"no isotropic vector with (m, n) coordinates <= {box}")
 
 
 def _mn_shells(box: int):
-    """Integer pairs ordered by max(|m|, |n|), deterministic."""
+    """Integer pairs ordered by max(|m|, |n|), then lexicographically."""
     yield 0, 0
     for norm in range(1, box + 1):
-        rng = range(-norm, norm + 1)
-        for m in rng:
-            for n in rng:
-                if max(abs(m), abs(n)) == norm:
-                    yield m, n
+        edge = range(-norm, norm + 1)
+        yield from ((-norm, n) for n in edge)
+        for m in range(1 - norm, norm):
+            yield m, -norm
+            yield m, norm
+        yield from ((norm, n) for n in edge)
 
 
 # -- exact field-equality certification ---------------------------------------

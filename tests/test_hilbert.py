@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from octaq.hilbert import (INF, TRIVIAL, BrauerClass, brauer_class,
                            class_product, hilbert_symbol,
                            witt_invariant_diagonal)
+from octaq.rationals import PSI_13, _strong_probable_prime
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -90,6 +93,32 @@ def test_bilinearity():
     for _ in range(500):
         a, b1, b2 = (rand_factorable(rng) for _ in range(3))
         assert brauer_class(a, b1 * b2) == brauer_class(a, b1) * brauer_class(a, b2)
+
+
+def _prime_at_least(n: int) -> int:
+    # Miller-Rabin to the fixed bases proves primality below PSI_13
+    n |= 1
+    while not _strong_probable_prime(n):
+        n += 2
+    assert n < PSI_13
+    return n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1 << 40, 1 << 80), min_size=3, max_size=3),
+       st.tuples(*[st.integers(-60, 60).filter(bool)] * 3),
+       st.tuples(*[st.sampled_from([-1, 1])] * 3),
+       st.booleans())
+def test_bilinearity_large_primes(starts, units, exps, repeat):
+    big_p, big_q, big_r = (_prime_at_least(n) for n in starts)
+    assume(len({big_p, big_q, big_r}) == 3)
+    (u0, u1, u2), (e0, e1, e2) = units, exps
+    a = u0 * Fraction(big_p) ** e0
+    b1 = u1 * Fraction(big_q) ** e1
+    # b1 b2 keeps at most one large prime in its numerator and one in its
+    # denominator, so every argument factors completely
+    b2 = u2 * (Fraction(big_q) ** e2 if repeat else Fraction(big_r) ** -e1)
+    assert brauer_class(a, b1 * b2) == brauer_class(a, b1) * brauer_class(a, b2)
 
 
 def test_square_invariance():

@@ -6,7 +6,8 @@ import pytest
 from octaq.errors import (CyclotomicExcluded, DegenerateParameter,
                           ExcludedParameter, NotOctahedral, NotPrincipal)
 from octaq.polynomials import QQ, QuadField, UniPoly, discriminant, qpoly
-from octaq.qcurve import (J_AT_CUSP, SymbolicContext, curve_from_t, family,
+from octaq.qcurve import (J_AT_CUSP, WITT_SAMPLES, SymbolicContext,
+                          curve_from_t, family,
                           principal_quartic_poly, symbolic_suite,
                           t_from_principal, torsion_quartic,
                           tschirnhaus_to_torsion, weil_restriction_factor)
@@ -211,6 +212,14 @@ def test_symbolic_suite_all_pass():
     assert len(entries) == 8
     failed = [e.name for e in entries if not e.passed]
     assert not failed, failed
+
+
+def test_witt_samples_are_valid_and_counted():
+    assert len(set(WITT_SAMPLES)) == len(WITT_SAMPLES) == 24
+    assert not any(t in (0, 1) or is_square(t) for t in WITT_SAMPLES)
+    for samples in (0, -1, 25):
+        with pytest.raises(ValueError, match="outside 1..24"):
+            symbolic_suite(samples=samples)
 
 
 def test_symbolic_suite_detects_mutation():

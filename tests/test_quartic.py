@@ -1,9 +1,10 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from octaq import quartic, rationals
@@ -14,14 +15,16 @@ from octaq.hilbert import INF, brauer_class
 from octaq.polynomials import count_real_roots, discriminant, qpoly
 from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
                            _disc, _fp_xpow_mod, _integer_model,
-                           _irreducible_by_modp, _model_scale,
+                           _irreducible_by_modp, _isotropic_vectors,
+                           _mn_shells, _model_scale,
                            _reducible_by_hensel, _split_prime,
                            _verify_certificate, cubic_has_rational_root,
                            depress, galois_is_S4, is_irreducible_quartic,
                            is_principal, principalize, resolvent_cubic,
                            same_field, trace_form, trace_zero_gram,
                            tschirnhaus, witt_formula)
-from octaq.rationals import _val_unit, same_square_class, squarefree_part
+from octaq.rationals import (_val_unit, is_square, same_square_class,
+                              squarefree_part)
 from octaq.tables import load_bundled_corpus
 
 CORPUS = load_bundled_corpus()
@@ -428,6 +431,68 @@ def test_principalize_output_properties():
         assert acc.is_zero(), row.expected_disc
 
 
+def _mn_shells_oracle(box):
+    """The shell order by its definition: all pairs of the square, kept
+    when max(|m|, |n|) is the shell."""
+    yield 0, 0
+    for norm in range(1, box + 1):
+        rng = range(-norm, norm + 1)
+        for m in rng:
+            for n in rng:
+                if max(abs(m), abs(n)) == norm:
+                    yield m, n
+
+
+def _isotropy_p_solutions_oracle(g, m, n):
+    """Rational roots p of Q(p, n, m) = 0, solved as a Fraction quadratic
+    with a Fraction square test."""
+    a = g[0][0]
+    b = 2 * (g[0][1] * n + g[0][2] * m)
+    c = g[1][1] * n * n + 2 * g[1][2] * m * n + g[2][2] * m * m
+    if a == 0:
+        if b == 0:
+            return [Fraction(1)] if c == 0 else []
+        return [-c / b]
+    disc = b * b - 4 * a * c
+    if disc < 0 or not is_square(disc):
+        return []
+    root = Fraction(isqrt(disc.numerator), isqrt(disc.denominator))
+    if root == 0:
+        return [-b / (2 * a)]
+    return [(-b + root) / (2 * a), (-b - root) / (2 * a)]
+
+
+def test_mn_shells_order():
+    for box in range(9):
+        shells = list(_mn_shells(box))
+        assert shells == list(_mn_shells_oracle(box))
+        assert len(shells) == (2 * box + 1) ** 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.just(0) | st.integers(-12, 12),
+                 st.integers(-12, 12), st.integers(-12, 12)),
+       st.sampled_from([1, 2, 3, 6]), st.integers(0, 6))
+@example((0, 1, -1), 1, 6)    # G00 = -2a = 0: p = -k/(2h), or free
+@example((0, 3, 5), 2, 6)
+@example((-6, 8, 51), 1, 6)
+@example((1, 1, 0), 3, 6)
+def test_isotropic_vectors_match_fraction_oracle(abc, den, box):
+    try:
+        f = ReducedQuartic(*(Fraction(x, den) for x in abc))
+    except Reducible:
+        assume(False)
+    g = f.trace_data.gram
+    expected = [(m, n, p) for m, n in _mn_shells_oracle(box)
+                for p in _isotropy_p_solutions_oracle(g, m, n)
+                if m or n or p]
+    assert list(_isotropic_vectors(g, box)) == expected
+    for m, n, p in expected:
+        v = (p, n, m)
+        assert sum(v[i] * g[i][j] * v[j]
+                   for i in range(3) for j in range(3)) == 0
+
+
 def test_remark_closure_keeps_principal_shape():
     from octaq.qcurve import principal_closure_p
     rng = random.Random(71)
@@ -516,6 +581,31 @@ def test_same_field_recovers_tschirnhaus(abc, den, mnp):
     m, n, p = mnp
     assert (cert.m, cert.n, cert.p, cert.q) == (m, n, p,
                                                 (3 * f.b * m + 2 * f.a * n) / 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(*[st.integers(-8, 8)] * 3),
+       st.sampled_from([1, 2]),
+       st.tuples(*[st.integers(-3, 3)] * 3).filter(any),
+       st.tuples(*[st.integers(-3, 3)] * 3).filter(any))
+def test_same_field_certificates_compose(abc, den, mnp1, mnp2):
+    try:
+        f = ReducedQuartic(*(Fraction(x, den) for x in abc))
+        assume(f.is_s4)
+        g = tschirnhaus(f, *mnp1)
+        h = tschirnhaus(g, *mnp2)
+    except (Reducible, NotPrimitive):
+        assume(False)
+    u = same_field(f.poly(), g.poly())
+    v = same_field(g.poly(), h.poly())
+    assert u is not None and v is not None
+    # a root beta of f goes to u(beta), a root of g, and on to v(u(beta))
+    w = v.substitution().compose(u.substitution()) % f.poly()
+    cert = FieldCertificate(m=w[3], n=w[2], p=w[1], q=w[0])
+    assert _verify_certificate(f.poly(), h.poly(), cert)
+    # an S4 field has no automorphism but the identity, so the certificate
+    # of f -> h is unique
+    assert same_field(f.poly(), h.poly()) == cert
 
 
 def test_valuation_of_zero_raises():

@@ -330,6 +330,15 @@ def test_cli_symbolic(capsys):
     assert data["all_passed"] is True
 
 
+@pytest.mark.parametrize("count", ["0", "-1", "25"])
+def test_cli_symbolic_samples_out_of_range(capsys, count):
+    # no sampled t, or more than the 24 the pool holds, must not pass
+    code, data = run_cli(capsys, "symbolic", "--samples", count)
+    assert code == 2
+    assert data["error"] == {"type": "ValidationFailure",
+                             "message": f"--samples {count} is outside 1..24"}
+
+
 def test_cli_gl2f9(capsys):
     code, data = run_cli(capsys, "gl2f9")
     assert code == 0
@@ -347,3 +356,24 @@ def test_cli_gl2f9_conjugacy(capsys):
     # stdout is pinned byte for byte to the brute-force scan's output
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "ac2db0e85faa55d70bdcdd79666a237c4ec7229a84968dec6b0d571a429ef445"
+
+
+def test_cli_verify_tables_stdout_is_pinned(capsys):
+    import hashlib
+    code = main(["verify-tables", "--jobs", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    # stdout is pinned byte for byte, principal models and certificates
+    # included, to the output of the Fraction-quadratic isotropy search
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "1975292ab56075ce0476e128ca5a081eb202d5d78c403c1c5a898c9214106ae8"
+
+
+def test_cli_principalize_names_the_exhausted_box(capsys):
+    # a principal field whose model has no isotropic vector in the box
+    code, data = run_cli(capsys, "principalize",
+                         "x^4-259/2x^2+3041x-1362947/16")
+    assert code == 3
+    assert data["error"] == {
+        "type": "SearchExhausted",
+        "message": "no isotropic vector with (m, n) coordinates <= 50"}
