@@ -237,11 +237,21 @@ def _set_factor_budget(budget: int) -> None:
 
 
 def cmd_verify_tables(args) -> int:
+    if args.jobs < 1:
+        raise ValidationFailure(f"--jobs {args.jobs} is below 1")
     if args.path is None:
         rows = load_bundled_corpus()
     else:
-        with open(args.path, encoding="utf-8") as fh:
-            rows = parse_table(fh.read())
+        try:
+            with open(args.path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {args.path}: {exc.strerror}"
+                             ) from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.path} is not UTF-8 text: {exc.reason}"
+                             ) from exc
+        rows = parse_table(text)
     payloads = [(row, args.box) for row in rows]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs,

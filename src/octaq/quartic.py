@@ -27,8 +27,8 @@ from typing import Optional
 from .errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
                      OctaqError, Reducible, SearchExhausted)
 from .hilbert import BrauerClass, brauer_class, witt_invariant_diagonal
-from .polynomials import (UniPoly, char_poly, discriminant, poly_gcd,
-                          poly_str, power_sums, qpoly)
+from .polynomials import (UniPoly, char_poly, poly_gcd, poly_str,
+                          power_sums, qpoly)
 from .rationals import (_primes_below, _val_unit, factorize, is_square,
                         rational_reconstruct, same_square_class,
                         squarefree_part)
@@ -47,98 +47,6 @@ def _integer_model(f: UniPoly) -> list[int]:
     n = f.degree
     e = _model_scale(f)
     return [int(Fraction(f[i]) * e ** (n - i)) for i in range(n + 1)]
-
-
-# small polynomial arithmetic over F_p, ascending coefficient lists
-
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    """a * b mod the monic f over F_p, reducing mod p once per
-    coefficient."""
-    n = len(f) - 1
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    for k in range(len(out) - 1, n - 1, -1):
-        c = out[k] % p
-        if c:
-            for i in range(n):
-                out[k - n + i] -= c * f[i]
-    return _fp_trim([x % p for x in out[:n]])
-
-
-def _fp_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """base^e mod f over F_p, left to right, so the multiplications are by
-    the (short) base."""
-    result = [1]
-    for bit in bin(e)[2:]:
-        result = _fp_mulmod(result, result, f, p)
-        if bit == "1":
-            result = _fp_mulmod(result, base, f, p)
-    return result
-
-
-def _fp_xpow_mod(e: int, f: list[int], p: int) -> list[int]:
-    return _fp_powmod([0, 1], e, f, p)
-
-
-def _fp_divmod(a: list[int], b: list[int], p: int
-               ) -> tuple[list[int], list[int]]:
-    """(quotient, remainder) of a by a nonzero trimmed b over F_p."""
-    r = _fp_trim([x % p for x in a])
-    inv = pow(b[-1], -1, p)
-    d = len(b) - 1
-    q = [0] * max(len(r) - d, 0)
-    while r and len(r) - 1 >= d:
-        k = len(r) - 1 - d
-        c = (r[-1] * inv) % p
-        q[k] = c
-        for i in range(len(b)):
-            r[k + i] = (r[k + i] - c * b[i]) % p
-        _fp_trim(r)
-    return q, r
-
-
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd over F_p ([] when a and b are both zero)."""
-    a, b = _fp_trim([x % p for x in a]), _fp_trim([x % p for x in b])
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    if not a:
-        return a
-    inv = pow(a[-1], -1, p)
-    return [(x * inv) % p for x in a]
-
-
-def _fp_roots(h: list[int], p: int) -> list[int]:
-    """Sorted roots over F_p, p odd, of a monic h that is a product of
-    distinct linear factors.
-
-    Deterministic equal-degree splitting: gcd(h, (X + a)^((p-1)/2) - 1)
-    for a = 0, 1, ... separates the roots r with r + a a nonzero square.
-    Two distinct roots r, s are separated by some a < p, since the values
-    chi((r + a)(s + a)) sum to -1 over a."""
-    if len(h) == 2:
-        return [-h[0] % p]
-    for a in range(p):
-        w = _fp_powmod([a, 1], (p - 1) // 2, h, p) or [0]
-        w[0] = (w[0] - 1) % p
-        g = _fp_gcd(h, _fp_trim(w), p)
-        if 1 < len(g) < len(h):
-            rest = _fp_divmod(h, g, p)[0]
-            return sorted(_fp_roots(g, p) + _fp_roots(rest, p))
-    raise OctaqError(f"{h} is not a product of distinct linear factors"
-                     f" mod {p}")
 
 
 _CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -181,21 +89,38 @@ def _irreducible_by_modp(c: list[int], disc: int) -> bool:
 def _split_primes() -> tuple[int, ...]:
     """The odd primes below 2^14, all tried before a split-prime search
     gives up: an S4 quartic splits completely at primes of density 1/24,
-    so running out is a computational limit, never an answer.  Sieved on
-    first use, which keeps the import cheap."""
+    so running out is a computational limit, never an answer.  The search
+    evaluates at every residue of each prime it tries, so its cost grows
+    like p, not log p; a full scan to the cap holds 2^14 integer values.
+    Sieved on first use, which keeps the import cheap."""
     return _primes_below(1 << 14)[1:]
 
 
-def _split_prime(c: list[int], disc: int, avoid: int = 1) -> int:
+def _split_prime(c: list[int], disc: int, avoid: int = 1
+                 ) -> tuple[int, list[int]]:
     """Smallest odd prime p dividing neither disc = disc(c) != 0 nor avoid
-    at which the monic integer cubic or quartic c splits into distinct linear
-    factors, i.e. X^p = X mod (c, p).  By Stickelberger's theorem disc is
-    then a square mod p, which rules out half the primes cheaply."""
+    at which the monic integer cubic or quartic c splits into distinct
+    linear factors, with the sorted roots of c mod p.
+
+    No polynomial arithmetic over F_p: since p does not divide disc, c is
+    squarefree mod p, so it splits, i.e. X^p = X mod (c, p), exactly when
+    deg c of the residues 0, ..., p - 1 are roots.  The integer values
+    c(0), c(1), ... are computed once and reduced at each prime.  By
+    Stickelberger's theorem disc is then a square mod p, which rules out
+    half the primes before any value is reduced."""
+    values: list[int] = []
     for p in _split_primes():
         d = disc % p
-        if (d and avoid % p and pow(d, (p - 1) // 2, p) == 1
-                and _fp_xpow_mod(p, [x % p for x in c], p) == [0, 1]):
-            return p
+        if not (d and avoid % p and pow(d, (p - 1) // 2, p) == 1):
+            continue
+        for x in range(len(values), p):
+            acc = 0
+            for coeff in reversed(c):
+                acc = acc * x + coeff
+            values.append(acc)
+        roots = [x for x in range(p) if not values[x] % p]
+        if len(roots) == len(c) - 1:
+            return p, roots
     raise SearchExhausted(
         f"no odd prime up to {_split_primes()[-1]} splits {c} into distinct"
         " linear factors")
@@ -228,11 +153,6 @@ def _cauchy_bound(c: list[int]) -> int:
     return 1 + max(abs(x) for x in c[:-1])
 
 
-def _p_adic_roots(c: list[int], p: int, k: int) -> list[int]:
-    """The roots mod p^k of c, which splits completely mod p."""
-    return _lift_roots(c, _fp_roots([x % p for x in c], p), p, 1, k)
-
-
 def _precision_for(p: int, bound: int) -> int:
     """Smallest k with p^k > bound."""
     k, m = 1, p
@@ -259,10 +179,10 @@ def _reducible_by_hensel(c: list[int], disc: int) -> bool:
     so lifting the roots past twice that bound and trying the single roots
     and, for a quartic, the 3 pairs containing the first root (a 2 + 2
     split or its complement) finds every factor by exact division."""
-    p = _split_prime(c, disc)
+    p, roots = _split_prime(c, disc)
     k = _precision_for(p, 2 * (1 + _cauchy_bound(c))**2)
     m = p**k
-    roots = _p_adic_roots(c, p, k)
+    roots = _lift_roots(c, roots, p, 1, k)
     subsets = [(i,) for i in range(len(roots))]
     if len(roots) == 4:
         subsets += [(0, 1), (0, 2), (0, 3)]
@@ -723,39 +643,41 @@ def same_field(f: UniPoly, g: UniPoly) -> Optional[FieldCertificate]:
     field, or None when they provably do not.
 
     Exact p-adic strategy, no floating point (Wang's modular rational
-    reconstruction; Cohen, GTM 138, 3.5 and 4.5).  Reject on the
-    discriminant square class.  Take the monic integer models F and G,
-    with roots e_f beta and e_g gamma, and the smallest prime p not
-    dividing e_f e_g disc(F) disc(G) at which F splits completely.  By
-    Dedekind, p splits completely in the field of F, so G splits too when
-    the fields agree; if it does not, they differ.  Otherwise lift the
-    roots of F and G to p^k and, for each of the 24 matchings of roots,
-    interpolate U with U(root of F) = matched root of G, reconstruct its
-    rational coefficients modulo p^k and verify the candidate exactly,
-    doubling k until p^k passes the height bound of _certificate_height.
-    Past it, no certificate exists and None is a proof.
+    reconstruction; Cohen, GTM 138, 3.5 and 4.5).  Take the monic integer
+    models F and G, with roots e_f beta and e_g gamma; the substitution
+    X -> X/e multiplies the discriminant of a quartic by e^12, so reject
+    when disc(F) and disc(G) (closed form) differ in square class.  Take
+    the smallest prime p not dividing e_f e_g disc(F) disc(G) at which F
+    splits completely, found with the roots of F mod p by evaluation at
+    the residues (_split_prime).  By Dedekind, p splits completely in the
+    field of F, so G splits too when the fields agree; evaluating G at
+    the residues shows whether it has its 4 roots mod p, and if it does
+    not, the fields differ.  Otherwise lift the roots of F and G to p^k
+    and, for each of the 24 matchings of roots, interpolate U with
+    U(root of F) = matched root of G, reconstruct its rational
+    coefficients modulo p^k and verify the candidate exactly, doubling k
+    until p^k passes the height bound of _certificate_height.  Past it,
+    no certificate exists and None is a proof.
     """
     for h in (f, g):
         if h.degree != 4 or h.lc != 1:
             raise ValueError("need monic quartics")
         if not is_irreducible_quartic(h):
             raise Reducible(f"{poly_str(h)} factors over Q")
-    df = discriminant(f)
-    dg = discriminant(g)
-    if not same_square_class(df, dg):
+    big_f, big_g = _integer_model(f), _integer_model(g)
+    disc_f, disc_g = _disc(big_f), _disc(big_g)
+    if not same_square_class(disc_f, disc_g):
         return None
     ef, eg = _model_scale(f), _model_scale(g)
-    big_f, big_g = _integer_model(f), _integer_model(g)
-    # disc(F) = e^12 disc(f) for the substitution X -> X/e of a quartic
-    disc_f = (df * ef**12).numerator
-    disc_g = (dg * eg**12).numerator
-    p = _split_prime(big_f, disc_f, ef * eg * disc_g)
-    if _fp_xpow_mod(p, [x % p for x in big_g], p) != [0, 1]:
+    p, f_roots = _split_prime(big_f, disc_f, ef * eg * disc_g)
+    g_mod_p = [x % p for x in big_g]
+    g_roots = [x for x in range(p) if not _eval_mod(g_mod_p, x, p)]
+    if len(g_roots) < 4:
         return None
     height = _certificate_height(big_f, big_g)
     k = _precision_for(p, _FIRST_MODULUS)
-    betas = _p_adic_roots(big_f, p, k)
-    gammas = _p_adic_roots(big_g, p, k)
+    betas = _lift_roots(big_f, f_roots, p, 1, k)
+    gammas = _lift_roots(big_g, g_roots, p, 1, k)
     while True:
         m = p**k
         basis = _interpolation_basis(betas, m)

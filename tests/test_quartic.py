@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
@@ -7,14 +8,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from octaq import quartic, rationals
+from octaq import polynomials, quartic, rationals
 from octaq.embedding import classify
 from octaq.errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
                           OctaqError, Reducible, SearchExhausted)
 from octaq.hilbert import INF, brauer_class
 from octaq.polynomials import count_real_roots, discriminant, qpoly
 from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
-                           _disc, _fp_xpow_mod, _integer_model,
+                           _disc, _integer_model,
                            _irreducible_by_modp, _isotropic_vectors,
                            _mn_shells, _model_scale,
                            _reducible_by_hensel, _split_prime,
@@ -362,14 +363,28 @@ def test_principalize_not_principal():
                     return
 
 
+def _bindings(fn):
+    """(module, name) of every octaq module attribute bound to fn."""
+    return [(module, name) for key, module in list(sys.modules.items())
+            if key == "octaq" or key.startswith("octaq.")
+            for name, value in list(vars(module).items()) if value is fn]
+
+
 def test_invariants_computed_once_per_quartic(monkeypatch):
     calls = Counter()
-    for name in ("is_irreducible_quartic", "galois_is_S4", "trace_form",
-                 "discriminant"):
-        def counted(*args, _name=name, _fn=getattr(quartic, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(quartic, name, counted)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    for name in ("is_irreducible_quartic", "galois_is_S4", "trace_form"):
+        monkeypatch.setattr(quartic, name,
+                            counted(name, getattr(quartic, name)))
+    # under every name it is bound to, not only in quartic
+    for module, attr in _bindings(polynomials.discriminant):
+        monkeypatch.setattr(module, attr,
+                            counted("discriminant", polynomials.discriminant))
     f = depress(qpoly([-1, -1, 0, 0, 1]))
     classify(f)
     out, _ = principalize(f)
@@ -385,12 +400,13 @@ def test_invariants_computed_once_per_quartic(monkeypatch):
     assert calls["trace_form"] == 2
 
     # a table row: depress and principalize prove one quartic each, and
-    # same_field both of its inputs and their discriminants
+    # same_field both of its inputs; same_field takes the discriminants
+    # of the integer models in closed form, with no polynomials.discriminant
     from octaq.tables import verify_table_row
     calls.clear()
     assert verify_table_row(CORPUS[0])["passed"]
     assert calls["is_irreducible_quartic"] == 4
-    assert calls["discriminant"] == 2
+    assert calls["discriminant"] == 0
 
 
 @pytest.mark.filterwarnings("error")
@@ -531,15 +547,160 @@ def test_same_field_rejects_different_fields():
                       qpoly([-3, 3, -6, 0, 1])) is None
 
 
-def test_same_field_split_prime_proves_difference():
+# -- the split-prime search, against polynomial arithmetic over F_p -------------
+#
+# The oracle is the Cantor-Zassenhaus route that _split_prime replaced: a
+# prime splits the monic c into distinct linear factors when
+# X^p = X mod (c, p), and equal-degree splitting then finds the roots.
+# Ascending coefficient lists, all arithmetic mod p.
+
+
+def _fp_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_mulmod(a, b, f, p):
+    n = len(f) - 1
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    for k in range(len(out) - 1, n - 1, -1):
+        c = out[k] % p
+        if c:
+            for i in range(n):
+                out[k - n + i] -= c * f[i]
+    return _fp_trim([x % p for x in out[:n]])
+
+
+def _fp_powmod(base, e, f, p):
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = _fp_mulmod(result, result, f, p)
+        if bit == "1":
+            result = _fp_mulmod(result, base, f, p)
+    return result
+
+
+def _fp_divmod(a, b, p):
+    r = _fp_trim([x % p for x in a])
+    inv = pow(b[-1], -1, p)
+    d = len(b) - 1
+    q = [0] * max(len(r) - d, 0)
+    while r and len(r) - 1 >= d:
+        k = len(r) - 1 - d
+        c = (r[-1] * inv) % p
+        q[k] = c
+        for i in range(len(b)):
+            r[k + i] = (r[k + i] - c * b[i]) % p
+        _fp_trim(r)
+    return q, r
+
+
+def _fp_gcd(a, b, p):
+    a, b = _fp_trim([x % p for x in a]), _fp_trim([x % p for x in b])
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [(x * inv) % p for x in a]
+
+
+def _fp_roots(h, p):
+    """Sorted roots mod an odd p of a product h of distinct linear
+    factors, by gcd(h, (X + a)^((p-1)/2) - 1) for a = 0, 1, ..."""
+    if len(h) == 2:
+        return [-h[0] % p]
+    for a in range(p):
+        w = _fp_powmod([a, 1], (p - 1) // 2, h, p) or [0]
+        w[0] = (w[0] - 1) % p
+        g = _fp_gcd(h, _fp_trim(w), p)
+        if 1 < len(g) < len(h):
+            rest = _fp_divmod(h, g, p)[0]
+            return sorted(_fp_roots(g, p) + _fp_roots(rest, p))
+    raise AssertionError(f"{h} does not split into distinct linear factors")
+
+
+def _fp_splits(c, p):
+    return _fp_powmod([0, 1], p, [x % p for x in c], p) == [0, 1]
+
+
+def _oracle_split_prime(c, disc, avoid):
+    """(p, roots) as _split_prime defines them, or None past the cap."""
+    for p in quartic._split_primes():
+        if disc % p and avoid % p and _fp_splits(c, p):
+            return p, _fp_roots([x % p for x in c], p)
+    return None
+
+
+_SMALL_PRIMES = rationals._primes_below(200)[1:]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([3, 4]),
+       st.lists(st.integers(-10**12, 10**12), min_size=4, max_size=4),
+       st.lists(st.sampled_from(_SMALL_PRIMES), max_size=6))
+@example(4, [-1, 1, 0, 0], [])          # x^4 + x - 1 splits first at 59
+@example(4, [-1, 1, 0, 0], [59])
+@example(3, [-2, 0, 0, 0], [3, 5, 31])  # x^3 - 2 splits first at 31
+def test_split_prime_matches_fp_oracle(deg, coeffs, avoid_primes):
+    c = coeffs[:deg] + [1]
+    disc = _disc(c)
+    assume(disc != 0)
+    avoid = 1
+    for q in avoid_primes:
+        avoid *= q
+    expected = _oracle_split_prime(c, disc, avoid)
+    if expected is None:
+        with pytest.raises(SearchExhausted):
+            _split_prime(c, disc, avoid)
+        return
+    assert _split_prime(c, disc, avoid) == expected
+    # avoiding the prime found moves the search on to the next split prime
+    p = expected[0]
+    assert _split_prime(c, disc, avoid * p) == \
+        _oracle_split_prime(c, disc, avoid * p)
+
+
+def test_split_prime_corpus_matches_fp_oracle():
+    for row in CORPUS:
+        for c in (_integer_model(row.source_poly()),
+                  _integer_model(row.principal_poly())):
+            assert _split_prime(c, _disc(c)) == \
+                _oracle_split_prime(c, _disc(c), 1)
+
+
+def test_same_field_split_prime_proves_difference(monkeypatch):
     # x^4 + 2x - 6 and x^4 + 2x - 1 share the discriminant class -43
     F, G = [-6, 2, 0, 0, 1], [-1, 2, 0, 0, 1]
     f, g = qpoly(F), qpoly(G)
     assert squarefree_part(discriminant(f)) == squarefree_part(
         discriminant(g)) == -43
-    p = _split_prime(F, discriminant(f).numerator, discriminant(g).numerator)
-    assert _fp_xpow_mod(p, [x % p for x in G], p) != [0, 1]
+    p, _ = _split_prime(F, discriminant(f).numerator, discriminant(g).numerator)
+    assert not _fp_splits(G, p)
+
+    # G has fewer than 4 roots mod p, which proves the difference before
+    # any root is lifted
+    def no_lifting(*args):
+        raise AssertionError("roots lifted")
+    monkeypatch.setattr(quartic, "_lift_roots", no_lifting)
     assert same_field(f, g) is None
+
+
+def test_same_field_corpus_needs_no_discriminant_or_factoring(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("called")
+    for fn in (polynomials.discriminant, rationals._factorize):
+        for module, attr in _bindings(fn):
+            monkeypatch.setattr(module, attr, forbidden)
+    for row in CORPUS:
+        assert same_field(row.source_poly(), row.principal_poly()) is not None
 
 
 def test_same_field_rational_coefficients():

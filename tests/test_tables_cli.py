@@ -258,6 +258,30 @@ def test_cli_verify_tables_bad_file_is_parse_error(tmp_path, capsys, line):
     assert data["error"]["type"] == "ParseError"
 
 
+def test_cli_verify_tables_unreadable_path_is_parse_error(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes("1 ; -283 ; -1,-1,0,0,1 ; 1,-1 ; 0 # \xe9\n"
+                         .encode("latin-1"))
+    for path, message in ((missing, "No such file or directory"),
+                          (tmp_path, "cannot read"),
+                          (not_utf8, "is not UTF-8 text")):
+        code, data = run_cli(capsys, "verify-tables", str(path), "--jobs", "1")
+        assert code == 2
+        assert data["error"]["type"] == "ParseError"
+        assert str(path) in data["error"]["message"]
+        assert message in data["error"]["message"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_verify_tables_jobs_below_one(capsys, jobs):
+    # used to run serially and exit 0
+    code, data = run_cli(capsys, "verify-tables", "--jobs", jobs)
+    assert code == 2
+    assert data["error"] == {"type": "ValidationFailure",
+                             "message": f"--jobs {jobs} is below 1"}
+
+
 def test_cli_factor_bound_exhaustion_exit_code(capsys):
     # disc(x^4+67x+1) = -4583 * 118717: past the trial-division table, so
     # only rho can split it
