@@ -35,11 +35,11 @@ from .errors import (CyclotomicExcluded, DegenerateParameter,
                      NotPrincipal, OctaqError)
 from .hilbert import brauer_class
 from .polynomials import (QQ, FunctionField, QuadField, RatFunc, UniPoly,
-                          discriminant, lift_poly, poly_gcd, poly_str,
+                          discriminant, lift_poly, poly_str,
                           resultant_bivariate)
-from .quartic import (PrincipalQuartic, ReducedQuartic,
-                      _normalize_principal, reduced_tschirnhaus_poly,
-                      trace_form)
+from .quartic import (PrincipalQuartic, ReducedQuartic, _disc,
+                      _integer_model, _normalize_principal,
+                      reduced_tschirnhaus_poly, trace_form)
 from .rationals import is_square, squarefree_part
 
 J_AT_CUSP = 1728
@@ -207,7 +207,7 @@ def family(g: PrincipalQuartic, s_param: Fraction | int
         raise ExcludedParameter(f"s = {s} is the excluded parameter -4c/3b")
     p = principal_closure_p(b, c, Fraction(1), s)
     image = reduced_tschirnhaus_poly(g.poly(), Fraction(1), s, p)
-    if poly_gcd(image, image.derivative()).degree > 0:
+    if _disc(_integer_model(image)) == 0:
         raise NotPrimitive("family member is not squarefree")
     if image[2] != 0:
         raise AssertionError("family member has a nonzero quadratic term")

@@ -27,8 +27,8 @@ from typing import Optional
 from .errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
                      OctaqError, Reducible, SearchExhausted)
 from .hilbert import BrauerClass, brauer_class, witt_invariant_diagonal
-from .polynomials import (UniPoly, char_poly, poly_gcd, poly_str,
-                          power_sums, qpoly)
+from .polynomials import (QQ, UniPoly, char_poly, poly_str, power_sums,
+                          qpoly)
 from .rationals import (_primes_below, _val_unit, factorize, is_square,
                         rational_reconstruct, same_square_class,
                         squarefree_part)
@@ -39,14 +39,57 @@ from .rationals import (_primes_below, _val_unit, factorize, is_square,
 
 def _model_scale(f: UniPoly) -> int:
     """The e of _integer_model: the lcm of the coefficient denominators."""
-    return lcm(*[Fraction(c).denominator for c in f.coeffs])
+    return lcm(*[c.denominator for c in f.coeffs])
 
 
 def _integer_model(f: UniPoly) -> list[int]:
-    """Monic integer polynomial defining the same field (X -> X/e)."""
+    """Monic integer polynomial e^n f(X/e) defining the same field: the
+    coefficient num/den of X^i, i < n, becomes num (e/den) e^(n-i-1), a
+    product of integers since den divides e."""
     n = f.degree
     e = _model_scale(f)
-    return [int(Fraction(f[i]) * e ** (n - i)) for i in range(n + 1)]
+    return [c.numerator * (e // c.denominator) * e ** (n - i - 1)
+            for i, c in enumerate(f.coeffs[:n])] + [1]
+
+
+# -- integer polynomial arithmetic on integer models --------------------------
+
+
+def _scaled_numerators(coeffs, e: int) -> tuple[list[int], int]:
+    """(U, L) with U integral and U(eY) = L sum coeffs[i] Y^i, L > 0 least:
+    a polynomial in a root beta written as an integer polynomial in the
+    root e beta of the integer model, times L."""
+    scaled = [Fraction(x) / e**i for i, x in enumerate(coeffs)]
+    big_l = lcm(*[x.denominator for x in scaled])
+    return [x.numerator * (big_l // x.denominator) for x in scaled], big_l
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_rem(a: list[int], c: list[int]) -> list[int]:
+    """a mod the monic integer polynomial c, over Z (ascending lists)."""
+    a, d = list(a), len(c) - 1
+    while len(a) > d:
+        t = a.pop()
+        if t:
+            k = len(a) - d
+            for j in range(d):
+                a[k + j] -= t * c[j]
+    return a
+
+
+def _exact_div(x: int, d: int) -> int:
+    q, r = divmod(x, d)
+    if r:
+        raise AssertionError(f"{x} is not divisible by {d}")
+    return q
 
 
 _CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -334,15 +377,19 @@ def depress(f: UniPoly) -> ReducedQuartic:
 def reduced_tschirnhaus_poly(f: UniPoly, m, n, p) -> UniPoly:
     """Minimal-polynomial candidate of gamma = m beta^3 + n beta^2 + p beta + q
     for a root beta of the reduced quartic f, with q chosen so that gamma
-    has trace zero: q = (3bm + 2an)/4.
+    has trace zero: q = (3bm + 2an)/4.  Equals the resultant
+    Res_Y(f(Y), X - (mY^3 + nY^2 + pY + q)).
 
-    Computed as the characteristic polynomial of multiplication by gamma
-    on the quotient algebra; works over any exact coefficient field.
-    Equals the resultant Res_Y(f(Y), X - (mY^3 + nY^2 + pY + q)).
+    Over Q it is computed in integers (_tschirnhaus_image_qq).  Over the
+    other coefficient fields, Q(s) and Q(sqrt(t)), where no integer model
+    exists, it is the characteristic polynomial of multiplication by gamma
+    on the quotient algebra (Faddeev-LeVerrier).
     """
     F = f.field
     if f.degree != 4 or f.lc != F.one or f[3]:
         raise ValueError("need a monic reduced quartic")
+    if F is QQ:
+        return _tschirnhaus_image_qq(f, m, n, p)
     a, b = f[2], f[1]
     emb = F.embed
     m, n, p = (x if not isinstance(x, (int, Fraction)) else emb(x)
@@ -358,6 +405,42 @@ def reduced_tschirnhaus_poly(f: UniPoly, m, n, p) -> UniPoly:
         ypow = (ypow * xpoly) % f
     mat = [[cols[j][i] for j in range(4)] for i in range(4)]
     return char_poly(mat, F)
+
+
+def _tschirnhaus_image_qq(f: UniPoly, m, n, p) -> UniPoly:
+    """reduced_tschirnhaus_poly over Q, by Newton's identities on integer
+    power sums (Cohen, GTM 138, 4.3).
+
+    y = e beta is a root of the integer model Y^4 + AY^2 + BY + C of f, and
+    L gamma = U(y) for an integer polynomial U (_scaled_numerators).  The
+    power sums P_k of the roots of the model are integers, P_0..P_3 =
+    4, 0, -2A, -3B and P_k = -A P_(k-2) - B P_(k-3) - C P_(k-4) after, so
+    S_k = Tr((L gamma)^k) is the dot product of U^k with P.  With S_1 = 0,
+    Newton's identities give the elementary symmetric functions E2 = -S2/2,
+    E3 = S3/3 and E4 = (-E2 S2 - S4)/4 of the conjugates of L gamma.  Each
+    division is exact: multiplication by U(Y) on Z[Y]/(model) has an
+    integer matrix, whose characteristic polynomial X^4 + E2 X^2 - E3 X + E4
+    has integer coefficients.  Dividing the roots by L gives the image
+    X^4 + (E2/L^2) X^2 - (E3/L^3) X + E4/L^4.
+    """
+    a, b = f[2], f[1]
+    q = (3 * Fraction(b) * m + 2 * Fraction(a) * n) / 4
+    u, big_l = _scaled_numerators((q, p, n, m), _model_scale(f))
+    c0, c1, c2 = _integer_model(f)[:3]
+    ps = [4, 0, -2 * c2, -3 * c1]
+    while len(ps) < 13:
+        ps.append(-c2 * ps[-2] - c1 * ps[-3] - c0 * ps[-4])
+    sums = []
+    power = u
+    for _ in range(3):
+        power = _int_mul(power, u)
+        sums.append(sum(x * y for x, y in zip(power, ps)))
+    s2, s3, s4 = sums
+    e2 = _exact_div(-s2, 2)
+    e3 = _exact_div(s3, 3)
+    e4 = _exact_div(-e2 * s2 - s4, 4)
+    return UniPoly(QQ, (Fraction(e4, big_l**4), Fraction(-e3, big_l**3),
+                        Fraction(e2, big_l**2), QQ.zero, QQ.one))
 
 
 def tschirnhaus(f: ReducedQuartic, m, n, p) -> ReducedQuartic:
@@ -591,11 +674,12 @@ def principalize(f: ReducedQuartic, box: int = 50
     if not is_principal(f):
         raise NotPrincipal("Witt invariant differs from (-1, -d) for"
                            f" {poly_str(f.poly())}")
+    fp = f.poly()
     for m, n, pf in _isotropic_vectors(f.trace_data.gram, box):
-        gp = reduced_tschirnhaus_poly(f.poly(), m, n, pf)
+        gp = reduced_tschirnhaus_poly(fp, m, n, pf)
         if gp[2] != 0:
             raise AssertionError("isotropic vector gave nonzero X^2 term")
-        if poly_gcd(gp, gp.derivative()).degree > 0:
+        if _disc(_integer_model(gp)) == 0:
             continue
         # a squarefree gp is the minimal polynomial of a generator of
         # the field, so irreducible; PrincipalQuartic checks it again
@@ -623,12 +707,30 @@ def _mn_shells(box: int):
 
 
 def _verify_certificate(f: UniPoly, g: UniPoly, cert: FieldCertificate) -> bool:
-    """g(m Y^3 + n Y^2 + p Y + q) = 0 mod f(Y), checked in Q[Y]."""
-    u = cert.substitution()
-    acc = qpoly([])
-    for coeff in reversed(g.coeffs):
-        acc = (acc * u + qpoly([coeff])) % f
-    return acc.is_zero()
+    """g(m Y^3 + n Y^2 + p Y + q) = 0 mod f(Y), checked in Z[Y] on the
+    integer models (_certificate_holds)."""
+    return _certificate_holds(_integer_model(f), _model_scale(f),
+                              _integer_model(g), _model_scale(g), cert)
+
+
+def _certificate_holds(big_f: list[int], ef: int, big_g: list[int], eg: int,
+                       cert: FieldCertificate) -> bool:
+    """The check of _verify_certificate for the monic integer models
+    F(Y) = e_f^4 f(Y/e_f) and G, with scales e_f and e_g.
+
+    With V = L u(Y/e_f) integral (_scaled_numerators), the substitution
+    Y -> Y/e_f turns g(u(Y)) into G(e_g V/L) / e_g^4, and f into F / e_f^4.
+    So g(u) = 0 mod f in Q[Y] exactly when
+    H = sum G_i (e_g V)^i L^(4-i) = 0 mod F; as F is monic, H mod F is
+    computed by Horner in Z[Y], with no Fraction arithmetic."""
+    v, big_l = _scaled_numerators((cert.q, cert.p, cert.n, cert.m), ef)
+    w = [eg * x for x in v]
+    deg = len(big_g) - 1
+    acc = [big_g[deg]]
+    for i in range(deg - 1, -1, -1):
+        acc = _int_rem(_int_mul(acc, w), big_f)
+        acc[0] += big_g[i] * big_l ** (deg - i)
+    return not any(acc)
 
 
 # the first p-adic modulus tried: the certificates of the table corpus and
@@ -683,7 +785,8 @@ def same_field(f: UniPoly, g: UniPoly) -> Optional[FieldCertificate]:
         basis = _interpolation_basis(betas, m)
         for perm in itertools.permutations(gammas):
             cert = _reconstruct_certificate(basis, perm, m, disc_f, ef, eg)
-            if cert is not None and _verify_certificate(f, g, cert):
+            if cert is not None and _certificate_holds(big_f, ef, big_g,
+                                                       eg, cert):
                 return cert
         if m > 2 * height**2:
             return None

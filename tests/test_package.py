@@ -28,3 +28,26 @@ def test_import_and_analyze_do_not_load_mpmath():
                           text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
+
+
+def _run_python(*args):
+    src = str(Path(octaq.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_verify_tables_under_python_O():
+    # -O strips assert statements; every check must be an explicit raise
+    import hashlib
+    proc = _run_python("-O", "-m", "octaq.cli", "verify-tables", "--jobs", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        "1975292ab56075ce0476e128ca5a081eb202d5d78c403c1c5a898c9214106ae8"
+
+
+def test_python_m_octaq_runs_the_cli():
+    args = ("principalize", "--", "-1,-1,0,0,1")
+    package = _run_python("-m", "octaq", *args)
+    cli = _run_python("-m", "octaq.cli", *args)
+    assert package.returncode == cli.returncode == 0, package.stderr
+    assert package.stdout == cli.stdout and package.stdout

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from collections import Counter
@@ -784,3 +785,124 @@ def test_obstruction_composition_identity_on_corpus():
         d = f.disc()
         lhs = (w * brauer_class(-1, -d)) * (w * brauer_class(2, d))
         assert lhs == brauer_class(-2, -3 * d), row.expected_disc
+
+
+# -- integer kernels over Q ---------------------------------------------------
+
+
+def _oracle_tschirnhaus_poly(f, m, n, p):
+    """The multiplication-matrix route over Fractions: the characteristic
+    polynomial of gamma acting on Q[Y]/f(Y), by Faddeev-LeVerrier."""
+    a, b = f[2], f[1]
+    q = (3 * b * Fraction(m) + 2 * a * Fraction(n)) / 4
+    u = qpoly([q, p, n, m])
+    cols = [(u * qpoly([0] * j + [1])) % f for j in range(4)]
+    mat = [[cols[j][i] for j in range(4)] for i in range(4)]
+    return polynomials.char_poly(mat, polynomials.QQ)
+
+
+def _oracle_verify_certificate(f, g, cert):
+    """g(u) = 0 mod f by Horner over Fraction UniPolys."""
+    u = cert.substitution()
+    acc = qpoly([])
+    for coeff in reversed(g.coeffs):
+        acc = (acc * u + qpoly([coeff])) % f
+    return acc.is_zero()
+
+
+_rational = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(_rational, _rational, _rational),
+       st.tuples(_rational, _rational, _rational),
+       st.booleans())
+@example((Fraction(0), Fraction(-1), Fraction(-1)), (0, 0, 1), True)
+@example((Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)),
+         (Fraction(1, 2), Fraction(-2), Fraction(3, 5)), False)
+@example((Fraction(-7, 12), Fraction(0), Fraction(5, 11)),
+         (Fraction(0), Fraction(0), Fraction(0)), False)
+@example((Fraction(0), Fraction(0), Fraction(0)), (1, 1, 1), True)
+def test_tschirnhaus_image_matches_char_poly_oracle(abc, mnp, principal):
+    # any reduced quartic, reducible or not squarefree included
+    a, b, c = abc
+    f = qpoly([c, b, 0 if principal else a, 0, 1])
+    image = quartic.reduced_tschirnhaus_poly(f, *mnp)
+    assert image == _oracle_tschirnhaus_poly(f, *mnp)
+    assert all(type(x) is Fraction for x in image.coeffs)
+
+
+def test_rational_images_use_no_char_poly(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("char_poly called")
+    for module, attr in _bindings(polynomials.char_poly):
+        monkeypatch.setattr(module, attr, forbidden)
+    from octaq.qcurve import family
+    from octaq.tables import verify_table_row
+    for row in CORPUS[:10]:
+        assert verify_table_row(row)["passed"]
+    assert family(PrincipalQuartic(1, -1), 3)[0].a == 0
+    assert tschirnhaus(ReducedQuartic(3, 2, 5), 1, 2, 3).a != 0
+
+
+def _certificate_pairs():
+    for row in CORPUS:
+        yield row.source_poly(), row.principal_poly()
+    # Tschirnhaus pairs whose integer models need e_f, e_g > 1
+    for abc, mnp in (
+            ((Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)),
+             (Fraction(1, 2), Fraction(-2), Fraction(3, 5))),
+            ((Fraction(-3, 4), Fraction(2, 9), Fraction(5)),
+             (Fraction(1, 3), Fraction(0), Fraction(-7, 4))),
+            ((Fraction(2), Fraction(-1, 6), Fraction(3, 10)),
+             (Fraction(0), Fraction(5, 2), Fraction(1, 9)))):
+        f = ReducedQuartic(*abc)
+        g = tschirnhaus(f, *mnp)
+        assert _model_scale(f.poly()) > 1 and _model_scale(g.poly()) > 1
+        yield f.poly(), g.poly()
+
+
+def test_integer_certificate_check_matches_fraction_oracle():
+    for f, g in _certificate_pairs():
+        cert = same_field(f, g)
+        assert cert is not None
+        assert _verify_certificate(f, g, cert)
+        assert _oracle_verify_certificate(f, g, cert)
+        # a certificate coefficient off by one fails both checks
+        for name in ("m", "n", "p", "q"):
+            for step in (1, -1):
+                bad = dataclasses.replace(
+                    cert, **{name: getattr(cert, name) + step})
+                assert not _verify_certificate(f, g, bad), (f, g, name, step)
+                assert not _oracle_verify_certificate(f, g, bad)
+
+
+def test_principalize_skips_a_non_squarefree_candidate(monkeypatch):
+    # no isotropic vector of an irreducible quartic gives a repeated root,
+    # so a zero vector (image X^4, closed-form discriminant 0) is put first
+    def forbidden(*args):
+        raise AssertionError("poly_gcd called")
+    for module, attr in _bindings(polynomials.poly_gcd):
+        monkeypatch.setattr(module, attr, forbidden)
+    search = quartic._isotropic_vectors
+    seen = []
+
+    def with_zero_first(g, box):
+        seen.append((0, 0, Fraction(0)))
+        yield 0, 0, Fraction(0)
+        yield from search(g, box)
+    monkeypatch.setattr(quartic, "_isotropic_vectors", with_zero_first)
+    assert _disc(_integer_model(
+        quartic.reduced_tschirnhaus_poly(qpoly([3, 2, 1, 0, 1]), 0, 0, 0))) \
+        == 0
+    # the models and certificates of the Fraction-quadratic search
+    for abc, model, mnpq in (
+            ((Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)),
+             (300692, -18501453), (-12, -24, -72, -9)),
+            ((3, 2, 5), (1792, 15587), (-3, -3, -7, -9))):
+        out, cert = principalize(ReducedQuartic(*abc))
+        assert (out.b, out.c) == model
+        assert (cert.m, cert.n, cert.p, cert.q) == mnpq
+    assert len(seen) == 2
