@@ -223,13 +223,18 @@ _B_MOVES = (1, 2, 17, 34, 41, 82, 73, 97)     # 2 and primes 1 mod 8
 
 
 def _adjust_class(base: int, forbidden: list[int], moves: tuple[int, ...]) -> int:
-    """First multiple of base (by allowed square-class moves) avoiding the
-    forbidden square classes."""
+    """First multiple of the nonzero base (by allowed square-class moves)
+    avoiding the forbidden square classes.
+
+    It cannot run out: the 8 moves are distinct squarefree classes, and
+    base m f is a square for at most one of them, m = base f in Q*/Q*^2,
+    so each of the 2 or 3 nonzero forbidden classes rules out at most one
+    move."""
     for m in moves:
         cand = base * m
         if all(not is_square(Fraction(cand) * f) for f in forbidden):
             return cand
-    raise SearchExhausted("no admissible class representative found")
+    raise AssertionError(f"every move of {base} hits a class of {forbidden}")
 
 
 def _k_eps(b: Fraction | int, r: Fraction | int) -> FieldDescription:

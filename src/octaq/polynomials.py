@@ -397,20 +397,6 @@ def discriminant(f: UniPoly):
     return r * _fpow(f.lc, -1) * f.field.embed(s)
 
 
-def sylvester_matrix(f: UniPoly, g: UniPoly) -> list[list]:
-    """(deg f + deg g) square matrix over the coefficient field."""
-    m, n = f.degree, g.degree
-    size = m + n
-    rows = []
-    fc = [f[m - i] for i in range(m + 1)]  # highest degree first
-    gc = [g[n - i] for i in range(n + 1)]
-    for i in range(n):
-        rows.append([f.field.zero] * i + fc + [f.field.zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([f.field.zero] * i + gc + [f.field.zero] * (size - n - 1 - i))
-    return rows
-
-
 def bareiss_determinant(rows: list[list], zero, one):
     """Fraction-free Gaussian elimination; entries need exact division.
 
@@ -650,39 +636,7 @@ class FunctionField:
         return f"{self.base!r}({self.var})"
 
 
-# -- real root counting (Sturm) ----------------------------------------------
-
-
-def _sign_at_inf(p: UniPoly, positive: bool) -> int:
-    if p.is_zero():
-        return 0
-    lc = p.lc
-    s = 1 if lc > 0 else -1
-    if not positive and p.degree % 2 == 1:
-        s = -s
-    return s
-
-
-def count_real_roots(f: UniPoly) -> int:
-    """Number of distinct real roots of a rational polynomial (Sturm)."""
-    if f.field is not QQ:
-        raise ValueError("Sturm count implemented over Q only")
-    g = poly_gcd(f, f.derivative())
-    if g.degree > 0:
-        f = f.exact_div(g)
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-
-    def variations(positive: bool) -> int:
-        signs = [s for s in (_sign_at_inf(p, positive) for p in chain) if s]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    return variations(False) - variations(True)
-
-
-# -- power sums and characteristic polynomials -------------------------------
+# -- power sums --------------------------------------------------------------
 
 
 def power_sums(f: UniPoly, count: int) -> list:
@@ -709,6 +663,7 @@ def power_sums(f: UniPoly, count: int) -> list:
     return p[1:]
 
 
+# used by no module of octaq; perfbench/selftest.py calls it
 def mat_mul(a: list[list], b: list[list]) -> list[list]:
     n = len(a)
     return [
@@ -716,31 +671,3 @@ def mat_mul(a: list[list], b: list[list]) -> list[list]:
          for j in range(n)]
         for i in range(n)
     ]
-
-
-def mat_trace(a: list[list]):
-    t = a[0][0]
-    for i in range(1, len(a)):
-        t = t + a[i][i]
-    return t
-
-
-def char_poly(m: list[list], field) -> UniPoly:
-    """Characteristic polynomial det(X I - M), Faddeev-LeVerrier.
-
-    Exact over any characteristic-zero coefficient field (the algorithm
-    divides by the integers 1..n only).
-    """
-    n = len(m)
-    emb = field.embed
-    coeffs = [field.one]  # X**n coefficient
-    mk = [row[:] for row in m]
-    cs = []
-    for k in range(1, n + 1):
-        ck = -(mat_trace(mk) / emb(k))
-        cs.append(ck)
-        if k < n:
-            for i in range(n):
-                mk[i][i] = mk[i][i] + ck
-            mk = mat_mul(m, mk)
-    return UniPoly(field, list(reversed(cs)) + coeffs)

@@ -27,8 +27,7 @@ from typing import Optional
 from .errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
                      OctaqError, Reducible, SearchExhausted)
 from .hilbert import BrauerClass, brauer_class, witt_invariant_diagonal
-from .polynomials import (QQ, UniPoly, char_poly, poly_str, power_sums,
-                          qpoly)
+from .polynomials import QQ, UniPoly, poly_str, power_sums, qpoly
 from .rationals import (_primes_below, _val_unit, factorize, is_square,
                         rational_reconstruct, same_square_class,
                         squarefree_part)
@@ -64,7 +63,8 @@ def _scaled_numerators(coeffs, e: int) -> tuple[list[int], int]:
     return [x.numerator * (big_l // x.denominator) for x in scaled], big_l
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
+def _poly_mul(a, b) -> list:
+    """Product of ascending coefficient lists, over Z or any field."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -286,8 +286,9 @@ def cubic_has_rational_root(f: UniPoly) -> bool:
 class ReducedQuartic:
     """X^4 + aX^2 + bX + c, irreducible over Q (hence separable).
 
-    The S4 test and the trace form are computed on first use and kept, so
-    every stage handed the same quartic shares one computation."""
+    The discriminant, the S4 test and the trace form are computed on first
+    use and kept, so every stage handed the same quartic shares one
+    computation."""
 
     a: Fraction
     b: Fraction
@@ -312,10 +313,14 @@ class ReducedQuartic:
     def trace_data(self) -> TraceFormData:
         return trace_form(self)
 
+    @functools.cached_property
+    def _discriminant(self) -> Fraction:
+        # the roots of the integer model are e times those of the quartic
+        p = self.poly()
+        return Fraction(_disc(_integer_model(p)), _model_scale(p)**12)
+
     def disc(self) -> Fraction:
-        a, b, c = self.a, self.b, self.c
-        return (16 * a**4 * c - 4 * a**3 * b**2 - 128 * a**2 * c**2
-                + 144 * a * b**2 * c - 27 * b**4 + 256 * c**3)
+        return self._discriminant
 
     def disc_class(self) -> int:
         return squarefree_part(self.disc())
@@ -380,67 +385,58 @@ def reduced_tschirnhaus_poly(f: UniPoly, m, n, p) -> UniPoly:
     has trace zero: q = (3bm + 2an)/4.  Equals the resultant
     Res_Y(f(Y), X - (mY^3 + nY^2 + pY + q)).
 
-    Over Q it is computed in integers (_tschirnhaus_image_qq).  Over the
-    other coefficient fields, Q(s) and Q(sqrt(t)), where no integer model
-    exists, it is the characteristic polynomial of multiplication by gamma
-    on the quotient algebra (Faddeev-LeVerrier).
+    One route over every coefficient field, Q, Q(s) and Q(sqrt(t)):
+    Newton's identities (_newton_image).  Over Q it runs in integers: y =
+    e beta is a root of the integer model Y^4 + AY^2 + BY + C of f, and
+    L gamma = U(y) for an integer polynomial U (_scaled_numerators), so the
+    image of U on the model has integer coefficients, and dividing its
+    roots by L gives X^4 + (E2/L^2) X^2 - (E3/L^3) X + E4/L^4.
     """
     F = f.field
     if f.degree != 4 or f.lc != F.one or f[3]:
         raise ValueError("need a monic reduced quartic")
-    if F is QQ:
-        return _tschirnhaus_image_qq(f, m, n, p)
-    a, b = f[2], f[1]
-    emb = F.embed
-    m, n, p = (x if not isinstance(x, (int, Fraction)) else emb(x)
+    m, n, p = (F.embed(x) if isinstance(x, (int, Fraction)) else x
                for x in (m, n, p))
-    q = (emb(3) * b * m + emb(2) * a * n) / emb(4)
-    u = UniPoly(F, (q, p, n, m))
-    cols = []
-    ypow = UniPoly(F, (F.one,))
-    xpoly = UniPoly(F, (F.zero, F.one))
-    for _ in range(4):
-        col = (u * ypow) % f
-        cols.append([col[i] for i in range(4)])
-        ypow = (ypow * xpoly) % f
-    mat = [[cols[j][i] for j in range(4)] for i in range(4)]
-    return char_poly(mat, F)
+    q = (3 * f[1] * m + 2 * f[2] * n) / 4
+    if F is QQ:
+        u, big_l = _scaled_numerators((q, p, n, m), _model_scale(f))
+        e2, e3, e4 = _newton_image(*_integer_model(f)[:3], u, _exact_div)
+        return UniPoly(QQ, (Fraction(e4, big_l**4), Fraction(-e3, big_l**3),
+                            Fraction(e2, big_l**2), QQ.zero, QQ.one))
+    # dividing by F.embed(k) keeps even the image of u = 0 in F
+    e2, e3, e4 = _newton_image(f[0], f[1], f[2], (q, p, n, m),
+                               lambda x, k: x / F.embed(k))
+    return UniPoly(F, (e4, -e3, e2, F.zero, F.one))
 
 
-def _tschirnhaus_image_qq(f: UniPoly, m, n, p) -> UniPoly:
-    """reduced_tschirnhaus_poly over Q, by Newton's identities on integer
-    power sums (Cohen, GTM 138, 4.3).
+def _newton_image(c0, c1, c2, u, div) -> tuple:
+    """(E2, E3, E4) with X^4 + E2 X^2 - E3 X + E4 the characteristic
+    polynomial of multiplication by u(Y) = u[0] + u[1] Y + u[2] Y^2 +
+    u[3] Y^3 on R[Y]/(Y^4 + c2 Y^2 + c1 Y + c0), where div(x, k) divides
+    exactly by k = 2, 3, 4 in the coefficient ring R (Newton's identities;
+    Cohen, GTM 138, 4.3).
 
-    y = e beta is a root of the integer model Y^4 + AY^2 + BY + C of f, and
-    L gamma = U(y) for an integer polynomial U (_scaled_numerators).  The
-    power sums P_k of the roots of the model are integers, P_0..P_3 =
-    4, 0, -2A, -3B and P_k = -A P_(k-2) - B P_(k-3) - C P_(k-4) after, so
-    S_k = Tr((L gamma)^k) is the dot product of U^k with P.  With S_1 = 0,
-    Newton's identities give the elementary symmetric functions E2 = -S2/2,
-    E3 = S3/3 and E4 = (-E2 S2 - S4)/4 of the conjugates of L gamma.  Each
-    division is exact: multiplication by U(Y) on Z[Y]/(model) has an
-    integer matrix, whose characteristic polynomial X^4 + E2 X^2 - E3 X + E4
-    has integer coefficients.  Dividing the roots by L gives the image
-    X^4 + (E2/L^2) X^2 - (E3/L^3) X + E4/L^4.
-    """
-    a, b = f[2], f[1]
-    q = (3 * Fraction(b) * m + 2 * Fraction(a) * n) / 4
-    u, big_l = _scaled_numerators((q, p, n, m), _model_scale(f))
-    c0, c1, c2 = _integer_model(f)[:3]
-    ps = [4, 0, -2 * c2, -3 * c1]
-    while len(ps) < 13:
-        ps.append(-c2 * ps[-2] - c1 * ps[-3] - c0 * ps[-4])
+    The traces of 1, Y, Y^2, Y^3 are the power sums 4, 0, -2 c2, -3 c1 of
+    the roots, so S_k = Tr(u^k) is the dot product of u^k mod the quartic
+    with them.  With S_1 = 0, E2 = -S2/2, E3 = S3/3 and
+    E4 = (-E2 S2 - S4)/4.  Over Z each division is exact, since the
+    multiplication matrix is integral and so is its characteristic
+    polynomial; over a field of characteristic 0 every division is."""
+    ps = (4, 0, -2 * c2, -3 * c1)
     sums = []
     power = u
     for _ in range(3):
-        power = _int_mul(power, u)
-        sums.append(sum(x * y for x, y in zip(power, ps)))
+        power = _poly_mul(power, u)
+        for k in range(len(power) - 1, 3, -1):
+            top = power.pop()
+            if top:
+                power[k - 4] -= top * c0
+                power[k - 3] -= top * c1
+                power[k - 2] -= top * c2
+        sums.append(sum(x * y for x, y in zip(power, ps) if y))
     s2, s3, s4 = sums
-    e2 = _exact_div(-s2, 2)
-    e3 = _exact_div(s3, 3)
-    e4 = _exact_div(-e2 * s2 - s4, 4)
-    return UniPoly(QQ, (Fraction(e4, big_l**4), Fraction(-e3, big_l**3),
-                        Fraction(e2, big_l**2), QQ.zero, QQ.one))
+    e2 = div(-s2, 2)
+    return e2, div(s3, 3), div(-e2 * s2 - s4, 4)
 
 
 def tschirnhaus(f: ReducedQuartic, m, n, p) -> ReducedQuartic:
@@ -728,7 +724,7 @@ def _certificate_holds(big_f: list[int], ef: int, big_g: list[int], eg: int,
     deg = len(big_g) - 1
     acc = [big_g[deg]]
     for i in range(deg - 1, -1, -1):
-        acc = _int_rem(_int_mul(acc, w), big_f)
+        acc = _int_rem(_poly_mul(acc, w), big_f)
         acc[0] += big_g[i] * big_l ** (deg - i)
     return not any(acc)
 

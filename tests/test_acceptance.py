@@ -18,7 +18,6 @@ from fractions import Fraction
 from octaq.errors import (CyclotomicExcluded, FactorizationIncomplete,
                           ParseError, Reducible)
 from octaq.hilbert import brauer_class
-from octaq.polynomials import count_real_roots
 from octaq.qcurve import (family, principal_quartic_poly, symbolic_suite,
                           t_from_principal)
 from octaq.quartic import (PrincipalQuartic, ReducedQuartic, depress,
@@ -27,6 +26,7 @@ from octaq.quartic import (PrincipalQuartic, ReducedQuartic, depress,
 from octaq.polynomials import QQ
 from octaq.rationals import is_square
 from octaq.tables import load_bundled_corpus, parse_table, verify_table_row
+from sturm import count_real_roots
 
 CORPUS = load_bundled_corpus()
 

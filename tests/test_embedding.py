@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from octaq.embedding import (classify, decompose_discriminant, det_field,
+from octaq.embedding import (_B_MOVES, _R_MOVES, _adjust_class, classify,
+                             decompose_discriminant, det_field,
                              endo_algebras, obstruction,
                              splitting_obstruction)
 from octaq.errors import (CyclotomicExcluded, InvalidTypeParameter,
@@ -11,7 +14,7 @@ from octaq.errors import (CyclotomicExcluded, InvalidTypeParameter,
 from octaq.hilbert import brauer_class
 from octaq.polynomials import qpoly
 from octaq.quartic import ReducedQuartic, depress, galois_is_S4, trace_form
-from octaq.rationals import squarefree_part
+from octaq.rationals import is_square, squarefree_part
 from octaq.tables import load_bundled_corpus
 
 CORPUS = load_bundled_corpus()
@@ -64,7 +67,7 @@ def test_classify_rejects_non_octahedral():
 def test_classify_non_principal_field():
     # totally real S4 quartics are never principal, and the 8S4- problem
     # with the canonical type parameters is then unsolvable
-    from octaq.polynomials import count_real_roots
+    from sturm import count_real_roots
     found = None
     for a in range(-10, 0):
         for b in range(-6, 7):
@@ -249,3 +252,20 @@ def test_cyclotomic_excluded():
     fake = report.__class__(**{**report.__dict__, "d": -3})
     with pytest.raises(CyclotomicExcluded):
         endo_algebras(fake)
+
+
+_squarefree = st.integers(-5000, 5000).filter(bool).map(squarefree_part)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_squarefree,
+       st.one_of(_squarefree, st.sampled_from(_R_MOVES + _B_MOVES)),
+       st.booleans())
+def test_adjust_class_never_runs_out(base, other, relative):
+    # relative d = base * move puts a forbidden class on a move
+    d = squarefree_part(base * other) if relative else other
+    # the forbidden classes of the two call sites in endo_algebras
+    for forbidden, moves in (([d, -3], _R_MOVES), ([1, d, -3 * d], _B_MOVES)):
+        cand = _adjust_class(base, [Fraction(f) for f in forbidden], moves)
+        assert cand % base == 0 and cand // base in moves
+        assert not any(is_square(cand * f) for f in forbidden)

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from octaq.polynomials import (QQ, FunctionField, QuadField, UniPoly,
-                               bareiss_determinant, char_poly,
-                               count_real_roots, discriminant, poly_gcd,
+                               bareiss_determinant, discriminant, poly_gcd,
                                power_sums, qpoly, resultant,
-                               resultant_bivariate, sylvester_matrix)
+                               resultant_bivariate)
+from sturm import count_real_roots
 
 
 def rand_poly(rng, max_deg=5, lo=-6, hi=6):
@@ -32,6 +32,20 @@ def test_resultant_function_field():
     x_minus_s = UniPoly(F, (-s, F.one))
     x_minus_1 = UniPoly(F, (-F.one, F.one))
     assert resultant(x_minus_s, x_minus_1) == s - 1
+
+
+def sylvester_matrix(f: UniPoly, g: UniPoly) -> list[list]:
+    """(deg f + deg g) square matrix over the coefficient field."""
+    m, n = f.degree, g.degree
+    size = m + n
+    rows = []
+    fc = [f[m - i] for i in range(m + 1)]  # highest degree first
+    gc = [g[n - i] for i in range(n + 1)]
+    for i in range(n):
+        rows.append([f.field.zero] * i + fc + [f.field.zero] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([f.field.zero] * i + gc + [f.field.zero] * (size - n - 1 - i))
+    return rows
 
 
 def test_resultant_matches_sylvester_determinant():
@@ -90,19 +104,6 @@ def test_power_sums():
     assert ps == [0, 0, -3, 4, 0, 3]
 
 
-def test_char_poly_of_companion_matrix():
-    rng = random.Random(37)
-    for _ in range(50):
-        f = qpoly([rng.randint(-9, 9) for _ in range(rng.randint(2, 5))] + [1])
-        n = f.degree
-        m = [[QQ.zero] * n for _ in range(n)]
-        for i in range(1, n):
-            m[i][i - 1] = QQ.one
-        for i in range(n):
-            m[i][n - 1] = -f[i]
-        assert char_poly(m, QQ) == f
-
-
 def test_sturm_counts():
     assert count_real_roots(qpoly([-1, 1, 0, 0, 1])) == 2
     assert count_real_roots(qpoly([-6, 11, -6, 1])) == 3
@@ -117,7 +118,7 @@ def test_gcd_monic():
 
 
 def test_bivariate_resultant_vs_tschirnhaus():
-    # Res_Y(f(Y), X - u(Y)) equals the characteristic-polynomial route
+    # Res_Y(f(Y), X - u(Y)) equals the Newton route
     from octaq.quartic import reduced_tschirnhaus_poly
     rng = random.Random(41)
     for _ in range(20):

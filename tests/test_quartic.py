@@ -14,7 +14,8 @@ from octaq.embedding import classify
 from octaq.errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
                           OctaqError, Reducible, SearchExhausted)
 from octaq.hilbert import INF, brauer_class
-from octaq.polynomials import count_real_roots, discriminant, qpoly
+from octaq.polynomials import QQ, QuadField, UniPoly, discriminant, qpoly
+from octaq.qcurve import SymbolicContext
 from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
                            _disc, _integer_model,
                            _irreducible_by_modp, _isotropic_vectors,
@@ -28,6 +29,7 @@ from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
 from octaq.rationals import (_val_unit, is_square, same_square_class,
                               squarefree_part)
 from octaq.tables import load_bundled_corpus
+from sturm import count_real_roots
 
 CORPUS = load_bundled_corpus()
 
@@ -787,18 +789,49 @@ def test_obstruction_composition_identity_on_corpus():
         assert lhs == brauer_class(-2, -3 * d), row.expected_disc
 
 
-# -- integer kernels over Q ---------------------------------------------------
+# -- Tschirnhaus images over every field, integer kernels over Q --------------
+
+
+def _char_poly(mat, field):
+    """det(X I - M) by Faddeev-LeVerrier, exact over a field of
+    characteristic 0: it divides by the integers 1..n only."""
+    n = len(mat)
+    mk = [row[:] for row in mat]
+    cs = []
+    for k in range(1, n + 1):
+        trace = sum((mk[i][i] for i in range(1, n)), mk[0][0])
+        cs.append(-(trace / field.embed(k)))
+        if k < n:
+            for i in range(n):
+                mk[i][i] = mk[i][i] + cs[-1]
+            mk = polynomials.mat_mul(mat, mk)
+    return UniPoly(field, cs[::-1] + [field.one])
+
+
+def test_char_poly_of_companion_matrix():
+    rng = random.Random(37)
+    for _ in range(50):
+        f = qpoly([rng.randint(-9, 9) for _ in range(rng.randint(2, 5))] + [1])
+        n = f.degree
+        m = [[QQ.zero] * n for _ in range(n)]
+        for i in range(1, n):
+            m[i][i - 1] = QQ.one
+        for i in range(n):
+            m[i][n - 1] = -f[i]
+        assert _char_poly(m, QQ) == f
 
 
 def _oracle_tschirnhaus_poly(f, m, n, p):
-    """The multiplication-matrix route over Fractions: the characteristic
-    polynomial of gamma acting on Q[Y]/f(Y), by Faddeev-LeVerrier."""
-    a, b = f[2], f[1]
-    q = (3 * b * Fraction(m) + 2 * a * Fraction(n)) / 4
-    u = qpoly([q, p, n, m])
-    cols = [(u * qpoly([0] * j + [1])) % f for j in range(4)]
+    """The multiplication-matrix route over the coefficient field F of f:
+    the characteristic polynomial of gamma acting on F[Y]/f(Y)."""
+    F = f.field
+    m, n, p = (F.embed(x) if isinstance(x, (int, Fraction)) else x
+               for x in (m, n, p))
+    q = (F.embed(3) * f[1] * m + F.embed(2) * f[2] * n) / F.embed(4)
+    u = UniPoly(F, (q, p, n, m))
+    cols = [(u * UniPoly(F, [F.zero] * j + [F.one])) % f for j in range(4)]
     mat = [[cols[j][i] for j in range(4)] for i in range(4)]
-    return polynomials.char_poly(mat, polynomials.QQ)
+    return _char_poly(mat, F)
 
 
 def _oracle_verify_certificate(f, g, cert):
@@ -834,17 +867,55 @@ def test_tschirnhaus_image_matches_char_poly_oracle(abc, mnp, principal):
     assert all(type(x) is Fraction for x in image.coeffs)
 
 
-def test_rational_images_use_no_char_poly(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("char_poly called")
-    for module, attr in _bindings(polynomials.char_poly):
-        monkeypatch.setattr(module, attr, forbidden)
+@settings(max_examples=100, deadline=None)
+@given(_rational, st.lists(st.tuples(_rational, _rational), min_size=6,
+                           max_size=6))
+@example(Fraction(-1), [(Fraction(0), Fraction(0))] * 6)
+def test_tschirnhaus_image_matches_oracle_over_quadratic_field(t, coords):
+    assume(not is_square(t))
+    K = QuadField(t)
+    a, b, c, m, n, p = (K.element(u, v) for u, v in coords)
+    f = UniPoly(K, (c, b, a, K.zero, K.one))
+    image = quartic.reduced_tschirnhaus_poly(f, m, n, p)
+    assert image == _oracle_tschirnhaus_poly(f, m, n, p)
+    assert all(x.field is K for x in image.coeffs)
+
+
+_SUITE = SymbolicContext()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(("f_t", "g_t", "h_t")),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+                min_size=3, max_size=3))
+@example("g_t", [(0, 0)] * 3)
+def test_tschirnhaus_image_matches_oracle_over_function_field(name, coords):
+    # m, n, p = i + j s in Q(s), on the quartics of the identity suite
+    f = getattr(_SUITE, name)
+    s = _SUITE.s
+    m, n, p = (i + j * s for i, j in coords)
+    image = quartic.reduced_tschirnhaus_poly(f, m, n, p)
+    assert image == _oracle_tschirnhaus_poly(f, m, n, p)
+    assert all(x.field is _SUITE.field for x in image.coeffs)
+
+
+def test_rational_images_stay_in_integers(monkeypatch):
+    # every image over Q goes through the integer kernel: Newton's
+    # identities see only integers and divide with the checked _exact_div
+    newton, seen = quartic._newton_image, []
+
+    def checked(c0, c1, c2, u, div):
+        seen.append(div is quartic._exact_div
+                    and all(type(x) is int for x in (c0, c1, c2, *u)))
+        return newton(c0, c1, c2, u, div)
+    monkeypatch.setattr(quartic, "_newton_image", checked)
     from octaq.qcurve import family
     from octaq.tables import verify_table_row
     for row in CORPUS[:10]:
         assert verify_table_row(row)["passed"]
     assert family(PrincipalQuartic(1, -1), 3)[0].a == 0
     assert tschirnhaus(ReducedQuartic(3, 2, 5), 1, 2, 3).a != 0
+    assert seen and all(seen)
 
 
 def _certificate_pairs():

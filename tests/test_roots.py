@@ -14,7 +14,7 @@ def test_quadratic_roots():
 
 
 def test_real_complex_split_matches_sturm():
-    from octaq.polynomials import count_real_roots
+    from sturm import count_real_roots
     f = qpoly([-1, 1, 0, 0, 1])
     roots = complex_roots(f, digits=40)
     n_real = sum(1 for r in roots if abs(r.imag) < mpmath.mpf(10) ** -20)

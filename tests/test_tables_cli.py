@@ -393,6 +393,17 @@ def test_cli_verify_tables_stdout_is_pinned(capsys):
         "1975292ab56075ce0476e128ca5a081eb202d5d78c403c1c5a898c9214106ae8"
 
 
+def test_cli_symbolic_stdout_is_pinned(capsys):
+    import hashlib
+    code = main(["symbolic"])
+    out = capsys.readouterr().out
+    assert code == 0
+    # stdout is pinned byte for byte to the output of the
+    # multiplication-matrix (Faddeev-LeVerrier) Tschirnhaus route over Q(s)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3560189619b3e86afe8d31b00f282ad40a0b2793b11013406b103d5c496932e6"
+
+
 def test_cli_principalize_names_the_exhausted_box(capsys):
     # a principal field whose model has no isotropic vector in the box
     code, data = run_cli(capsys, "principalize",
