@@ -161,8 +161,11 @@ def _sqrt_exact(x: Fraction) -> Fraction:
     return Fraction(isqrt(x.numerator), isqrt(x.denominator))
 
 
-def det_field(b: Fraction | int, r: Fraction | int,
-              max_x: int = 10**6) -> FieldDescription:
+# the largest x that det_field tries; past it the search raises SearchExhausted
+DET_FIELD_MAX_X = 10**6
+
+
+def det_field(b: Fraction | int, r: Fraction | int) -> FieldDescription:
     """Fixed field of the determinant character for type parameters (b, r):
     Q(sqrt(r)) when b is a square, else Q(sqrt(r(b + x sqrt(b)))) for an
     x with b - x^2 a rational square."""
@@ -179,10 +182,11 @@ def det_field(b: Fraction | int, r: Fraction | int,
         return FieldDescription(b=b, r=r, x=None, text=f"Q(sqrt({rr}))")
     bsf = squarefree_part(b)
     scale = _sqrt_exact(b / bsf)
-    y = next((y for y in range(1, min(isqrt(bsf), max_x) + 1)
+    y = next((y for y in range(1, min(isqrt(bsf), DET_FIELD_MAX_X) + 1)
               if is_square(bsf - y * y)), None)
     if y is None:
-        raise SearchExhausted(f"no x <= {max_x} with {b} - x^2 a square")
+        raise SearchExhausted(f"no x <= {DET_FIELD_MAX_X} (DET_FIELD_MAX_X)"
+                              f" with {b} - x^2 a square")
     x = Fraction(y) * scale
     rr = squarefree_part(r)  # same field up to the square factor
     rtxt = "" if rr == 1 else ("-" if rr == -1 else f"{rr}*")

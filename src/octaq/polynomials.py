@@ -7,11 +7,12 @@ Three coefficient fields are supported, all immutable:
 * ``RatFunc`` over any of the above (so Q(s), and Q(s)(X) by nesting).
 
 Coefficients are stored lowest degree first with a nonzero leading
-coefficient; the zero polynomial has an empty tuple.  Resultants use the
-subresultant polynomial remainder sequence, which together with the
-gcd-normalized rational-function arithmetic keeps coefficient growth
-under control over Q(s); bivariate resultants go through a fraction-free
-Sylvester determinant instead of a nested fraction field.
+coefficient; the zero polynomial has an empty tuple.  Discriminants of
+cubics and quartics use their closed form, which only multiplies and adds
+coefficients and so works over every one of these fields and over Z.
+Resultants in Y of polynomials with coefficients in F[X] go through a
+fraction-free Sylvester determinant, so they stay in the polynomial ring
+instead of a nested fraction field.
 """
 
 from __future__ import annotations
@@ -36,13 +37,6 @@ class RationalField:
 
 
 QQ = RationalField()
-
-
-def _fpow(x, k: int):
-    """x**k for field elements, negative k via the inverse."""
-    if k >= 0:
-        return x**k
-    return (x ** (-k)) ** -1 if hasattr(x, "__pow__") else 1 / (x ** (-k))
 
 
 class QuadElement:
@@ -244,8 +238,7 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        inv = _fpow(self.lc, -1)
-        return self.scale(inv)
+        return self.scale(self.lc ** -1)
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero():
@@ -334,67 +327,32 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def lift_poly(p: UniPoly, field) -> UniPoly:
-    """Embed a polynomial with rational coefficients into a larger field."""
-    return UniPoly(field, [field.embed(c) for c in p.coeffs])
+# -- discriminants and resultants -------------------------------------------
 
 
-# -- resultants and discriminants -------------------------------------------
-
-
-def _prem(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Pseudo-remainder lc(b)**(deg a - deg b + 1) * a mod b."""
-    delta = a.degree - b.degree
-    return a.scale(_fpow(b.lc, delta + 1)) % b
-
-
-def resultant(f: UniPoly, g: UniPoly):
-    """Res(f, g) = lc(f)**deg(g) * prod g(alpha) over the roots alpha of f.
-
-    Subresultant PRS (Collins/Brown-Traub bookkeeping); exact over any of
-    the supported coefficient fields.
-    """
-    F = f.field
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of the zero polynomial")
-    if f.degree == 0 and g.degree == 0:
-        return F.one
-    if g.degree == 0:
-        return _fpow(g.lc, f.degree)
-    if f.degree == 0:
-        return _fpow(f.lc, g.degree)
-    sign = 1
-    a, b = f, g
-    if a.degree < b.degree:
-        if (a.degree % 2) and (b.degree % 2):
-            sign = -sign
-        a, b = b, a
-    gg = F.one
-    hh = F.one
-    while True:
-        delta = a.degree - b.degree
-        if (a.degree % 2) and (b.degree % 2):
-            sign = -sign
-        r = _prem(a, b)
-        a = b
-        b = r.scale(_fpow(gg * _fpow(hh, delta), -1))
-        gg = a.lc
-        hh = _fpow(hh, 1 - delta) * _fpow(gg, delta) if delta != 0 else hh
-        if b.is_zero():
-            return F.zero
-        if b.degree == 0:
-            res = _fpow(hh, 1 - a.degree) * _fpow(b.lc, a.degree)
-            return res * F.embed(sign)
+def _disc(c: Sequence):
+    """Discriminant of the monic cubic or quartic with ascending coefficient
+    list c, closed form: only products and sums of the coefficients, so it
+    holds over Z and over every supported field."""
+    if len(c) == 4:
+        a0, a1, a2, _ = c
+        return (a1 * a1 * (a2 * a2 - 4 * a1) - 4 * a2**3 * a0 - 27 * a0 * a0
+                + 18 * a2 * a1 * a0)
+    a0, a1, a2, a3, _ = c
+    return (256 * a0**3 - 192 * a3 * a1 * a0**2 - 128 * a2**2 * a0**2
+            + 144 * a2 * a1**2 * a0 - 27 * a1**4 + 144 * a3**2 * a2 * a0**2
+            - 6 * a3**2 * a1**2 * a0 - 80 * a3 * a2**2 * a1 * a0
+            + 18 * a3 * a2 * a1**3 + 16 * a2**4 * a0 - 4 * a2**3 * a1**2
+            - 27 * a3**4 * a0**2 + 18 * a3**3 * a2 * a1 * a0
+            - 4 * a3**3 * a1**3 - 4 * a3**2 * a2**3 * a0
+            + a3**2 * a2**2 * a1**2)
 
 
 def discriminant(f: UniPoly):
-    """disc(f) = (-1)**(n(n-1)/2) * Res(f, f') / lc(f)."""
-    n = f.degree
-    if n < 2:
-        raise ValueError("discriminant needs degree >= 2")
-    r = resultant(f, f.derivative())
-    s = -1 if (n * (n - 1) // 2) % 2 else 1
-    return r * _fpow(f.lc, -1) * f.field.embed(s)
+    """Discriminant of a monic cubic or quartic over Q, Q(sqrt(t)) or Q(s)."""
+    if f.degree not in (3, 4) or f.lc != f.field.one:
+        raise ValueError("discriminant needs a monic cubic or quartic")
+    return _disc(f.coeffs)
 
 
 def bareiss_determinant(rows: list[list], zero, one):
@@ -430,9 +388,7 @@ def bareiss_determinant(rows: list[list], zero, one):
 
 def _entry_exact_div(num, den):
     if isinstance(num, UniPoly):
-        if isinstance(den, UniPoly):
-            return num.exact_div(den)
-        return num.scale(_fpow(den, -1))
+        return num.exact_div(den)
     return num / den
 
 
@@ -492,7 +448,7 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         if not normalized:
             if den.degree == 0:
-                num = num.scale(_fpow(den.lc, -1))
+                num = num.scale(den.lc ** -1)
                 den = UniPoly(num.field, (num.field.one,))
             elif num.is_zero():
                 den = UniPoly(den.field, (den.field.one,))
@@ -501,7 +457,7 @@ class RatFunc:
                 if g.degree > 0:
                     num = num.exact_div(g)
                     den = den.exact_div(g)
-                inv = _fpow(den.lc, -1)
+                inv = den.lc ** -1
                 num = num.scale(inv)
                 den = den.scale(inv)
         self.field = field
@@ -634,33 +590,6 @@ class FunctionField:
 
     def __repr__(self):
         return f"{self.base!r}({self.var})"
-
-
-# -- power sums --------------------------------------------------------------
-
-
-def power_sums(f: UniPoly, count: int) -> list:
-    """Traces p_k = sum of k-th powers of the roots of a monic polynomial,
-    via Newton's identities, k = 1..count."""
-    n = f.degree
-    if f.lc != f.field.one:
-        raise ValueError("power sums need a monic polynomial")
-    emb = f.field.embed
-    e = [f.field.zero] * (n + 1)
-    for i in range(1, n + 1):
-        c = f[n - i]
-        e[i] = c if i % 2 == 0 else -c
-    p = [f.field.zero] * (count + 1)
-    for k in range(1, count + 1):
-        acc = f.field.zero
-        for i in range(1, min(k - 1, n) + 1):
-            term = e[i] * p[k - i]
-            acc = acc + (term if i % 2 == 1 else -term)
-        if k <= n:
-            term = e[k] * emb(k)
-            acc = acc + (term if k % 2 == 1 else -term)
-        p[k] = acc
-    return p[1:]
 
 
 # used by no module of octaq; perfbench/selftest.py calls it

@@ -35,9 +35,9 @@ from .errors import (CyclotomicExcluded, DegenerateParameter,
                      NotPrincipal, OctaqError)
 from .hilbert import brauer_class
 from .polynomials import (QQ, FunctionField, QuadField, RatFunc, UniPoly,
-                          discriminant, lift_poly, poly_str,
+                          _disc, discriminant, poly, poly_str,
                           resultant_bivariate)
-from .quartic import (PrincipalQuartic, ReducedQuartic, _disc,
+from .quartic import (PrincipalQuartic, ReducedQuartic,
                       _integer_model, _normalize_principal,
                       reduced_tschirnhaus_poly, trace_form)
 from .rationals import is_square, squarefree_part
@@ -169,7 +169,7 @@ def tschirnhaus_to_torsion(g: PrincipalQuartic):
     m = -K.embed(4) * (tK + K.embed(3) * w) / (b * tK)
     n = K.embed(16) * c * w / (b**2 * tK)
     p = -K.embed(64) * c**2 * w / (K.embed(3) * b**3 * tK)
-    image = reduced_tschirnhaus_poly(lift_poly(g.poly(), K), m, n, p)
+    image = reduced_tschirnhaus_poly(poly(K, g.poly().coeffs), m, n, p)
     expected = torsion_quartic(K, tK, w)
     if image != expected:
         raise AssertionError("transformation to the torsion quartic failed")

@@ -27,7 +27,7 @@ from typing import Optional
 from .errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
                      OctaqError, Reducible, SearchExhausted)
 from .hilbert import BrauerClass, brauer_class, witt_invariant_diagonal
-from .polynomials import QQ, UniPoly, poly_str, power_sums, qpoly
+from .polynomials import QQ, UniPoly, _disc, poly_str, qpoly
 from .rationals import (_primes_below, _val_unit, factorize, is_square,
                         rational_reconstruct, same_square_class,
                         squarefree_part)
@@ -237,22 +237,6 @@ def _reducible_by_hensel(c: list[int], disc: int) -> bool:
     return False
 
 
-def _disc(c: list[int]) -> int:
-    """Discriminant of the monic integer cubic or quartic c, closed form."""
-    if len(c) == 4:
-        a0, a1, a2, _ = c
-        return (a1 * a1 * (a2 * a2 - 4 * a1) - 4 * a2**3 * a0 - 27 * a0 * a0
-                + 18 * a2 * a1 * a0)
-    a0, a1, a2, a3, _ = c
-    return (256 * a0**3 - 192 * a3 * a1 * a0**2 - 128 * a2**2 * a0**2
-            + 144 * a2 * a1**2 * a0 - 27 * a1**4 + 144 * a3**2 * a2 * a0**2
-            - 6 * a3**2 * a1**2 * a0 - 80 * a3 * a2**2 * a1 * a0
-            + 18 * a3 * a2 * a1**3 + 16 * a2**4 * a0 - 4 * a2**3 * a1**2
-            - 27 * a3**4 * a0**2 + 18 * a3**3 * a2 * a1 * a0
-            - 4 * a3**3 * a1**3 - 4 * a3**2 * a2**3 * a0
-            + a3**2 * a2**2 * a1**2)
-
-
 def _irreducible(c: list[int]) -> bool:
     """Irreducibility over Q of the monic integer cubic or quartic c.
 
@@ -409,6 +393,17 @@ def reduced_tschirnhaus_poly(f: UniPoly, m, n, p) -> UniPoly:
     return UniPoly(F, (e4, -e3, e2, F.zero, F.one))
 
 
+def _power_sums(c0, c1, c2, count: int) -> list:
+    """P_0, ..., P_(count-1), P_k the sum of the k-th powers of the roots of
+    Y^4 + c2 Y^2 + c1 Y + c0, over any coefficient ring: 4, 0, -2 c2, -3 c1
+    (Newton's identities), then P_k = -c2 P_(k-2) - c1 P_(k-3) - c0 P_(k-4),
+    as every root r has r^4 = -c2 r^2 - c1 r - c0."""
+    ps = [4, 0, -2 * c2, -3 * c1]
+    for k in range(4, count):
+        ps.append(-c2 * ps[k - 2] - c1 * ps[k - 3] - c0 * ps[k - 4])
+    return ps[:count]
+
+
 def _newton_image(c0, c1, c2, u, div) -> tuple:
     """(E2, E3, E4) with X^4 + E2 X^2 - E3 X + E4 the characteristic
     polynomial of multiplication by u(Y) = u[0] + u[1] Y + u[2] Y^2 +
@@ -417,12 +412,12 @@ def _newton_image(c0, c1, c2, u, div) -> tuple:
     Cohen, GTM 138, 4.3).
 
     The traces of 1, Y, Y^2, Y^3 are the power sums 4, 0, -2 c2, -3 c1 of
-    the roots, so S_k = Tr(u^k) is the dot product of u^k mod the quartic
+    the roots (_power_sums), so S_k = Tr(u^k) is the dot product of u^k mod the quartic
     with them.  With S_1 = 0, E2 = -S2/2, E3 = S3/3 and
     E4 = (-E2 S2 - S4)/4.  Over Z each division is exact, since the
     multiplication matrix is integral and so is its characteristic
     polynomial; over a field of characteristic 0 every division is."""
-    ps = (4, 0, -2 * c2, -3 * c1)
+    ps = _power_sums(c0, c1, c2, 4)
     sums = []
     power = u
     for _ in range(3):
@@ -471,10 +466,15 @@ def galois_is_S4(f: ReducedQuartic) -> bool:
 
 def trace_zero_gram(f: ReducedQuartic) -> list[list[Fraction]]:
     """Gram matrix of Tr(x^2) on the basis z_i = beta^i - Tr(beta^i)/4,
-    i = 1..3, computed from power sums."""
-    ps = [Fraction(0)] + power_sums(f.poly(), 6)
-    return [[ps[i + j] - ps[i] * ps[j] / 4 for j in range(1, 4)]
-            for i in range(1, 4)]
+    i = 1..3: Tr(z_i z_j) = p_(i+j) - p_i p_j / 4 for the power sums p_k of
+    the roots beta.  The roots of the integer model are e beta, with power
+    sums P_k = e^k p_k in Z, so the entry is
+    (4 P_(i+j) - P_i P_j) / (4 e^(i+j))."""
+    p = f.poly()
+    e = _model_scale(p)
+    ps = _power_sums(*_integer_model(p)[:3], 7)
+    return [[Fraction(4 * ps[i + j] - ps[i] * ps[j], 4 * e**(i + j))
+             for j in range(1, 4)] for i in range(1, 4)]
 
 
 def _sym_diagonalize(g: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:

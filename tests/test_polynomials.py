@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octaq.polynomials import (QQ, FunctionField, QuadField, UniPoly,
-                               bareiss_determinant, discriminant, poly_gcd,
-                               power_sums, qpoly, resultant,
-                               resultant_bivariate)
+                               bareiss_determinant, discriminant, poly,
+                               poly_gcd, qpoly, resultant_bivariate)
+from octaq.quartic import _power_sums
+from oracles import (constant_resultant as resultant, power_sums,
+                     sylvester_matrix)
 from sturm import count_real_roots
 
 
@@ -34,18 +38,21 @@ def test_resultant_function_field():
     assert resultant(x_minus_s, x_minus_1) == s - 1
 
 
-def sylvester_matrix(f: UniPoly, g: UniPoly) -> list[list]:
-    """(deg f + deg g) square matrix over the coefficient field."""
-    m, n = f.degree, g.degree
-    size = m + n
-    rows = []
-    fc = [f[m - i] for i in range(m + 1)]  # highest degree first
-    gc = [g[n - i] for i in range(n + 1)]
-    for i in range(n):
-        rows.append([f.field.zero] * i + fc + [f.field.zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([f.field.zero] * i + gc + [f.field.zero] * (size - n - 1 - i))
-    return rows
+def test_resultant_of_a_constant():
+    # the degree-0 branches: Res(a, g) = a^deg g, Res(f, b) = b^deg f
+    x = qpoly([0, 1])
+    g = qpoly([1, 0, 3, 1])
+    assert resultant(qpoly([2]), g) == resultant(g, qpoly([2])) == 8
+    assert resultant(qpoly([-3]), qpoly([5])) == 1
+    assert resultant(qpoly([Fraction(1, 2)]), x) == Fraction(1, 2)
+    F = FunctionField(QQ, "s")
+    s = F.gen
+    one = UniPoly(F, (F.one,))
+    ys = [UniPoly(F, (s,)), UniPoly(F, (F.zero, F.one))]  # s + X Y
+    assert resultant_bivariate([UniPoly(F, (s + 1,))], ys) == \
+        UniPoly(F, (s + 1,))
+    assert resultant_bivariate(ys + [one], [UniPoly(F, (s,))]) == \
+        UniPoly(F, (s * s,))
 
 
 def test_resultant_matches_sylvester_determinant():
@@ -100,8 +107,52 @@ def test_quad_field_arithmetic():
 
 def test_power_sums():
     # X^4 + X - 1: traces of beta^k
-    ps = power_sums(qpoly([-1, 1, 0, 0, 1]), 6)
-    assert ps == [0, 0, -3, 4, 0, 3]
+    ps = _power_sums(-1, 1, 0, 7)
+    assert ps == [4, 0, 0, -3, 4, 0, 3]
+    assert ps[1:] == power_sums(qpoly([-1, 1, 0, 0, 1]), 6)
+    assert _power_sums(-1, 1, 0, 2) == [4, 0]
+
+
+def test_discriminant_needs_a_monic_cubic_or_quartic():
+    for coeffs in ([1, 1, 0, 0, 2], [1, 0, 3], [1, 1, 0, 0, 0, 1],
+                   [2, 1], [7]):
+        with pytest.raises(ValueError, match="monic cubic or quartic"):
+            discriminant(qpoly(coeffs))
+    assert discriminant(qpoly([1, 1, 0, 1])) == -31
+
+
+small = st.integers(-40, 40)
+ratios = st.fractions(max_denominator=12).map(lambda x: x.limit_denominator(12))
+
+
+def _assert_power_sums_match(f, count=9):
+    ps = _power_sums(f[0], f[1], f[2], count)
+    assert ps[0] == 4
+    assert ps[1:] == power_sums(f, count - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(ratios, min_size=3, max_size=3))
+def test_power_sums_match_newton_over_q(c):
+    _assert_power_sums_match(qpoly(c + [0, 1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([-1, 2, 3, Fraction(5, 7), Fraction(-3, 2)]),
+       st.lists(st.tuples(ratios, ratios), min_size=3, max_size=3))
+def test_power_sums_match_newton_over_quadratic_field(t, c):
+    K = QuadField(t)
+    _assert_power_sums_match(
+        poly(K, [K.element(u, v) for u, v in c] + [0, 1]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(small, small, small), min_size=3, max_size=3))
+def test_power_sums_match_newton_over_function_field(c):
+    F = FunctionField(QQ, "s")
+    s = F.gen
+    _assert_power_sums_match(
+        poly(F, [u + v * s + w * s * s for u, v, w in c] + [0, 1]), count=7)
 
 
 def test_sturm_counts():

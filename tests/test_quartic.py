@@ -13,14 +13,16 @@ from octaq import polynomials, quartic, rationals
 from octaq.embedding import classify
 from octaq.errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
                           OctaqError, Reducible, SearchExhausted)
-from octaq.hilbert import INF, brauer_class
-from octaq.polynomials import QQ, QuadField, UniPoly, discriminant, qpoly
+from octaq.hilbert import INF, brauer_class, witt_invariant_diagonal
+from octaq.polynomials import (QQ, QuadField, UniPoly, _disc, discriminant,
+                               qpoly)
 from octaq.qcurve import SymbolicContext
 from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
-                           _disc, _integer_model,
+                           TraceFormData, _integer_model,
                            _irreducible_by_modp, _isotropic_vectors,
                            _mn_shells, _model_scale,
                            _reducible_by_hensel, _split_prime,
+                           _sym_diagonalize,
                            _verify_certificate, cubic_has_rational_root,
                            depress, galois_is_S4, is_irreducible_quartic,
                            is_principal, principalize, resolvent_cubic,
@@ -29,9 +31,15 @@ from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
 from octaq.rationals import (_val_unit, is_square, same_square_class,
                               squarefree_part)
 from octaq.tables import load_bundled_corpus
+from oracles import power_sums, sylvester_discriminant
 from sturm import count_real_roots
 
 CORPUS = load_bundled_corpus()
+
+
+_rational = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)))
 
 
 def rand_s4_quartic(rng, bound=20):
@@ -123,11 +131,14 @@ def test_irreducibility_large_coefficients():
 
 
 def test_closed_form_discriminant():
+    # against (-1)^(n(n-1)/2) det Syl(f, f'), the defining resultant
     rng = random.Random(277)
     for degree in (3, 4) * 100:
         c = [rng.randint(-10**6, 10**6) for _ in range(degree)] + [1]
-        assert _disc(c) == discriminant(qpoly(c)), c
+        assert _disc(c) == sylvester_discriminant(qpoly(c)), c
     assert _disc([0, 0, 0, 1]) == _disc([1, 4, 6, 4, 1]) == 0
+    for f in (_SUITE.g_t, _SUITE.h_t):
+        assert discriminant(f) == sylvester_discriminant(f)
 
 
 def test_irreducibility_and_s4_factor_no_integer(monkeypatch):
@@ -259,6 +270,39 @@ def test_gram_matches_power_sums():
     g = trace_zero_gram(f)
     assert g[0][0] == 0 and g[0][1] == -3 and g[0][2] == 4
     assert g[1][1] == 4 and g[2][2] == Fraction(3, 4)
+
+
+def _fraction_trace_form(f: ReducedQuartic) -> TraceFormData:
+    """The trace form from Fraction power sums of f itself."""
+    ps = [Fraction(0)] + power_sums(f.poly(), 6)
+    g = [[ps[i + j] - ps[i] * ps[j] / 4 for j in range(1, 4)]
+         for i in range(1, 4)]
+    diag, _ = _sym_diagonalize(g)
+    return TraceFormData(gram=tuple(tuple(r) for r in g),
+                         diagonal=tuple(diag), disc_class=f.disc_class(),
+                         witt=witt_invariant_diagonal(diag))
+
+
+def test_trace_form_matches_fraction_route_on_corpus():
+    # the source quartics and their principal models
+    for row in CORPUS:
+        f = depress(row.source_poly())
+        p = PrincipalQuartic(row.principal_b, row.principal_c)
+        for g in (f, p):
+            assert trace_form(g) == _fraction_trace_form(g), row.line
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.tuples(_rational, _rational, _rational))
+@example((Fraction(0), Fraction(1), Fraction(-1)))
+@example((Fraction(-5, 3), Fraction(0), Fraction(7, 2)))
+@example((Fraction(1, 6), Fraction(-3, 4), Fraction(5, 9)))
+def test_trace_form_matches_fraction_route(abc):
+    try:
+        f = ReducedQuartic(*abc)
+    except Reducible:
+        assume(False)
+    assert trace_form(f) == _fraction_trace_form(f)
 
 
 # -- Witt invariant two ways --------------------------------------------------------
@@ -841,11 +885,6 @@ def _oracle_verify_certificate(f, g, cert):
     for coeff in reversed(g.coeffs):
         acc = (acc * u + qpoly([coeff])) % f
     return acc.is_zero()
-
-
-_rational = st.one_of(
-    st.just(Fraction(0)),
-    st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)))
 
 
 @settings(max_examples=200, deadline=None)

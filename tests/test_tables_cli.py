@@ -306,6 +306,20 @@ def test_cli_box_reaches_principalize(capsys, command):
     assert code == 0
 
 
+def test_cli_det_field_bound_exit_code(capsys, monkeypatch):
+    # d = 229: case (e) needs x = 2 with 229 - x^2 a square
+    from octaq import embedding
+    monkeypatch.setattr(embedding, "DET_FIELD_MAX_X", 1)
+    code, data = run_cli(capsys, "analyze", "x^4-x+1")
+    assert code == 3
+    assert data["error"] == {
+        "type": "SearchExhausted",
+        "message": "no x <= 1 (DET_FIELD_MAX_X) with 229 - x^2 a square"}
+    monkeypatch.undo()
+    code, data = run_cli(capsys, "analyze", "x^4-x+1")
+    assert code == 0 and data["disc_class"] == 229
+
+
 @pytest.mark.parametrize("flag", ["--box", "--factor-budget"])
 def test_cli_negative_setting_is_bad_input(capsys, flag):
     code, data = run_cli(capsys, flag, "-1", "analyze", "x^4+x-1")
