@@ -11,15 +11,18 @@ for a = p^alpha u, b = p^beta w with u, w p-units, and at 2 the unit
 formula with eps(u) = (u-1)/2 mod 2 and omega(u) = (u^2-1)/8 mod 2.
 
 The Witt invariant of a diagonal form <a_1,...,a_n> is the Hasse-Witt
-product of the symbols (a_i, a_j) over pairs i < j; the opposite pairing
-convention exists in the literature, and the test suite pins this one
-against the principality criterion on all known-principal table rows.
+product of the symbols (a_i, a_j) over pairs i < j, evaluated at a set of
+places the caller knows to contain every ramified one; the opposite
+pairing convention exists in the literature, and the test suite pins this
+one against the principality criterion on all known-principal table rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 from typing import Iterable
 
 from .errors import FactorizationIncomplete, OctaqError
@@ -153,13 +156,13 @@ def class_product(*classes: BrauerClass) -> BrauerClass:
     return out
 
 
-def witt_invariant_diagonal(coeffs: Iterable[Fraction | int]) -> BrauerClass:
-    """Hasse-Witt invariant of <a_1, ..., a_n>: product of (a_i, a_j), i<j."""
+def witt_invariant_diagonal(coeffs: Iterable[Fraction | int],
+                            places: Iterable) -> BrauerClass:
+    """Hasse-Witt invariant of <a_1, ..., a_n>: the places v of ``places``
+    with prod_{i<j} (a_i, a_j)_v = -1.  ``places`` must hold every place
+    where the invariant can ramify; one left out is read as unramified."""
     cs = [Fraction(c) for c in coeffs]
     if any(c == 0 for c in cs):
         raise ValueError("diagonal form must have nonzero entries")
-    out = TRIVIAL
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
-            out = out * brauer_class(cs[i], cs[j])
-    return out
+    return BrauerClass(frozenset(v for v in places if prod(
+        hilbert_symbol(a, b, v) for a, b in combinations(cs, 2)) == -1))

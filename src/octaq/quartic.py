@@ -8,10 +8,11 @@ the Witt invariant w of the trace form Tr(x^2) equals (-1, -d) for d the
 discriminant class: the rank-3 trace form on the trace-zero space must
 represent zero.
 
-Two independent routes to w are implemented: diagonalizing the Gram
-matrix of the trace-zero space (basis beta^i - Tr(beta^i)/4) and the
-closed formula w = (2 a d, 2a^3 + 9b^2 - 8ac) x (-1, -d), valid when
-a != 0 and d != 2a in Q*/Q*^2; they must always agree.
+Two independent routes to w are implemented: diagonalizing the integer
+Gram matrix of the trace-zero space, with Hilbert symbols read only at 2,
+infinity and the primes of disc F for the integer model F (trace_form),
+and the closed formula w = (2 a d, 2a^3 + 9b^2 - 8ac) x (-1, -d), valid
+when a != 0 and d != 2a in Q*/Q*^2; they must always agree.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Optional
 
 from .errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
                      OctaqError, Reducible, SearchExhausted)
-from .hilbert import BrauerClass, brauer_class, witt_invariant_diagonal
+from .hilbert import (INF, BrauerClass, _support, brauer_class,
+                      witt_invariant_diagonal)
 from .polynomials import QQ, UniPoly, _disc, poly_str, qpoly
 from .rationals import (_primes_below, _val_unit, factorize, is_square,
                         rational_reconstruct, same_square_class,
@@ -270,9 +272,9 @@ def cubic_has_rational_root(f: UniPoly) -> bool:
 class ReducedQuartic:
     """X^4 + aX^2 + bX + c, irreducible over Q (hence separable).
 
-    The discriminant, the S4 test and the trace form are computed on first
-    use and kept, so every stage handed the same quartic shares one
-    computation."""
+    The integer model with its discriminant, the discriminant class, the
+    S4 test and the trace form are computed on first use and kept, so
+    every stage handed the same quartic shares one computation."""
 
     a: Fraction
     b: Fraction
@@ -298,16 +300,20 @@ class ReducedQuartic:
         return trace_form(self)
 
     @functools.cached_property
-    def _discriminant(self) -> Fraction:
-        # the roots of the integer model are e times those of the quartic
-        p = self.poly()
-        return Fraction(_disc(_integer_model(p)), _model_scale(p)**12)
+    def _model(self) -> tuple[list[int], int, int]:
+        # (F, e, disc F), F(X) = e^4 f(X/e): disc f = disc F / e^12
+        big_f = _integer_model(self.poly())
+        return big_f, _model_scale(self.poly()), _disc(big_f)
 
     def disc(self) -> Fraction:
-        return self._discriminant
+        return Fraction(self._model[2], self._model[1]**12)
+
+    @functools.cached_property
+    def _disc_class(self) -> int:
+        return squarefree_part(self._model[2])
 
     def disc_class(self) -> int:
-        return squarefree_part(self.disc())
+        return self._disc_class
 
 
 class PrincipalQuartic(ReducedQuartic):
@@ -338,6 +344,11 @@ class FieldCertificate:
 
 @dataclass(frozen=True)
 class TraceFormData:
+    """Tr(x^2) on the trace-zero space, basis z_i = beta^i - Tr(beta^i)/4
+    for a root beta of f.  gram is the integer H = (2 e^3)^2 Tr(z_i z_j) =
+    e^(6-i-j) (4 P_(i+j) - P_i P_j), P_k the power sums of the roots e beta
+    of the integer model F; diagonal is integral and congruent to H."""
+
     gram: tuple
     diagonal: tuple
     disc_class: int
@@ -464,87 +475,57 @@ def galois_is_S4(f: ReducedQuartic) -> bool:
 # -- trace form ---------------------------------------------------------------
 
 
-def trace_zero_gram(f: ReducedQuartic) -> list[list[Fraction]]:
-    """Gram matrix of Tr(x^2) on the basis z_i = beta^i - Tr(beta^i)/4,
-    i = 1..3: Tr(z_i z_j) = p_(i+j) - p_i p_j / 4 for the power sums p_k of
-    the roots beta.  The roots of the integer model are e beta, with power
-    sums P_k = e^k p_k in Z, so the entry is
-    (4 P_(i+j) - P_i P_j) / (4 e^(i+j))."""
-    p = f.poly()
-    e = _model_scale(p)
-    ps = _power_sums(*_integer_model(p)[:3], 7)
-    return [[Fraction(4 * ps[i + j] - ps[i] * ps[j], 4 * e**(i + j))
-             for j in range(1, 4)] for i in range(1, 4)]
+def _pairing(gram, u, v) -> int:
+    return sum(u[i] * gram[i][j] * v[j] for i in range(3) for j in range(3))
 
 
-def _sym_diagonalize(g: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Congruence diagonalization; returns (diagonal, C) with C^T G C diagonal.
-
-    Zero pivots are repaired by swapping in a nonzero diagonal entry or,
-    failing that, adding a row/column pair (valid in characteristic 0).
-    """
-    n = len(g)
-    m = [row[:] for row in g]
-    c = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i in range(n)]
-
-    def col_op(dst: int, src: int, factor: Fraction) -> None:
-        for i in range(n):
-            m[i][dst] += factor * m[i][src]
-        for i in range(n):
-            m[dst][i] += factor * m[src][i]
-        for i in range(n):
-            c[i][dst] += factor * c[i][src]
-
-    def swap(i: int, j: int) -> None:
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        m[i], m[j] = m[j], m[i]
-        for r in c:
-            r[i], r[j] = r[j], r[i]
-
-    for k in range(n):
-        if m[k][k] == 0:
-            pivot = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
-            if pivot is not None:
-                swap(k, pivot)
-            else:
-                found = next(((i, j) for i in range(k, n)
-                              for j in range(i + 1, n) if m[i][j] != 0), None)
-                if found is None:
-                    raise ValueError("degenerate quadratic form")
-                i, j = found
-                col_op(i, j, Fraction(1))
-                if i != k:
-                    swap(k, i)
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                col_op(i, k, -m[i][k] / m[k][k])
-    return [m[i][i] for i in range(n)], c
+def _orthogonal_basis(gram) -> list[list[int]]:
+    """Pairwise orthogonal integer vectors with nonzero values for a
+    nondegenerate integer Gram, by fraction-free Lagrange reduction."""
+    vecs, basis = [[1, 0, 0], [0, 1, 0], [0, 0, 1]], []
+    while vecs:
+        w = next((v for v in vecs if _pairing(gram, v, v)), None)
+        if w is None:  # nondegenerate: B(u + v, u + v) = 2 B(u, v) != 0
+            u, v = next((u, v) for u, v in itertools.combinations(vecs, 2)
+                        if _pairing(gram, u, v))
+            vecs[vecs.index(u)] = w = [x + y for x, y in zip(u, v)]
+        vecs.remove(w)
+        basis.append(w)
+        a = _pairing(gram, w, w)
+        for i, v in enumerate(vecs):  # a v - B(w, v) w is orthogonal to w
+            b = _pairing(gram, w, v)
+            v = [a * x - b * y for x, y in zip(v, w)]
+            g = gcd(*v)
+            vecs[i] = [x // g for x in v]
+    return basis
 
 
 def trace_form(f: ReducedQuartic) -> TraceFormData:
-    """Trace form restricted to the trace-zero space: Gram matrix, a
-    congruent diagonal form, discriminant class and Witt invariant."""
-    g = trace_zero_gram(f)
-    diag, c = _sym_diagonalize(g)
-    # re-verify the congruence C^T G C = diag, as C^T (G C)
-    g_c = [[sum(g[i][k] * c[k][j] for k in range(3)) for j in range(3)]
-           for i in range(3)]
-    ct_g_c = [[sum(c[k][i] * g_c[k][j] for k in range(3)) for j in range(3)]
-              for i in range(3)]
-    if ct_g_c != [[diag[i] if i == j else 0 for j in range(3)]
-                  for i in range(3)]:
-        raise AssertionError("congruence verification failed")
-    det = (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-           - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-           + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
-    if not same_square_class(det, f.disc()):
-        raise AssertionError("trace-form discriminant mismatch")
-    dclass = f.disc_class()
-    witt = witt_invariant_diagonal(diag)
-    return TraceFormData(gram=tuple(tuple(r) for r in g),
-                         diagonal=tuple(diag), disc_class=dclass, witt=witt)
+    """TraceFormData of f, in integers from the integer model F.
+
+    Two checks raise explicitly: the basis of the diagonal is pairwise
+    orthogonal with nonzero values, and det H = 16 e^6 disc F, as
+    <4> + H / (4 e^6) is Tr(x^2) on 1, z_1, z_2, z_3.  Hilbert symbols are
+    read at 2, INF and the primes of disc F only: by diag(e^2, e, 1), H is
+    congruent to 4 Tr(x^2) on z_i(e beta), which at an odd p not dividing
+    disc F is the complement of <4> in the unimodular trace form of
+    Z_p[X]/(F), so unimodular and unramified at p (Serre, "L'invariant de
+    Witt de la forme Tr(x^2)", 1984)."""
+    big_f, e, disc = f._model
+    ps = _power_sums(*big_f[:3], 7)
+    gram = tuple(tuple(e**(6 - i - j) * (4 * ps[i + j] - ps[i] * ps[j])
+                       for j in range(1, 4)) for i in range(1, 4))
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
+    if (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
+            + g02 * (g01 * g12 - g11 * g02)) != 16 * e**6 * disc:
+        raise AssertionError("trace-form determinant is not 16 e^6 disc F")
+    basis = _orthogonal_basis(gram)
+    diag = tuple(_pairing(gram, w, w) for w in basis)
+    if not all(diag) or any(_pairing(gram, u, v)
+                            for u, v in itertools.combinations(basis, 2)):
+        raise AssertionError("trace-form basis is not orthogonal")
+    witt = witt_invariant_diagonal(diag, {2, INF} | _support(disc))
+    return TraceFormData(gram, diag, f.disc_class(), witt)
 
 
 def witt_formula(f: ReducedQuartic, max_tries: int = 20) -> BrauerClass:
@@ -628,14 +609,12 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _isotropic_vectors(g, box: int):
-    """Nonzero isotropic (m, n, p) of the trace-zero Gram g in the variables
-    (z1, z2, z3) = (beta, beta^2 - .., beta^3 - ..), integer (m, n) in
-    _mn_shells order: with G = L g integral, p solves G00 p^2 + 2hp + k = 0
-    in integers h, k, so one isqrt per (m, n) finds its rational roots."""
-    scale = lcm(*(x.denominator for row in g for x in row))
-    (g00, g01, g02), (_, g11, g12), (_, _, g22) = (
-        [int(x * scale) for x in row] for row in g)
+def _isotropic_vectors(gram, box: int):
+    """Nonzero isotropic (m, n, p) of the integer trace-zero Gram in the
+    variables (z1, z2, z3) = (beta, beta^2 - .., beta^3 - ..), integer
+    (m, n) in _mn_shells order: p solves G00 p^2 + 2hp + k = 0 in
+    integers h, k, so one isqrt per (m, n) finds its rational roots."""
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
     for m, n in _mn_shells(box):
         h = g01 * n + g02 * m
         k = g11 * n * n + 2 * g12 * m * n + g22 * m * m

@@ -1,7 +1,13 @@
 """Reference routines that the tests compare octaq against; no command of
 octaq uses them."""
 
+from fractions import Fraction
+from itertools import combinations
+
+from octaq.hilbert import BrauerClass, brauer_class, class_product
 from octaq.polynomials import UniPoly, bareiss_determinant, resultant_bivariate
+from octaq.quartic import TraceFormData
+from octaq.rationals import squarefree_part
 
 
 def sylvester_matrix(f: UniPoly, g: UniPoly) -> list[list]:
@@ -56,3 +62,84 @@ def power_sums(f: UniPoly, count: int) -> list:
             acc = acc + (term if k % 2 == 1 else -term)
         p[k] = acc
     return p[1:]
+
+
+def fraction_gram(f) -> list[list[Fraction]]:
+    """Gram matrix of Tr(x^2) on z_i = beta^i - Tr(beta^i)/4, i = 1..3,
+    for a root beta of the ReducedQuartic f: Tr(z_i z_j) = p_(i+j) -
+    p_i p_j / 4, from the Fraction power sums p_k of f itself."""
+    ps = [Fraction(0)] + power_sums(f.poly(), 6)
+    return [[ps[i + j] - ps[i] * ps[j] / 4 for j in range(1, 4)]
+            for i in range(1, 4)]
+
+
+def sym_diagonalize(g: list[list[Fraction]]
+                    ) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Congruence diagonalization; returns (diagonal, C) with C^T G C diagonal.
+
+    Zero pivots are repaired by swapping in a nonzero diagonal entry or,
+    failing that, adding a row/column pair (valid in characteristic 0).
+    """
+    n = len(g)
+    m = [row[:] for row in g]
+    c = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
+         for i in range(n)]
+
+    def col_op(dst: int, src: int, factor: Fraction) -> None:
+        for i in range(n):
+            m[i][dst] += factor * m[i][src]
+        for i in range(n):
+            m[dst][i] += factor * m[src][i]
+        for i in range(n):
+            c[i][dst] += factor * c[i][src]
+
+    def swap(i: int, j: int) -> None:
+        for r in m:
+            r[i], r[j] = r[j], r[i]
+        m[i], m[j] = m[j], m[i]
+        for r in c:
+            r[i], r[j] = r[j], r[i]
+
+    for k in range(n):
+        if m[k][k] == 0:
+            pivot = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+            if pivot is not None:
+                swap(k, pivot)
+            else:
+                found = next(((i, j) for i in range(k, n)
+                              for j in range(i + 1, n) if m[i][j] != 0), None)
+                if found is None:
+                    raise ValueError("degenerate quadratic form")
+                i, j = found
+                col_op(i, j, Fraction(1))
+                if i != k:
+                    swap(k, i)
+        for i in range(k + 1, n):
+            if m[i][k] != 0:
+                col_op(i, k, -m[i][k] / m[k][k])
+    return [m[i][i] for i in range(n)], c
+
+
+def witt_by_brauer_classes(coeffs) -> BrauerClass:
+    """Hasse-Witt invariant of <a_1, ..., a_n> as the product of the
+    classes (a_i, a_j), i < j, each over the full support of its entries."""
+    return class_product(*(brauer_class(a, b)
+                           for a, b in combinations(coeffs, 2)))
+
+
+def fraction_trace_form(f) -> TraceFormData:
+    """The trace form of the ReducedQuartic f by the Fraction route: the
+    Gram of fraction_gram, sym_diagonalize with its congruence checked,
+    and witt_by_brauer_classes."""
+    g = fraction_gram(f)
+    diag, c = sym_diagonalize(g)
+    ct_g_c = [[sum(c[k][i] * g[k][l] * c[l][j]
+                   for k in range(3) for l in range(3)) for j in range(3)]
+              for i in range(3)]
+    assert ct_g_c == [[diag[i] if i == j else 0 for j in range(3)]
+                      for i in range(3)]
+    return TraceFormData(gram=tuple(tuple(r) for r in g),
+                         diagonal=tuple(diag),
+                         disc_class=squarefree_part(
+                             sylvester_discriminant(f.poly())),
+                         witt=witt_by_brauer_classes(diag))

@@ -158,8 +158,10 @@ def test_reciprocity_violation_rejected():
 
 
 def test_witt_invariant_examples():
-    assert witt_invariant_diagonal([1, 1, 1]).is_trivial
-    assert witt_invariant_diagonal([1, 3, -5]) == brauer_class(3, -5)
-    assert witt_invariant_diagonal([2, 3, 6]) == class_product(
+    # each at 2, oo and the primes dividing its entries
+    assert witt_invariant_diagonal([1, 1, 1], {2, INF}).is_trivial
+    assert witt_invariant_diagonal([1, 3, -5], {2, 3, 5, INF}) == \
+        brauer_class(3, -5)
+    assert witt_invariant_diagonal([2, 3, 6], {2, 3, INF}) == class_product(
         brauer_class(2, 3), brauer_class(2, 6), brauer_class(3, 6))
-    assert witt_invariant_diagonal([1, 1]) == TRIVIAL
+    assert witt_invariant_diagonal([1, 1], {2, INF}) == TRIVIAL

@@ -45,6 +45,32 @@ def test_verify_tables_under_python_O():
         "1975292ab56075ce0476e128ca5a081eb202d5d78c403c1c5a898c9214106ae8"
 
 
+def test_trace_form_checks_survive_python_O():
+    # a corrupted power sum fails the determinant identity, a basis that is
+    # not orthogonal fails the diagonal check, both as explicit raises
+    script = (
+        "from octaq import quartic as q\n"
+        "f = q.ReducedQuartic(0, 1, -1)\n"
+        "power_sums = q._power_sums\n"
+        "q._power_sums = lambda *a: [x + (k == 6) for k, x in"
+        " enumerate(power_sums(*a))]\n"
+        "try:\n"
+        "    q.trace_form(f)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "q._power_sums = power_sums\n"
+        "q._orthogonal_basis = lambda gram: [[0, 1, 0], [0, 0, 1], [1, 1, 0]]\n"
+        "try:\n"
+        "    q.trace_form(f)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n")
+    proc = _run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.decode().splitlines()
+    assert len(lines) == 2, lines
+    assert "determinant" in lines[0] and "orthogonal" in lines[1]
+
+
 def test_python_m_octaq_runs_the_cli():
     args = ("principalize", "--", "-1,-1,0,0,1")
     package = _run_python("-m", "octaq", *args)

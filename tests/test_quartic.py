@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import sys
 from collections import Counter
@@ -13,25 +14,25 @@ from octaq import polynomials, quartic, rationals
 from octaq.embedding import classify
 from octaq.errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
                           OctaqError, Reducible, SearchExhausted)
-from octaq.hilbert import INF, brauer_class, witt_invariant_diagonal
+from octaq.hilbert import INF, brauer_class
 from octaq.polynomials import (QQ, QuadField, UniPoly, _disc, discriminant,
                                qpoly)
 from octaq.qcurve import SymbolicContext
 from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
-                           TraceFormData, _integer_model,
+                           _integer_model,
                            _irreducible_by_modp, _isotropic_vectors,
                            _mn_shells, _model_scale,
                            _reducible_by_hensel, _split_prime,
-                           _sym_diagonalize,
                            _verify_certificate, cubic_has_rational_root,
                            depress, galois_is_S4, is_irreducible_quartic,
                            is_principal, principalize, resolvent_cubic,
-                           same_field, trace_form, trace_zero_gram,
+                           same_field, trace_form,
                            tschirnhaus, witt_formula)
-from octaq.rationals import (_val_unit, is_square, same_square_class,
-                              squarefree_part)
+from octaq.rationals import (_val_unit, factorize, is_square,
+                              same_square_class, squarefree_part)
 from octaq.tables import load_bundled_corpus
-from oracles import power_sums, sylvester_discriminant
+from oracles import (fraction_gram, fraction_trace_form,
+                     sylvester_discriminant, witt_by_brauer_classes)
 from sturm import count_real_roots
 
 CORPUS = load_bundled_corpus()
@@ -263,24 +264,41 @@ def test_trace_form_zero_pivot_fallback():
     # a = 0 makes the leading Gram entry zero; diagonalization must recover
     tf = trace_form(ReducedQuartic(0, 2, -1))
     assert tf.disc_class == squarefree_part(ReducedQuartic(0, 2, -1).disc())
+    # x^4 - 2 and x^4 + 3: only z_2 has a nonzero value, so the second
+    # diagonal entry is the value of z_1 + z_3
+    for c, gram, diag in ((-2, 32, (32, 64, -64)), (3, -48, (-48, -96, 96))):
+        tf = trace_form(ReducedQuartic(0, 0, c))
+        assert tf.gram == ((0, 0, gram), (0, gram, 0), (gram, 0, 0))
+        assert tf.diagonal == diag
+
+
+def _scale(f: ReducedQuartic) -> int:
+    return _model_scale(f.poly())
 
 
 def test_gram_matches_power_sums():
     f = ReducedQuartic(0, 1, -1)
-    g = trace_zero_gram(f)
-    assert g[0][0] == 0 and g[0][1] == -3 and g[0][2] == 4
-    assert g[1][1] == 4 and g[2][2] == Fraction(3, 4)
+    # (2 e^3)^2 = 4 times the Fraction Gram 0, -3, 4; 4, 0; 3/4
+    assert f.trace_data.gram == ((0, -12, 16), (-12, 16, 0), (16, 0, 3))
+    for f in (f, ReducedQuartic(Fraction(1, 2), Fraction(-3, 4), 5),
+              ReducedQuartic(Fraction(2, 25), Fraction(1, 125),
+                             Fraction(-1, 625))):
+        e = _scale(f)
+        assert [list(r) for r in f.trace_data.gram] == \
+            [[4 * e**6 * x for x in r] for r in fraction_gram(f)]
 
 
-def _fraction_trace_form(f: ReducedQuartic) -> TraceFormData:
-    """The trace form from Fraction power sums of f itself."""
-    ps = [Fraction(0)] + power_sums(f.poly(), 6)
-    g = [[ps[i + j] - ps[i] * ps[j] / 4 for j in range(1, 4)]
-         for i in range(1, 4)]
-    diag, _ = _sym_diagonalize(g)
-    return TraceFormData(gram=tuple(tuple(r) for r in g),
-                         diagonal=tuple(diag), disc_class=f.disc_class(),
-                         witt=witt_invariant_diagonal(diag))
+def _assert_matches_fraction_route(f: ReducedQuartic):
+    tf, ref = trace_form(f), fraction_trace_form(f)
+    e = _scale(f)
+    assert tf.witt == ref.witt
+    assert tf.disc_class == ref.disc_class
+    assert tf.gram == tuple(tuple(4 * e**6 * x for x in r) for r in ref.gram)
+    assert all(isinstance(x, int) and x for x in tf.diagonal)
+    # both diagonals have the square class of det = disc f / 4
+    det = math.prod(ref.diagonal)
+    assert same_square_class(det, f.disc() / 4)
+    assert same_square_class(math.prod(tf.diagonal), det)
 
 
 def test_trace_form_matches_fraction_route_on_corpus():
@@ -289,7 +307,7 @@ def test_trace_form_matches_fraction_route_on_corpus():
         f = depress(row.source_poly())
         p = PrincipalQuartic(row.principal_b, row.principal_c)
         for g in (f, p):
-            assert trace_form(g) == _fraction_trace_form(g), row.line
+            _assert_matches_fraction_route(g)
 
 
 @settings(max_examples=120, deadline=None)
@@ -302,7 +320,55 @@ def test_trace_form_matches_fraction_route(abc):
         f = ReducedQuartic(*abc)
     except Reducible:
         assume(False)
-    assert trace_form(f) == _fraction_trace_form(f)
+    _assert_matches_fraction_route(f)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.tuples(_rational, _rational, _rational))
+@example((Fraction(0), Fraction(0), Fraction(-2)))     # zero diagonal
+@example((Fraction(0), Fraction(1), Fraction(-1)))     # a = 0
+# e = 5^4 and disc f = -1371 / 5^12: 5 divides neither -1371 nor the class
+# (no prime of e can avoid disc F itself, as F = X^4 mod that prime)
+@example((Fraction(2, 25), Fraction(1, 125), Fraction(-1, 625)))
+def test_witt_places_of_disc_f_suffice(abc):
+    # the invariant at 2, oo and the primes of disc F equals the product
+    # of the Brauer classes over the full support of the diagonal
+    try:
+        f = ReducedQuartic(*abc)
+    except Reducible:
+        assume(False)
+    tf = trace_form(f)
+    assert tf.witt == witt_by_brauer_classes(tf.diagonal)
+    assert tf.witt.ramified <= {2, INF} | set(factorize(f._model[2]).factors)
+
+
+def test_trace_form_rejects_a_corrupted_power_sum(monkeypatch):
+    f = ReducedQuartic(Fraction(1, 2), Fraction(-3, 4), 5)
+    power_sums_of = quartic._power_sums
+    for k in range(1, 7):
+        monkeypatch.setattr(
+            quartic, "_power_sums",
+            lambda *args, k=k: [x + (i == k) for i, x in
+                                enumerate(power_sums_of(*args))])
+        with pytest.raises(AssertionError, match="determinant"):
+            trace_form(f)
+
+
+def test_trace_form_factors_disc_f_and_its_primes_only(monkeypatch):
+    seen = []
+    factorize_fn = rationals.factorize
+
+    def recorded(n, *args):
+        seen.append(abs(n))
+        return factorize_fn(n, *args)
+    for module, attr in _bindings(factorize_fn):
+        monkeypatch.setattr(module, attr, recorded)
+    f = ReducedQuartic(Fraction(1, 2), Fraction(-3, 4), 5)
+    tf = trace_form(f)
+    disc = abs(f._model[2])
+    primes = set(factorize_fn(disc).factors)
+    assert disc in seen and set(seen) <= {disc, *primes}
+    assert not {abs(x) for x in tf.diagonal} & set(seen)
 
 
 # -- Witt invariant two ways --------------------------------------------------------
@@ -325,7 +391,8 @@ def test_witt_formula_degenerate_dodge_cases():
     for a, b, c in [(0, 1, -1), (-15, -14, -12), (-12, -12, 9),
                     (-10, -4, -12)]:
         f = ReducedQuartic(a, b, c)
-        assert witt_formula(f) == trace_form(f).witt, (a, b, c)
+        w = trace_form(f).witt
+        assert witt_formula(f) == w == fraction_trace_form(f).witt, (a, b, c)
 
 
 def test_same_field_escalates_precision():
@@ -345,13 +412,16 @@ def test_two_path_witt_agreement_random():
     rng = random.Random(53)
     for _ in range(60):
         f = rand_s4_quartic(rng, bound=12)
-        assert witt_formula(f) == trace_form(f).witt, f
+        w = trace_form(f).witt
+        assert witt_formula(f) == w == fraction_trace_form(f).witt, f
 
 
 def test_two_path_witt_agreement_corpus():
     for row in CORPUS:
         f = depress(row.source_poly())
-        assert witt_formula(f) == trace_form(f).witt, row.expected_disc
+        w = trace_form(f).witt
+        assert witt_formula(f) == w == fraction_trace_form(f).witt, \
+            row.expected_disc
 
 
 # -- principality --------------------------------------------------------------------
@@ -545,11 +615,12 @@ def test_isotropic_vectors_match_fraction_oracle(abc, den, box):
         f = ReducedQuartic(*(Fraction(x, den) for x in abc))
     except Reducible:
         assume(False)
-    g = f.trace_data.gram
+    # the search on the integer Gram finds the roots of the Fraction Gram
+    g = fraction_gram(f)
     expected = [(m, n, p) for m, n in _mn_shells_oracle(box)
                 for p in _isotropy_p_solutions_oracle(g, m, n)
                 if m or n or p]
-    assert list(_isotropic_vectors(g, box)) == expected
+    assert list(_isotropic_vectors(f.trace_data.gram, box)) == expected
     for m, n, p in expected:
         v = (p, n, m)
         assert sum(v[i] * g[i][j] * v[j]
