@@ -5,10 +5,14 @@ float infinity so that sorted() puts it last).  A 2-torsion Brauer class
 is identified with its finite, even-cardinality set of ramified places;
 the group law is symmetric difference.
 
-The local symbol at an odd prime p uses the valuation/Legendre formula
+A symbol depends only on the square classes of its arguments, and
+n/d = n*d / d^2 is in the class of the integer n*d, so each argument is
+reduced once to n*d and the local formulas are evaluated on integers.
+At an odd prime p, for a = p^alpha u and b = p^beta w with u, w p-units,
     (a, b)_p = (-1)^(alpha*beta*(p-1)/2) * (u|p)^beta * (w|p)^alpha
-for a = p^alpha u, b = p^beta w with u, w p-units, and at 2 the unit
-formula with eps(u) = (u-1)/2 mod 2 and omega(u) = (u^2-1)/8 mod 2.
+with (u|p) by Euler's criterion; at 2 the exponent is
+eps(u) eps(w) + alpha omega(w) + beta omega(u) with eps(u) = (u-1)/2 and
+omega(u) = (u^2-1)/8 mod 2, read from u mod 8; at INF the signs decide.
 
 The Witt invariant of a diagonal form <a_1,...,a_n> is the Hasse-Witt
 product of the symbols (a_i, a_j) over pairs i < j, evaluated at a set of
@@ -26,7 +30,7 @@ from math import prod
 from typing import Iterable
 
 from .errors import FactorizationIncomplete, OctaqError
-from .rationals import _val_unit, factorize
+from .rationals import _strip, factorize
 
 INF = float("inf")
 
@@ -75,50 +79,38 @@ class BrauerClass:
 TRIVIAL = BrauerClass(frozenset())
 
 
-def _legendre(u: Fraction, p: int) -> int:
-    """(u|p) for a p-unit u, odd p."""
-    r = (u.numerator * pow(u.denominator, -1, p)) % p
-    t = pow(r, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
+def _class_rep(x: Fraction | int) -> int:
+    """n*d for x = n/d: an integer in the square class of x."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator * x.denominator
 
 
-def _mod8(u: Fraction) -> int:
-    """Odd rational u modulo 8 (denominator inverted; d^-1 = d mod 8)."""
-    return (u.numerator * u.denominator) % 8
-
-
-def _eps(u: Fraction) -> int:
-    return (_mod8(u) % 4 - 1) // 2 % 2
-
-
-def _omega(u: Fraction) -> int:
-    return 0 if _mod8(u) in (1, 7) else 1
+def _symbol(a: int, b: int, v) -> int:
+    """(a, b)_v for nonzero integers a, b and a checked place v."""
+    if v == INF:
+        return -1 if (a < 0 and b < 0) else 1
+    (a, alpha), (b, beta) = _strip(a, v), _strip(b, v)
+    if v == 2:
+        # eps(u) = 1 iff u = 3 mod 4, omega(u) = 1 iff u = 3, 5 mod 8
+        exp = ((a % 4 == 3 and b % 4 == 3) + alpha * (b % 8 in (3, 5))
+               + beta * (a % 8 in (3, 5)))
+        return -1 if exp % 2 else 1
+    sign = -1 if alpha * beta * (v // 2) % 2 else 1
+    if beta % 2 and pow(a, v // 2, v) != 1:
+        sign = -sign
+    if alpha % 2 and pow(b, v // 2, v) != 1:
+        sign = -sign
+    return sign
 
 
 def hilbert_symbol(a: Fraction | int, b: Fraction | int, v) -> int:
     """Local Hilbert symbol (a, b)_v in {+1, -1}."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = _class_rep(a), _class_rep(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
-    if v == INF:
-        return -1 if (a < 0 and b < 0) else 1
-    p = v
-    check_place(p)
-    if p == 2:
-        alpha, u = _val_unit(a, 2)
-        beta, w = _val_unit(b, 2)
-        exp = _eps(u) * _eps(w) + alpha * _omega(w) + beta * _omega(u)
-        return -1 if exp % 2 else 1
-    alpha, u = _val_unit(a, p)
-    beta, w = _val_unit(b, p)
-    sign = 1
-    if (alpha * beta * ((p - 1) // 2)) % 2:
-        sign = -sign
-    if beta % 2 and _legendre(u, p) == -1:
-        sign = -sign
-    if alpha % 2 and _legendre(w, p) == -1:
-        sign = -sign
-    return sign
+    check_place(v)
+    return _symbol(a, b, v)
 
 
 def _support(x: Fraction) -> set[int]:
@@ -145,8 +137,9 @@ def brauer_class(a: Fraction | int, b: Fraction | int) -> BrauerClass:
     candidates: set = {2, INF}
     candidates.update(_support(a))
     candidates.update(_support(b))
-    ramified = frozenset(v for v in candidates if hilbert_symbol(a, b, v) == -1)
-    return BrauerClass(ramified)
+    m, n = _class_rep(a), _class_rep(b)
+    return BrauerClass(frozenset(v for v in candidates
+                                 if _symbol(m, n, v) == -1))
 
 
 def class_product(*classes: BrauerClass) -> BrauerClass:
@@ -161,8 +154,12 @@ def witt_invariant_diagonal(coeffs: Iterable[Fraction | int],
     """Hasse-Witt invariant of <a_1, ..., a_n>: the places v of ``places``
     with prod_{i<j} (a_i, a_j)_v = -1.  ``places`` must hold every place
     where the invariant can ramify; one left out is read as unramified."""
-    cs = [Fraction(c) for c in coeffs]
+    cs = [_class_rep(c) for c in coeffs]
     if any(c == 0 for c in cs):
         raise ValueError("diagonal form must have nonzero entries")
+    places = list(places)
+    for v in places:
+        check_place(v)
+    pairs = list(combinations(cs, 2))
     return BrauerClass(frozenset(v for v in places if prod(
-        hilbert_symbol(a, b, v) for a, b in combinations(cs, 2)) == -1))
+        _symbol(a, b, v) for a, b in pairs) == -1))

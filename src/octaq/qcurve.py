@@ -199,7 +199,11 @@ def family(g: PrincipalQuartic, s_param: Fraction | int
            ) -> tuple[PrincipalQuartic, object]:
     """Member X^4 + b_s X + c_s of the one-parameter family of principal
     polynomials defining the same field, s != -4c/(3b), together with the
-    j-invariant of the attached curve in Q(sqrt(3(27 b_s^4 - 256 c_s^3)))."""
+    j-invariant u + v sqrt(D) of the attached curve, D = 3(27 b_s^4 -
+    256 c_s^3), from its rational coordinates
+        u = 27 (27 b_s^8 - 207 b_s^4 c_s^3 + 128 c_s^6) / (2 c_s^6),
+        v = 81 b_s^2 (b_s^4 - 3 c_s^3) / (2 c_s^6)
+    (c_s != 0: the member is irreducible)."""
     _require_principal(g)
     s = Fraction(s_param)
     b, c = g.b, g.c
@@ -213,15 +217,14 @@ def family(g: PrincipalQuartic, s_param: Fraction | int
         raise AssertionError("family member has a nonzero quadratic term")
     out, _ = _normalize_principal(image[1], image[0])
     bs, cs = out.b, out.c
-    radicand = 3 * (27 * bs**4 - 256 * cs**3)
+    b4, c3 = bs**4, cs**3
+    radicand = 3 * (27 * b4 - 256 * c3)
     if is_square(radicand):
         raise CyclotomicExcluded("family j-invariant lands in Q")
-    K = QuadField(radicand)
-    e = K.embed
-    j = (e(27) * (e(27) * e(bs) ** 8 - e(207) * e(bs) ** 4 * e(cs) ** 3
-                  + e(128) * e(cs) ** 6) / (e(2) * e(cs) ** 6)
-         + e(81) * e(bs) ** 2 * (e(bs) ** 4 - e(3) * e(cs) ** 3)
-         / (e(2) * e(cs) ** 6) * K.sqrt_t)
+    den = 2 * c3 * c3
+    j = QuadField(radicand).element(
+        27 * (27 * b4 * b4 - 207 * b4 * c3 + 128 * c3 * c3) / den,
+        81 * bs**2 * (b4 - 3 * c3) / den)
     return out, j
 
 

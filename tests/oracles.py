@@ -4,10 +4,16 @@ octaq uses them."""
 from fractions import Fraction
 from itertools import combinations
 
-from octaq.hilbert import BrauerClass, brauer_class, class_product
-from octaq.polynomials import UniPoly, bareiss_determinant, resultant_bivariate
-from octaq.quartic import TraceFormData
-from octaq.rationals import squarefree_part
+from octaq.errors import (CyclotomicExcluded, ExcludedParameter,
+                          NotPrimitive)
+from octaq.hilbert import (INF, BrauerClass, brauer_class, check_place,
+                           class_product)
+from octaq.polynomials import (QuadField, UniPoly, _disc, bareiss_determinant,
+                               resultant_bivariate)
+from octaq.qcurve import _require_principal, principal_closure_p
+from octaq.quartic import (TraceFormData, _integer_model,
+                           _normalize_principal, reduced_tschirnhaus_poly)
+from octaq.rationals import _val_unit, is_square, squarefree_part
 
 
 def sylvester_matrix(f: UniPoly, g: UniPoly) -> list[list]:
@@ -143,3 +149,78 @@ def fraction_trace_form(f) -> TraceFormData:
                          disc_class=squarefree_part(
                              sylvester_discriminant(f.poly())),
                          witt=witt_by_brauer_classes(diag))
+
+
+def _legendre(u: Fraction, p: int) -> int:
+    """(u|p) for a p-unit u, odd p."""
+    r = (u.numerator * pow(u.denominator, -1, p)) % p
+    t = pow(r, (p - 1) // 2, p)
+    return 1 if t == 1 else -1
+
+
+def _mod8(u: Fraction) -> int:
+    """Odd rational u modulo 8 (denominator inverted; d^-1 = d mod 8)."""
+    return (u.numerator * u.denominator) % 8
+
+
+def _eps(u: Fraction) -> int:
+    return (_mod8(u) % 4 - 1) // 2 % 2
+
+
+def _omega(u: Fraction) -> int:
+    return 0 if _mod8(u) in (1, 7) else 1
+
+
+def fraction_hilbert_symbol(a: Fraction | int, b: Fraction | int, v) -> int:
+    """Local Hilbert symbol (a, b)_v in {+1, -1}, by the local formulas on
+    the Fraction p-units of a and b themselves."""
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise ValueError("Hilbert symbol needs nonzero arguments")
+    if v == INF:
+        return -1 if (a < 0 and b < 0) else 1
+    p = v
+    check_place(p)
+    if p == 2:
+        alpha, u = _val_unit(a, 2)
+        beta, w = _val_unit(b, 2)
+        exp = _eps(u) * _eps(w) + alpha * _omega(w) + beta * _omega(u)
+        return -1 if exp % 2 else 1
+    alpha, u = _val_unit(a, p)
+    beta, w = _val_unit(b, p)
+    sign = 1
+    if (alpha * beta * ((p - 1) // 2)) % 2:
+        sign = -sign
+    if beta % 2 and _legendre(u, p) == -1:
+        sign = -sign
+    if alpha % 2 and _legendre(w, p) == -1:
+        sign = -sign
+    return sign
+
+
+def quad_element_family(g, s_param):
+    """qcurve.family with j computed by QuadElement arithmetic in
+    Q(sqrt(3(27 b_s^4 - 256 c_s^3)))."""
+    _require_principal(g)
+    s = Fraction(s_param)
+    b, c = g.b, g.c
+    if 3 * b * s + 4 * c == 0:
+        raise ExcludedParameter(f"s = {s} is the excluded parameter -4c/3b")
+    p = principal_closure_p(b, c, Fraction(1), s)
+    image = reduced_tschirnhaus_poly(g.poly(), Fraction(1), s, p)
+    if _disc(_integer_model(image)) == 0:
+        raise NotPrimitive("family member is not squarefree")
+    if image[2] != 0:
+        raise AssertionError("family member has a nonzero quadratic term")
+    out, _ = _normalize_principal(image[1], image[0])
+    bs, cs = out.b, out.c
+    radicand = 3 * (27 * bs**4 - 256 * cs**3)
+    if is_square(radicand):
+        raise CyclotomicExcluded("family j-invariant lands in Q")
+    K = QuadField(radicand)
+    e = K.embed
+    j = (e(27) * (e(27) * e(bs) ** 8 - e(207) * e(bs) ** 4 * e(cs) ** 3
+                  + e(128) * e(cs) ** 6) / (e(2) * e(cs) ** 6)
+         + e(81) * e(bs) ** 2 * (e(bs) ** 4 - e(3) * e(cs) ** 3)
+         / (e(2) * e(cs) ** 6) * K.sqrt_t)
+    return out, j

@@ -1,11 +1,16 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from octaq.errors import (CyclotomicExcluded, DegenerateParameter,
-                          ExcludedParameter, NotOctahedral, NotPrincipal)
-from octaq.polynomials import QQ, QuadField, UniPoly, discriminant, qpoly
+                          ExcludedParameter, NotOctahedral, NotPrincipal,
+                          OctaqError, Reducible)
+from octaq.polynomials import (QQ, QuadElement, QuadField, UniPoly,
+                               discriminant, qpoly)
 from octaq.qcurve import (J_AT_CUSP, WITT_SAMPLES, SymbolicContext,
                           curve_from_t, family,
                           principal_quartic_poly, symbolic_suite,
@@ -14,6 +19,11 @@ from octaq.qcurve import (J_AT_CUSP, WITT_SAMPLES, SymbolicContext,
 from octaq.quartic import (PrincipalQuartic, ReducedQuartic, is_principal,
                            same_field)
 from octaq.rationals import is_square, squarefree_part
+from oracles import quad_element_family
+
+# acceptance criterion 6's principal seeds (b, c)
+CRITERION_6_SEEDS = [(1, -1), (2, -1), (3, 1), (1, 1), (2, 2), (4, 4),
+                     (8, 4), (2, -2), (3, -1), (5, 3)]
 
 
 def test_curve_from_t_minus_one():
@@ -132,6 +142,49 @@ def test_family_many_parameters_same_field():
         assert is_principal(out.reduced())
         assert same_field(g.poly(), out.poly()) is not None
         done += 1
+
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.sampled_from(CRITERION_6_SEEDS),
+                 st.tuples(small_rationals, small_rationals)),
+       small_rationals)
+def test_family_matches_quad_element_oracle(seed, s):
+    try:
+        g = PrincipalQuartic(*seed)
+    except (Reducible, NotOctahedral):
+        assume(False)
+    try:
+        expected = quad_element_family(g, s)
+    except OctaqError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            family(g, s)
+        return
+    out, j = family(g, s)
+    want_out, want_j = expected
+    assert (out.b, out.c) == (want_out.b, want_out.c)
+    assert (j.u, j.v, j.field.t) == (want_j.u, want_j.v, want_j.field.t)
+
+
+def test_family_j_needs_no_quadratic_field_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("QuadElement arithmetic in family")
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                 "__pow__"):
+        monkeypatch.setattr(QuadElement, name, refuse)
+    with pytest.raises(AssertionError):
+        QuadField(2).sqrt_t ** 2
+    for b, c in CRITERION_6_SEEDS:
+        g = PrincipalQuartic(b, c)
+        for s in (-3, -1, 1, 3):
+            try:
+                out, j = family(g, s)
+            except Reducible:
+                continue
+            assert out.a == 0 and j.field.t == 3 * (27 * out.b**4
+                                                     - 256 * out.c**3)
 
 
 def test_family_j_matches_curve_j():
