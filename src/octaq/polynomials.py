@@ -10,17 +10,18 @@ Coefficients are stored lowest degree first with a nonzero leading
 coefficient; the zero polynomial has an empty tuple.  Discriminants of
 cubics and quartics use their closed form, which only multiplies and adds
 coefficients and so works over every one of these fields and over Z.
-Resultants in Y of polynomials with coefficients in F[X] go through a
-fraction-free Sylvester determinant, so they stay in the polynomial ring
-instead of a nested fraction field.
+Resultants in Y of polynomials in Q[t][X][Y] come from their values at
+integer points, each an integer Sylvester determinant, interpolated back
+exactly, so no fraction field of polynomials is ever formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
-from .rationals import is_square
+from .rationals import _exact_div, is_square
 
 Scalar = Union[int, Fraction]
 
@@ -355,83 +356,105 @@ def discriminant(f: UniPoly):
     return _disc(f.coeffs)
 
 
-def bareiss_determinant(rows: list[list], zero, one):
-    """Fraction-free Gaussian elimination; entries need exact division.
+# -- resultants in Y over Q[t][X], by evaluation and interpolation ------------
 
-    Works for entries that are field elements or UniPoly values over a
-    field (the divisions Bareiss performs are exact in the entry ring).
+
+def _resultant_y(pc: Sequence, rc: Sequence) -> list[list[Fraction]]:
+    """Res_Y(P, R) for P = sum_j pc[j] Y^j and R = sum_j rc[j] Y^j in
+    Q[t][X][Y], pc[j][i][k] being the coefficient of X^i t^k in that of
+    Y^j; returns res with res[i][k] the coefficient of X^i t^k.
+
+    By evaluation and interpolation (Collins, JACM 1971).  With L the lcm
+    of the denominators, m = deg_Y P and n = deg_Y R, Res(LP, LR) =
+    L^(m+n) Res(P, R).  By Leibniz's expansion the Sylvester determinant
+    has degree at most D_t in t and D_x in X, the sums over its rows of
+    the largest degree of an entry.  At each node t0 = 0..D_t, x0 = 0..D_x
+    the integer Sylvester matrix keeps the generic shape (m, n), so a
+    leading coefficient that vanishes there stays in it.  Integer Bareiss
+    gives its determinant; forward differences interpolate in X, then t.
     """
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return one
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = _entry_exact_div(num, prev)
-            m[i][k] = zero
-        prev = m[k][k]
-    out = m[n - 1][n - 1]
-    return -out if sign < 0 else out
-
-
-def _entry_exact_div(num, den):
-    if isinstance(num, UniPoly):
-        return num.exact_div(den)
-    return num / den
-
-
-def resultant_bivariate(acoeffs: Sequence[UniPoly], bcoeffs: Sequence[UniPoly]):
-    """Res_Y(A, B) for A = sum acoeffs[i] * Y**i with UniPoly-in-X entries.
-
-    Sylvester determinant with fraction-free elimination, so everything
-    stays in the polynomial ring; returns a UniPoly in X.
-    """
-    ac = list(acoeffs)
-    bc = list(bcoeffs)
-    while ac and ac[-1].is_zero():
-        ac.pop()
-    while bc and bc[-1].is_zero():
-        bc.pop()
-    if not ac or not bc:
+    pc, rc = (_trim([_trim([_trim([Fraction(c) for c in ts]) for ts in xs])
+                     for xs in a]) for a in (pc, rc))
+    if not pc or not rc:
         raise ValueError("resultant of the zero polynomial")
-    field = ac[0].field
-    m, n = len(ac) - 1, len(bc) - 1
-    zero_p = UniPoly(field, ())
-    one_p = UniPoly(field, (field.one,))
-    if m == 0 and n == 0:
-        return one_p
-    if n == 0:
-        return _poly_pow(bc[0], m)
-    if m == 0:
-        return _poly_pow(ac[0], n)
-    size = m + n
-    arow = list(reversed(ac))
-    brow = list(reversed(bc))
-    rows = []
-    for i in range(n):
-        rows.append([zero_p] * i + arow + [zero_p] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([zero_p] * i + brow + [zero_p] * (size - n - 1 - i))
-    return bareiss_determinant(rows, zero_p, one_p)
+    m, n = len(pc) - 1, len(rc) - 1
+    big_l = lcm(*(c.denominator for a in (pc, rc) for xs in a for ts in xs
+                  for c in ts))
+    pz, rz = ([[[int(c * big_l) for c in ts] for ts in xs] for xs in a]
+              for a in (pc, rc))
+    x_len = [max(map(len, a)) for a in (pz, rz)]
+    t_len = [max(len(ts) for xs in a for ts in xs) for a in (pz, rz)]
+    dx = n * (x_len[0] - 1) + m * (x_len[1] - 1)
+    dt = n * (t_len[0] - 1) + m * (t_len[1] - 1)
+    in_x = []
+    for t0 in range(dt + 1):
+        px, rx = ([[_horner(ts, t0) for ts in xs] for xs in a]
+                  for a in (pz, rz))
+        values = []
+        for x0 in range(dx + 1):
+            pv = [_horner(xs, x0) for xs in reversed(px)]
+            rv = [_horner(xs, x0) for xs in reversed(rx)]
+            values.append(_bareiss(
+                [[0] * i + pv + [0] * (n - 1 - i) for i in range(n)]
+                + [[0] * i + rv + [0] * (m - 1 - i) for i in range(m)]))
+        in_x.append(_interpolate(values))
+    scale = big_l ** (m + n)
+    return _trim([[Fraction(c, scale) for c in _interpolate(
+        [node[i] if i < len(node) else 0 for node in in_x])]
+        for i in range(dx + 1)])
 
 
-def _poly_pow(p: UniPoly, k: int) -> UniPoly:
-    out = UniPoly(p.field, (p.field.one,))
-    for _ in range(k):
-        out = out * p
-    return out
+def _trim(cs: list) -> list:
+    """cs without its zero (or empty) leading entries."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _horner(cs: Sequence, x):
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _bareiss(mat: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination (Math. Comp. 1968); every division is checked exact."""
+    size = len(mat)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if not mat[k][k]:
+            swap = next((i for i in range(k + 1, size) if mat[i][k]), None)
+            if swap is None:
+                return 0
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        row_k, pivot = mat[k], mat[k][k]
+        for row in mat[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = _exact_div(pivot * row[j] - lead * row_k[j], prev)
+        prev = pivot
+    return sign * mat[-1][-1] if size else 1
+
+
+def _interpolate(ys: Sequence[int]) -> list[int]:
+    """Ascending coefficients of the polynomial in Z[x] of degree below
+    len(ys) that takes the values ys at x = 0, 1, ...: its Newton form has
+    the coefficients (Delta^j y_0) / j!, each checked to be an integer."""
+    newton, diffs, fact = [], list(ys), 1
+    for j in range(len(ys)):
+        fact *= j or 1
+        newton.append(_exact_div(diffs[0], fact))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    out = []
+    for j in range(len(newton) - 1, -1, -1):   # out = out * (x - j) + a_j
+        out = [0] + out
+        for i in range(len(out) - 1):
+            out[i] -= j * out[i + 1]
+        out[0] += newton[j]
+    return _trim(out)
 
 
 # -- rational function field -------------------------------------------------

@@ -34,9 +34,8 @@ from .errors import (CyclotomicExcluded, DegenerateParameter,
                      ExcludedParameter, NotOctahedral, NotPrimitive,
                      NotPrincipal, OctaqError)
 from .hilbert import brauer_class
-from .polynomials import (QQ, FunctionField, QuadField, RatFunc, UniPoly,
-                          _disc, discriminant, poly, poly_str,
-                          resultant_bivariate)
+from .polynomials import (QQ, FunctionField, QuadField, UniPoly, _disc,
+                          _resultant_y, discriminant, poly, poly_str)
 from .quartic import (PrincipalQuartic, ReducedQuartic,
                       _integer_model, _normalize_principal,
                       reduced_tschirnhaus_poly, trace_form)
@@ -256,37 +255,49 @@ def weil_restriction_factor(t: Optional[Fraction] = None) -> WeilRestrictionReco
     """Split f_t(X + Y sqrt(t)) = P(X, Y) + R(X, Y) sqrt(t) over Q, form the
     degree-16 resultant Res_Y(P, R) and verify h_t divides it exactly.
 
-    t = None runs the symbolic version over Q(s) with t = s^2.
+    t = None runs the symbolic version over Q(s) with t = s^2, where P and
+    R lie in Q[t][X][Y].  Both versions compute the resultant by
+    polynomials._resultant_y from its values at integer points.  Its
+    degree is bounded by the row sums of the Sylvester matrix (3 rows of
+    P, deg_Y P = 4; 4 rows of R, deg_Y R = 3): D_t = 3*2 + 4*1 = 10 in t
+    and D_x = 3*4 + 4*3 = 24 in X.  Every node keeps that generic shape,
+    so the leading coefficient P_4 = t^2 stays in the matrix at t = 0.  A
+    rational t is the case D_t = 0.
     """
     if t is None:
         return _symbolic_weil_restriction(SymbolicContext())
     record = curve_from_t(t)
     K = record.quad_field
-    pt, rt = [], []
-    for entry in _binomial_expand(K, record.f_t.coeffs, K.sqrt_t):
-        pt.append(UniPoly(QQ, [c.u for c in entry.coeffs]))
-        rt.append(UniPoly(QQ, [c.v for c in entry.coeffs]))
-    return _weil_record(pt, rt, record.h_t)
+    biv = _binomial_expand(K, record.f_t.coeffs, K.sqrt_t)
+    res = _resultant_y([[[c.u] for c in entry.coeffs] for entry in biv],
+                       [[[c.v] for c in entry.coeffs] for entry in biv])
+    return _weil_record(UniPoly(QQ, [ts[0] if ts else QQ.zero for ts in res]),
+                        record.h_t)
 
 
 def _symbolic_weil_restriction(ctx: SymbolicContext) -> WeilRestrictionRecord:
-    """weil_restriction_factor over Q(s), on the polynomials of ctx."""
+    """weil_restriction_factor over Q(s), on the polynomials of ctx: each
+    coefficient c(s) of the expansion is e(s^2) + s o(s^2), its even
+    powers of s giving the coefficient e of P and its odd powers the
+    coefficient o of R, both as polynomials in t = s^2."""
     F = ctx.field
-    pt, rt = [], []
+    pc, rc = [], []
     for entry in _binomial_expand(F, ctx.f_t.coeffs, ctx.s):
-        halves = [_split_parity(cf) for cf in entry.coeffs]
-        pt.append(UniPoly(F, [ev for ev, _ in halves]))
-        rt.append(UniPoly(F, [od for _, od in halves]))
-    return _weil_record(pt, rt, ctx.h_t)
+        if any(c.den.degree for c in entry.coeffs):
+            raise ValueError("the expansion of f_t is not polynomial in s")
+        pc.append([c.num.coeffs[0::2] for c in entry.coeffs])
+        rc.append([c.num.coeffs[1::2] for c in entry.coeffs])
+    res = []
+    for ts in _resultant_y(pc, rc):     # back to Q(s): t^k is s^(2k)
+        in_s = [QQ.zero] * (2 * len(ts))
+        in_s[0::2] = ts
+        res.append(F.from_poly(UniPoly(QQ, in_s)))
+    return _weil_record(UniPoly(F, res), ctx.h_t)
 
 
-def _weil_record(pt: list[UniPoly], rt: list[UniPoly], companion: UniPoly
-                 ) -> WeilRestrictionRecord:
-    """Res_Y(P, R) from the coefficient lists in Y and its division by the
-    companion quartic, given over the coefficient field of P and R."""
-    while rt and rt[-1].is_zero():
-        rt.pop()
-    res = resultant_bivariate(pt, rt)
+def _weil_record(res: UniPoly, companion: UniPoly) -> WeilRestrictionRecord:
+    """The record of the resultant res and its division by the companion
+    quartic, both over the same coefficient field."""
     quot, rem = res.divmod(companion)
     divisible = rem.is_zero()
     return WeilRestrictionRecord(
@@ -295,26 +306,6 @@ def _weil_record(pt: list[UniPoly], rt: list[UniPoly], companion: UniPoly
         cofactor=quot if divisible else None,
         companion=companion,
     )
-
-
-def _split_parity(rf: RatFunc) -> tuple[RatFunc, RatFunc]:
-    """Polynomial element of Q(s) as even(s) + s*odd(s) with even/odd in
-    Q(s) polynomials of s^2; returns (even, odd/s... ) as elements."""
-    if rf.den.degree != 0:
-        raise ValueError("parity split needs a polynomial element")
-    num = rf.num
-    even = [num[i] for i in range(0, num.degree + 1, 2)]
-    odd = [num[i] for i in range(1, num.degree + 1, 2)]
-    field = rf.field
-
-    def inflate(cs):
-        out = []
-        for c in cs:
-            out.append(c)
-            out.append(Fraction(0))
-        return UniPoly(QQ, out[:-1] if out else ())
-
-    return (field.from_poly(inflate(even)), field.from_poly(inflate(odd)))
 
 
 # -- symbolic verification context ---------------------------------------------

@@ -30,8 +30,8 @@ from .errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
 from .hilbert import (INF, BrauerClass, _support, brauer_class,
                       witt_invariant_diagonal)
 from .polynomials import QQ, UniPoly, _disc, poly_str, qpoly
-from .rationals import (_primes_below, _val_unit, factorize, is_square,
-                        rational_reconstruct, same_square_class,
+from .rationals import (_exact_div, _primes_below, _val_unit, factorize,
+                        is_square, rational_reconstruct, same_square_class,
                         squarefree_part)
 
 
@@ -85,13 +85,6 @@ def _int_rem(a: list[int], c: list[int]) -> list[int]:
             for j in range(d):
                 a[k + j] -= t * c[j]
     return a
-
-
-def _exact_div(x: int, d: int) -> int:
-    q, r = divmod(x, d)
-    if r:
-        raise AssertionError(f"{x} is not divisible by {d}")
-    return q
 
 
 _CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,

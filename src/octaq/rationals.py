@@ -165,6 +165,15 @@ def _strip(n: int, p: int) -> tuple[int, int]:
     return n, e
 
 
+def _exact_div(x: int, d: int) -> int:
+    """x / d for integers where d divides x; an explicit raise otherwise,
+    so the check holds under ``python -O``."""
+    q, r = divmod(x, d)
+    if r:
+        raise AssertionError(f"{x} is not divisible by {d}")
+    return q
+
+
 def _val_unit(x: Fraction, p: int) -> tuple[int, Fraction]:
     """(v, u) with x = p^v u for a nonzero rational x and a p-unit u."""
     if x == 0:

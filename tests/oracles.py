@@ -8,12 +8,117 @@ from octaq.errors import (CyclotomicExcluded, ExcludedParameter,
                           NotPrimitive)
 from octaq.hilbert import (INF, BrauerClass, brauer_class, check_place,
                            class_product)
-from octaq.polynomials import (QuadField, UniPoly, _disc, bareiss_determinant,
-                               resultant_bivariate)
-from octaq.qcurve import _require_principal, principal_closure_p
+from octaq.polynomials import QQ, QuadField, UniPoly, _disc
+from octaq.qcurve import (SymbolicContext, _binomial_expand,
+                          _require_principal, curve_from_t,
+                          principal_closure_p)
 from octaq.quartic import (TraceFormData, _integer_model,
                            _normalize_principal, reduced_tschirnhaus_poly)
 from octaq.rationals import _val_unit, is_square, squarefree_part
+
+
+def bareiss_determinant(rows: list[list], zero, one):
+    """Fraction-free Gaussian elimination; entries need exact division.
+
+    Works for entries that are field elements or UniPoly values over a
+    field (the divisions Bareiss performs are exact in the entry ring).
+    """
+    m = [list(r) for r in rows]
+    n = len(m)
+    if n == 0:
+        return one
+    sign = 1
+    prev = one
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return zero
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = _entry_exact_div(num, prev)
+            m[i][k] = zero
+        prev = m[k][k]
+    out = m[n - 1][n - 1]
+    return -out if sign < 0 else out
+
+
+def _entry_exact_div(num, den):
+    if isinstance(num, UniPoly):
+        return num.exact_div(den)
+    return num / den
+
+
+def resultant_bivariate(acoeffs, bcoeffs):
+    """Res_Y(A, B) for A = sum acoeffs[i] * Y**i with UniPoly-in-X entries.
+
+    Sylvester determinant with fraction-free elimination over the entry
+    ring F[X], F the coefficient field; returns a UniPoly in X.
+    """
+    ac = list(acoeffs)
+    bc = list(bcoeffs)
+    while ac and ac[-1].is_zero():
+        ac.pop()
+    while bc and bc[-1].is_zero():
+        bc.pop()
+    if not ac or not bc:
+        raise ValueError("resultant of the zero polynomial")
+    field = ac[0].field
+    m, n = len(ac) - 1, len(bc) - 1
+    zero_p = UniPoly(field, ())
+    one_p = UniPoly(field, (field.one,))
+    if m == 0 and n == 0:
+        return one_p
+    if n == 0:
+        return _poly_pow(bc[0], m)
+    if m == 0:
+        return _poly_pow(ac[0], n)
+    size = m + n
+    arow = list(reversed(ac))
+    brow = list(reversed(bc))
+    rows = []
+    for i in range(n):
+        rows.append([zero_p] * i + arow + [zero_p] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([zero_p] * i + brow + [zero_p] * (size - n - 1 - i))
+    return bareiss_determinant(rows, zero_p, one_p)
+
+
+def _poly_pow(p: UniPoly, k: int) -> UniPoly:
+    out = UniPoly(p.field, (p.field.one,))
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def bareiss_weil_resultant(t=None, ctx=None) -> UniPoly:
+    """Res_Y(P, R) of f_t(X + Y sqrt(t)) = P + R sqrt(t) by
+    resultant_bivariate: over Q for a rational t; for t = None over the
+    Q(s), t = s^2, of ctx (a new SymbolicContext by default), with P and
+    R the even part of each coefficient in s and the odd part over s."""
+    if t is not None:
+        record = curve_from_t(t)
+        K = record.quad_field
+        biv = _binomial_expand(K, record.f_t.coeffs, K.sqrt_t)
+        return resultant_bivariate(
+            [UniPoly(QQ, [c.u for c in e.coeffs]) for e in biv],
+            [UniPoly(QQ, [c.v for c in e.coeffs]) for e in biv])
+    ctx = ctx or SymbolicContext()
+    F = ctx.field
+
+    def half(c, parity):
+        cs = [x if i % 2 == parity else 0 for i, x in enumerate(c.num.coeffs)]
+        return F.from_poly(UniPoly(QQ, cs[parity:]))
+
+    biv = _binomial_expand(F, ctx.f_t.coeffs, ctx.s)
+    return resultant_bivariate(
+        [UniPoly(F, [half(c, 0) for c in e.coeffs]) for e in biv],
+        [UniPoly(F, [half(c, 1) for c in e.coeffs]) for e in biv])
 
 
 def sylvester_matrix(f: UniPoly, g: UniPoly) -> list[list]:

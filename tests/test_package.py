@@ -71,6 +71,25 @@ def test_trace_form_checks_survive_python_O():
     assert "determinant" in lines[0] and "orthogonal" in lines[1]
 
 
+def test_resultant_kernel_checks_survive_python_O():
+    # Bareiss fed a non-integer matrix meets a division that is not exact;
+    # values of x(x-1)/2, integral but not in Z[x], give a forward
+    # difference that is not divisible by j!: both end in an explicit raise
+    script = (
+        "from fractions import Fraction\n"
+        "from octaq import polynomials as p\n"
+        "for call in (lambda: p._bareiss([[1, 1], [1, Fraction(1, 2)]]),\n"
+        "             lambda: p._interpolate([0, 0, 1, 3])):\n"
+        "    try:\n"
+        "        print('returned', call())\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n")
+    proc = _run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        "-1/2 is not divisible by 1", "1 is not divisible by 2"]
+
+
 def test_python_m_octaq_runs_the_cli():
     args = ("principalize", "--", "-1,-1,0,0,1")
     package = _run_python("-m", "octaq", *args)

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octaq.polynomials import (QQ, FunctionField, QuadField, UniPoly,
-                               bareiss_determinant, discriminant, poly,
-                               poly_gcd, qpoly, resultant_bivariate)
+                               _resultant_y, discriminant, poly, poly_gcd,
+                               qpoly)
 from octaq.quartic import _power_sums
-from oracles import (constant_resultant as resultant, power_sums,
-                     sylvester_matrix)
+from oracles import (bareiss_determinant, constant_resultant as resultant,
+                     power_sums, resultant_bivariate, sylvester_matrix)
 from sturm import count_real_roots
 
 
@@ -191,3 +191,69 @@ def test_bivariate_resultant_vs_tschirnhaus():
         ]
         res = resultant_bivariate(fy, x_minus_u)
         assert res == reduced_tschirnhaus_poly(f, m, n, p)
+
+
+# -- Res_Y over Q[t][X] by evaluation and interpolation ----------------------
+
+_T = FunctionField(QQ, "t")
+
+
+def oracle_resultant_y(pc, rc):
+    """_resultant_y by resultant_bivariate over Q(t)[X], in its layout."""
+    def to_field(a):
+        return [UniPoly(_T, [_T.from_poly(qpoly(ts)) for ts in xs])
+                for xs in a]
+    res = resultant_bivariate(to_field(pc), to_field(rc))
+    return [list(c.num.coeffs) for c in res.coeffs]
+
+
+_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_in_x_t = st.lists(st.lists(_rationals, max_size=3), max_size=3)
+_in_y = st.lists(_in_x_t, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_in_y, _in_y)
+def test_resultant_y_matches_bareiss_oracle(pc, rc):
+    try:
+        expected = oracle_resultant_y(pc, rc)
+    except ValueError:   # the zero polynomial, in both routes
+        with pytest.raises(ValueError, match="zero polynomial"):
+            _resultant_y(pc, rc)
+        return
+    assert _resultant_y(pc, rc) == expected
+
+
+def test_resultant_y_leading_coefficient_vanishing_at_node_0():
+    # P = t Y^2 + X Y + 1 and R = Y - t X: deg_Y P = 2 although P(0) has
+    # Y-degree 1, and Res = t^3 X^2 + t X^2 + 1 keeps the t^3
+    pc = [[[1]], [[], [1]], [[0, 1]]]
+    rc = [[[], [0, -1]], [[1]]]
+    res = _resultant_y(pc, rc)
+    assert res == oracle_resultant_y(pc, rc) == [[1], [], [0, 1, 0, 1]]
+
+
+def test_resultant_y_identically_zero():
+    # P = (Y - X)(Y + t), R = (Y - X)(X Y + 1/2) share the factor Y - X
+    pc = [[[], [0, -1]], [[0, 1], [-1]], [[1]]]
+    rc = [[[], [Fraction(-1, 2)]], [[Fraction(1, 2)], [], [-1]], [[], [1]]]
+    assert _resultant_y(pc, rc) == oracle_resultant_y(pc, rc) == []
+
+
+def test_resultant_y_degree_0_branches():
+    # Res(a, R) = a^deg R, Res(P, b) = b^deg P, Res(a, b) = 1
+    a = [[[1, 1]]]                                   # 1 + t
+    r = [[[0, 1]], [[], [1]], [[], [], [1]]]         # t + X Y + X^2 Y^2
+    assert _resultant_y(a, r) == oracle_resultant_y(a, r) == [[1, 2, 1]]
+    assert _resultant_y(r, a) == oracle_resultant_y(r, a) == [[1, 2, 1]]
+    b = [[[Fraction(1, 2)], [0, 1]]]                 # 1/2 + t X
+    assert _resultant_y(b, b + [[]]) == [[1]]
+    assert _resultant_y(r[:1], [[[3]]]) == [[1]]
+
+
+def test_resultant_y_zero_polynomial():
+    for zero in ([], [[]], [[[0], [0, 0]]]):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            _resultant_y(zero, [[[1]], [[1]]])
+        with pytest.raises(ValueError, match="zero polynomial"):
+            _resultant_y([[[1]], [[1]]], zero)

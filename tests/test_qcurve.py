@@ -19,7 +19,7 @@ from octaq.qcurve import (J_AT_CUSP, WITT_SAMPLES, SymbolicContext,
 from octaq.quartic import (PrincipalQuartic, ReducedQuartic, is_principal,
                            same_field)
 from octaq.rationals import is_square, squarefree_part
-from oracles import quad_element_family
+from oracles import bareiss_weil_resultant, quad_element_family
 
 # acceptance criterion 6's principal seeds (b, c)
 CRITERION_6_SEEDS = [(1, -1), (2, -1), (3, 1), (1, 1), (2, 2), (4, 4),
@@ -218,6 +218,21 @@ def test_weil_restriction_symbolic():
     assert wr.cofactor.degree == 12
 
 
+def test_weil_cofactors_match_bareiss_oracle():
+    # the resultant over Q(s) and at rational t, by Bareiss on Q(s)[X] or
+    # Q[X] entries: same resultant, so the same cofactor of h_t
+    from octaq.qcurve import _symbolic_weil_restriction
+    ctx = SymbolicContext()
+    cases = [(_symbolic_weil_restriction(ctx), bareiss_weil_resultant(ctx=ctx))]
+    for t in (Fraction(-1), Fraction(2), Fraction(5, 3)):
+        cases.append((weil_restriction_factor(t), bareiss_weil_resultant(t)))
+    for wr, res in cases:
+        quot, rem = res.divmod(wr.companion)
+        assert rem.is_zero() and wr.divisible
+        assert wr.resultant_degree == res.degree == 16
+        assert wr.cofactor == quot
+
+
 def test_companion_disc_identity_at_samples():
     for t in (Fraction(-1), Fraction(2), Fraction(5, 3)):
         rec = curve_from_t(t)
@@ -283,6 +298,30 @@ def test_symbolic_suite_detects_mutation():
     ctx.g_t = UniPoly(ctx.field, bad)
     entries = symbolic_suite(samples=2, ctx=ctx)
     assert any(not e.passed for e in entries)
+
+
+def _failed_with(attr, corrupt):
+    ctx = SymbolicContext()
+    setattr(ctx, attr, corrupt(ctx, getattr(ctx, attr)))
+    return {e.name for e in symbolic_suite(samples=2, ctx=ctx) if not e.passed}
+
+
+def test_weil_entry_reads_the_companion_quartic():
+    # h_t + 1 and h_t + sX: the Weil check divides by ctx.h_t
+    for corrupt in (lambda ctx, h: h + UniPoly(ctx.field, (ctx.field.one,)),
+                    lambda ctx, h: h + UniPoly(ctx.field, (0, ctx.s))):
+        assert _failed_with("h_t", corrupt) == {
+            "disc_companion_quartic", "companion_divides_weil_resultant",
+            "tsc_companion_to_principal"}
+
+
+def test_weil_entry_reads_the_torsion_quartic():
+    # f_t + 1 and f_t + s X^2: the Weil check expands ctx.f_t
+    for corrupt in (lambda ctx, f: f + UniPoly(ctx.field, (ctx.field.one,)),
+                    lambda ctx, f: f + UniPoly(ctx.field, (0, 0, ctx.s))):
+        assert _failed_with("f_t", corrupt) == {
+            "tsc_torsion_to_principal", "tsc_principal_to_torsion",
+            "companion_divides_weil_resultant"}
 
 
 def test_torsion_quartic_is_reduced():

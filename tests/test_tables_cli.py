@@ -418,6 +418,21 @@ def test_cli_symbolic_stdout_is_pinned(capsys):
         "3560189619b3e86afe8d31b00f282ad40a0b2793b11013406b103d5c496932e6"
 
 
+@pytest.mark.parametrize("t, digest", [
+    ("-1", "b4a72cb596214600ac6341c438c59ab76a285977704e9c0a16359e352f104997"),
+    ("5/3", "4758ec94bff9073c03fa70b6d73a25e290879a2320dad93a604f3efb756c826a"),
+    ("2", "bcf04685ac1a4f33f712e13657f6ae90e3bb1f9c76e22459fef5bb95f26f500e"),
+])
+def test_cli_qcurve_from_t_stdout_is_pinned(capsys, t, digest):
+    import hashlib
+    code = main(["qcurve", "from-t", t])
+    out = capsys.readouterr().out
+    assert code == 0
+    # stdout, the Weil-restriction record included, is pinned byte for
+    # byte to the output of the Bareiss resultant over Q[X] entries
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_principalize_names_the_exhausted_box(capsys):
     # a principal field whose model has no isotropic vector in the box
     code, data = run_cli(capsys, "principalize",
