@@ -1,8 +1,8 @@
 """The displayed curve/quartic identities, proved exactly over Q(s).
 
 Substituting t = s^2 makes sqrt(t) = s rational, so each identity becomes
-an identity of rational functions and can be checked by exact polynomial
-arithmetic: no sampling, no floating point.
+an identity of rational functions; with its known denominator cleared it
+is checked by exact arithmetic in Q[s]: no sampling, no floating point.
 """
 
 from fractions import Fraction

@@ -11,8 +11,8 @@ from .errors import OctaqError
 from .gl2f9 import classify_hjk, s4_conjugacy_scan, verify_subgroup_classification
 from .hilbert import (INF, BrauerClass, brauer_class, class_product,
                       hilbert_symbol, witt_invariant_diagonal)
-from .polynomials import (QQ, FunctionField, QuadElement, QuadField, RatFunc,
-                          UniPoly, discriminant, poly_gcd, qpoly)
+from .polynomials import (QQ, QuadElement, QuadField, UniPoly, discriminant,
+                          poly_gcd, qpoly)
 from .qcurve import (QCurveRecord, SymbolicContext, curve_from_t, family,
                      symbolic_suite, t_from_principal, tschirnhaus_to_torsion,
                      weil_restriction_factor)

@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for row verification")
     p.set_defaults(fn=cmd_verify_tables)
 
-    p = sub.add_parser("symbolic", help="symbolic identity suite over Q(s)")
+    p = sub.add_parser("symbolic", help="symbolic identity suite in Q[s]")
     p.add_argument("--samples", type=int, default=20,
                    help="sampled t count for the Witt check, 1 to"
                         f" {len(WITT_SAMPLES)} (default %(default)s)")

@@ -1,15 +1,18 @@
-"""Dense univariate polynomials over an exact coefficient field.
+"""Dense univariate polynomials over an exact coefficient ring.
 
-Three coefficient fields are supported, all immutable:
+Three coefficient rings are supported, all immutable:
 
 * ``Fraction`` (the field object is the ``QQ`` singleton),
 * ``QuadElement`` u + v*sqrt(t) for a fixed non-square rational t,
-* ``RatFunc`` over any of the above (so Q(s), and Q(s)(X) by nesting).
+* ``PolyElement`` in the ring Q[s] (``PolyRing``): integer coefficients
+  over one denominator, divided only by nonzero constants, so an identity
+  between rational functions of s is checked with its denominators
+  cleared.
 
 Coefficients are stored lowest degree first with a nonzero leading
 coefficient; the zero polynomial has an empty tuple.  Discriminants of
 cubics and quartics use their closed form, which only multiplies and adds
-coefficients and so works over every one of these fields and over Z.
+coefficients and so works over every one of these rings and over Z.
 Resultants in Y of polynomials in Q[t][X][Y] come from their values at
 integer points, each an integer Sylvester determinant, interpolated back
 exactly, so no fraction field of polynomials is ever formed.
@@ -18,7 +21,7 @@ exactly, so no fraction field of polynomials is ever formed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .rationals import _exact_div, is_square
@@ -350,7 +353,7 @@ def _disc(c: Sequence):
 
 
 def discriminant(f: UniPoly):
-    """Discriminant of a monic cubic or quartic over Q, Q(sqrt(t)) or Q(s)."""
+    """Discriminant of a monic cubic or quartic over Q, Q(sqrt(t)) or Q[s]."""
     if f.degree not in (3, 4) or f.lc != f.field.one:
         raise ValueError("discriminant needs a monic cubic or quartic")
     return _disc(f.coeffs)
@@ -457,106 +460,83 @@ def _interpolate(ys: Sequence[int]) -> list[int]:
     return _trim(out)
 
 
-# -- rational function field -------------------------------------------------
+# -- the polynomial ring Q[s] -------------------------------------------------
 
 
-class RatFunc:
-    """num/den with den monic and gcd(num, den) = 1."""
+class PolyElement:
+    """num(s)/den in Q[s]: integer coefficients num, lowest degree first
+    with a nonzero last one (none for 0), over one positive integer den
+    prime to their content.  Immutable; built by _element."""
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("ring", "num", "den")
 
-    def __init__(self, field: "FunctionField", num: UniPoly, den: UniPoly,
-                 normalized: bool = False):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if not normalized:
-            if den.degree == 0:
-                num = num.scale(den.lc ** -1)
-                den = UniPoly(num.field, (num.field.one,))
-            elif num.is_zero():
-                den = UniPoly(den.field, (den.field.one,))
-            else:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-                inv = den.lc ** -1
-                num = num.scale(inv)
-                den = den.scale(inv)
-        self.field = field
-        self.num = num
-        self.den = den
+    def __init__(self, ring: "PolyRing", num: tuple, den: int):
+        self.ring, self.num, self.den = ring, num, den
 
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            if other.field is not self.field:
-                raise ValueError("mixed function fields")
+    def _coerce(self, other) -> "PolyElement":
+        if isinstance(other, PolyElement):
+            if other.ring is not self.ring:
+                raise ValueError("mixed polynomial rings")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.embed(other)
-        if isinstance(other, UniPoly):
-            return RatFunc(self.field, other, self.field._one_poly, True)
-        return None
-
-    @property
-    def _is_poly(self) -> bool:
-        return self.den.degree == 0
+            return self.ring.embed(other)
+        raise TypeError(f"{other!r} is not in {self.ring!r}")
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self._is_poly and o._is_poly:
-            return RatFunc(self.field, self.num + o.num,
-                           self.field._one_poly, True)
-        return RatFunc(self.field, self.num * o.den + o.num * self.den,
-                       self.den * o.den)
+        a, b, den = self.num, o.num, self.den
+        if o.den != den:
+            den = lcm(den, o.den)
+            a = [x * (den // self.den) for x in a]
+            b = [x * (den // o.den) for x in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, x in enumerate(b):
+            out[i] += x
+        return _element(self.ring, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(self.field, -self.num, self.den, True)
+        return PolyElement(self.ring, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self._is_poly and o._is_poly:
-            return RatFunc(self.field, self.num * o.num,
-                           self.field._one_poly, True)
-        return RatFunc(self.field, self.num * o.num, self.den * o.den)
+        a, b = self.num, o.num
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _element(self.ring, out, self.den * o.den)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "RatFunc":
-        if self.num.is_zero():
-            raise ZeroDivisionError("zero rational function")
-        return RatFunc(self.field, self.den, self.num)
-
     def __truediv__(self, other):
+        # by a nonzero constant only: any other quotient would leave Q[s]
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if not o.num:
+            raise ZeroDivisionError("division by zero in Q[s]")
+        if len(o.num) > 1:
+            raise ValueError(f"{o} is not a constant: Q[s] divides only by"
+                             " nonzero constants")
+        return _element(self.ring, [o.den * x for x in self.num],
+                        o.num[0] * self.den)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o * self.inverse()
+        return self._coerce(other) / self
 
     def __pow__(self, k: int):
         if k < 0:
-            return self.inverse() ** (-k)
-        out = self.field.one
-        base = self
+            return (self.ring.one / self) ** (-k)
+        out, base = self.ring.one, self
         while k:
             if k & 1:
                 out = out * base
@@ -565,54 +545,58 @@ class RatFunc:
         return out
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (PolyElement, int, Fraction)):
             return NotImplemented
+        o = self._coerce(other)
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     def __bool__(self):
-        return not self.num.is_zero()
-
-    def eval(self, x):
-        """Evaluate at a base-field point (denominator must not vanish)."""
-        nv = self.num.eval(x)
-        dv = self.den.eval(x)
-        return nv / dv
+        return bool(self.num)
 
     def __repr__(self):
-        var = self.field.var
-        if self._is_poly:
-            return poly_str(self.num, var)
-        return f"({poly_str(self.num, var)})/({poly_str(self.den, var)})"
+        return poly_str(UniPoly(QQ, [Fraction(x, self.den) for x in self.num]),
+                        self.ring.var)
 
 
-class FunctionField:
-    """Field of rational functions in one variable over an exact base field."""
+def _element(ring: "PolyRing", num: list, den: int) -> PolyElement:
+    """num/den as a PolyElement, for den != 0: trims num and divides it and
+    den by their gcd, signed as den."""
+    if not _trim(num):
+        return ring.zero
+    g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+    if g != 1:
+        num = [x // g for x in num]
+        den //= g
+    return PolyElement(ring, tuple(num), den)
 
-    def __init__(self, base=QQ, var: str = "s"):
-        self.base = base
+
+class PolyRing:
+    """The polynomial ring Q[var]; UniPoly takes it as a coefficient field,
+    with division by nonzero constants only."""
+
+    def __init__(self, var: str = "s"):
         self.var = var
-        self._one_poly = UniPoly(base, (base.one,))
-        self._zero_poly = UniPoly(base, ())
-        self.zero = RatFunc(self, self._zero_poly, self._one_poly, True)
-        self.one = RatFunc(self, self._one_poly, self._one_poly, True)
-        self.gen = RatFunc(self, UniPoly(base, (base.zero, base.one)),
-                           self._one_poly, True)
+        self.zero = PolyElement(self, (), 1)
+        self.one = PolyElement(self, (1,), 1)
+        self.gen = PolyElement(self, (0, 1), 1)
 
-    def embed(self, x) -> RatFunc:
-        if isinstance(x, RatFunc) and x.field is self:
+    def embed(self, x) -> PolyElement:
+        if isinstance(x, PolyElement) and x.ring is self:
             return x
-        return RatFunc(self, UniPoly(self.base, (self.base.embed(x),)),
-                       self._one_poly, True)
+        return self.from_coeffs((x,))
 
-    def from_poly(self, p: UniPoly) -> RatFunc:
-        return RatFunc(self, p, self._one_poly, True)
+    def from_coeffs(self, coeffs: Sequence[Scalar]) -> PolyElement:
+        """The element with rational coefficients coeffs, lowest first."""
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        return _element(self, [c.numerator * (den // c.denominator)
+                               for c in coeffs], den)
 
     def __repr__(self):
-        return f"{self.base!r}({self.var})"
+        return f"QQ[{self.var}]"
 
 
 # used by no module of octaq; perfbench/selftest.py calls it

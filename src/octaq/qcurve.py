@@ -17,10 +17,10 @@ h_t = X^4 - 6X^2 + 8X + 3(8 - 9t) defining the same octahedral field.
 Conversely a principal X^4 + bX + c with discriminant class != -3 gives
 t = -disc/(27 b^4).
 
-Every displayed identity is checked exactly: polynomial identities over
-Q(s) after the substitution t = s^2 (so sqrt(t) = s is rational), and
-Brauer-class identities at sampled rational t, symbols being arithmetic
-rather than polynomial objects.
+Every displayed identity is checked exactly: polynomial identities in
+Q[s], denominators cleared, after the substitution t = s^2 (so sqrt(t) = s
+is rational), and Brauer-class identities at sampled rational t, symbols
+being arithmetic rather than polynomial objects.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (CyclotomicExcluded, DegenerateParameter,
                      ExcludedParameter, NotOctahedral, NotPrimitive,
                      NotPrincipal, OctaqError)
 from .hilbert import brauer_class
-from .polynomials import (QQ, FunctionField, QuadField, UniPoly, _disc,
+from .polynomials import (QQ, PolyRing, QuadField, UniPoly, _disc,
                           _resultant_y, discriminant, poly, poly_str)
 from .quartic import (PrincipalQuartic, ReducedQuartic,
                       _integer_model, _normalize_principal,
@@ -76,21 +76,20 @@ def companion_quartic_poly(field, t) -> UniPoly:
 
 
 def j_invariant_factored(field, t, sqrt_t):
-    """64 (5+3w)^3 / ((-1+w)^2 (1+w))."""
+    """(numerator, denominator) of 64 (5+3w)^3 / ((-1+w)^2 (1+w))."""
     e = field.embed
     w = sqrt_t
-    num = e(64) * (e(5) + e(3) * w) ** 3
-    den = (e(-1) + w) ** 2 * (e(1) + w)
-    return num / den
+    return (e(64) * (e(5) + e(3) * w) ** 3,
+            (e(-1) + w) ** 2 * (e(1) + w))
 
 
 def j_invariant_split(field, t, sqrt_t):
-    """Rational and sqrt(t) parts displayed separately:
+    """(numerator, denominator) of j with rational and sqrt(t) parts apart:
     64(27t^2+360t+125)/(t-1)^2 + 128(81t+175)/(t-1)^2 * sqrt(t)."""
     e = field.embed
-    den = (t - e(1)) ** 2
-    return (e(64) * (e(27) * t**2 + e(360) * t + e(125)) / den
-            + e(128) * (e(81) * t + e(175)) / den * sqrt_t)
+    return (e(64) * (e(27) * t**2 + e(360) * t + e(125))
+            + e(128) * (e(81) * t + e(175)) * sqrt_t,
+            (t - e(1)) ** 2)
 
 
 def weierstrass_model(field, sqrt_t):
@@ -122,10 +121,11 @@ def curve_from_t(t: Fraction | int) -> QCurveRecord:
     K = QuadField(t)
     w = K.sqrt_t
     tK = K.embed(t)
+    j_num, j_den = j_invariant_factored(K, tK, w)
     record = QCurveRecord(
         t=t,
         quad_field=K,
-        j=j_invariant_factored(K, tK, w),
+        j=j_num / j_den,
         model=weierstrass_model(K, w),
         f_t=torsion_quartic(K, tK, w),
         g_t=principal_quartic_poly(QQ, t),
@@ -255,7 +255,7 @@ def weil_restriction_factor(t: Optional[Fraction] = None) -> WeilRestrictionReco
     """Split f_t(X + Y sqrt(t)) = P(X, Y) + R(X, Y) sqrt(t) over Q, form the
     degree-16 resultant Res_Y(P, R) and verify h_t divides it exactly.
 
-    t = None runs the symbolic version over Q(s) with t = s^2, where P and
+    t = None runs the symbolic version over Q[s] with t = s^2, where P and
     R lie in Q[t][X][Y].  Both versions compute the resultant by
     polynomials._resultant_y from its values at integer points.  Its
     degree is bounded by the row sums of the Sylvester matrix (3 rows of
@@ -276,23 +276,23 @@ def weil_restriction_factor(t: Optional[Fraction] = None) -> WeilRestrictionReco
 
 
 def _symbolic_weil_restriction(ctx: SymbolicContext) -> WeilRestrictionRecord:
-    """weil_restriction_factor over Q(s), on the polynomials of ctx: each
-    coefficient c(s) of the expansion is e(s^2) + s o(s^2), its even
-    powers of s giving the coefficient e of P and its odd powers the
-    coefficient o of R, both as polynomials in t = s^2."""
-    F = ctx.field
+    """weil_restriction_factor over Q[s], on the polynomials of ctx: each
+    coefficient num(s)/den of the expansion is e(s^2) + s o(s^2), its even
+    and odd entries of num over den giving the coefficients e of P and o of
+    R in t = s^2; the resultant is divided by the monic h_t over Q[s]."""
+    R = ctx.field
     pc, rc = [], []
-    for entry in _binomial_expand(F, ctx.f_t.coeffs, ctx.s):
-        if any(c.den.degree for c in entry.coeffs):
-            raise ValueError("the expansion of f_t is not polynomial in s")
-        pc.append([c.num.coeffs[0::2] for c in entry.coeffs])
-        rc.append([c.num.coeffs[1::2] for c in entry.coeffs])
+    for entry in _binomial_expand(R, ctx.f_t.coeffs, ctx.s):
+        pc.append([[Fraction(x, c.den) for x in c.num[0::2]]
+                   for c in entry.coeffs])
+        rc.append([[Fraction(x, c.den) for x in c.num[1::2]]
+                   for c in entry.coeffs])
     res = []
-    for ts in _resultant_y(pc, rc):     # back to Q(s): t^k is s^(2k)
-        in_s = [QQ.zero] * (2 * len(ts))
+    for ts in _resultant_y(pc, rc):     # back to Q[s]: t^k is s^(2k)
+        in_s = [0] * (2 * len(ts))
         in_s[0::2] = ts
-        res.append(F.from_poly(UniPoly(QQ, in_s)))
-    return _weil_record(UniPoly(F, res), ctx.h_t)
+        res.append(R.from_coeffs(in_s))
+    return _weil_record(UniPoly(R, res), ctx.h_t)
 
 
 def _weil_record(res: UniPoly, companion: UniPoly) -> WeilRestrictionRecord:
@@ -312,12 +312,13 @@ def _weil_record(res: UniPoly, companion: UniPoly) -> WeilRestrictionRecord:
 
 
 class SymbolicContext:
-    """Q(s) with t = s^2, so sqrt(t) = s and every displayed identity is a
-    rational-function identity.  The attached polynomials are attributes so
-    a harness can corrupt one and watch the suite fail."""
+    """Q[s] with t = s^2, so sqrt(t) = s and every displayed identity, its
+    known denominator cleared, is a polynomial identity.  The attached
+    polynomials are attributes so a harness can corrupt one and watch the
+    suite fail."""
 
     def __init__(self):
-        self.field = FunctionField(QQ, "s")
+        self.field = PolyRing("s")
         self.s = self.field.gen
         self.t = self.s * self.s
         self.f_t = torsion_quartic(self.field, self.t, self.s)
@@ -341,14 +342,20 @@ def _check_tsc_torsion_to_principal(ctx: SymbolicContext) -> bool:
 
 
 def _check_tsc_principal_to_torsion(ctx: SymbolicContext) -> bool:
+    """Tsc(g_t; m, n, p) = f_t for m = -4(t+3s)/(bt), n = 16cs/(b^2 t), p =
+    -64c^2 s/(3b^3 t), cleared of L = 3b^3 t: the image of (Lm, Ln, Lp) has
+    L times its roots, so L^(4-i) times the X^i coefficient of f_t."""
     e = ctx.e
     t, s = ctx.t, ctx.s
     b = e(4) * (t - e(1)) ** 2
     c = e(-3) * (t - e(1)) ** 3
-    m = -e(4) * (t + e(3) * s) / (b * t)
-    n = e(16) * c * s / (b**2 * t)
-    p = -e(64) * c**2 * s / (e(3) * b**3 * t)
-    return reduced_tschirnhaus_poly(ctx.g_t, m, n, p) == ctx.f_t
+    big_l = e(3) * b**3 * t
+    image = reduced_tschirnhaus_poly(ctx.g_t, e(-12) * (t + e(3) * s) * b**2,
+                                     e(48) * c * s * b, e(-64) * c**2 * s)
+    f = ctx.f_t.coeffs
+    return image == UniPoly(ctx.field, [x * big_l ** (4 - i)
+                                        for i, x in enumerate(f[:4])]
+                            + list(f[4:]))
 
 
 def _check_disc_principal(ctx: SymbolicContext) -> bool:
@@ -373,8 +380,11 @@ def _check_tsc_companion_to_principal(ctx: SymbolicContext) -> bool:
 
 
 def _check_j_two_forms(ctx: SymbolicContext) -> bool:
-    return (j_invariant_factored(ctx.field, ctx.t, ctx.s)
-            == j_invariant_split(ctx.field, ctx.t, ctx.s))
+    """The two forms of j_t, cross-multiplied: 64(5+3s)^3 (t-1)^2 =
+    [64(27t^2+360t+125) + 128(81t+175)s] (s-1)^2 (s+1)."""
+    num_f, den_f = j_invariant_factored(ctx.field, ctx.t, ctx.s)
+    num_s, den_s = j_invariant_split(ctx.field, ctx.t, ctx.s)
+    return num_f * den_s == num_s * den_f
 
 
 # the t of the sampled Witt check, in order: none is 0, 1 or a square
@@ -418,7 +428,9 @@ def symbolic_suite(samples: int = 20,
         try:
             ok = fn(ctx)
             entries.append(SuiteEntry(name, bool(ok)))
-        except Exception as exc:  # suite reports, never raises
+        # a false identity can only make a division leave Q[s] or fail to be
+        # exact (rationals._exact_div); any other exception is a bug
+        except (ValueError, ZeroDivisionError, AssertionError) as exc:
             entries.append(SuiteEntry(name, False, f"{type(exc).__name__}: {exc}"))
     ok, detail = _check_witt_companion(samples)
     entries.append(SuiteEntry("witt_companion_sampled", ok, detail))

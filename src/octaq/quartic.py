@@ -373,7 +373,7 @@ def reduced_tschirnhaus_poly(f: UniPoly, m, n, p) -> UniPoly:
     has trace zero: q = (3bm + 2an)/4.  Equals the resultant
     Res_Y(f(Y), X - (mY^3 + nY^2 + pY + q)).
 
-    One route over every coefficient field, Q, Q(s) and Q(sqrt(t)):
+    One route over every coefficient ring, Q, Q[s] and Q(sqrt(t)):
     Newton's identities (_newton_image).  Over Q it runs in integers: y =
     e beta is a root of the integer model Y^4 + AY^2 + BY + C of f, and
     L gamma = U(y) for an integer polynomial U (_scaled_numerators), so the

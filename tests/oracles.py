@@ -8,10 +8,12 @@ from octaq.errors import (CyclotomicExcluded, ExcludedParameter,
                           NotPrimitive)
 from octaq.hilbert import (INF, BrauerClass, brauer_class, check_place,
                            class_product)
-from octaq.polynomials import QQ, QuadField, UniPoly, _disc
+from octaq.polynomials import (QQ, QuadField, UniPoly, _disc, poly_gcd,
+                               poly_str)
 from octaq.qcurve import (SymbolicContext, _binomial_expand,
-                          _require_principal, curve_from_t,
-                          principal_closure_p)
+                          _require_principal, companion_quartic_poly,
+                          curve_from_t, principal_closure_p,
+                          principal_quartic_poly, torsion_quartic)
 from octaq.quartic import (TraceFormData, _integer_model,
                            _normalize_principal, reduced_tschirnhaus_poly)
 from octaq.rationals import _val_unit, is_square, squarefree_part
@@ -99,8 +101,8 @@ def _poly_pow(p: UniPoly, k: int) -> UniPoly:
 def bareiss_weil_resultant(t=None, ctx=None) -> UniPoly:
     """Res_Y(P, R) of f_t(X + Y sqrt(t)) = P + R sqrt(t) by
     resultant_bivariate: over Q for a rational t; for t = None over the
-    Q(s), t = s^2, of ctx (a new SymbolicContext by default), with P and
-    R the even part of each coefficient in s and the odd part over s."""
+    Q(s), t = s^2, of ctx (a new FunctionFieldContext by default), with P
+    and R the even part of each coefficient in s and the odd part over s."""
     if t is not None:
         record = curve_from_t(t)
         K = record.quad_field
@@ -108,7 +110,7 @@ def bareiss_weil_resultant(t=None, ctx=None) -> UniPoly:
         return resultant_bivariate(
             [UniPoly(QQ, [c.u for c in e.coeffs]) for e in biv],
             [UniPoly(QQ, [c.v for c in e.coeffs]) for e in biv])
-    ctx = ctx or SymbolicContext()
+    ctx = ctx or FunctionFieldContext()
     F = ctx.field
 
     def half(c, parity):
@@ -119,6 +121,186 @@ def bareiss_weil_resultant(t=None, ctx=None) -> UniPoly:
     return resultant_bivariate(
         [UniPoly(F, [half(c, 0) for c in e.coeffs]) for e in biv],
         [UniPoly(F, [half(c, 1) for c in e.coeffs]) for e in biv])
+
+
+# -- the field Q(s): the reference route for the identity suite in Q[s] ------
+
+
+class RatFunc:
+    """num/den with den monic and gcd(num, den) = 1."""
+
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: "FunctionField", num: UniPoly, den: UniPoly,
+                 normalized: bool = False):
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if not normalized:
+            if den.degree == 0:
+                num = num.scale(den.lc ** -1)
+                den = UniPoly(num.field, (num.field.one,))
+            elif num.is_zero():
+                den = UniPoly(den.field, (den.field.one,))
+            else:
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num = num.exact_div(g)
+                    den = den.exact_div(g)
+                inv = den.lc ** -1
+                num = num.scale(inv)
+                den = den.scale(inv)
+        self.field = field
+        self.num = num
+        self.den = den
+
+    def _coerce(self, other):
+        if isinstance(other, RatFunc):
+            if other.field is not self.field:
+                raise ValueError("mixed function fields")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.field.embed(other)
+        if isinstance(other, UniPoly):
+            return RatFunc(self.field, other, self.field._one_poly, True)
+        return None
+
+    @property
+    def _is_poly(self) -> bool:
+        return self.den.degree == 0
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._is_poly and o._is_poly:
+            return RatFunc(self.field, self.num + o.num,
+                           self.field._one_poly, True)
+        return RatFunc(self.field, self.num * o.den + o.num * self.den,
+                       self.den * o.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RatFunc(self.field, -self.num, self.den, True)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if self._is_poly and o._is_poly:
+            return RatFunc(self.field, self.num * o.num,
+                           self.field._one_poly, True)
+        return RatFunc(self.field, self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "RatFunc":
+        if self.num.is_zero():
+            raise ZeroDivisionError("zero rational function")
+        return RatFunc(self.field, self.den, self.num)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return o * self.inverse()
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = self.field.one
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.num == o.num and self.den == o.den
+
+    def __hash__(self):
+        return hash((self.num.coeffs, self.den.coeffs))
+
+    def __bool__(self):
+        return not self.num.is_zero()
+
+    def eval(self, x):
+        """Evaluate at a base-field point (denominator must not vanish)."""
+        nv = self.num.eval(x)
+        dv = self.den.eval(x)
+        return nv / dv
+
+    def __repr__(self):
+        var = self.field.var
+        if self._is_poly:
+            return poly_str(self.num, var)
+        return f"({poly_str(self.num, var)})/({poly_str(self.den, var)})"
+
+
+class FunctionField:
+    """Field of rational functions in one variable over an exact base field."""
+
+    def __init__(self, base=QQ, var: str = "s"):
+        self.base = base
+        self.var = var
+        self._one_poly = UniPoly(base, (base.one,))
+        self._zero_poly = UniPoly(base, ())
+        self.zero = RatFunc(self, self._zero_poly, self._one_poly, True)
+        self.one = RatFunc(self, self._one_poly, self._one_poly, True)
+        self.gen = RatFunc(self, UniPoly(base, (base.zero, base.one)),
+                           self._one_poly, True)
+
+    def embed(self, x) -> RatFunc:
+        if isinstance(x, RatFunc) and x.field is self:
+            return x
+        return RatFunc(self, UniPoly(self.base, (self.base.embed(x),)),
+                       self._one_poly, True)
+
+    def from_poly(self, p: UniPoly) -> RatFunc:
+        return RatFunc(self, p, self._one_poly, True)
+
+    def __repr__(self):
+        return f"{self.base!r}({self.var})"
+
+
+
+
+class FunctionFieldContext(SymbolicContext):
+    """The polynomials of SymbolicContext over the field Q(s), where every
+    identity holds as it is displayed, with no denominator cleared."""
+
+    def __init__(self):
+        self.field = FunctionField(QQ, "s")
+        self.s = self.field.gen
+        self.t = self.s * self.s
+        self.f_t = torsion_quartic(self.field, self.t, self.s)
+        self.g_t = principal_quartic_poly(self.field, self.t)
+        self.h_t = companion_quartic_poly(self.field, self.t)
+
+
+def to_function_field(F: FunctionField, x):
+    """An element of Q[s], or a UniPoly over Q[s], mapped into F = Q(s)."""
+    if isinstance(x, UniPoly):
+        return UniPoly(F, [to_function_field(F, c) for c in x.coeffs])
+    return F.from_poly(UniPoly(QQ, [Fraction(c, x.den) for c in x.num]))
 
 
 def sylvester_matrix(f: UniPoly, g: UniPoly) -> list[list]:

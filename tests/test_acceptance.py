@@ -3,7 +3,7 @@ single PASS/FAIL line (run with -s to see them live).
 
  1. table corpus reproduction, 85/85 rows, under 5 minutes
  2. two-path Witt agreement (closed formula vs diagonalization)
- 3. symbolic identity suite over Q(s) plus sampled Witt checks
+ 3. symbolic identity suite in Q[s] plus sampled Witt checks
  4. Hilbert symbol laws and the norm identity
  5. GL2(F9) subgroup classification and S4 conjugacy, under 2 minutes
  6. parameter round trip and the one-parameter family

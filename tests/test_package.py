@@ -90,6 +90,39 @@ def test_resultant_kernel_checks_survive_python_O():
         "-1/2 is not divisible by 1", "1 is not divisible by 2"]
 
 
+def test_symbolic_suite_under_python_O():
+    # the identity suite keeps its stdout under -O, a corrupted g_t still
+    # fails its entries, and every division the ring Q[s] refuses (by zero,
+    # by a non-constant) is an explicit raise
+    import hashlib
+    proc = _run_python("-O", "-m", "octaq.cli", "symbolic")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        "3560189619b3e86afe8d31b00f282ad40a0b2793b11013406b103d5c496932e6"
+    script = (
+        "from octaq.polynomials import UniPoly\n"
+        "from octaq.qcurve import SymbolicContext, symbolic_suite\n"
+        "ctx = SymbolicContext()\n"
+        "bad = list(ctx.g_t.coeffs)\n"
+        "bad[1] = bad[1] + 1\n"
+        "ctx.g_t = UniPoly(ctx.field, bad)\n"
+        "print(sorted(e.name for e in symbolic_suite(samples=1, ctx=ctx)\n"
+        "             if not e.passed))\n"
+        "s = ctx.s\n"
+        "for call in (lambda: s / 0, lambda: s / (s + 1),\n"
+        "             lambda: (s + 1) ** -1):\n"
+        "    try:\n"
+        "        print('returned', call())\n"
+        "    except (ZeroDivisionError, ValueError) as exc:\n"
+        "        print(type(exc).__name__)\n")
+    proc = _run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        "['disc_principal_quartic', 'tsc_companion_to_principal',"
+        " 'tsc_principal_to_torsion', 'tsc_torsion_to_principal']",
+        "ZeroDivisionError", "ValueError", "ValueError"]
+
+
 def test_python_m_octaq_runs_the_cli():
     args = ("principalize", "--", "-1,-1,0,0,1")
     package = _run_python("-m", "octaq", *args)

@@ -1,16 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from octaq.polynomials import (QQ, FunctionField, QuadField, UniPoly,
+from octaq.polynomials import (QQ, PolyRing, QuadField, UniPoly,
                                _resultant_y, discriminant, poly, poly_gcd,
                                qpoly)
 from octaq.quartic import _power_sums
-from oracles import (bareiss_determinant, constant_resultant as resultant,
-                     power_sums, resultant_bivariate, sylvester_matrix)
+from oracles import (FunctionField, bareiss_determinant,
+                     constant_resultant as resultant, power_sums,
+                     resultant_bivariate, sylvester_matrix,
+                     to_function_field)
 from sturm import count_real_roots
 
 
@@ -257,3 +260,52 @@ def test_resultant_y_zero_polynomial():
             _resultant_y(zero, [[[1]], [[1]]])
         with pytest.raises(ValueError, match="zero polynomial"):
             _resultant_y([[[1]], [[1]]], zero)
+
+
+# -- the ring Q[s] against the field Q(s) of the oracles ---------------------
+
+_RING = PolyRing("s")
+_FIELD = FunctionField(QQ, "s")
+_in_ring = st.lists(ratios, max_size=4).map(_RING.from_coeffs)
+
+
+def _in_field(x):
+    return to_function_field(_FIELD, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_in_ring, _in_ring, ratios)
+@example(_RING.from_coeffs([1, 2]), _RING.from_coeffs([1, 2]), Fraction(0))
+def test_ring_arithmetic_matches_function_field(a, b, c):
+    fa, fb = _in_field(a), _in_field(b)
+    results = [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb),
+               (-a, -fa), (a**3, fa**3), (c - a, c - fa), (c * a, c * fa),
+               (a + c, fa + c)]
+    if c:
+        results += [(a / c, fa / c), (c / _RING.embed(c), _FIELD.one)]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / c
+    for got, expected in results:
+        assert _in_field(got) == expected
+        # integer coefficients, the last nonzero, over a positive
+        # denominator prime to their content
+        assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+        assert not got.num or got.num[-1]
+    assert (a == b) == (fa == fb) and (a == c) == (fa == c)
+    assert a != b or hash(a) == hash(b)
+    if not b:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    elif len(b.num) > 1:
+        with pytest.raises(ValueError, match="not a constant"):
+            a / b
+        with pytest.raises(ValueError, match="not a constant"):
+            b ** -1
+    else:
+        assert _in_field(a / b) == fa / fb
+
+
+def test_ring_refuses_a_mixed_ring():
+    with pytest.raises(ValueError, match="mixed polynomial rings"):
+        _RING.gen + PolyRing("s").gen

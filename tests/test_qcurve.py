@@ -19,7 +19,8 @@ from octaq.qcurve import (J_AT_CUSP, WITT_SAMPLES, SymbolicContext,
 from octaq.quartic import (PrincipalQuartic, ReducedQuartic, is_principal,
                            same_field)
 from octaq.rationals import is_square, squarefree_part
-from oracles import bareiss_weil_resultant, quad_element_family
+from oracles import (FunctionFieldContext, bareiss_weil_resultant,
+                     quad_element_family, to_function_field)
 
 # acceptance criterion 6's principal seeds (b, c)
 CRITERION_6_SEEDS = [(1, -1), (2, -1), (3, 1), (1, 1), (2, 2), (4, 4),
@@ -219,18 +220,38 @@ def test_weil_restriction_symbolic():
 
 
 def test_weil_cofactors_match_bareiss_oracle():
-    # the resultant over Q(s) and at rational t, by Bareiss on Q(s)[X] or
+    # the resultant in Q[s] and at rational t against Bareiss on Q(s)[X] or
     # Q[X] entries: same resultant, so the same cofactor of h_t
     from octaq.qcurve import _symbolic_weil_restriction
-    ctx = SymbolicContext()
-    cases = [(_symbolic_weil_restriction(ctx), bareiss_weil_resultant(ctx=ctx))]
+    ff = FunctionFieldContext()
+    cases = [(_symbolic_weil_restriction(SymbolicContext()),
+              bareiss_weil_resultant(ctx=ff), ff.h_t,
+              lambda p: to_function_field(ff.field, p))]
     for t in (Fraction(-1), Fraction(2), Fraction(5, 3)):
-        cases.append((weil_restriction_factor(t), bareiss_weil_resultant(t)))
-    for wr, res in cases:
-        quot, rem = res.divmod(wr.companion)
+        cases.append((weil_restriction_factor(t), bareiss_weil_resultant(t),
+                      curve_from_t(t).h_t, lambda p: p))
+    for wr, res, companion, image in cases:
+        quot, rem = res.divmod(companion)
         assert rem.is_zero() and wr.divisible
         assert wr.resultant_degree == res.degree == 16
-        assert wr.cofactor == quot
+        assert image(wr.companion) == companion
+        assert image(wr.cofactor) == quot
+
+
+def test_weil_restriction_reads_coefficient_denominators():
+    # f_t(2X)/16 has the constant term -3(25 + 9t + 30s)/4; the resultant
+    # of its expansion is divisible by h_t(2X)/16, with the same cofactor
+    # degree, only if each coefficient is read with its denominator
+    from octaq.qcurve import _symbolic_weil_restriction
+    ctx = SymbolicContext()
+    F = ctx.field
+    halve = UniPoly(F, (F.zero, F.embed(2)))
+    ctx.f_t, ctx.h_t = (p.compose(halve).scale(F.embed(Fraction(1, 16)))
+                        for p in (ctx.f_t, ctx.h_t))
+    assert ctx.f_t[0].den == 4
+    wr = _symbolic_weil_restriction(ctx)
+    assert wr.resultant_degree == 16 and wr.divisible
+    assert wr.cofactor.degree == 12
 
 
 def test_companion_disc_identity_at_samples():
@@ -264,15 +285,17 @@ def test_principal_and_companion_define_same_field():
 
 
 def test_j_matches_weierstrass_invariants():
-    # independent oracle: j = 1728 * 4A^3 / (4A^3 + 27B^2) of the model
+    # independent oracle: j = 1728 * 4A^3 / (4A^3 + 27B^2) of the model,
+    # cross-multiplied with j = num/den in Q[s]
     from octaq.qcurve import (SymbolicContext, j_invariant_factored,
                               weierstrass_model)
     ctx = SymbolicContext()
     F, s, t = ctx.field, ctx.s, ctx.t
     A, B = weierstrass_model(F, s)
     e = F.embed
-    j_model = (e(1728) * e(4) * A**3) / (e(4) * A**3 + e(27) * B**2)
-    assert j_model == j_invariant_factored(F, t, s)
+    num, den = j_invariant_factored(F, t, s)
+    assert den and e(4) * A**3 + e(27) * B**2
+    assert e(1728) * e(4) * A**3 * den == num * (e(4) * A**3 + e(27) * B**2)
 
 
 def test_symbolic_suite_all_pass():
@@ -298,6 +321,28 @@ def test_symbolic_suite_detects_mutation():
     ctx.g_t = UniPoly(ctx.field, bad)
     entries = symbolic_suite(samples=2, ctx=ctx)
     assert any(not e.passed for e in entries)
+
+
+def test_symbolic_suite_reports_false_identities_and_raises_bugs(monkeypatch):
+    # a false identity (a division that leaves Q[s] or is not exact) fails
+    # its entry; any other exception is a bug and ends the command
+    from octaq import qcurve
+    from octaq.cli import main
+    for exc in (ValueError("v"), ZeroDivisionError("z"), AssertionError("a")):
+        def false_identity(ctx, exc=exc):
+            raise exc
+        monkeypatch.setattr(qcurve, "_check_j_two_forms", false_identity)
+        entry = symbolic_suite(samples=1)[6]
+        assert entry.name == "j_invariant_two_forms" and not entry.passed
+        assert entry.detail == f"{type(exc).__name__}: {exc}"
+
+    def bug(ctx):
+        raise TypeError("a bug, not a false identity")
+    monkeypatch.setattr(qcurve, "_check_j_two_forms", bug)
+    with pytest.raises(TypeError, match="a bug"):
+        symbolic_suite(samples=1)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["symbolic", "--samples", "1"])
 
 
 def _failed_with(attr, corrupt):

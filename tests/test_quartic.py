@@ -31,8 +31,9 @@ from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
 from octaq.rationals import (_val_unit, factorize, is_square,
                               same_square_class, squarefree_part)
 from octaq.tables import load_bundled_corpus
-from oracles import (fraction_gram, fraction_trace_form,
-                     sylvester_discriminant, witt_by_brauer_classes)
+from oracles import (FunctionFieldContext, fraction_gram,
+                     fraction_trace_form, sylvester_discriminant,
+                     to_function_field, witt_by_brauer_classes)
 from sturm import count_real_roots
 
 CORPUS = load_bundled_corpus()
@@ -138,8 +139,12 @@ def test_closed_form_discriminant():
         c = [rng.randint(-10**6, 10**6) for _ in range(degree)] + [1]
         assert _disc(c) == sylvester_discriminant(qpoly(c)), c
     assert _disc([0, 0, 0, 1]) == _disc([1, 4, 6, 4, 1]) == 0
-    for f in (_SUITE.g_t, _SUITE.h_t):
-        assert discriminant(f) == sylvester_discriminant(f)
+    # in Q[s] against the Sylvester determinant over Q(s)
+    for name in ("g_t", "h_t"):
+        f = getattr(_FUNCTION_FIELD, name)
+        in_ring = discriminant(getattr(_SUITE, name))
+        assert to_function_field(f.field, in_ring) == discriminant(f) \
+            == sylvester_discriminant(f)
 
 
 def test_irreducibility_and_s4_factor_no_integer(monkeypatch):
@@ -992,6 +997,7 @@ def test_tschirnhaus_image_matches_oracle_over_quadratic_field(t, coords):
 
 
 _SUITE = SymbolicContext()
+_FUNCTION_FIELD = FunctionFieldContext()
 
 
 @settings(max_examples=25, deadline=None)
@@ -1001,12 +1007,41 @@ _SUITE = SymbolicContext()
 @example("g_t", [(0, 0)] * 3)
 def test_tschirnhaus_image_matches_oracle_over_function_field(name, coords):
     # m, n, p = i + j s in Q(s), on the quartics of the identity suite
-    f = getattr(_SUITE, name)
-    s = _SUITE.s
+    f = getattr(_FUNCTION_FIELD, name)
+    s = _FUNCTION_FIELD.s
     m, n, p = (i + j * s for i, j in coords)
     image = quartic.reduced_tschirnhaus_poly(f, m, n, p)
     assert image == _oracle_tschirnhaus_poly(f, m, n, p)
-    assert all(x.field is _SUITE.field for x in image.coeffs)
+    assert all(x.field is _FUNCTION_FIELD.field for x in image.coeffs)
+
+
+_in_s = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(("f_t", "g_t", "h_t")),
+       st.lists(_in_s, min_size=3, max_size=3),
+       _in_s.filter(lambda ijk: ijk[:2] != (0, 0)))
+@example("g_t", [(0, 0, 1)] * 3, (1, 0, 1))
+def test_cleared_tschirnhaus_image_in_ring_matches_function_field(
+        name, coords, scale):
+    # m, n, p = (i + j s)/k on a quartic of the identity suite: the image
+    # of (Lm, Ln, Lp) in Q[s], L = (i + j s)/k != 0, is the image of
+    # (m, n, p) in Q(s) with its X^i coefficient times L^(4-i)
+    ring, ff = _SUITE.field, _FUNCTION_FIELD.field
+
+    def in_ring(i, j, k):
+        return (i + j * _SUITE.s) / k
+    big_l = in_ring(*scale)
+    image = quartic.reduced_tschirnhaus_poly(
+        getattr(_SUITE, name), *(big_l * in_ring(*ijk) for ijk in coords))
+    assert all(x.ring is ring for x in image.coeffs)
+    expected = quartic.reduced_tschirnhaus_poly(
+        getattr(_FUNCTION_FIELD, name),
+        *((i + j * _FUNCTION_FIELD.s) / k for i, j, k in coords))
+    ff_l = to_function_field(ff, big_l)
+    assert to_function_field(ff, image) == UniPoly(
+        ff, [x * ff_l ** (4 - i) for i, x in enumerate(expected.coeffs)])
 
 
 def test_rational_images_stay_in_integers(monkeypatch):
