@@ -7,10 +7,12 @@ Everything below is an exact finite computation over explicit element
 sets.
 """
 
-from octaq.gl2f9 import (classify_hjk, five_groups, gl2f9, s4_conjugacy_scan,
-                         verify_outer_involutions, verify_subgroup_classification)
+from octaq.gl2f9 import (GL2_GENERATORS, classify_hjk, five_groups, group,
+                         s4_conjugacy_scan, verify_outer_involutions,
+                         verify_subgroup_classification)
 
-print(f"|GL2(F9)| = {gl2f9().order}, |SL2(F9)| = {gl2f9().sl2_order()}")
+full = group(GL2_GENERATORS)
+print(f"|GL2(F9)| = {full.order}, |SL2(F9)| = {full.sl2_order()}")
 print()
 print("subgroup table <zeta^j S, zeta^k T>:")
 for j, k in [(0, 0), (1, 0), (2, 0), (0, 2), (0, 1)]:

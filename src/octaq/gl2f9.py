@@ -2,10 +2,21 @@
 
 F9 = F3[zeta] with zeta^2 = zeta + 1, so zeta generates the multiplicative
 group (order 8) and i = zeta^2.  Field elements are coded 0..8 as
-a + 3b for a + b zeta; 2x2 matrices are packed into a single integer
-base 81, and all arithmetic runs through precomputed tables.  Groups are
-stored as explicit frozensets of packed matrices (at most 5760 elements)
-together with the generators they were closed from.
+a + 3b for a + b zeta, and all arithmetic runs through precomputed tables.
+A matrix [[a, b], [c, d]] is the 4-tuple (a, b, c, d) of codes, and a
+group is the frozenset of its matrices (at most 5760) together with the
+generators it was closed from.
+
+An element of PGL2(F9) is the permutation it induces on the ten points
+of P^1(F9): point x < 9 is (x : 1) and point 9 is infinity (1 : 0), and
+the tuple p has p[x] = image of point x.  Products, inverses, orders and
+conjugates are then operations on 10-tuples, with no canonical scaling.
+The scalars F9* act trivially, so the image of GL2(F9) in Sym(P^1) has at
+most 5760 / 8 = 720 elements.  The permutations of diag(zeta, 1) and
+[[-1, 1], [-1, 0]] close to exactly 720 (checked; otherwise OctaqError).
+That proves two things at once: the kernel of the action is exactly F9*,
+so PGL2(F9) acts faithfully and each element is its permutation, and
+the pair generates PGL2(F9).
 
 The verified statements: the generator relations between powers of
 zeta^j S and zeta^k T, the collapse of the 64 subgroups <zeta^j S,
@@ -30,6 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
+from math import lcm
 
 from .errors import OctaqError
 
@@ -66,68 +78,50 @@ for _x in range(1, 9):
 F9_UNITS = tuple(range(1, 9))
 
 
-# -- packed 2x2 matrices -------------------------------------------------------
+# -- 2x2 matrices as 4-tuples (a, b, c, d) = [[a, b], [c, d]] -----------------
 
 
-def mat(e00: int, e01: int, e10: int, e11: int) -> int:
-    return e00 + 81 * e01 + 81 * 81 * e10 + 81 * 81 * 81 * e11
+def mat_mul(x: tuple, y: tuple) -> tuple:
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    add = F9_ADD
+    ma, mb, mc, md = F9_MUL[xa], F9_MUL[xb], F9_MUL[xc], F9_MUL[xd]
+    return (add[ma[ya]][mb[yc]], add[ma[yb]][mb[yd]],
+            add[mc[ya]][md[yc]], add[mc[yb]][md[yd]])
 
 
-def _unpack(m: int) -> tuple[int, int, int, int]:
-    return m % 81, (m // 81) % 81, (m // 6561) % 81, m // 531441
-
-
-def mat_entries(m: int) -> tuple[int, int, int, int]:
-    a, b, c, d = _unpack(m)
-    return a % 9, b % 9, c % 9, d % 9
-
-
-def _pack(a: int, b: int, c: int, d: int) -> int:
-    return a + 81 * b + 6561 * c + 531441 * d
-
-
-def mat_mul(x: int, y: int) -> int:
-    xa, xb, xc, xd = mat_entries(x)
-    ya, yb, yc, yd = mat_entries(y)
-    add, mul = F9_ADD, F9_MUL
-    return _pack(
-        add[mul[xa][ya]][mul[xb][yc]],
-        add[mul[xa][yb]][mul[xb][yd]],
-        add[mul[xc][ya]][mul[xd][yc]],
-        add[mul[xc][yb]][mul[xd][yd]],
-    )
-
-
-def mat_det(m: int) -> int:
-    a, b, c, d = mat_entries(m)
+def mat_det(m: tuple) -> int:
+    a, b, c, d = m
     return F9_ADD[F9_MUL[a][d]][F9_NEG[F9_MUL[b][c]]]
 
 
-def mat_inv(m: int) -> int:
-    a, b, c, d = mat_entries(m)
+def mat_inv(m: tuple) -> tuple:
+    a, b, c, d = m
     det = mat_det(m)
     if det == ZERO:
         raise ZeroDivisionError("singular matrix")
-    di = F9_INV[det]
-    return _pack(F9_MUL[di][d], F9_MUL[di][F9_NEG[b]],
-                 F9_MUL[di][F9_NEG[c]], F9_MUL[di][a])
+    di = F9_MUL[F9_INV[det]]
+    return di[d], di[F9_NEG[b]], di[F9_NEG[c]], di[a]
 
 
-def scalar_mul(c: int, m: int) -> int:
-    a, b, cc, d = mat_entries(m)
-    return _pack(F9_MUL[c][a], F9_MUL[c][b], F9_MUL[c][cc], F9_MUL[c][d])
+def scalar_mul(c: int, m: tuple) -> tuple:
+    mc = F9_MUL[c]
+    a, b, cc, d = m
+    return mc[a], mc[b], mc[cc], mc[d]
 
 
-def scalar_mat(c: int) -> int:
-    return _pack(c, ZERO, ZERO, c)
+def scalar_mat(c: int) -> tuple:
+    return c, ZERO, ZERO, c
 
 
 IDENTITY = scalar_mat(ONE)
-S_MAT = mat(ONE, ZERO, ZERO, MINUS_ONE)
-T_MAT = mat(ONE, MINUS_ONE, ONE, ZERO)
+S_MAT = (ONE, ZERO, ZERO, MINUS_ONE)
+T_MAT = (ONE, MINUS_ONE, ONE, ZERO)
+# diag(zeta, 1) and [[-1, 1], [-1, 0]]; _pgl2f9 checks they generate PGL2(F9)
+GL2_GENERATORS = ((ZETA, ZERO, ZERO, ONE), (MINUS_ONE, ONE, MINUS_ONE, ZERO))
 
 
-def mat_order(m: int) -> int:
+def mat_order(m: tuple) -> int:
     k, cur = 1, m
     while cur != IDENTITY:
         cur = mat_mul(cur, m)
@@ -205,44 +199,71 @@ def classify_hjk(j: int, k: int) -> tuple[int, int, str]:
     return key[0], key[1], _LABELS.get(key, f"unknown{key}")
 
 
-# -- PGL2(F9) ------------------------------------------------------------------
+# -- PGL2(F9) as permutations of P^1(F9) --------------------------------------
+
+_INF = 9
+_PERM_ID = tuple(range(10))
 
 
-def pgl_canon(m: int) -> int:
-    """Scale by F9* so the first nonzero entry is 1."""
-    for e in mat_entries(m):
-        if e != ZERO:
-            return scalar_mul(F9_INV[e], m)
-    raise ValueError("zero matrix")
+def _perm(m: tuple) -> tuple:
+    """The permutation x -> (a x + b) / (c x + d) of P^1(F9) induced by m;
+    OctaqError for a singular m, which induces no permutation."""
+    if mat_det(m) == ZERO:
+        raise OctaqError("a singular matrix is not an element of PGL2(F9)")
+    a, b, c, d = m
+    add, ma, mc = F9_ADD, F9_MUL[a], F9_MUL[c]
+    images = [_INF if (den := add[mc[x]][d]) == ZERO
+              else F9_MUL[add[ma[x]][b]][F9_INV[den]] for x in range(9)]
+    images.append(_INF if c == ZERO else ma[F9_INV[c]])
+    return tuple(images)
 
 
-def pgl_project(elements) -> frozenset:
-    return frozenset(pgl_canon(m) for m in elements)
+def _compose(p: tuple, q: tuple) -> tuple:
+    """p after q, so that _perm(m n) = _compose(_perm(m), _perm(n))."""
+    return tuple(map(p.__getitem__, q))
 
 
-_GL2F9 = None
-_PGL2F9 = None
+def _perm_order(p: tuple) -> int:
+    """The lcm of the cycle lengths."""
+    order, seen = 1, set()
+    for x in range(10):
+        length = 0
+        while x not in seen:
+            seen.add(x)
+            x = p[x]
+            length += 1
+        if length:
+            order = lcm(order, length)
+    return order
 
 
-def gl2f9() -> MatGroup:
-    """The full group, generated by a verified pair."""
-    global _GL2F9
-    if _GL2F9 is None:
-        # diag(zeta, 1) and the order-3-ish companion generate everything
-        g1 = mat(ZETA, ZERO, ZERO, ONE)
-        g2 = mat(MINUS_ONE, ONE, MINUS_ONE, ZERO)
-        full = group([g1, g2])
-        if full.order != 5760:
-            raise OctaqError(f"generators give order {full.order}, not 5760")
-        _GL2F9 = full
-    return _GL2F9
+def _perm_closure(gens, cap: int) -> frozenset | None:
+    """The group the permutations gens generate, or None once it has more
+    than cap elements."""
+    seen = {_PERM_ID, *gens}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = _compose(p, g)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+                    if len(seen) > cap:
+                        return None
+        frontier = nxt
+    return frozenset(seen)
 
 
-def pgl2f9() -> frozenset:
-    global _PGL2F9
-    if _PGL2F9 is None:
-        _PGL2F9 = pgl_project(gl2f9().elements)
-    return _PGL2F9
+def _pgl2f9() -> frozenset:
+    """PGL2(F9) as permutations of P^1(F9), closed on each call from
+    GL2_GENERATORS, which must give exactly 720 (see the module docstring)."""
+    pgl = _perm_closure([_perm(g) for g in GL2_GENERATORS], 720)
+    if pgl is None or len(pgl) != 720:
+        raise OctaqError("the generators of GL2(F9) do not close to the 720"
+                         " permutations of PGL2(F9) on P^1(F9)")
+    return pgl
 
 
 # -- subgroup classification checks ----------------------------------------------
@@ -261,7 +282,7 @@ class CheckLedger:
         return all(e["passed"] for e in self.entries)
 
 
-def _pow(m: int, k: int) -> int:
+def _pow(m: tuple, k: int) -> tuple:
     out = IDENTITY
     for _ in range(k):
         out = mat_mul(out, m)
@@ -281,9 +302,11 @@ def verify_generator_relations(ledger: CheckLedger) -> None:
                  _pow(z3T, 7) == scalar_mul(MINUS_ONE, zT))
 
 
+_FIVE = {"G1": (0, 0), "G2": (1, 0), "G3": (2, 0), "G4": (0, 2), "G5": (0, 1)}
+
+
 def five_groups() -> dict[str, MatGroup]:
-    return {"G1": h_jk(0, 0), "G2": h_jk(1, 0), "G3": h_jk(2, 0),
-            "G4": h_jk(0, 2), "G5": h_jk(0, 1)}
+    return {name: h_jk(j, k) for name, (j, k) in _FIVE.items()}
 
 
 def verify_subgroup_classification() -> CheckLedger:
@@ -293,16 +316,17 @@ def verify_subgroup_classification() -> CheckLedger:
     led = CheckLedger()
     verify_generator_relations(led)
 
-    gs = five_groups()
+    hs = {jk: h_jk(*jk) for jk in product(range(8), range(8))}
+    gs = {name: hs[jk] for name, jk in _FIVE.items()}
     g1, g2, g3, g4, g5 = (gs[k].elements for k in ("G1", "G2", "G3", "G4", "G5"))
 
-    led.check("H_{1,0} = H_{1,2}", g2 == h_jk(1, 2).elements)
+    led.check("H_{1,0} = H_{1,2}", g2 == hs[1, 2].elements)
     i_gl2f3 = set_product([ZETA_POW[2 * k] for k in range(4)], g1)
     led.check("H_{0,2} = H_{2,2} = <i>GL2(F3)",
-              g4 == h_jk(2, 2).elements == i_gl2f3)
+              g4 == hs[2, 2].elements == i_gl2f3)
     f9s_gl2f3 = set_product(F9_UNITS, g1)
     led.check("H_{0,1} = H_{1,1} = H_{2,1} = F9*GL2(F3)",
-              g5 == h_jk(1, 1).elements == h_jk(2, 1).elements == f9s_gl2f3)
+              g5 == hs[1, 1].elements == hs[2, 1].elements == f9s_gl2f3)
     led.check("<i>G1 = <i>G3 = G4",
               set_product([ONE, I_UNIT, MINUS_ONE, ZETA_POW[6]], g1)
               == set_product([ONE, I_UNIT, MINUS_ONE, ZETA_POW[6]], g3) == g4)
@@ -311,8 +335,7 @@ def verify_subgroup_classification() -> CheckLedger:
 
     minus_id = scalar_mat(MINUS_ONE)
     led.check("F3* in every H_{j,k}",
-              all(minus_id in h_jk(j, k).elements
-                  for j, k in product(range(8), range(8))))
+              all(minus_id in h.elements for h in hs.values()))
 
     expected = {"G1": (48, 24, "2S4+"), "G2": (96, 24, "4S4+"),
                 "G3": (48, 48, "2S4-"), "G4": (96, 48, "4S4-"),
@@ -326,7 +349,7 @@ def verify_subgroup_classification() -> CheckLedger:
 
     led.check("G1 ∩ SL2(F9) = SL2(F3)",
               frozenset(m for m in g1 if mat_det(m) == ONE)
-              == closure([mat(ONE, ONE, ZERO, ONE), mat(ONE, ZERO, ONE, ONE)]))
+              == closure([(ONE, ONE, ZERO, ONE), (ONE, ZERO, ONE, ONE)]))
     led.check("G3 inside SL2(F9)", all(mat_det(m) == ONE for m in g3))
 
     led.check("G2 maximal in G5 (index 2 subgroup)",
@@ -334,9 +357,9 @@ def verify_subgroup_classification() -> CheckLedger:
     led.check("G4 maximal in G5 (index 2 subgroup)",
               g4 < g5 and 2 * len(g4) == len(g5))
 
-    pg1 = pgl_project(g1)
+    pg1 = frozenset(map(_perm, g1))
     led.check("pi(Gj) identical for j = 1..5",
-              all(pgl_project(gs[k].elements) == pg1
+              all(frozenset(map(_perm, gs[k].elements)) == pg1
                   for k in ("G2", "G3", "G4", "G5")))
     return led
 
@@ -344,39 +367,39 @@ def verify_subgroup_classification() -> CheckLedger:
 # -- outer involutions ----------------------------------------------------------
 
 
-def projective_det(m: int) -> int:
+def projective_det(m: tuple) -> int:
     """Sign of det on PGL2(F3), pulled back: write m = lambda m0 with m0
-    over F3; det(m0) is +-1 independently of the choice."""
-    for lam in F9_UNITS:
-        li = F9_INV[lam]
-        entries = [F9_MUL[li][e] for e in mat_entries(m)]
-        if all(e in (ZERO, ONE, MINUS_ONE) for e in entries):
-            return mat_det(_pack(*entries))
-    raise ValueError("matrix is not a scalar multiple of GL2(F3)")
+    over F3; det(m0) is +-1 independently of the choice, and lambda is
+    +- the first nonzero entry of m."""
+    lead = next(e for e in m if e != ZERO)
+    m0 = scalar_mul(F9_INV[lead], m)
+    if any(e not in (ZERO, ONE, MINUS_ONE) for e in m0):
+        raise ValueError("matrix is not a scalar multiple of GL2(F3)")
+    return mat_det(m0)
 
 
-def twist_phi(m: int) -> int:
+def twist_phi(m: tuple) -> tuple:
     return scalar_mul(projective_det(m), m)
 
 
-def twist_f1(m: int) -> int:
+def twist_f1(m: tuple) -> tuple:
     return scalar_mul(mat_det(m), m)
 
 
-def twist_f2(m: int) -> int:
+def twist_f2(m: tuple) -> tuple:
     d = mat_det(m)
     return scalar_mul(F9_MUL[d][d], m)
 
 
 def _is_inner(g: MatGroup, mapping: dict) -> bool:
-    """Some h in g conjugates every m to mapping[m].  Candidates are
-    screened on the generators, and a match is confirmed on all elements,
-    so the answer does not rely on mapping being a homomorphism."""
+    """Some h in g conjugates every m to mapping[m], that is h m =
+    mapping[m] h.  Candidates are screened on the generators, and a match
+    is confirmed on all elements, so the answer does not rely on mapping
+    being a homomorphism."""
     for h in g.elements:
-        hi = mat_inv(h)
-        if (all(mapping[s] == mat_mul(mat_mul(h, s), hi)
+        if (all(mat_mul(h, s) == mat_mul(mapping[s], h)
                 for s in g.generators)
-                and all(mapping[m] == mat_mul(mat_mul(h, m), hi)
+                and all(mat_mul(h, m) == mat_mul(mapping[m], h)
                         for m in g.elements)):
             return True
     return False
@@ -422,57 +445,34 @@ def verify_outer_involutions(g: MatGroup) -> dict[str, dict]:
 _S4_ORDER_PROFILE = {1: 1, 2: 9, 3: 8, 4: 6}
 
 
-def _pgl_mul(a: int, b: int) -> int:
-    return pgl_canon(mat_mul(a, b))
-
-
-def _pgl_order(m: int) -> int:
-    k, cur = 1, m
-    while cur != IDENTITY:
-        cur = _pgl_mul(cur, m)
-        k += 1
-        if k > 720:
-            raise OctaqError("not an element of PGL2(F9)")
-    return k
-
-
-def _pgl_closure_capped(a: int, b: int, cap: int) -> frozenset | None:
-    seen = {IDENTITY, a, b}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for gg in (a, b):
-                p = _pgl_mul(m, gg)
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-                    if len(seen) > cap:
-                        return None
-        frontier = nxt
-    return frozenset(seen)
+# the closure of one triangle pair, kept apart from that of PGL2(F9)
+def _pgl_closure_capped(a: tuple, b: tuple, cap: int) -> frozenset | None:
+    return _perm_closure((a, b), cap)
 
 
 def s4_conjugacy_scan() -> dict:
     """Find every S4 subgroup of PGL2(F9) and verify they form one
     conjugacy class.
 
-    Completeness rests on the presentation S4 = <x, y | x^4 = y^3 =
-    (xy)^2 = 1>: every S4 subgroup contains a pair (a, b) with ord a = 4,
-    ord b = 3 and (ab)^2 = 1, so the scan runs over all such triangle
-    pairs.  Each pair not inside an already-found subgroup is closed (at
-    most 24 elements) and must give a group with the element-order
-    profile of S4; anything else raises OctaqError.  The conjugacy class
-    of one subgroup is its closure under conjugation by the images of the
-    two generators of GL2(F9), which generate PGL2(F9)."""
-    order = {m: _pgl_order(m) for m in sorted(pgl2f9())}
-    fours = [m for m, o in order.items() if o == 4]
-    threes = [m for m, o in order.items() if o == 3]
+    PGL2(F9) is the closure of the permutations of GL2_GENERATORS, which
+    must have 720 elements (see the module docstring).  Completeness rests
+    on the presentation S4 = <x, y | x^4 = y^3 = (xy)^2 = 1>: every S4
+    subgroup contains a pair (a, b) with ord a = 4, ord b = 3 and
+    (ab)^2 = 1, so the scan runs over all such triangle pairs.  Each pair
+    not inside an already-found subgroup is closed (at most 24 elements)
+    and must give a group with the element-order profile of S4; anything
+    else raises OctaqError.  The conjugacy class of one subgroup is its
+    closure under conjugation by the two generators of PGL2(F9)."""
+    order = {p: _perm_order(p) for p in sorted(_pgl2f9())}
+    fours = [p for p, o in order.items() if o == 4]
+    threes = [p for p, o in order.items() if o == 3]
+    square_one = {p for p, o in order.items() if o <= 2}
     subs: list[frozenset] = []
     for a in fours:
         for b in threes:
-            ab = _pgl_mul(a, b)
-            if _pgl_mul(ab, ab) != IDENTITY:
+            # (ab)^2 = 1 fixes the point 0: a cheap screen before the test
+            ab0 = a[b[0]]
+            if a[b[ab0]] != 0 or _compose(a, b) not in square_one:
                 continue
             if any(a in sub and b in sub for sub in subs):
                 continue
@@ -484,14 +484,14 @@ def s4_conjugacy_scan() -> dict:
             subs.append(sub)
     if not subs:
         raise OctaqError("no S4 subgroup of PGL2(F9) found")
-    gens = [(pgl_canon(g), pgl_canon(mat_inv(g))) for g in gl2f9().generators]
+    gens = [(_perm(g), _perm(mat_inv(g))) for g in GL2_GENERATORS]
     orbit = {subs[0]}
     frontier = [subs[0]]
     while frontier:
         nxt = []
         for sub in frontier:
             for g, gi in gens:
-                conj = frozenset(_pgl_mul(_pgl_mul(g, m), gi) for m in sub)
+                conj = frozenset(_compose(_compose(g, p), gi) for p in sub)
                 if conj not in orbit:
                     orbit.add(conj)
                     nxt.append(conj)

@@ -2,10 +2,12 @@
 octaq uses them."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from octaq.errors import (CyclotomicExcluded, ExcludedParameter,
-                          NotPrimitive)
+                          NotPrimitive, OctaqError)
+from octaq.gl2f9 import F9_ADD, F9_INV, F9_MUL, F9_NEG, MINUS_ONE, ONE, ZETA
 from octaq.hilbert import (INF, BrauerClass, brauer_class, check_place,
                            class_product)
 from octaq.polynomials import (QQ, QuadField, UniPoly, _disc, poly_gcd,
@@ -511,3 +513,136 @@ def quad_element_family(g, s_param):
          + e(81) * e(bs) ** 2 * (e(bs) ** 4 - e(3) * e(cs) ** 3)
          / (e(2) * e(cs) ** 6) * K.sqrt_t)
     return out, j
+
+
+# -- GL2(F9) on packed integers, PGL2(F9) on canonical representatives ---------
+#
+# A matrix [[a, b], [c, d]] of F9 codes is the integer a + 81 b + 81^2 c +
+# 81^3 d, and an element of PGL2(F9) is the scalar multiple whose first
+# nonzero entry is 1.
+
+
+def mat(e00: int, e01: int, e10: int, e11: int) -> int:
+    return e00 + 81 * e01 + 81 * 81 * e10 + 81 * 81 * 81 * e11
+
+
+def _unpack(m: int) -> tuple[int, int, int, int]:
+    return m % 81, (m // 81) % 81, (m // 6561) % 81, m // 531441
+
+
+def mat_entries(m: int) -> tuple[int, int, int, int]:
+    a, b, c, d = _unpack(m)
+    return a % 9, b % 9, c % 9, d % 9
+
+
+def _pack(a: int, b: int, c: int, d: int) -> int:
+    return a + 81 * b + 6561 * c + 531441 * d
+
+
+PACKED_IDENTITY = mat(ONE, 0, 0, ONE)
+
+
+def packed_mul(x: int, y: int) -> int:
+    xa, xb, xc, xd = mat_entries(x)
+    ya, yb, yc, yd = mat_entries(y)
+    add, mul = F9_ADD, F9_MUL
+    return _pack(
+        add[mul[xa][ya]][mul[xb][yc]],
+        add[mul[xa][yb]][mul[xb][yd]],
+        add[mul[xc][ya]][mul[xd][yc]],
+        add[mul[xc][yb]][mul[xd][yd]],
+    )
+
+
+def packed_det(m: int) -> int:
+    a, b, c, d = mat_entries(m)
+    return F9_ADD[F9_MUL[a][d]][F9_NEG[F9_MUL[b][c]]]
+
+
+def packed_inv(m: int) -> int:
+    a, b, c, d = mat_entries(m)
+    det = packed_det(m)
+    if det == 0:
+        raise ZeroDivisionError("singular matrix")
+    di = F9_INV[det]
+    return _pack(F9_MUL[di][d], F9_MUL[di][F9_NEG[b]],
+                 F9_MUL[di][F9_NEG[c]], F9_MUL[di][a])
+
+
+def packed_scalar_mul(c: int, m: int) -> int:
+    a, b, cc, d = mat_entries(m)
+    return _pack(F9_MUL[c][a], F9_MUL[c][b], F9_MUL[c][cc], F9_MUL[c][d])
+
+
+def packed_order(m: int) -> int:
+    k, cur = 1, m
+    while cur != PACKED_IDENTITY:
+        cur = packed_mul(cur, m)
+        k += 1
+        if k > 5760:
+            raise ValueError("not an element of GL2(F9)")
+    return k
+
+
+def packed_closure(generators) -> frozenset:
+    seen = {PACKED_IDENTITY, *generators}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in generators:
+                p = packed_mul(m, g)
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def pgl_canon(m: int) -> int:
+    """Scale by F9* so the first nonzero entry is 1."""
+    for e in mat_entries(m):
+        if e != 0:
+            return packed_scalar_mul(F9_INV[e], m)
+    raise ValueError("zero matrix")
+
+
+def pgl_project(elements) -> frozenset:
+    return frozenset(pgl_canon(m) for m in elements)
+
+
+def _pgl_mul(a: int, b: int) -> int:
+    return pgl_canon(packed_mul(a, b))
+
+
+def _pgl_order(m: int) -> int:
+    k, cur = 1, m
+    while cur != PACKED_IDENTITY:
+        cur = _pgl_mul(cur, m)
+        k += 1
+        if k > 720:
+            raise OctaqError("not an element of PGL2(F9)")
+    return k
+
+
+@cache
+def gl2f9() -> frozenset:
+    """The 5760 matrices, closed from diag(zeta, 1) and [[-1, 1], [-1, 0]]."""
+    return packed_closure([mat(ZETA, 0, 0, ONE),
+                           mat(MINUS_ONE, ONE, MINUS_ONE, 0)])
+
+
+@cache
+def pgl2f9() -> frozenset:
+    return pgl_project(gl2f9())
+
+
+@cache
+def pgl2f3_conjugates() -> frozenset:
+    """The conjugates of pi(GL2(F3)) under every element of PGL2(F9)."""
+    base = pgl_project(packed_closure([mat(ONE, 0, 0, MINUS_ONE),
+                                       mat(ONE, MINUS_ONE, ONE, 0)]))
+    return frozenset(
+        frozenset(_pgl_mul(_pgl_mul(g, m), pgl_canon(packed_inv(g)))
+                  for m in base)
+        for g in pgl2f9())

@@ -1,14 +1,19 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octaq.errors import OctaqError
-from octaq.gl2f9 import (F9_MUL, IDENTITY, I_UNIT, MINUS_ONE, ONE, S_MAT,
-                         T_MAT, ZETA, ZETA_POW, _is_inner, _pgl_order,
-                         classify_hjk, closure, five_groups, gl2f9, group,
-                         h_jk, mat, mat_det, mat_inv, mat_mul, mat_order,
-                         pgl2f9, pgl_canon, pgl_project, s4_conjugacy_scan,
-                         scalar_mul, twist_f1, twist_f2, twist_phi,
-                         verify_outer_involutions,
+from octaq.gl2f9 import (F9_INV, F9_MUL, GL2_GENERATORS, IDENTITY, I_UNIT,
+                         MINUS_ONE, ONE, S_MAT, T_MAT, ZERO, ZETA, ZETA_POW,
+                         _compose, _is_inner, _perm, _perm_order, _pgl2f9,
+                         classify_hjk, closure, five_groups, group, h_jk,
+                         mat_det, mat_inv, mat_mul, mat_order, projective_det,
+                         s4_conjugacy_scan, scalar_mul, twist_f1, twist_f2,
+                         twist_phi, verify_outer_involutions,
                          verify_subgroup_classification, verify_twist_map)
+from oracles import (PACKED_IDENTITY, _pgl_mul, _pgl_order, gl2f9, mat,
+                     mat_entries, packed_det, packed_inv, packed_mul,
+                     packed_order, pgl2f3_conjugates, pgl2f9, pgl_canon)
 
 
 def test_field_construction_table():
@@ -30,10 +35,10 @@ def test_matrix_basics():
     assert mat_mul(S_MAT, S_MAT) == IDENTITY
     assert mat_order(S_MAT) == 2
     assert mat_order(T_MAT) == 6
-    m = mat(ONE, ZETA, MINUS_ONE, I_UNIT)
+    m = (ONE, ZETA, MINUS_ONE, I_UNIT)
     assert mat_mul(m, mat_inv(m)) == IDENTITY
     with pytest.raises(ZeroDivisionError):
-        mat_inv(mat(ONE, ONE, ONE, ONE))
+        mat_inv((ONE, ONE, ONE, ONE))
 
 
 def test_closure_examples():
@@ -51,10 +56,35 @@ def test_classify_examples():
 
 
 def test_full_group_orders():
-    g = gl2f9()
+    g = group(GL2_GENERATORS)
     assert g.order == 5760
     assert g.sl2_order() == 720
+    assert g.elements == frozenset(map(mat_entries, gl2f9()))
     assert len(pgl2f9()) == 720
+    # the 720 permutations are the images of the oracle's 720 canonical
+    # representatives, one each: the action on P^1(F9) is faithful
+    pgl = _pgl2f9()
+    assert len(pgl) == 720
+    assert pgl == {_perm(mat_entries(m)) for m in pgl2f9()}
+
+
+invertible = st.tuples(*[st.integers(0, 8)] * 4).filter(
+    lambda m: mat_det(m) != ZERO)
+
+
+@settings(max_examples=200, deadline=None)
+@given(invertible, invertible)
+def test_tuple_arithmetic_matches_packed_oracle(m, n):
+    pm, pn = mat(*m), mat(*n)
+    assert mat_mul(m, n) == mat_entries(packed_mul(pm, pn))
+    assert mat_inv(m) == mat_entries(packed_inv(pm))
+    assert mat_det(m) == packed_det(pm)
+    assert mat_order(m) == packed_order(pm)
+    # the action on P^1(F9) is a homomorphism to Sym(P^1), and the order of
+    # a permutation is the oracle's order in PGL2(F9)
+    assert _perm(mat_mul(m, n)) == _compose(_perm(m), _perm(n))
+    assert _compose(_perm(m), _perm(mat_inv(m))) == tuple(range(10))
+    assert _perm_order(_perm(m)) == _pgl_order(pgl_canon(pm))
 
 
 def test_subgroup_classification_ledger_all_pass():
@@ -93,6 +123,23 @@ def test_outer_involutions_per_group():
             assert r["defined"] and r["closed"], (name, twist)
             assert r["automorphism"], (name, twist)
             assert r["square_inner"], (name, twist)
+
+
+def test_projective_det_matches_search_over_scalars():
+    # phi needs m = lambda m0 with m0 over F3; search every lambda in F9*
+    from itertools import product
+    for m in product(range(9), repeat=4):
+        if mat_det(m) == ZERO:
+            continue
+        over_f3 = [scalar_mul(F9_INV[lam], m) for lam in range(1, 9)]
+        dets = {mat_det(m0) for m0 in over_f3 if set(m0) <= {0, 1, 2}}
+        if dets:
+            assert dets == {projective_det(m)}, m
+        else:
+            with pytest.raises(ValueError):
+                projective_det(m)
+    off_f3 = group([(ONE, ZETA, ZERO, ONE)])
+    assert verify_twist_map(off_f3, twist_phi) == {"defined": False}
 
 
 def test_f2_trivial_on_gl2f3():
@@ -145,6 +192,10 @@ def test_twist_check_rejects_swapped_bijection():
     x, y = sorted(g1.elements - {IDENTITY, *g1.generators})[:2]
     swap = {x: y, y: x}
     assert _is_inner(g1, {m: swap.get(m, m) for m in g1.elements}) is False
+    # and it accepts conjugation by a non-central element
+    h = g1.generators[1]
+    assert _is_inner(g1, {m: mat_mul(mat_mul(h, m), mat_inv(h))
+                          for m in g1.elements}) is True
 
 
 def test_twist_check_uses_every_generator():
@@ -167,7 +218,8 @@ def test_twist_check_uses_every_generator():
 
 def test_s4_scan_equals_conjugates_of_pgl2f3(monkeypatch):
     # independent of the triangle argument: the subgroups the scan closes
-    # are exactly the conjugates of pi(GL2(F3)) under all of PGL2(F9)
+    # are exactly the oracle's conjugates of pi(GL2(F3)) under all of
+    # PGL2(F9), each mapped to its permutations of P^1(F9)
     import octaq.gl2f9 as mod
     seen = []
     inner = mod._pgl_closure_capped
@@ -178,14 +230,10 @@ def test_s4_scan_equals_conjugates_of_pgl2f3(monkeypatch):
     monkeypatch.setattr(mod, "_pgl_closure_capped", spy)
     res = s4_conjugacy_scan()
     assert res == {"subgroup_count": 30, "single_conjugacy_class": True}
-    base = pgl_project(five_groups()["G1"].elements)
-    orbit = set()
-    for g in pgl2f9():
-        gi = pgl_canon(mat_inv(g))
-        orbit.add(frozenset(pgl_canon(mat_mul(mat_mul(g, m), gi))
-                            for m in base))
-    assert len(seen) == 30
-    assert set(seen) == orbit
+    orbit = pgl2f3_conjugates()
+    mapped = {frozenset(_perm(mat_entries(m)) for m in sub) for sub in orbit}
+    assert len(orbit) == len(mapped) == len(seen) == 30
+    assert set(seen) == mapped
 
 
 def test_s4_scan_rejects_a_bad_triangle_closure(monkeypatch):
@@ -195,22 +243,40 @@ def test_s4_scan_rejects_a_bad_triangle_closure(monkeypatch):
         s4_conjugacy_scan()
 
 
+def test_s4_scan_rejects_generators_that_miss_pgl2f9(monkeypatch):
+    # S and T close to PGL2(F3), 24 permutations: not a proof of anything
+    import octaq.gl2f9 as mod
+    monkeypatch.setattr(mod, "GL2_GENERATORS", (S_MAT, T_MAT))
+    with pytest.raises(OctaqError, match="720"):
+        s4_conjugacy_scan()
+
+
 def test_triangle_pairs_count():
     # 720 = 24 * 30: each of the 30 S4 subgroups holds |Aut S4| = 24
-    # generating pairs (a, b) with ord a = 4, ord b = 3, (ab)^2 = 1
+    # generating pairs (a, b) with ord a = 4, ord b = 3, (ab)^2 = 1; the
+    # oracle's count over canonical representatives, then over permutations
     pgl = pgl2f9()
     order = {m: _pgl_order(m) for m in pgl}
     pairs = 0
     for a in pgl:
         for b in pgl:
             if order[a] == 4 and order[b] == 3:
-                ab = pgl_canon(mat_mul(a, b))
-                pairs += pgl_canon(mat_mul(ab, ab)) == IDENTITY
+                ab = _pgl_mul(a, b)
+                pairs += _pgl_mul(ab, ab) == PACKED_IDENTITY
     assert pairs == 720
+    perms = _pgl2f9()
+    order = {p: _perm_order(p) for p in perms}
+    assert sum(order[_compose(a, b)] <= 2
+               for a in perms if order[a] == 4
+               for b in perms if order[b] == 3) == 720
 
 
 def test_pgl_order_is_capped():
-    assert _pgl_order(IDENTITY) == 1
-    assert _pgl_order(pgl_canon(T_MAT)) == 3  # T^3 = -1
+    assert _pgl_order(PACKED_IDENTITY) == 1
+    assert _pgl_order(pgl_canon(mat(*T_MAT))) == 3  # T^3 = -1
     with pytest.raises(OctaqError, match="PGL2"):
         _pgl_order(mat(ONE, 0, 0, 0))  # singular, idempotent
+    # a singular matrix induces no permutation of P^1(F9)
+    assert _perm_order(_perm(T_MAT)) == 3
+    with pytest.raises(OctaqError, match="PGL2"):
+        _perm((ONE, 0, 0, 0))

@@ -123,6 +123,15 @@ def test_symbolic_suite_under_python_O():
         "ZeroDivisionError", "ValueError", "ValueError"]
 
 
+def test_gl2f9_conjugacy_under_python_O():
+    # the GL2(F9) proofs, the S4 scan included, keep their stdout under -O
+    import hashlib
+    proc = _run_python("-O", "-m", "octaq.cli", "gl2f9", "--conjugacy")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        "ac2db0e85faa55d70bdcdd79666a237c4ec7229a84968dec6b0d571a429ef445"
+
+
 def test_python_m_octaq_runs_the_cli():
     args = ("principalize", "--", "-1,-1,0,0,1")
     package = _run_python("-m", "octaq", *args)
