@@ -34,10 +34,10 @@ from .errors import (CyclotomicExcluded, DegenerateParameter,
                      ExcludedParameter, NotOctahedral, NotPrimitive,
                      NotPrincipal, OctaqError)
 from .hilbert import brauer_class
-from .polynomials import (QQ, PolyRing, QuadField, UniPoly, _disc,
-                          _resultant_y, discriminant, poly, poly_str)
-from .quartic import (PrincipalQuartic, ReducedQuartic,
-                      _integer_model, _normalize_principal,
+from .polynomials import (QQ, PolyRing, QuadField, UniPoly, _resultant_y,
+                          discriminant, poly, poly_str)
+from .quartic import (PrincipalQuartic, ReducedQuartic, _integer_model,
+                      _normalize_principal, _rational_image,
                       reduced_tschirnhaus_poly, trace_form)
 from .rationals import is_square, squarefree_part
 
@@ -209,8 +209,8 @@ def family(g: PrincipalQuartic, s_param: Fraction | int
     if 3 * b * s + 4 * c == 0:
         raise ExcludedParameter(f"s = {s} is the excluded parameter -4c/3b")
     p = principal_closure_p(b, c, Fraction(1), s)
-    image = reduced_tschirnhaus_poly(g.poly(), Fraction(1), s, p)
-    if _disc(_integer_model(image)) == 0:
+    image = _rational_image(g._model, Fraction(1), s, p)
+    if _integer_model(image).disc == 0:
         raise NotPrimitive("family member is not squarefree")
     if image[2] != 0:
         raise AssertionError("family member has a nonzero quadratic term")

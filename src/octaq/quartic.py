@@ -20,16 +20,16 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
                      OctaqError, Reducible, SearchExhausted)
 from .hilbert import (INF, BrauerClass, _support, brauer_class,
                       witt_invariant_diagonal)
-from .polynomials import QQ, UniPoly, _disc, poly_str, qpoly
+from .polynomials import QQ, UniPoly, _disc, _horner, poly_str, qpoly
 from .rationals import (_exact_div, _primes_below, _val_unit, factorize,
                         is_square, rational_reconstruct, same_square_class,
                         squarefree_part)
@@ -38,19 +38,23 @@ from .rationals import (_exact_div, _primes_below, _val_unit, factorize,
 # -- irreducibility over Q ----------------------------------------------------
 
 
-def _model_scale(f: UniPoly) -> int:
-    """The e of _integer_model: the lcm of the coefficient denominators."""
-    return lcm(*[c.denominator for c in f.coeffs])
+class _Model(NamedTuple):
+    """F(X) = e^n f(X/e), the monic integer model of a monic cubic or
+    quartic f over Q, its scale e and disc F = e^(n(n-1)) disc f."""
+
+    coeffs: list[int]
+    e: int
+    disc: int
 
 
-def _integer_model(f: UniPoly) -> list[int]:
-    """Monic integer polynomial e^n f(X/e) defining the same field: the
-    coefficient num/den of X^i, i < n, becomes num (e/den) e^(n-i-1), a
-    product of integers since den divides e."""
+def _integer_model(f: UniPoly) -> _Model:
+    """The _Model of f: e is the lcm of the denominators, num/den at X^i,
+    i < n, becomes num (e/den) e^(n-i-1), and disc F is the closed form."""
     n = f.degree
-    e = _model_scale(f)
-    return [c.numerator * (e // c.denominator) * e ** (n - i - 1)
-            for i, c in enumerate(f.coeffs[:n])] + [1]
+    e = lcm(*[c.denominator for c in f.coeffs])
+    big_f = [c.numerator * (e // c.denominator) * e ** (n - i - 1)
+             for i, c in enumerate(f.coeffs[:n])] + [1]
+    return _Model(big_f, e, _disc(big_f))
 
 
 # -- integer polynomial arithmetic on integer models --------------------------
@@ -91,9 +95,9 @@ _CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109)
 
 
-def _irreducible_by_modp(c: list[int], disc: int) -> bool:
+def _irreducible_by_modp(model: _Model) -> bool:
     """True when Frobenius data at primes p not dividing disc = disc(c)
-    certify that the monic integer cubic or quartic c is irreducible;
+    certify that the integer model c of a cubic or quartic is irreducible;
     False when no prime of _CERT_PRIMES does, which proves nothing.
 
     Since c is squarefree mod p, its roots mod p, counted by evaluation,
@@ -105,6 +109,7 @@ def _irreducible_by_modp(c: list[int], disc: int) -> bool:
     exactly when disc is a square mod p (Stickelberger; Swan, Pacific J.
     Math. 1962); otherwise its pattern (2,2) rules out linear factors
     only."""
+    c, _, disc = model
     no_root = no_quad = False
     for p in _CERT_PRIMES:
         d = disc % p
@@ -134,11 +139,10 @@ def _split_primes() -> tuple[int, ...]:
     return _primes_below(1 << 14)[1:]
 
 
-def _split_prime(c: list[int], disc: int, avoid: int = 1
-                 ) -> tuple[int, list[int]]:
+def _split_prime(model: _Model, avoid: int = 1) -> tuple[int, list[int]]:
     """Smallest odd prime p dividing neither disc = disc(c) != 0 nor avoid
-    at which the monic integer cubic or quartic c splits into distinct
-    linear factors, with the sorted roots of c mod p.
+    at which the integer model c of a cubic or quartic splits into
+    distinct linear factors, with the sorted roots of c mod p.
 
     No polynomial arithmetic over F_p: since p does not divide disc, c is
     squarefree mod p, so it splits, i.e. X^p = X mod (c, p), exactly when
@@ -146,16 +150,13 @@ def _split_prime(c: list[int], disc: int, avoid: int = 1
     c(0), c(1), ... are computed once and reduced at each prime.  By
     Stickelberger's theorem disc is then a square mod p, which rules out
     half the primes before any value is reduced."""
+    c, _, disc = model
     values: list[int] = []
     for p in _split_primes():
         d = disc % p
         if not (d and avoid % p and pow(d, (p - 1) // 2, p) == 1):
             continue
-        for x in range(len(values), p):
-            acc = 0
-            for coeff in reversed(c):
-                acc = acc * x + coeff
-            values.append(acc)
+        values.extend(_horner(c, x) for x in range(len(values), p))
         roots = [x for x in range(p) if not values[x] % p]
         if len(roots) == len(c) - 1:
             return p, roots
@@ -207,9 +208,9 @@ def _from_roots(roots: list[int], m: int) -> list[int]:
     return h
 
 
-def _reducible_by_hensel(c: list[int], disc: int) -> bool:
-    """Decide whether the monic integer cubic or quartic c with
-    disc = disc(c) != 0 factors over Q.
+def _reducible_by_hensel(model: _Model) -> bool:
+    """Decide whether the integer model c of a cubic or quartic, with
+    disc(c) != 0, factors over Q.
 
     At a prime p where c splits into distinct linear factors, any monic
     integer factor of degree 1 or 2 is the product of the matching p-adic
@@ -217,31 +218,30 @@ def _reducible_by_hensel(c: list[int], disc: int) -> bool:
     so lifting the roots past twice that bound and trying the single roots
     and, for a quartic, the 3 pairs containing the first root (a 2 + 2
     split or its complement) finds every factor by exact division."""
-    p, roots = _split_prime(c, disc)
+    c = model.coeffs
+    p, roots = _split_prime(model)
     k = _precision_for(p, 2 * (1 + _cauchy_bound(c))**2)
     m = p**k
     roots = _lift_roots(c, roots, p, 1, k)
     subsets = [(i,) for i in range(len(roots))]
     if len(roots) == 4:
         subsets += [(0, 1), (0, 2), (0, 3)]
-    f = qpoly(c)
     for subset in subsets:
         h = _from_roots([roots[i] for i in subset], m)
-        if (f % qpoly([x - m if 2 * x > m else x for x in h])).is_zero():
+        if not any(_int_rem(c, [x - m if 2 * x > m else x for x in h])):
             return True
     return False
 
 
-def _irreducible(c: list[int]) -> bool:
-    """Irreducibility over Q of the monic integer cubic or quartic c.
+def _irreducible(model: _Model) -> bool:
+    """Irreducibility over Q of a cubic or quartic, on its integer model.
 
     A zero discriminant means a repeated factor.  Otherwise Frobenius data
     at small primes usually certify irreducibility, and the Hensel factor
     search decides the rest; no integer is factored."""
-    disc = _disc(c)
-    if disc == 0:
+    if model.disc == 0:
         return False
-    return _irreducible_by_modp(c, disc) or not _reducible_by_hensel(c, disc)
+    return _irreducible_by_modp(model) or not _reducible_by_hensel(model)
 
 
 def is_irreducible_quartic(f: UniPoly) -> bool:
@@ -265,20 +265,22 @@ def cubic_has_rational_root(f: UniPoly) -> bool:
 class ReducedQuartic:
     """X^4 + aX^2 + bX + c, irreducible over Q (hence separable).
 
-    The integer model with its discriminant, the discriminant class, the
-    S4 test and the trace form are computed on first use and kept, so
-    every stage handed the same quartic shares one computation."""
+    The integer model is built at construction and proves irreducibility;
+    the discriminant class, the S4 test and the trace form are computed on
+    first use.  All are kept, so every stage shares one computation."""
 
     a: Fraction
     b: Fraction
     c: Fraction
+    _model: _Model = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
         object.__setattr__(self, "c", Fraction(self.c))
         p = self.poly()
-        if not is_irreducible_quartic(p):
+        object.__setattr__(self, "_model", _integer_model(p))
+        if not _irreducible(self._model):
             raise Reducible(f"{poly_str(p)} factors over Q")
 
     def poly(self) -> UniPoly:
@@ -292,18 +294,12 @@ class ReducedQuartic:
     def trace_data(self) -> TraceFormData:
         return trace_form(self)
 
-    @functools.cached_property
-    def _model(self) -> tuple[list[int], int, int]:
-        # (F, e, disc F), F(X) = e^4 f(X/e): disc f = disc F / e^12
-        big_f = _integer_model(self.poly())
-        return big_f, _model_scale(self.poly()), _disc(big_f)
-
     def disc(self) -> Fraction:
-        return Fraction(self._model[2], self._model[1]**12)
+        return Fraction(self._model.disc, self._model.e**12)
 
     @functools.cached_property
     def _disc_class(self) -> int:
-        return squarefree_part(self._model[2])
+        return squarefree_part(self._model.disc)
 
     def disc_class(self) -> int:
         return self._disc_class
@@ -374,27 +370,34 @@ def reduced_tschirnhaus_poly(f: UniPoly, m, n, p) -> UniPoly:
     Res_Y(f(Y), X - (mY^3 + nY^2 + pY + q)).
 
     One route over every coefficient ring, Q, Q[s] and Q(sqrt(t)):
-    Newton's identities (_newton_image).  Over Q it runs in integers: y =
-    e beta is a root of the integer model Y^4 + AY^2 + BY + C of f, and
-    L gamma = U(y) for an integer polynomial U (_scaled_numerators), so the
-    image of U on the model has integer coefficients, and dividing its
-    roots by L gives X^4 + (E2/L^2) X^2 - (E3/L^3) X + E4/L^4.
-    """
+    Newton's identities (_newton_image), over Q on the integer model
+    (_rational_image)."""
     F = f.field
     if f.degree != 4 or f.lc != F.one or f[3]:
         raise ValueError("need a monic reduced quartic")
+    if F is QQ:
+        return _rational_image(_integer_model(f), m, n, p)
     m, n, p = (F.embed(x) if isinstance(x, (int, Fraction)) else x
                for x in (m, n, p))
     q = (3 * f[1] * m + 2 * f[2] * n) / 4
-    if F is QQ:
-        u, big_l = _scaled_numerators((q, p, n, m), _model_scale(f))
-        e2, e3, e4 = _newton_image(*_integer_model(f)[:3], u, _exact_div)
-        return UniPoly(QQ, (Fraction(e4, big_l**4), Fraction(-e3, big_l**3),
-                            Fraction(e2, big_l**2), QQ.zero, QQ.one))
     # dividing by F.embed(k) keeps even the image of u = 0 in F
     e2, e3, e4 = _newton_image(f[0], f[1], f[2], (q, p, n, m),
                                lambda x, k: x / F.embed(k))
     return UniPoly(F, (e4, -e3, e2, F.zero, F.one))
+
+
+def _rational_image(model: _Model, m, n, p) -> UniPoly:
+    """reduced_tschirnhaus_poly over Q, in integers: y = e beta is a root
+    of the integer model Y^4 + AY^2 + BY + C of f (a = A/e^2, b = B/e^3)
+    and L gamma = U(y) for an integer polynomial U (_scaled_numerators),
+    so the image of U on the model is integral, and dividing its roots by
+    L gives X^4 + (E2/L^2) X^2 - (E3/L^3) X + E4/L^4."""
+    (c0, c1, c2, _, _), e, _ = model
+    q = (3 * Fraction(c1, e**3) * m + 2 * Fraction(c2, e**2) * n) / 4
+    u, big_l = _scaled_numerators((q, p, n, m), e)
+    e2, e3, e4 = _newton_image(c0, c1, c2, u, _exact_div)
+    return UniPoly(QQ, (Fraction(e4, big_l**4), Fraction(-e3, big_l**3),
+                        Fraction(e2, big_l**2), QQ.zero, QQ.one))
 
 
 def _power_sums(c0, c1, c2, count: int) -> list:
@@ -444,8 +447,7 @@ def tschirnhaus(f: ReducedQuartic, m, n, p) -> ReducedQuartic:
     polynomial is not irreducible (ReducedQuartic proves which)."""
     if not (m or n or p):
         raise ValueError("(m, n, p) must be nonzero")
-    g = reduced_tschirnhaus_poly(f.poly(), Fraction(m), Fraction(n),
-                                 Fraction(p))
+    g = _rational_image(f._model, Fraction(m), Fraction(n), Fraction(p))
     try:
         return ReducedQuartic(g[2], g[1], g[0])
     except Reducible as exc:
@@ -459,10 +461,10 @@ def resolvent_cubic(f: ReducedQuartic) -> UniPoly:
 
 
 def galois_is_S4(f: ReducedQuartic) -> bool:
-    """Irreducible resolvent cubic and non-square discriminant."""
+    """Irreducible resolvent cubic and non-square disc F = e^12 disc f."""
     if cubic_has_rational_root(resolvent_cubic(f)):
         return False
-    return not is_square(f.disc())
+    return not is_square(f._model.disc)
 
 
 # -- trace form ---------------------------------------------------------------
@@ -642,12 +644,11 @@ def principalize(f: ReducedQuartic, box: int = 50
     if not is_principal(f):
         raise NotPrincipal("Witt invariant differs from (-1, -d) for"
                            f" {poly_str(f.poly())}")
-    fp = f.poly()
     for m, n, pf in _isotropic_vectors(f.trace_data.gram, box):
-        gp = reduced_tschirnhaus_poly(fp, m, n, pf)
+        gp = _rational_image(f._model, m, n, pf)
         if gp[2] != 0:
             raise AssertionError("isotropic vector gave nonzero X^2 term")
-        if _disc(_integer_model(gp)) == 0:
+        if _integer_model(gp).disc == 0:
             continue
         # a squarefree gp is the minimal polynomial of a generator of
         # the field, so irreducible; PrincipalQuartic checks it again
@@ -674,23 +675,17 @@ def _mn_shells(box: int):
 # -- exact field-equality certification ---------------------------------------
 
 
-def _verify_certificate(f: UniPoly, g: UniPoly, cert: FieldCertificate) -> bool:
+def _certificate_holds(mf: _Model, mg: _Model, cert: FieldCertificate
+                       ) -> bool:
     """g(m Y^3 + n Y^2 + p Y + q) = 0 mod f(Y), checked in Z[Y] on the
-    integer models (_certificate_holds)."""
-    return _certificate_holds(_integer_model(f), _model_scale(f),
-                              _integer_model(g), _model_scale(g), cert)
-
-
-def _certificate_holds(big_f: list[int], ef: int, big_g: list[int], eg: int,
-                       cert: FieldCertificate) -> bool:
-    """The check of _verify_certificate for the monic integer models
-    F(Y) = e_f^4 f(Y/e_f) and G, with scales e_f and e_g.
+    integer models F(Y) = e_f^4 f(Y/e_f) and G, with scales e_f and e_g.
 
     With V = L u(Y/e_f) integral (_scaled_numerators), the substitution
     Y -> Y/e_f turns g(u(Y)) into G(e_g V/L) / e_g^4, and f into F / e_f^4.
     So g(u) = 0 mod f in Q[Y] exactly when
     H = sum G_i (e_g V)^i L^(4-i) = 0 mod F; as F is monic, H mod F is
     computed by Horner in Z[Y], with no Fraction arithmetic."""
+    (big_f, ef, _), (big_g, eg, _) = mf, mg
     v, big_l = _scaled_numerators((cert.q, cert.p, cert.n, cert.m), ef)
     w = [eg * x for x in v]
     deg = len(big_g) - 1
@@ -729,17 +724,18 @@ def same_field(f: UniPoly, g: UniPoly) -> Optional[FieldCertificate]:
     until p^k passes the height bound of _certificate_height.  Past it,
     no certificate exists and None is a proof.
     """
+    models = []
     for h in (f, g):
         if h.degree != 4 or h.lc != 1:
             raise ValueError("need monic quartics")
-        if not is_irreducible_quartic(h):
+        models.append(_integer_model(h))
+        if not _irreducible(models[-1]):
             raise Reducible(f"{poly_str(h)} factors over Q")
-    big_f, big_g = _integer_model(f), _integer_model(g)
-    disc_f, disc_g = _disc(big_f), _disc(big_g)
-    if not same_square_class(disc_f, disc_g):
+    mf, mg = models
+    if not same_square_class(mf.disc, mg.disc):
         return None
-    ef, eg = _model_scale(f), _model_scale(g)
-    p, f_roots = _split_prime(big_f, disc_f, ef * eg * disc_g)
+    p, f_roots = _split_prime(mf, mf.e * mg.e * mg.disc)
+    big_f, big_g = mf.coeffs, mg.coeffs
     g_mod_p = [x % p for x in big_g]
     g_roots = [x for x in range(p) if not _eval_mod(g_mod_p, x, p)]
     if len(g_roots) < 4:
@@ -752,9 +748,8 @@ def same_field(f: UniPoly, g: UniPoly) -> Optional[FieldCertificate]:
         m = p**k
         basis = _interpolation_basis(betas, m)
         for perm in itertools.permutations(gammas):
-            cert = _reconstruct_certificate(basis, perm, m, disc_f, ef, eg)
-            if cert is not None and _certificate_holds(big_f, ef, big_g,
-                                                       eg, cert):
+            cert = _reconstruct_certificate(basis, perm, m, mf, mg)
+            if cert is not None and _certificate_holds(mf, mg, cert):
                 return cert
         if m > 2 * height**2:
             return None
@@ -795,7 +790,7 @@ def _interpolation_basis(nodes: list[int], m: int) -> list[list[int]]:
 
 
 def _reconstruct_certificate(basis: list[list[int]], values, m: int,
-                             disc_f: int, ef: int, eg: int
+                             mf: _Model, mg: _Model
                              ) -> Optional[FieldCertificate]:
     """Rational u with U = sum values[i] basis[i] mod m, or None when a
     coefficient has no reconstruction or a denominator not dividing
@@ -804,8 +799,8 @@ def _reconstruct_certificate(basis: list[list[int]], values, m: int,
     for t in range(4):
         residue = sum(v * b[t] for v, b in zip(values, basis)) % m
         x = rational_reconstruct(residue, m)
-        if x is None or disc_f % x.denominator:
+        if x is None or mf.disc % x.denominator:
             return None
-        coeffs.append(x * Fraction(ef)**t / eg)
+        coeffs.append(x * Fraction(mf.e)**t / mg.e)
     return FieldCertificate(q=coeffs[0], p=coeffs[1], n=coeffs[2],
                             m=coeffs[3])

@@ -10,7 +10,7 @@ from octaq.errors import (CyclotomicExcluded, ExcludedParameter,
 from octaq.gl2f9 import F9_ADD, F9_INV, F9_MUL, F9_NEG, MINUS_ONE, ONE, ZETA
 from octaq.hilbert import (INF, BrauerClass, brauer_class, check_place,
                            class_product)
-from octaq.polynomials import (QQ, QuadField, UniPoly, _disc, poly_gcd,
+from octaq.polynomials import (QQ, QuadField, UniPoly, poly_gcd,
                                poly_str)
 from octaq.qcurve import (SymbolicContext, _binomial_expand,
                           _require_principal, companion_quartic_poly,
@@ -497,7 +497,7 @@ def quad_element_family(g, s_param):
         raise ExcludedParameter(f"s = {s} is the excluded parameter -4c/3b")
     p = principal_closure_p(b, c, Fraction(1), s)
     image = reduced_tschirnhaus_poly(g.poly(), Fraction(1), s, p)
-    if _disc(_integer_model(image)) == 0:
+    if _integer_model(image).disc == 0:
         raise NotPrimitive("family member is not squarefree")
     if image[2] != 0:
         raise AssertionError("family member has a nonzero quadratic term")

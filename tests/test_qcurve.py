@@ -385,3 +385,10 @@ def test_torsion_quartic_is_division_polynomial():
     e = F.embed
     psi3 = UniPoly(F, (-A * A, e(12) * B, e(6) * A, F.zero, e(3)))
     assert psi3.scale(e(1) / e(3)) == ctx.f_t
+    # with no division in Q[s]: 3 f_t = psi_3, and the identity sees a
+    # change of s in any one coefficient of f_t
+    assert ctx.f_t.scale(e(3)) == psi3
+    for i in range(4):
+        bad = list(ctx.f_t.coeffs)
+        bad[i] = bad[i] + s
+        assert UniPoly(F, bad).scale(e(3)) != psi3

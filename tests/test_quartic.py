@@ -19,11 +19,10 @@ from octaq.polynomials import (QQ, QuadField, UniPoly, _disc, discriminant,
                                qpoly)
 from octaq.qcurve import SymbolicContext
 from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
-                           _integer_model,
+                           _certificate_holds, _integer_model,
                            _irreducible_by_modp, _isotropic_vectors,
-                           _mn_shells, _model_scale,
-                           _reducible_by_hensel, _split_prime,
-                           _verify_certificate, cubic_has_rational_root,
+                           _mn_shells, _reducible_by_hensel, _split_prime,
+                           cubic_has_rational_root,
                            depress, galois_is_S4, is_irreducible_quartic,
                            is_principal, principalize, resolvent_cubic,
                            same_field, trace_form,
@@ -106,19 +105,19 @@ def test_irreducibility_routes_agree():
                 assert is_irreducible_quartic(qpoly(c)) == ref, c
             else:
                 assert cubic_has_rational_root(qpoly(c)) == (not ref), c
-            disc = _disc(c)
-            if disc:
-                if _irreducible_by_modp(c, disc):
+            model = _integer_model(qpoly(c))
+            if model.disc:
+                if _irreducible_by_modp(model):
                     assert ref, c
-                assert _reducible_by_hensel(c, disc) == (not ref), c
+                assert _reducible_by_hensel(model) == (not ref), c
             else:
                 assert not ref, c
     # an S4 quartic and its resolvent cubic are certified before Hensel
     for row in CORPUS:
         f = depress(row.source_poly())
         for g in (f.poly(), resolvent_cubic(f)):
-            c = _integer_model(g)
-            assert _irreducible_by_modp(c, _disc(c)), c
+            model = _integer_model(g)
+            assert _irreducible_by_modp(model), model
 
 
 def test_irreducibility_large_coefficients():
@@ -130,6 +129,24 @@ def test_irreducibility_large_coefficients():
     big = 10**15 + 37
     g = qpoly([-big, 1]) * qpoly([big - 3, 1]) * qpoly([7, 1]) * qpoly([-2, 1])
     assert not is_irreducible_quartic(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rational, min_size=3, max_size=4))
+@example([Fraction(1, 4), Fraction(0), Fraction(0), Fraction(0)])
+def test_integer_model_value(coeffs):
+    # F is monic and integral, F(X) = e^n f(X/e) coefficient by
+    # coefficient, e is the lcm of the denominators, the least integer
+    # clearing every coefficient, and disc F = e^(n(n-1)) disc f
+    f = qpoly(coeffs + [1])
+    n = f.degree
+    big_f, e, disc = _integer_model(f)
+    assert len(big_f) == n + 1 and big_f[-1] == 1
+    assert all(type(x) is int for x in big_f)
+    assert big_f == [c * e**(n - i) for i, c in enumerate(f.coeffs)]
+    assert e == math.lcm(*(c.denominator for c in f.coeffs))
+    assert disc == e**(n * (n - 1)) * discriminant(f)
+    assert disc == _disc(big_f) == sylvester_discriminant(qpoly(big_f))
 
 
 def test_closed_form_discriminant():
@@ -244,6 +261,10 @@ def test_galois_s4_examples():
     assert galois_is_S4(ReducedQuartic(0, 1, -1))
     assert not galois_is_S4(ReducedQuartic(0, 0, 1))       # x^4+1 biquadratic
     assert not galois_is_S4(ReducedQuartic(0, 0, -2))      # x^4-2, D4
+    # scale e = 2, so disc F = 2^12 disc f: an A4 quartic (square
+    # discriminant) and an S4 quartic of discriminant class 2
+    assert not galois_is_S4(ReducedQuartic(-3, 1, Fraction(9, 2)))
+    assert galois_is_S4(ReducedQuartic(Fraction(-3, 2), 1, 2))
 
 
 def test_all_corpus_rows_are_s4():
@@ -278,7 +299,7 @@ def test_trace_form_zero_pivot_fallback():
 
 
 def _scale(f: ReducedQuartic) -> int:
-    return _model_scale(f.poly())
+    return f._model.e
 
 
 def test_gram_matches_power_sums():
@@ -500,35 +521,53 @@ def test_invariants_computed_once_per_quartic(monkeypatch):
             calls[name] += 1
             return fn(*args)
         return wrapper
-    for name in ("is_irreducible_quartic", "galois_is_S4", "trace_form"):
+    for name in ("galois_is_S4", "trace_form"):
         monkeypatch.setattr(quartic, name,
                             counted(name, getattr(quartic, name)))
-    # under every name it is bound to, not only in quartic
-    for module, attr in _bindings(polynomials.discriminant):
-        monkeypatch.setattr(module, attr,
-                            counted("discriminant", polynomials.discriminant))
+    # under every name they are bound to, not only in quartic
+    for fn in (quartic._integer_model, quartic._irreducible,
+               polynomials.discriminant):
+        for module, attr in _bindings(fn):
+            monkeypatch.setattr(module, attr, counted(fn.__name__, fn))
     f = depress(qpoly([-1, -1, 0, 0, 1]))
     classify(f)
     out, _ = principalize(f)
     assert is_principal(f)
-    # one irreducibility proof for f (in ReducedQuartic) and one for the
-    # principal model (in PrincipalQuartic)
-    assert calls == {"is_irreducible_quartic": 2, "galois_is_S4": 1,
-                     "trace_form": 1}
+    assert f.disc() and out.disc_class() == f.disc_class()
+    # one model and one irreducibility proof each for f (in
+    # ReducedQuartic), its resolvent cubic (in galois_is_S4) and the
+    # principal model (in PrincipalQuartic); principalize builds one more
+    # model, of its candidate, for the squarefree test only
+    assert calls == {"_integer_model": 4, "_irreducible": 3,
+                     "galois_is_S4": 1, "trace_form": 1}
     # the principal model is its own reduced form and shares its caches
     assert out.reduced() is out
     assert is_principal(out.reduced())
-    assert calls["is_irreducible_quartic"] == 2
+    assert calls["_integer_model"] == 4
     assert calls["trace_form"] == 2
 
-    # a table row: depress and principalize prove one quartic each, and
-    # same_field both of its inputs; same_field takes the discriminants
-    # of the integer models in closed form, with no polynomials.discriminant
+    # a table row has six polynomials, each modelled once: the source and
+    # the principal polynomial (in same_field), the depressed source, its
+    # resolvent cubic, principalize's candidate and its normalized output;
+    # all but the candidate get one irreducibility proof, and every
+    # discriminant is the closed form of a model, with no
+    # polynomials.discriminant
     from octaq.tables import verify_table_row
     calls.clear()
     assert verify_table_row(CORPUS[0])["passed"]
-    assert calls["is_irreducible_quartic"] == 4
+    assert calls["_integer_model"] == 6
+    assert calls["_irreducible"] == 5
     assert calls["discriminant"] == 0
+
+    # a family member: the Tschirnhaus image reads the seed's cached
+    # model; the image, the member and same_field's two inputs are
+    # modelled once each
+    from octaq.qcurve import family
+    g = PrincipalQuartic(1, -1)
+    calls.clear()
+    member, _ = family(g, 3)
+    assert same_field(g.poly(), member.poly()) is not None
+    assert calls["_integer_model"] == 4
 
 
 @pytest.mark.filterwarnings("error")
@@ -547,7 +586,7 @@ def test_principalize_non_s4_fields():
                     continue
                 out, cert = principalize(f)
                 assert same_field(f.poly(), out.poly()) is not None, (a, b, c)
-                assert _verify_certificate(f.poly(), out.poly(), cert)
+                assert _certificate_holds(f._model, out._model, cert)
                 principal += 1
                 zero_b += out.b == 0
     assert (principal, zero_b) == (78, 19)
@@ -774,7 +813,8 @@ _SMALL_PRIMES = rationals._primes_below(200)[1:]
 @example(3, [-2, 0, 0, 0], [3, 5, 31])  # x^3 - 2 splits first at 31
 def test_split_prime_matches_fp_oracle(deg, coeffs, avoid_primes):
     c = coeffs[:deg] + [1]
-    disc = _disc(c)
+    model = _integer_model(qpoly(c))
+    disc = model.disc
     assume(disc != 0)
     avoid = 1
     for q in avoid_primes:
@@ -782,21 +822,21 @@ def test_split_prime_matches_fp_oracle(deg, coeffs, avoid_primes):
     expected = _oracle_split_prime(c, disc, avoid)
     if expected is None:
         with pytest.raises(SearchExhausted):
-            _split_prime(c, disc, avoid)
+            _split_prime(model, avoid)
         return
-    assert _split_prime(c, disc, avoid) == expected
+    assert _split_prime(model, avoid) == expected
     # avoiding the prime found moves the search on to the next split prime
     p = expected[0]
-    assert _split_prime(c, disc, avoid * p) == \
+    assert _split_prime(model, avoid * p) == \
         _oracle_split_prime(c, disc, avoid * p)
 
 
 def test_split_prime_corpus_matches_fp_oracle():
     for row in CORPUS:
-        for c in (_integer_model(row.source_poly()),
-                  _integer_model(row.principal_poly())):
-            assert _split_prime(c, _disc(c)) == \
-                _oracle_split_prime(c, _disc(c), 1)
+        for model in (_integer_model(row.source_poly()),
+                      _integer_model(row.principal_poly())):
+            assert _split_prime(model) == \
+                _oracle_split_prime(model.coeffs, model.disc, 1)
 
 
 def test_same_field_split_prime_proves_difference(monkeypatch):
@@ -805,7 +845,7 @@ def test_same_field_split_prime_proves_difference(monkeypatch):
     f, g = qpoly(F), qpoly(G)
     assert squarefree_part(discriminant(f)) == squarefree_part(
         discriminant(g)) == -43
-    p, _ = _split_prime(F, discriminant(f).numerator, discriminant(g).numerator)
+    p, _ = _split_prime(_integer_model(f), discriminant(g).numerator)
     assert not _fp_splits(G, p)
 
     # G has fewer than 4 roots mod p, which proves the difference before
@@ -831,10 +871,10 @@ def test_same_field_rational_coefficients():
     f = ReducedQuartic(Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6))
     m, n, p = Fraction(1, 2), Fraction(-2), Fraction(3, 5)
     g = tschirnhaus(f, m, n, p)
-    assert _model_scale(f.poly()) > 1 and _model_scale(g.poly()) > 1
+    assert f._model.e > 1 and g._model.e > 1
     cert = same_field(f.poly(), g.poly())
     assert (cert.m, cert.n, cert.p) == (m, n, p)
-    assert _verify_certificate(f.poly(), g.poly(), cert)
+    assert _certificate_holds(f._model, g._model, cert)
 
 
 def test_same_field_names_the_split_prime_cap(monkeypatch):
@@ -859,7 +899,7 @@ def test_same_field_recovers_tschirnhaus(abc, den, mnp):
     except NotPrimitive:
         assume(False)
     cert = same_field(f.poly(), g.poly())
-    assert cert is not None and _verify_certificate(f.poly(), g.poly(), cert)
+    assert cert is not None and _certificate_holds(f._model, g._model, cert)
     # an S4 quartic field has no automorphism but the identity, so the
     # certificate is the transformation itself
     m, n, p = mnp
@@ -886,7 +926,7 @@ def test_same_field_certificates_compose(abc, den, mnp1, mnp2):
     # a root beta of f goes to u(beta), a root of g, and on to v(u(beta))
     w = v.substitution().compose(u.substitution()) % f.poly()
     cert = FieldCertificate(m=w[3], n=w[2], p=w[1], q=w[0])
-    assert _verify_certificate(f.poly(), h.poly(), cert)
+    assert _certificate_holds(f._model, h._model, cert)
     # an S4 field has no automorphism but the identity, so the certificate
     # of f -> h is unique
     assert same_field(f.poly(), h.poly()) == cert
@@ -1076,7 +1116,7 @@ def _certificate_pairs():
              (Fraction(0), Fraction(5, 2), Fraction(1, 9)))):
         f = ReducedQuartic(*abc)
         g = tschirnhaus(f, *mnp)
-        assert _model_scale(f.poly()) > 1 and _model_scale(g.poly()) > 1
+        assert f._model.e > 1 and g._model.e > 1
         yield f.poly(), g.poly()
 
 
@@ -1084,14 +1124,15 @@ def test_integer_certificate_check_matches_fraction_oracle():
     for f, g in _certificate_pairs():
         cert = same_field(f, g)
         assert cert is not None
-        assert _verify_certificate(f, g, cert)
+        mf, mg = _integer_model(f), _integer_model(g)
+        assert _certificate_holds(mf, mg, cert)
         assert _oracle_verify_certificate(f, g, cert)
         # a certificate coefficient off by one fails both checks
         for name in ("m", "n", "p", "q"):
             for step in (1, -1):
                 bad = dataclasses.replace(
                     cert, **{name: getattr(cert, name) + step})
-                assert not _verify_certificate(f, g, bad), (f, g, name, step)
+                assert not _certificate_holds(mf, mg, bad), (f, g, name, step)
                 assert not _oracle_verify_certificate(f, g, bad)
 
 
@@ -1110,9 +1151,9 @@ def test_principalize_skips_a_non_squarefree_candidate(monkeypatch):
         yield 0, 0, Fraction(0)
         yield from search(g, box)
     monkeypatch.setattr(quartic, "_isotropic_vectors", with_zero_first)
-    assert _disc(_integer_model(
-        quartic.reduced_tschirnhaus_poly(qpoly([3, 2, 1, 0, 1]), 0, 0, 0))) \
-        == 0
+    assert _integer_model(
+        quartic.reduced_tschirnhaus_poly(qpoly([3, 2, 1, 0, 1]), 0, 0, 0)
+    ).disc == 0
     # the models and certificates of the Fraction-quadratic search
     for abc, model, mnpq in (
             ((Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)),
