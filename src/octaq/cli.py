@@ -45,7 +45,8 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_polynomial(text: str) -> UniPoly:
     """Accept either a comma-separated ascending coefficient list
-    ('-1,-1,0,0,1') or a human-readable expression ('x^4+37x-43')."""
+    ('-1,-1,0,0,1') or a human-readable expression ('x^4+37x-43'), whose
+    exponents must be at most 4 (ParseError otherwise)."""
     text = text.strip()
     if "," in text:
         return qpoly([parse_rational(c) for c in text.split(",")])
@@ -60,7 +61,13 @@ def parse_polynomial(text: str) -> UniPoly:
             raise ParseError(f"cannot parse term {chunk!r}")
         value = parse_rational((m.group("sign") or "") + (m.group("num") or "1"))
         if m.group("var"):
-            exp = int(m.group("exp") or 1)
+            # checked as text, so a long exponent builds no dense list and
+            # never reaches int()'s digit limit
+            digits = (m.group("exp") or "1").lstrip("0") or "0"
+            if len(digits) > 1 or int(digits) > 4:
+                raise ParseError(f"degree {digits} in {chunk!r} is above 4,"
+                                 " the largest degree octaq reads")
+            exp = int(digits)
         else:
             if m.group("exp") is not None:
                 raise ParseError(f"exponent without variable in {chunk!r}")

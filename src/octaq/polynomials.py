@@ -286,12 +286,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        acc = UniPoly(self.field, ())
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly(self.field, (c,))
-        return acc
-
     def __repr__(self):
         return f"UniPoly({poly_str(self)})"
 

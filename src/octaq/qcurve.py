@@ -401,7 +401,7 @@ def _check_witt_companion(samples: int) -> tuple[bool, str]:
         rq = ReducedQuartic(h[2], h[1], h[0])
         w = trace_form(rq).witt
         expected = brauer_class(-1, 3 * t)
-        also = brauer_class(-1, -discriminant(h))
+        also = brauer_class(-1, -rq.disc())
         if w != expected or w != also:
             failures.append(str(t))
     return (not failures, ", ".join(failures))

@@ -22,14 +22,14 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 from typing import NamedTuple, Optional
 
 from .errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
-                     OctaqError, Reducible, SearchExhausted)
+                     Reducible, SearchExhausted)
 from .hilbert import (INF, BrauerClass, _support, brauer_class,
                       witt_invariant_diagonal)
-from .polynomials import QQ, UniPoly, _disc, _horner, poly_str, qpoly
+from .polynomials import QQ, UniPoly, _disc, poly_str, qpoly
 from .rationals import (_exact_div, _primes_below, _val_unit, factorize,
                         is_square, rational_reconstruct, same_square_class,
                         squarefree_part)
@@ -91,6 +91,37 @@ def _int_rem(a: list[int], c: list[int]) -> list[int]:
     return a
 
 
+def _tabulate(coeffs, start: int = 0):
+    """The values c(start), c(start + 1), ... of the integer polynomial c
+    with ascending coefficients coeffs, as an endless iterator of running
+    sums (Knuth, TAOCP vol. 2, 4.6.4): the top forward difference of c is
+    constant, and each lower difference is the running sum of the one
+    above it, started at its value at start.
+
+    Those starting values are k! a_k for the Newton form
+    c(X) = sum a_k (X - start) ... (X - start - k + 1), whose a_k are the
+    remainders of synthetic division by X - start, X - start - 1, ...;
+    so the set-up costs about deg(c)^2 / 2 products and each value
+    deg(c) additions, with no evaluation of c."""
+    c = list(coeffs)
+    diffs = []
+    for k in range(len(c)):
+        x = start + k
+        for i in range(len(c) - 2, -1, -1):
+            c[i] += x * c[i + 1]
+        diffs.append(factorial(k) * c.pop(0))
+    values = itertools.repeat(diffs.pop())
+    for d in reversed(diffs):
+        values = itertools.accumulate(values, initial=d)
+    return values
+
+
+def _roots_mod(values: list[int], p: int) -> list[int]:
+    """The roots of c mod p, ascending, from the values c(0), c(1), ...,
+    c(p - 1) (at least) of an integer polynomial c."""
+    return [x for x in range(p) if not values[x] % p]
+
+
 _CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109)
 
@@ -100,10 +131,11 @@ def _irreducible_by_modp(model: _Model) -> bool:
     certify that the integer model c of a cubic or quartic is irreducible;
     False when no prime of _CERT_PRIMES does, which proves nothing.
 
-    Since c is squarefree mod p, its roots mod p, counted by evaluation,
-    give the degree of its linear part gcd(c, X^p - X).  A cubic with no
-    root mod p is irreducible.  A quartic with one root mod p has the
-    pattern (1,3), so no quadratic factor.  A rootless quartic is
+    Since c is squarefree mod p, its roots mod p, read from one table of
+    the values c(0), c(1), ... (_tabulate), give the degree of its linear
+    part gcd(c, X^p - X).  A cubic with no root mod p is irreducible.  A
+    quartic with one root mod p has the pattern (1,3), so no quadratic
+    factor.  A rootless quartic is
     irreducible mod p exactly when disc is a non-square mod p, since the
     number of irreducible factors mod p has the parity of the degree
     exactly when disc is a square mod p (Stickelberger; Swan, Pacific J.
@@ -111,12 +143,14 @@ def _irreducible_by_modp(model: _Model) -> bool:
     only."""
     c, _, disc = model
     no_root = no_quad = False
+    values: list[int] = []
+    table = _tabulate(c)
     for p in _CERT_PRIMES:
         d = disc % p
         if not d:
             continue
-        cp = [x % p for x in c]
-        roots = sum(1 for x in range(p) if not _eval_mod(cp, x, p))
+        values.extend(itertools.islice(table, p - len(values)))
+        roots = len(_roots_mod(values, p))
         if roots == 0:
             if len(c) == 4 or pow(d, (p - 1) // 2, p) != 1:
                 return True
@@ -133,7 +167,7 @@ def _split_primes() -> tuple[int, ...]:
     """The odd primes below 2^14, all tried before a split-prime search
     gives up: an S4 quartic splits completely at primes of density 1/24,
     so running out is a computational limit, never an answer.  The search
-    evaluates at every residue of each prime it tries, so its cost grows
+    reads every residue of each prime it tries, so its cost grows
     like p, not log p; a full scan to the cap holds 2^14 integer values.
     Sieved on first use, which keeps the import cheap."""
     return _primes_below(1 << 14)[1:]
@@ -146,18 +180,20 @@ def _split_prime(model: _Model, avoid: int = 1) -> tuple[int, list[int]]:
 
     No polynomial arithmetic over F_p: since p does not divide disc, c is
     squarefree mod p, so it splits, i.e. X^p = X mod (c, p), exactly when
-    deg c of the residues 0, ..., p - 1 are roots.  The integer values
-    c(0), c(1), ... are computed once and reduced at each prime.  By
+    deg c of the residues 0, ..., p - 1 are roots.  One table of the
+    integer values c(0), c(1), ... is extended by running sums
+    (_tabulate) as p grows and reduced at each prime.  By
     Stickelberger's theorem disc is then a square mod p, which rules out
     half the primes before any value is reduced."""
     c, _, disc = model
     values: list[int] = []
+    table = _tabulate(c)
     for p in _split_primes():
         d = disc % p
         if not (d and avoid % p and pow(d, (p - 1) // 2, p) == 1):
             continue
-        values.extend(_horner(c, x) for x in range(len(values), p))
-        roots = [x for x in range(p) if not values[x] % p]
+        values.extend(itertools.islice(table, p - len(values)))
+        roots = _roots_mod(values, p)
         if len(roots) == len(c) - 1:
             return p, roots
     raise SearchExhausted(
@@ -348,17 +384,19 @@ class TraceFormData:
 
 
 def depress(f: UniPoly) -> ReducedQuartic:
-    """Shift X -> X - a3/4 to kill the cubic term; same field and
+    """f(X + h) for h = -a3/4, which kills the cubic term; same field and
     discriminant class.  The shift preserves irreducibility, so
     ReducedQuartic's check decides it for f."""
     if f.degree != 4 or f.lc != 1:
         raise ValueError("need a monic quartic")
-    a3 = Fraction(f[3])
-    shifted = f.compose(qpoly([-a3 / 4, 1]))
-    if shifted[3]:
-        raise OctaqError(f"depressing {f!r} left a cubic term")
+    a0, a1, a2, a3 = (Fraction(x) for x in f.coeffs[:4])
+    h = -a3 / 4
+    # Taylor coefficients of f at h; the X^3 one, 4h + a3, is 0
+    c2 = (6 * h + 3 * a3) * h + a2
+    c1 = ((4 * h + 3 * a3) * h + 2 * a2) * h + a1
+    c0 = (((h + a3) * h + a2) * h + a1) * h + a0
     try:
-        return ReducedQuartic(shifted[2], shifted[1], shifted[0])
+        return ReducedQuartic(c2, c1, c0)
     except Reducible:
         raise Reducible(f"{poly_str(f)} factors over Q") from None
 
@@ -571,21 +609,24 @@ def _normalize_principal(b: Fraction, c: Fraction) -> tuple[PrincipalQuartic, Fr
     removable (q^3, q^4) content at factorable primes (q^4 content of c
     alone when b = 0), then fix the sign of b positive.
 
-    Denominators must factor completely (integrality is exact); numerator
-    content hidden in an unfactored cofactor merely stays in place,
-    which only affects canonicality, never correctness.
+    Only the primes that can move r are factored: those of the
+    denominators, and those of g = gcd(num b, num c) (num c alone when
+    b = 0), since taking q out needs v_q(b) >= 3 and v_q(c) >= 4.
+    Denominators must factor completely (integrality is exact); content
+    hidden in an unfactored cofactor of g merely stays in place, which
+    only affects canonicality, never correctness.
     """
+    den = lcm(b.denominator, c.denominator)
     primes: set[int] = set()
-    for val in (b, c):
-        den_fac = factorize(val.denominator) if val.denominator != 1 else None
-        if den_fac is not None:
-            if not den_fac.complete:
-                raise SearchExhausted(
-                    f"cannot factor denominator {val.denominator}"
-                    " during normalization")
-            primes.update(den_fac.factors.keys())
-        if abs(val.numerator) > 1:
-            primes.update(factorize(val.numerator).factors.keys())
+    if den != 1:
+        den_fac = factorize(den)
+        if not den_fac.complete:
+            raise SearchExhausted(
+                f"cannot factor denominator {den} during normalization")
+        primes.update(den_fac.factors)
+    g = gcd(b.numerator, c.numerator)
+    if g > 1:
+        primes.update(factorize(g).factors)
     r = Fraction(1)
     for q in sorted(primes):
         k = _ceil_div(-_val_unit(c, q)[0], 4)
@@ -604,29 +645,77 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+@functools.cache
+def _square_tables() -> tuple[bytes, ...]:
+    """For M = 64, 63, 65 and 11, the table of squares mod M: entry r is 1
+    when r is a square mod M.  A square passes all four, a random
+    residue with probability 6/715 (Cohen, GTM 138, Algorithm 1.7.3).
+    Built on first use, which keeps the import cheap."""
+    tables = []
+    for m in (64, 63, 65, 11):
+        table = bytearray(m)
+        for x in range(m // 2 + 1):
+            table[x * x % m] = 1
+        tables.append(bytes(table))
+    return tuple(tables)
+
+
+def _square_hits(values, count: int) -> list[tuple[int, int]]:
+    """(i, isqrt(v)) for the perfect squares v among the first count
+    values: the residue tables screen every value, mod 64 by a C-level
+    pass over the table, and isqrt runs only on the survivors."""
+    vals = list(itertools.islice(values, count))
+    q64, q63, q65, q11 = _square_tables()
+    hits = []
+    for i in itertools.compress(range(count),
+                                map(q64.__getitem__, map((63).__and__, vals))):
+        v = vals[i]
+        if v >= 0 and q63[v % 63] and q65[v % 65] and q11[v % 11]:
+            r = isqrt(v)
+            if r * r == v:
+                hits.append((i, r))
+    return hits
+
+
 def _isotropic_vectors(gram, box: int):
     """Nonzero isotropic (m, n, p) of the integer trace-zero Gram in the
     variables (z1, z2, z3) = (beta, beta^2 - .., beta^3 - ..), integer
     (m, n) in _mn_shells order: p solves G00 p^2 + 2hp + k = 0 in
-    integers h, k, so one isqrt per (m, n) finds its rational roots."""
+    integers h = G01 n + G02 m, k = G11 n^2 + 2 G12 mn + G22 m^2.
+
+    When G00 != 0, p is rational exactly when the binary form
+    Q(m, n) = h^2 - G00 k = A n^2 + B mn + C m^2, with A = G01^2 - G00 G11,
+    B = 2(G01 G02 - G00 G12) and C = G02^2 - G00 G22, is a square.  Q is
+    even, so the hits of shell N are those of its left edge (m = -N) and
+    lower band (n = -N, |m| < N) and their negatives, and sorting them
+    gives the shell's lexicographic order.  Along each of the two lines Q
+    is a quadratic in one variable, tabulated by running sums
+    (_tabulate) and screened for squares by residues (_square_hits)."""
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
-    for m, n in _mn_shells(box):
-        h = g01 * n + g02 * m
-        k = g11 * n * n + 2 * g12 * m * n + g22 * m * m
-        if g00 == 0:
+    if g00 == 0:
+        for m, n in _mn_shells(box):
+            h = g01 * n + g02 * m
+            k = g11 * n * n + 2 * g12 * m * n + g22 * m * m
             if h:
                 yield m, n, Fraction(-k, 2 * h)
             elif k == 0:  # p is free, so any nonzero p works
                 yield m, n, Fraction(1)
-            continue
-        disc = h * h - g00 * k
-        r = isqrt(max(disc, 0))
-        if r * r != disc:
-            continue
-        for root in ((r, -r) if r else (0,)):
-            p = Fraction(root - h, g00)
-            if m or n or p:
-                yield m, n, p
+        return
+    a = g01 * g01 - g00 * g11
+    b = 2 * (g01 * g02 - g00 * g12)
+    c = g02 * g02 - g00 * g22
+    for norm in range(1, box + 1):
+        edge = _square_hits(_tabulate((c * norm * norm, -b * norm, a), -norm),
+                            2 * norm + 1)
+        band = _square_hits(_tabulate((a * norm * norm, -b * norm, c),
+                                      1 - norm), 2 * norm - 1)
+        hits = ([(-norm, i - norm, r) for i, r in edge]
+                + [(i + 1 - norm, -norm, r) for i, r in band])
+        hits += [(-m, -n, r) for m, n, r in hits]
+        for m, n, r in sorted(hits):
+            h = g01 * n + g02 * m
+            for root in ((r, -r) if r else (0,)):
+                yield m, n, Fraction(root - h, g00)
 
 
 def principalize(f: ReducedQuartic, box: int = 50
@@ -637,9 +726,12 @@ def principalize(f: ReducedQuartic, box: int = 50
 
     Search: integer (m, n) with max coordinate <= box and rational p of
     any height, solving the isotropy condition as a quadratic in p in
-    integers; only square hits build Fractions.  The criterion itself is
-    exact; exhausting the box raises SearchExhausted rather than
-    returning a wrong answer.
+    integers (_isotropic_vectors): its discriminant, a binary quadratic
+    form in (m, n), is tabulated along lines by running sums and screened
+    for squares by residues, so isqrt runs only on likely squares and
+    only square hits build Fractions.  The criterion itself is exact;
+    exhausting the box raises SearchExhausted rather than returning a
+    wrong answer.
     """
     if not is_principal(f):
         raise NotPrincipal("Witt invariant differs from (-1, -d) for"
@@ -736,8 +828,8 @@ def same_field(f: UniPoly, g: UniPoly) -> Optional[FieldCertificate]:
         return None
     p, f_roots = _split_prime(mf, mf.e * mg.e * mg.disc)
     big_f, big_g = mf.coeffs, mg.coeffs
-    g_mod_p = [x % p for x in big_g]
-    g_roots = [x for x in range(p) if not _eval_mod(g_mod_p, x, p)]
+    g_roots = _roots_mod(
+        list(itertools.islice(_tabulate([x % p for x in big_g]), p)), p)
     if len(g_roots) < 4:
         return None
     height = _certificate_height(big_f, big_g)

@@ -4,6 +4,7 @@ octaq uses them."""
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import isqrt
 
 from octaq.errors import (CyclotomicExcluded, ExcludedParameter,
                           NotPrimitive, OctaqError)
@@ -16,9 +17,11 @@ from octaq.qcurve import (SymbolicContext, _binomial_expand,
                           _require_principal, companion_quartic_poly,
                           curve_from_t, principal_closure_p,
                           principal_quartic_poly, torsion_quartic)
-from octaq.quartic import (TraceFormData, _integer_model,
+from octaq.errors import SearchExhausted
+from octaq.quartic import (PrincipalQuartic, TraceFormData, _ceil_div,
+                           _eval_mod, _integer_model, _mn_shells,
                            _normalize_principal, reduced_tschirnhaus_poly)
-from octaq.rationals import _val_unit, is_square, squarefree_part
+from octaq.rationals import _val_unit, factorize, is_square, squarefree_part
 
 
 def bareiss_determinant(rows: list[list], zero, one):
@@ -50,6 +53,14 @@ def bareiss_determinant(rows: list[list], zero, one):
         prev = m[k][k]
     out = m[n - 1][n - 1]
     return -out if sign < 0 else out
+
+
+def compose(outer: UniPoly, inner: UniPoly) -> UniPoly:
+    """outer(inner), by Horner over the coefficient field of outer."""
+    acc = UniPoly(outer.field, ())
+    for c in reversed(outer.coeffs):
+        acc = acc * inner + UniPoly(outer.field, (c,))
+    return acc
 
 
 def _entry_exact_div(num, den):
@@ -513,6 +524,69 @@ def quad_element_family(g, s_param):
          + e(81) * e(bs) ** 2 * (e(bs) ** 4 - e(3) * e(cs) ** 3)
          / (e(2) * e(cs) ** 6) * K.sqrt_t)
     return out, j
+
+
+# -- the per-pair and per-residue searches that running sums replaced ----------
+
+
+def isotropic_vectors_by_pairs(gram, box: int):
+    """quartic._isotropic_vectors with one isqrt per (m, n) of _mn_shells:
+    p solves G00 p^2 + 2hp + k = 0 for h = G01 n + G02 m and
+    k = G11 n^2 + 2 G12 mn + G22 m^2."""
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
+    for m, n in _mn_shells(box):
+        h = g01 * n + g02 * m
+        k = g11 * n * n + 2 * g12 * m * n + g22 * m * m
+        if g00 == 0:
+            if h:
+                yield m, n, Fraction(-k, 2 * h)
+            elif k == 0:  # p is free, so any nonzero p works
+                yield m, n, Fraction(1)
+            continue
+        disc = h * h - g00 * k
+        r = isqrt(max(disc, 0))
+        if r * r != disc:
+            continue
+        for root in ((r, -r) if r else (0,)):
+            p = Fraction(root - h, g00)
+            if m or n or p:
+                yield m, n, p
+
+
+def roots_mod_by_residues(c: list[int], p: int) -> list[int]:
+    """The roots of the integer polynomial c mod p, one Horner
+    evaluation mod p per residue."""
+    c = [x % p for x in c]
+    return [x for x in range(p) if not _eval_mod(c, x, p)]
+
+
+def normalize_principal_by_factoring(b: Fraction, c: Fraction
+                                     ) -> tuple[PrincipalQuartic, Fraction]:
+    """quartic._normalize_principal with every numerator and denominator
+    of b and c factored."""
+    primes: set[int] = set()
+    for val in (b, c):
+        if val.denominator != 1:
+            den_fac = factorize(val.denominator)
+            if not den_fac.complete:
+                raise SearchExhausted(
+                    f"cannot factor denominator {val.denominator}"
+                    " during normalization")
+            primes.update(den_fac.factors)
+        if abs(val.numerator) > 1:
+            primes.update(factorize(val.numerator).factors)
+    r = Fraction(1)
+    for q in sorted(primes):
+        k = _ceil_div(-_val_unit(c, q)[0], 4)
+        if b:
+            k = max(k, _ceil_div(-_val_unit(b, q)[0], 3))
+        if k:
+            r *= Fraction(q) ** k
+    b2, c2 = b * r**3, c * r**4
+    if b2 < 0:
+        r = -r
+        b2 = -b2
+    return PrincipalQuartic(b2, c2), r
 
 
 # -- GL2(F9) on packed integers, PGL2(F9) on canonical representatives ---------

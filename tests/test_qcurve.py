@@ -19,7 +19,7 @@ from octaq.qcurve import (J_AT_CUSP, WITT_SAMPLES, SymbolicContext,
 from octaq.quartic import (PrincipalQuartic, ReducedQuartic, is_principal,
                            same_field)
 from octaq.rationals import is_square, squarefree_part
-from oracles import (FunctionFieldContext, bareiss_weil_resultant,
+from oracles import (FunctionFieldContext, bareiss_weil_resultant, compose,
                      quad_element_family, to_function_field)
 
 # acceptance criterion 6's principal seeds (b, c)
@@ -246,7 +246,7 @@ def test_weil_restriction_reads_coefficient_denominators():
     ctx = SymbolicContext()
     F = ctx.field
     halve = UniPoly(F, (F.zero, F.embed(2)))
-    ctx.f_t, ctx.h_t = (p.compose(halve).scale(F.embed(Fraction(1, 16)))
+    ctx.f_t, ctx.h_t = (compose(p, halve).scale(F.embed(Fraction(1, 16)))
                         for p in (ctx.f_t, ctx.h_t))
     assert ctx.f_t[0].den == 4
     wr = _symbolic_weil_restriction(ctx)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import sys
@@ -21,7 +22,8 @@ from octaq.qcurve import SymbolicContext
 from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
                            _certificate_holds, _integer_model,
                            _irreducible_by_modp, _isotropic_vectors,
-                           _mn_shells, _reducible_by_hensel, _split_prime,
+                           _mn_shells, _normalize_principal,
+                           _reducible_by_hensel, _split_prime, _tabulate,
                            cubic_has_rational_root,
                            depress, galois_is_S4, is_irreducible_quartic,
                            is_principal, principalize, resolvent_cubic,
@@ -30,9 +32,11 @@ from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
 from octaq.rationals import (_val_unit, factorize, is_square,
                               same_square_class, squarefree_part)
 from octaq.tables import load_bundled_corpus
-from oracles import (FunctionFieldContext, fraction_gram,
-                     fraction_trace_form, sylvester_discriminant,
-                     to_function_field, witt_by_brauer_classes)
+from oracles import (FunctionFieldContext, compose, fraction_gram,
+                     fraction_trace_form, isotropic_vectors_by_pairs,
+                     normalize_principal_by_factoring, roots_mod_by_residues,
+                     sylvester_discriminant, to_function_field,
+                     witt_by_brauer_classes)
 from sturm import count_real_roots
 
 CORPUS = load_bundled_corpus()
@@ -570,6 +574,46 @@ def test_invariants_computed_once_per_quartic(monkeypatch):
     assert calls["_integer_model"] == 4
 
 
+def test_corpus_row_searches_read_value_tables(monkeypatch):
+    # same_field and principalize find roots mod p from running-sum value
+    # tables, with no Horner evaluation per residue; _eval_mod runs only
+    # in Newton lifting, at moduli p^e with e >= 2
+    moduli, horner = [], []
+    eval_mod, horner_fn = quartic._eval_mod, polynomials._horner
+
+    def counted_eval_mod(c, x, m):
+        moduli.append(m)
+        return eval_mod(c, x, m)
+
+    def counted_horner(*args):
+        horner.append(args)
+        return horner_fn(*args)
+    for fn, wrapper in ((eval_mod, counted_eval_mod),
+                        (horner_fn, counted_horner)):
+        for module, attr in _bindings(fn):
+            monkeypatch.setattr(module, attr, wrapper)
+    row = CORPUS[0]
+    assert same_field(row.source_poly(), row.principal_poly()) is not None
+    principalize(depress(row.source_poly()))
+    assert not horner
+    assert moduli
+    for m in moduli:
+        fac = factorize(m)
+        assert len(fac.factors) == 1 and max(fac.factors.values()) >= 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=4),
+       st.sampled_from(rationals._primes_below(700)))
+@example([-1, 1, 0, 0], 59)     # x^4 + x - 1 splits at 59
+def test_roots_mod_matches_per_residue_oracle(coeffs, p):
+    # the root search of same_field and _split_prime: a value table by
+    # running sums, reduced mod p, against Horner mod p at each residue
+    c = coeffs + [1]
+    values = list(itertools.islice(_tabulate(c), p))
+    assert quartic._roots_mod(values, p) == roots_mod_by_residues(c, p)
+
+
 @pytest.mark.filterwarnings("error")
 def test_principalize_non_s4_fields():
     # the isotropy test w = (-1, -d) holds for every quartic field, and a
@@ -669,6 +713,72 @@ def test_isotropic_vectors_match_fraction_oracle(abc, den, box):
         v = (p, n, m)
         assert sum(v[i] * g[i][j] * v[j]
                    for i in range(3) for j in range(3)) == 0
+
+
+def _gram(g00, g01, g02, g11, g12, g22):
+    return ((g00, g01, g02), (g01, g11, g12), (g02, g12, g22))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.just(0) | st.integers(-20, 20),
+                 *[st.integers(-20, 20)] * 5), st.integers(0, 30))
+@example((0, 1, -2, 3, 0, 1), 30)     # G00 = 0: p = -k/(2h), or free
+@example((0, 0, 0, 0, 0, 0), 3)       # G00 = 0 and p free everywhere
+@example((1, 0, 0, 1, 0, 1), 30)      # definite: no isotropic vector
+@example((1, 0, 0, -1, 0, -1), 30)    # indefinite: Q = n^2 + m^2
+@example((1, 2, 0, 4, 0, -3), 30)     # A = 0: Q(0, n) = 0, hits with r = 0
+@example((-3, 1, 1, 2, -1, 5), 30)
+def test_isotropic_vectors_match_per_pair_search(entries, box):
+    # the running-sum search yields today's whole sequence: shells, the
+    # band's (m, -N) before (m, N), and the roots in (r, -r) order
+    gram = _gram(*entries)
+    assert list(_isotropic_vectors(gram, box)) == \
+        list(isotropic_vectors_by_pairs(gram, box))
+
+
+def test_isotropic_vectors_corpus_match_per_pair_search():
+    for row in CORPUS:
+        gram = depress(row.source_poly()).trace_data.gram
+        assert list(_isotropic_vectors(gram, 12)) == \
+            list(isotropic_vectors_by_pairs(gram, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=5),
+       st.integers(-60, 60))
+@example([7], -3)
+@example([0, 0, 0, 0, 1], -5)
+def test_tabulate_matches_horner(coeffs, start):
+    values = list(itertools.islice(_tabulate(coeffs, start), 70))
+    assert values == [polynomials._horner(coeffs, x)
+                      for x in range(start, start + 70)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0, 1, -1, 2, 3, 5, 6, 7, 10, 24, 30]),
+       st.tuples(*[st.integers(0, 9)] * 3),
+       st.sampled_from([1, 1, 1, -1, 2, 3, 7, 11, 13]),
+       st.tuples(*[st.integers(0, 9)] * 3),
+       st.sampled_from([1, 2, 4, 8, 16, 3, 9, 6, 5, 25]),
+       st.sampled_from([1, 2, 4, 16, 256, 3, 5, 27, 12]))
+@example(1, (0, 0, 0), 1, (0, 0, 0), 1, 1)       # x^4 + x - 1 untouched
+@example(0, (0, 0, 0), 1, (4, 1, 0), 1, 1)       # b = 0: x^4 - 48 -> x^4 - 3
+def test_normalize_principal_matches_factoring_oracle(b_unit, b_exps, c_unit,
+                                                      c_exps, b_den, c_den):
+    # numerators and denominators of 2, 3, 5 and 7 smooth form factor
+    # completely, so both routes must agree, Reducible included
+    def smooth(unit, exps):
+        return unit * 2**exps[0] * 3**exps[1] * 5**exps[2]
+    b = Fraction(smooth(b_unit, b_exps), b_den)
+    c = Fraction(-smooth(c_unit, c_exps), c_den)
+    try:
+        expected = normalize_principal_by_factoring(b, c)
+    except Reducible:
+        with pytest.raises(Reducible):
+            _normalize_principal(b, c)
+        return
+    out, r = _normalize_principal(b, c)
+    assert (out.b, out.c, r) == (expected[0].b, expected[0].c, expected[1])
 
 
 def test_remark_closure_keeps_principal_shape():
@@ -924,7 +1034,7 @@ def test_same_field_certificates_compose(abc, den, mnp1, mnp2):
     v = same_field(g.poly(), h.poly())
     assert u is not None and v is not None
     # a root beta of f goes to u(beta), a root of g, and on to v(u(beta))
-    w = v.substitution().compose(u.substitution()) % f.poly()
+    w = compose(v.substitution(), u.substitution()) % f.poly()
     cert = FieldCertificate(m=w[3], n=w[2], p=w[1], q=w[0])
     assert _certificate_holds(f._model, h._model, cert)
     # an S4 field has no automorphism but the identity, so the certificate

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from dataclasses import replace
 
 import pytest
@@ -62,7 +63,11 @@ def test_polynomial_string_parser():
 @given(st.lists(st.fractions(max_denominator=50), max_size=7))
 def test_parse_polynomial_round_trips_poly_str(coeffs):
     p = qpoly(coeffs)
-    assert parse_polynomial(poly_str(p)) == p
+    if p.degree <= 4:
+        assert parse_polynomial(poly_str(p)) == p
+    else:
+        with pytest.raises(ParseError, match=f"degree {p.degree} in"):
+            parse_polynomial(poly_str(p))
 
 
 # -- row verification and mutation controls -------------------------------------
@@ -206,6 +211,18 @@ def _run_child(*argv):
            "PYTHONPATH": str(Path(octaq.__file__).resolve().parents[1])}
     return subprocess.run([sys.executable, "-m", "octaq.cli", *argv],
                           capture_output=True, text=True, timeout=60, env=env)
+
+
+@pytest.mark.parametrize("exponent", ["3000000", "9" * 5000])
+def test_cli_analyze_high_degree_exits_quickly(capsys, exponent):
+    # x^3000000 used to build 3,000,001 Fractions and take seconds before
+    # exit 2; a 5000-digit exponent is past int()'s digit limit
+    start = time.perf_counter()
+    code, data = run_cli(capsys, "analyze", f"x^{exponent}+1")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert data["error"]["type"] == "ParseError"
+    assert f"degree {exponent} in" in data["error"]["message"]
 
 
 def test_cli_principalize_non_octahedral_is_quiet():
