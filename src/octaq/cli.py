@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .embedding import classify, endo_algebras
@@ -227,8 +225,9 @@ def cmd_qcurve_from_quartic(args) -> int:
     return 0
 
 
-def _verify_row_worker(payload):
-    row, box = payload
+def _verify_row(row, box: int) -> dict:
+    """verify_table_row, with an OctaqError turned into a failed row so
+    that one bad row fails alone."""
     try:
         return verify_table_row(row, box=box)
     except OctaqError as exc:
@@ -237,15 +236,7 @@ def _verify_row_worker(payload):
                 "failures": [f"{type(exc).__name__}: {exc}"]}
 
 
-def _set_factor_budget(budget: int) -> None:
-    """Pool initializer: a worker does not inherit the parent's context
-    under the spawn start method."""
-    FACTOR_BUDGET.set(budget)
-
-
 def cmd_verify_tables(args) -> int:
-    if args.jobs < 1:
-        raise ValidationFailure(f"--jobs {args.jobs} is below 1")
     if args.path is None:
         rows = load_bundled_corpus()
     else:
@@ -259,14 +250,10 @@ def cmd_verify_tables(args) -> int:
             raise ParseError(f"{args.path} is not UTF-8 text: {exc.reason}"
                              ) from exc
         rows = parse_table(text)
-    payloads = [(row, args.box) for row in rows]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs,
-                                 initializer=_set_factor_budget,
-                                 initargs=(args.factor_budget,)) as pool:
-            results = list(pool.map(_verify_row_worker, payloads))
-    else:
-        results = [_verify_row_worker(p) for p in payloads]
+        if not rows:
+            # zero rows verified is no evidence for the table
+            raise ParseError(f"{args.path} holds no table rows")
+    results = [_verify_row(row, args.box) for row in rows]
     n_pass = sum(1 for r in results if r["passed"])
     for r in results:
         status = "ok" if r["passed"] else "FAIL " + "; ".join(r["failures"])
@@ -357,9 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-tables", help="re-derive a table corpus")
     p.add_argument("path", nargs="?", default=None,
                    help="table file (default: the bundled 85-row corpus)")
-    p.add_argument("--jobs", type=int,
-                   default=min(8, os.cpu_count() or 1),
-                   help="worker processes for row verification")
     p.set_defaults(fn=cmd_verify_tables)
 
     p = sub.add_parser("symbolic", help="symbolic identity suite in Q[s]")

@@ -147,22 +147,33 @@ class MatGroup:
         return sum(1 for m in self.elements if mat_det(m) == ONE)
 
 
-def closure(generators) -> frozenset:
-    gens = [g for g in generators if g != IDENTITY]
-    seen = {IDENTITY, *gens}
+def _close(gens, mul, identity, cap: int) -> frozenset | None:
+    """The group gens generate under mul, closed breadth-first, or None
+    once a level takes it past cap elements."""
+    seen = {identity, *gens}
     frontier = list(seen)
     while frontier:
         nxt = []
-        for m in frontier:
+        for x in frontier:
             for g in gens:
-                p = mat_mul(m, g)
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
+                y = mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        if len(seen) > cap:
+            return None
         frontier = nxt
-        if len(seen) > 5760:
-            raise ValueError("closure exceeds |GL2(F9)|")
     return frozenset(seen)
+
+
+def closure(generators) -> frozenset:
+    # mat_mul is looked up here, on each call, so a rebinding of
+    # gl2f9.mat_mul reaches the closure
+    els = _close([g for g in generators if g != IDENTITY], mat_mul,
+                 IDENTITY, 5760)
+    if els is None:
+        raise ValueError("closure exceeds |GL2(F9)|")
+    return els
 
 
 def group(generators) -> MatGroup:
@@ -237,29 +248,11 @@ def _perm_order(p: tuple) -> int:
     return order
 
 
-def _perm_closure(gens, cap: int) -> frozenset | None:
-    """The group the permutations gens generate, or None once it has more
-    than cap elements."""
-    seen = {_PERM_ID, *gens}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = _compose(p, g)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-                    if len(seen) > cap:
-                        return None
-        frontier = nxt
-    return frozenset(seen)
-
-
 def _pgl2f9() -> frozenset:
     """PGL2(F9) as permutations of P^1(F9), closed on each call from
     GL2_GENERATORS, which must give exactly 720 (see the module docstring)."""
-    pgl = _perm_closure([_perm(g) for g in GL2_GENERATORS], 720)
+    pgl = _close([_perm(g) for g in GL2_GENERATORS], _compose, _PERM_ID,
+                 720)
     if pgl is None or len(pgl) != 720:
         raise OctaqError("the generators of GL2(F9) do not close to the 720"
                          " permutations of PGL2(F9) on P^1(F9)")
@@ -447,7 +440,7 @@ _S4_ORDER_PROFILE = {1: 1, 2: 9, 3: 8, 4: 6}
 
 # the closure of one triangle pair, kept apart from that of PGL2(F9)
 def _pgl_closure_capped(a: tuple, b: tuple, cap: int) -> frozenset | None:
-    return _perm_closure((a, b), cap)
+    return _close((a, b), _compose, _PERM_ID, cap)
 
 
 def s4_conjugacy_scan() -> dict:

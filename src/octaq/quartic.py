@@ -680,8 +680,14 @@ def _square_hits(values, count: int) -> list[tuple[int, int]]:
 def _isotropic_vectors(gram, box: int):
     """Nonzero isotropic (m, n, p) of the integer trace-zero Gram in the
     variables (z1, z2, z3) = (beta, beta^2 - .., beta^3 - ..), integer
-    (m, n) in _mn_shells order: p solves G00 p^2 + 2hp + k = 0 in
-    integers h = G01 n + G02 m, k = G11 n^2 + 2 G12 mn + G22 m^2.
+    (m, n) ordered by max(|m|, |n|), then lexicographically: p solves
+    G00 p^2 + 2hp + k = 0 in integers h = G01 n + G02 m,
+    k = G11 n^2 + 2 G12 mn + G22 m^2.
+
+    G00 = -8 a e^6 for the model's scale e, so G00 = 0 only for a = 0,
+    where f is already X^4 + bX + c: then beta itself, (0, 0, 1), is
+    isotropic, and principalize always accepts it, as an irreducible f
+    is its own squarefree image.  It is the only vector yielded.
 
     When G00 != 0, p is rational exactly when the binary form
     Q(m, n) = h^2 - G00 k = A n^2 + B mn + C m^2, with A = G01^2 - G00 G11,
@@ -693,13 +699,7 @@ def _isotropic_vectors(gram, box: int):
     (_tabulate) and screened for squares by residues (_square_hits)."""
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
     if g00 == 0:
-        for m, n in _mn_shells(box):
-            h = g01 * n + g02 * m
-            k = g11 * n * n + 2 * g12 * m * n + g22 * m * m
-            if h:
-                yield m, n, Fraction(-k, 2 * h)
-            elif k == 0:  # p is free, so any nonzero p works
-                yield m, n, Fraction(1)
+        yield 0, 0, Fraction(1)
         return
     a = g01 * g01 - g00 * g11
     b = 2 * (g01 * g02 - g00 * g12)
@@ -750,18 +750,6 @@ def principalize(f: ReducedQuartic, box: int = 50
         return out, cert
     raise SearchExhausted(
         f"no isotropic vector with (m, n) coordinates <= {box}")
-
-
-def _mn_shells(box: int):
-    """Integer pairs ordered by max(|m|, |n|), then lexicographically."""
-    yield 0, 0
-    for norm in range(1, box + 1):
-        edge = range(-norm, norm + 1)
-        yield from ((-norm, n) for n in edge)
-        for m in range(1 - norm, norm):
-            yield m, -norm
-            yield m, norm
-        yield from ((norm, n) for n in edge)
 
 
 # -- exact field-equality certification ---------------------------------------

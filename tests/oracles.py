@@ -19,7 +19,7 @@ from octaq.qcurve import (SymbolicContext, _binomial_expand,
                           principal_quartic_poly, torsion_quartic)
 from octaq.errors import SearchExhausted
 from octaq.quartic import (PrincipalQuartic, TraceFormData, _ceil_div,
-                           _eval_mod, _integer_model, _mn_shells,
+                           _eval_mod, _integer_model,
                            _normalize_principal, reduced_tschirnhaus_poly)
 from octaq.rationals import _val_unit, factorize, is_square, squarefree_part
 
@@ -529,12 +529,25 @@ def quad_element_family(g, s_param):
 # -- the per-pair and per-residue searches that running sums replaced ----------
 
 
+def mn_shells(box: int):
+    """The shell order by its definition: all pairs of the square, kept
+    when max(|m|, |n|) is the shell."""
+    yield 0, 0
+    for norm in range(1, box + 1):
+        rng = range(-norm, norm + 1)
+        for m in rng:
+            for n in rng:
+                if max(abs(m), abs(n)) == norm:
+                    yield m, n
+
+
 def isotropic_vectors_by_pairs(gram, box: int):
-    """quartic._isotropic_vectors with one isqrt per (m, n) of _mn_shells:
-    p solves G00 p^2 + 2hp + k = 0 for h = G01 n + G02 m and
-    k = G11 n^2 + 2 G12 mn + G22 m^2."""
+    """The isotropic vectors of quartic._isotropic_vectors with one isqrt
+    per (m, n) of mn_shells: p solves G00 p^2 + 2hp + k = 0 for
+    h = G01 n + G02 m and k = G11 n^2 + 2 G12 mn + G22 m^2.  At G00 = 0
+    it yields every solution, of which the search keeps only the first."""
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
-    for m, n in _mn_shells(box):
+    for m, n in mn_shells(box):
         h = g01 * n + g02 * m
         k = g11 * n * n + 2 * g12 * m * n + g22 * m * m
         if g00 == 0:

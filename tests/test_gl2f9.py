@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from octaq.errors import OctaqError
 from octaq.gl2f9 import (F9_INV, F9_MUL, GL2_GENERATORS, IDENTITY, I_UNIT,
                          MINUS_ONE, ONE, S_MAT, T_MAT, ZERO, ZETA, ZETA_POW,
-                         _compose, _is_inner, _perm, _perm_order, _pgl2f9,
-                         classify_hjk, closure, five_groups, group, h_jk,
+                         _PERM_ID, _close, _compose, _is_inner, _perm,
+                         _perm_order, _pgl2f9, classify_hjk, closure,
+                         five_groups, group, h_jk,
                          mat_det, mat_inv, mat_mul, mat_order, projective_det,
                          s4_conjugacy_scan, scalar_mul, twist_f1, twist_f2,
                          twist_phi, verify_outer_involutions,
@@ -45,6 +46,29 @@ def test_closure_examples():
     assert group([IDENTITY]).order == 1
     assert group([S_MAT, T_MAT]).order == 48
     assert group([S_MAT, scalar_mul(ZETA, T_MAT)]).order == 192
+
+
+def test_closure_stops_past_its_cap():
+    # a singular generator closes to more than the 5760 invertible matrices
+    with pytest.raises(ValueError, match="exceeds"):
+        closure([*GL2_GENERATORS, (ONE, ZERO, ZERO, ZERO)])
+    perms = [_perm(g) for g in GL2_GENERATORS]
+    assert _close(perms, _compose, _PERM_ID, 719) is None
+    assert len(_close(perms, _compose, _PERM_ID, 720)) == 720
+
+
+def test_closure_multiplies_through_the_module_binding(monkeypatch):
+    # perfbench's tracer counts products by rebinding gl2f9.mat_mul; each
+    # element passes the breadth-first frontier once, times each generator
+    import octaq.gl2f9 as mod
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return mat_mul(x, y)
+    monkeypatch.setattr(mod, "mat_mul", counting)
+    assert len(closure([S_MAT, T_MAT])) == 48
+    assert len(calls) == 48 * 2
 
 
 def test_classify_examples():

@@ -22,7 +22,7 @@ from octaq.qcurve import SymbolicContext
 from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
                            _certificate_holds, _integer_model,
                            _irreducible_by_modp, _isotropic_vectors,
-                           _mn_shells, _normalize_principal,
+                           _normalize_principal,
                            _reducible_by_hensel, _split_prime, _tabulate,
                            cubic_has_rational_root,
                            depress, galois_is_S4, is_irreducible_quartic,
@@ -34,7 +34,8 @@ from octaq.rationals import (_val_unit, factorize, is_square,
 from octaq.tables import load_bundled_corpus
 from oracles import (FunctionFieldContext, compose, fraction_gram,
                      fraction_trace_form, isotropic_vectors_by_pairs,
-                     normalize_principal_by_factoring, roots_mod_by_residues,
+                     mn_shells, normalize_principal_by_factoring,
+                     roots_mod_by_residues,
                      sylvester_discriminant, to_function_field,
                      witt_by_brauer_classes)
 from sturm import count_real_roots
@@ -652,18 +653,6 @@ def test_principalize_output_properties():
         assert acc.is_zero(), row.expected_disc
 
 
-def _mn_shells_oracle(box):
-    """The shell order by its definition: all pairs of the square, kept
-    when max(|m|, |n|) is the shell."""
-    yield 0, 0
-    for norm in range(1, box + 1):
-        rng = range(-norm, norm + 1)
-        for m in rng:
-            for n in rng:
-                if max(abs(m), abs(n)) == norm:
-                    yield m, n
-
-
 def _isotropy_p_solutions_oracle(g, m, n):
     """Rational roots p of Q(p, n, m) = 0, solved as a Fraction quadratic
     with a Fraction square test."""
@@ -683,18 +672,27 @@ def _isotropy_p_solutions_oracle(g, m, n):
     return [(-b + root) / (2 * a), (-b - root) / (2 * a)]
 
 
+def _assert_search_yields(gram, box, expected):
+    """_isotropic_vectors yields the whole expected sequence when G00 != 0,
+    and only beta itself, (0, 0, 1), when G00 = 0."""
+    found = list(_isotropic_vectors(gram, box))
+    assert found == (list(expected) if gram[0][0] else [(0, 0, 1)])
+
+
 def test_mn_shells_order():
+    # the order of the isotropy oracles: the box by shell max(|m|, |n|),
+    # then lexicographically
     for box in range(9):
-        shells = list(_mn_shells(box))
-        assert shells == list(_mn_shells_oracle(box))
-        assert len(shells) == (2 * box + 1) ** 2
+        square = itertools.product(range(-box, box + 1), repeat=2)
+        assert list(mn_shells(box)) == sorted(
+            square, key=lambda mn: (max(map(abs, mn)), mn))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.tuples(st.just(0) | st.integers(-12, 12),
                  st.integers(-12, 12), st.integers(-12, 12)),
        st.sampled_from([1, 2, 3, 6]), st.integers(0, 6))
-@example((0, 1, -1), 1, 6)    # G00 = -2a = 0: p = -k/(2h), or free
+@example((0, 1, -1), 1, 6)    # G00 = -8a e^6 = 0: beta itself only
 @example((0, 3, 5), 2, 6)
 @example((-6, 8, 51), 1, 6)
 @example((1, 1, 0), 3, 6)
@@ -705,10 +703,10 @@ def test_isotropic_vectors_match_fraction_oracle(abc, den, box):
         assume(False)
     # the search on the integer Gram finds the roots of the Fraction Gram
     g = fraction_gram(f)
-    expected = [(m, n, p) for m, n in _mn_shells_oracle(box)
+    expected = [(m, n, p) for m, n in mn_shells(box)
                 for p in _isotropy_p_solutions_oracle(g, m, n)
                 if m or n or p]
-    assert list(_isotropic_vectors(f.trace_data.gram, box)) == expected
+    _assert_search_yields(f.trace_data.gram, box, expected)
     for m, n, p in expected:
         v = (p, n, m)
         assert sum(v[i] * g[i][j] * v[j]
@@ -722,8 +720,8 @@ def _gram(g00, g01, g02, g11, g12, g22):
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(st.just(0) | st.integers(-20, 20),
                  *[st.integers(-20, 20)] * 5), st.integers(0, 30))
-@example((0, 1, -2, 3, 0, 1), 30)     # G00 = 0: p = -k/(2h), or free
-@example((0, 0, 0, 0, 0, 0), 3)       # G00 = 0 and p free everywhere
+@example((0, 1, -2, 3, 0, 1), 30)     # G00 = 0: beta itself only
+@example((0, 0, 0, 0, 0, 0), 3)       # the zero Gram: G00 = 0 too
 @example((1, 0, 0, 1, 0, 1), 30)      # definite: no isotropic vector
 @example((1, 0, 0, -1, 0, -1), 30)    # indefinite: Q = n^2 + m^2
 @example((1, 2, 0, 4, 0, -3), 30)     # A = 0: Q(0, n) = 0, hits with r = 0
@@ -732,15 +730,13 @@ def test_isotropic_vectors_match_per_pair_search(entries, box):
     # the running-sum search yields today's whole sequence: shells, the
     # band's (m, -N) before (m, N), and the roots in (r, -r) order
     gram = _gram(*entries)
-    assert list(_isotropic_vectors(gram, box)) == \
-        list(isotropic_vectors_by_pairs(gram, box))
+    _assert_search_yields(gram, box, isotropic_vectors_by_pairs(gram, box))
 
 
 def test_isotropic_vectors_corpus_match_per_pair_search():
     for row in CORPUS:
         gram = depress(row.source_poly()).trace_data.gram
-        assert list(_isotropic_vectors(gram, 12)) == \
-            list(isotropic_vectors_by_pairs(gram, 12))
+        _assert_search_yields(gram, 12, isotropic_vectors_by_pairs(gram, 12))
 
 
 @settings(max_examples=200, deadline=None)

@@ -247,7 +247,7 @@ def test_cli_qcurve_from_quartic_non_s4_ends():
 def test_cli_verify_tables_mutated(tmp_path, capsys):
     fixture = tmp_path / "mut.txt"
     fixture.write_text("2 ; -283 ; -1,-1,0,0,1 ; 1,-1 ; 0\n")
-    code, data = run_cli(capsys, "verify-tables", str(fixture), "--jobs", "1")
+    code, data = run_cli(capsys, "verify-tables", str(fixture))
     assert code == 2
     assert data["failed"] == 1
 
@@ -256,7 +256,7 @@ def test_cli_verify_tables_reducible_row_fails_alone(tmp_path, capsys):
     fixture = tmp_path / "reducible.txt"
     fixture.write_text("1 ; -283 ; -1,-1,0,0,1 ; 1,-1 ; 0\n"
                        "1 ; -283 ; -1,0,0,0,1 ; 1,-1 ; 0\n")
-    code, data = run_cli(capsys, "verify-tables", str(fixture), "--jobs", "1")
+    code, data = run_cli(capsys, "verify-tables", str(fixture))
     assert code == 2
     assert (data["passed"], data["failed"]) == (1, 1)
     assert data["results"][1]["failures"] == [
@@ -270,7 +270,7 @@ def test_cli_verify_tables_reducible_row_fails_alone(tmp_path, capsys):
 def test_cli_verify_tables_bad_file_is_parse_error(tmp_path, capsys, line):
     fixture = tmp_path / "bad.txt"
     fixture.write_text(line + "\n")
-    code, data = run_cli(capsys, "verify-tables", str(fixture), "--jobs", "1")
+    code, data = run_cli(capsys, "verify-tables", str(fixture))
     assert code == 2
     assert data["error"]["type"] == "ParseError"
 
@@ -283,20 +283,21 @@ def test_cli_verify_tables_unreadable_path_is_parse_error(tmp_path, capsys):
     for path, message in ((missing, "No such file or directory"),
                           (tmp_path, "cannot read"),
                           (not_utf8, "is not UTF-8 text")):
-        code, data = run_cli(capsys, "verify-tables", str(path), "--jobs", "1")
+        code, data = run_cli(capsys, "verify-tables", str(path))
         assert code == 2
         assert data["error"]["type"] == "ParseError"
         assert str(path) in data["error"]["message"]
         assert message in data["error"]["message"]
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_cli_verify_tables_jobs_below_one(capsys, jobs):
-    # used to run serially and exit 0
-    code, data = run_cli(capsys, "verify-tables", "--jobs", jobs)
+def test_cli_verify_tables_empty_table_is_parse_error(tmp_path, capsys):
+    # a table with no rows proves nothing
+    fixture = tmp_path / "empty.txt"
+    fixture.write_text("# a comment\n")
+    code, data = run_cli(capsys, "verify-tables", str(fixture))
     assert code == 2
-    assert data["error"] == {"type": "ValidationFailure",
-                             "message": f"--jobs {jobs} is below 1"}
+    assert data["error"] == {"type": "ParseError",
+                             "message": f"{fixture} holds no table rows"}
 
 
 def test_cli_factor_bound_exhaustion_exit_code(capsys):
@@ -372,11 +373,32 @@ def test_cli_verify_tables_worker_pool(tmp_path, capsys):
     fixture = tmp_path / "two.txt"
     fixture.write_text("1 ; -283 ; -1,-1,0,0,1 ; 1,-1 ; 0\n"
                        "3 ; 229 ; 1,-1,0,0,1 ; 1,1 ; 0\n")
-    code, data = run_cli(capsys, "verify-tables", str(fixture), "--jobs", "2")
+    code, data = run_cli(capsys, "verify-tables", str(fixture))
     assert code == 0
     assert data["passed"] == 2
-    # result order is input order regardless of worker scheduling
+    # result order is input order
     assert [r["d"] for r in data["results"]] == [-283, 229]
+
+
+def test_cli_verify_tables_runs_rows_in_order_in_process(tmp_path, capsys,
+                                                          monkeypatch):
+    from octaq import cli
+    fixture = tmp_path / "three.txt"
+    fixture.write_text("1 ; -283 ; -1,-1,0,0,1 ; 1,-1 ; 0\n"
+                       "3 ; 229 ; 1,-1,0,0,1 ; 1,1 ; 0\n"
+                       "2 ; -283 ; -1,-1,0,0,1 ; 1,-1 ; 0\n")
+    calls = []
+    verify = cli.verify_table_row
+
+    def recording(row, box):
+        calls.append((row.line, row.expected_disc, box))
+        return verify(row, box=box)
+    monkeypatch.setattr(cli, "verify_table_row", recording)
+    code = main(["--box", "7", "verify-tables", str(fixture)])
+    capsys.readouterr()
+    # a row verified in a worker process would not reach the recorder
+    assert code == 2
+    assert calls == [(1, -283, 7), (2, 229, 7), (3, -283, 7)]
 
 
 def test_cli_symbolic(capsys):
@@ -422,7 +444,7 @@ def test_cli_gl2f9_conjugacy(capsys):
 
 def test_cli_verify_tables_stdout_is_pinned(capsys):
     import hashlib
-    code = main(["verify-tables", "--jobs", "1"])
+    code = main(["verify-tables"])
     out = capsys.readouterr().out
     assert code == 0
     # stdout is pinned byte for byte, principal models and certificates
