@@ -21,7 +21,7 @@ from .quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
                       principalize, resolvent_cubic, same_field, trace_form,
                       tschirnhaus, witt_formula)
 from .rationals import (IntegerFactorization, factorize, is_square,
-                        rational_reconstruct, squarefree_part)
+                        squarefree_part)
 from .tables import TableRow, load_bundled_corpus, parse_table, verify_table_row
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -363,6 +364,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     budget = FACTOR_BUDGET.set(args.factor_budget)
     try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at
+        # interpreter exit cannot fail again, and exit 128 + SIGPIPE as a
+        # shell reports a process killed by it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    finally:
+        FACTOR_BUDGET.reset(budget)
+
+
+def _run(args) -> int:
+    try:
         for flag, value in (("--factor-budget", args.factor_budget),
                             ("--box", args.box)):
             if value < 0:
@@ -376,8 +392,6 @@ def main(argv=None) -> int:
         _emit({"schema": SCHEMA,
                "error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2
-    finally:
-        FACTOR_BUDGET.reset(budget)
 
 
 if __name__ == "__main__":

@@ -31,8 +31,7 @@ from .hilbert import (INF, BrauerClass, _support, brauer_class,
                       witt_invariant_diagonal)
 from .polynomials import QQ, UniPoly, _disc, poly_str, qpoly
 from .rationals import (_exact_div, _primes_below, _val_unit, factorize,
-                        is_square, rational_reconstruct, same_square_class,
-                        squarefree_part)
+                        is_square, same_square_class, squarefree_part)
 
 
 # -- irreducibility over Q ----------------------------------------------------
@@ -776,19 +775,18 @@ def _certificate_holds(mf: _Model, mg: _Model, cert: FieldCertificate
     return not any(acc)
 
 
-# the first p-adic modulus tried: the certificates of the table corpus and
-# of the principal family reconstruct modulo 2^21, so one step usually
-# suffices, and the denominator filter of _reconstruct_certificate lets
-# fewer wrong matchings through at a larger modulus
-_FIRST_MODULUS = 1 << 64
+# the floor of the p-adic modulus M: any M > 2H proves the answer, and the
+# floor only makes a wrong matching rarely pass the height test, where each
+# of its coefficients passes with probability about 2H/M, so that few wrong
+# candidates reach the exact check
+_MODULUS_FLOOR = 1 << 64
 
 
 def same_field(f: UniPoly, g: UniPoly) -> Optional[FieldCertificate]:
     """Exactly verified certificate that f and g define the same quartic
     field, or None when they provably do not.
 
-    Exact p-adic strategy, no floating point (Wang's modular rational
-    reconstruction; Cohen, GTM 138, 3.5 and 4.5).  Take the monic integer
+    Exact p-adic strategy, no floating point.  Take the monic integer
     models F and G, with roots e_f beta and e_g gamma; the substitution
     X -> X/e multiplies the discriminant of a quartic by e^12, so reject
     when disc(F) and disc(G) (closed form) differ in square class.  Take
@@ -797,12 +795,23 @@ def same_field(f: UniPoly, g: UniPoly) -> Optional[FieldCertificate]:
     the residues (_split_prime).  By Dedekind, p splits completely in the
     field of F, so G splits too when the fields agree; evaluating G at
     the residues shows whether it has its 4 roots mod p, and if it does
-    not, the fields differ.  Otherwise lift the roots of F and G to p^k
-    and, for each of the 24 matchings of roots, interpolate U with
-    U(root of F) = matched root of G, reconstruct its rational
-    coefficients modulo p^k and verify the candidate exactly, doubling k
-    until p^k passes the height bound of _certificate_height.  Past it,
-    no certificate exists and None is a proof.
+    not, the fields differ.
+
+    Otherwise lift the roots of F and G once, to a modulus M = p^k above
+    2H for the height H of _certificate_height.  For each of the 24
+    matchings of roots, interpolate U with U(root of F) = matched root of
+    G, and read the coefficients of D U, D = |disc F|, as symmetric
+    residues mod M: a residue above H rejects the matching, and the
+    others give a candidate that is verified exactly.
+
+    None is a proof.  If the fields agree, gamma = u(beta) for some u in
+    Q[X], and U(Y) = e_g u(Y / e_f) maps the roots of F to those of G in
+    every embedding of the Galois closure, so in Q_p, where p splits
+    completely.  The matching it induces on the p-adic roots interpolates
+    U mod M (p divides no denominator of U, which divides disc F), and
+    D U is integral with coefficients at most H in absolute value, so
+    each residue is the coefficient itself: that matching passes the
+    test and its candidate u holds.
     """
     models = []
     for h in (f, g):
@@ -821,36 +830,37 @@ def same_field(f: UniPoly, g: UniPoly) -> Optional[FieldCertificate]:
     if len(g_roots) < 4:
         return None
     height = _certificate_height(big_f, big_g)
-    k = _precision_for(p, _FIRST_MODULUS)
-    betas = _lift_roots(big_f, f_roots, p, 1, k)
-    gammas = _lift_roots(big_g, g_roots, p, 1, k)
-    while True:
-        m = p**k
-        basis = _interpolation_basis(betas, m)
-        for perm in itertools.permutations(gammas):
-            cert = _reconstruct_certificate(basis, perm, m, mf, mg)
-            if cert is not None and _certificate_holds(mf, mg, cert):
+    k = _precision_for(p, max(2 * height, _MODULUS_FLOOR))
+    m, scale = p**k, abs(mf.disc)
+    basis = _interpolation_basis(_lift_roots(big_f, f_roots, p, 1, k), m)
+    for perm in itertools.permutations(_lift_roots(big_g, g_roots, p, 1, k)):
+        coeffs = []
+        for t in range(4):
+            x = scale * sum(v * b[t] for v, b in zip(perm, basis)) % m
+            x = x - m if 2 * x > m else x
+            if abs(x) > height:
+                break
+            coeffs.append(Fraction(x * mf.e**t, scale * mg.e))
+        else:
+            cert = FieldCertificate(q=coeffs[0], p=coeffs[1], n=coeffs[2],
+                                    m=coeffs[3])
+            if _certificate_holds(mf, mg, cert):
                 return cert
-        if m > 2 * height**2:
-            return None
-        k_next = min(2 * k, _precision_for(p, 2 * height**2))
-        betas = _lift_roots(big_f, betas, p, k, k_next)
-        gammas = _lift_roots(big_g, gammas, p, k, k_next)
-        k = k_next
+    return None
 
 
 def _certificate_height(big_f: list[int], big_g: list[int]) -> int:
-    """H bounding |r| and s of every coefficient r/s of U, where
-    U(Y) = e_g u(Y / e_f) maps a root B of F to a root C of G.
+    """H bounding |disc F| |U_k| for every coefficient U_k of U, where
+    U(Y) = e_g u(Y / e_f) maps a root B of F to a root C of G; |disc F| U
+    is integral.
 
     C is integral and i O_K lies in Z[B] for the index i of Z[B], so
-    i U has integer coefficients and s <= i <= sqrt|disc F|.  By Lagrange
-    interpolation over the complex roots, with R the Cauchy bound of F,
-    |U_k| <= 4 R_G (1 + R)^3 max 1/|F'(B_i)|, and
+    i U has integer coefficients, and i divides i^2, which divides
+    disc F.  By Lagrange interpolation over the complex roots, with R the
+    Cauchy bound of F, |U_k| <= 4 R_G (1 + R)^3 max 1/|F'(B_i)|, and
     |F'(B_i)| >= |disc F| / (2R)^9 since the four |F'(B_j)| <= (2R)^3
-    multiply to |disc F|.  Hence |r| = |U_k| s <= H and s <= (2R)^6 <= H
-    for H = 4 R_G (1 + R)^3 (2R)^9.  Wang's reconstruction modulo
-    M > 2 H^2 then recovers every coefficient uniquely."""
+    multiply to |disc F|.  Hence |disc F| |U_k| <= H for
+    H = 4 R_G (1 + R)^3 (2R)^9."""
     r_f = _cauchy_bound(big_f)
     return 4 * _cauchy_bound(big_g) * (1 + r_f)**3 * (2 * r_f)**9
 
@@ -867,20 +877,3 @@ def _interpolation_basis(nodes: list[int], m: int) -> list[list[int]]:
         inv = pow(den, -1, m)
         basis.append([c * inv % m for c in _from_roots(others, m)])
     return basis
-
-
-def _reconstruct_certificate(basis: list[list[int]], values, m: int,
-                             mf: _Model, mg: _Model
-                             ) -> Optional[FieldCertificate]:
-    """Rational u with U = sum values[i] basis[i] mod m, or None when a
-    coefficient has no reconstruction or a denominator not dividing
-    disc(F) (impossible for the true U, see _certificate_height)."""
-    coeffs = []
-    for t in range(4):
-        residue = sum(v * b[t] for v, b in zip(values, basis)) % m
-        x = rational_reconstruct(residue, m)
-        if x is None or mf.disc % x.denominator:
-            return None
-        coeffs.append(x * Fraction(mf.e)**t / mg.e)
-    return FieldCertificate(q=coeffs[0], p=coeffs[1], n=coeffs[2],
-                            m=coeffs[3])

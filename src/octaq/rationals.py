@@ -1,4 +1,4 @@
-"""Integer factorization, square classes, rational reconstruction.
+"""Integer factorization and square classes.
 
 All scalars are ``fractions.Fraction`` (arbitrary precision, always
 reduced, positive denominator), so the only genuine work here is prime
@@ -270,28 +270,3 @@ def same_square_class(x: Fraction | int, y: Fraction | int) -> bool:
     if x == 0 or y == 0:
         raise ValueError("square classes are defined for nonzero values")
     return is_square(x * y)
-
-
-def rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
-    """The fraction r/s with r = a s mod m, |r| <= N and 0 < s <= N for
-    N = isqrt((m - 1) // 2), or None when there is none.
-
-    Wang's modular rational reconstruction: run the extended Euclidean
-    algorithm on (m, a) until the remainder is at most N; since
-    2 N^2 < m the answer is unique and that row gives it (von zur Gathen
-    and Gerhard, Modern Computer Algebra, Theorem 5.26).
-    """
-    if m < 2:
-        raise ValueError(f"modulus {m} is below 2")
-    bound = isqrt((m - 1) // 2)
-    r0, r1 = m, a % m
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 < 0:
-        r1, s1 = -r1, -s1
-    if s1 > bound or gcd(r1, s1) != 1 or gcd(s1, m) != 1:
-        return None
-    return Fraction(r1, s1)

@@ -18,7 +18,7 @@ from octaq.errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
 from octaq.hilbert import INF, brauer_class
 from octaq.polynomials import (QQ, QuadField, UniPoly, _disc, discriminant,
                                qpoly)
-from octaq.qcurve import SymbolicContext
+from octaq.qcurve import SymbolicContext, family
 from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
                            _certificate_holds, _integer_model,
                            _irreducible_by_modp, _isotropic_vectors,
@@ -426,12 +426,12 @@ def test_witt_formula_degenerate_dodge_cases():
         assert witt_formula(f) == w == fraction_trace_form(f).witt, (a, b, c)
 
 
-def test_same_field_escalates_precision():
+def test_same_field_large_certificates():
     cert = same_field(qpoly([-1, -1, 4, -1, 1]),
                       qpoly([-47681, 424, 0, 0, 1]))
     assert (cert.m, cert.n, cert.p, cert.q) == (5, -4, 28, -4)
-    # coefficients near 10^12 do not reconstruct modulo the first p^k of
-    # about 2^64, so the p-adic precision has to double
+    # coefficients near 10^12 lie past the 2^64 floor of the p-adic
+    # modulus: the height bound alone sets the one lift, near 2^220
     f = ReducedQuartic(0, 1, -1)
     m, n, p = 10**12 + 39, -(10**12 - 11), 3 * 10**11 + 7
     g = tschirnhaus(f, m, n, p)
@@ -813,6 +813,62 @@ def test_same_field_rejects_different_fields():
     # difference is proved by exhausting the certificate height bound
     assert same_field(qpoly([-3, 1, -6, 0, 1]),
                       qpoly([-3, 3, -6, 0, 1])) is None
+    # so are these, which split completely at 137 and 167
+    assert same_field(qpoly([-27, 3, 0, 0, 1]),
+                      qpoly([-60, 50, 0, 0, 1])) is None
+    assert same_field(qpoly([15, 4, 0, 0, 1]),
+                      qpoly([24, 8, 0, 0, 1])) is None
+
+
+def _corpus_and_family_pairs():
+    """The corpus pairs, then the members of the principal family at
+    s = -3, -1, 1, 3 for the seeds of acceptance criterion 6."""
+    pairs = [(row.source_poly(), row.principal_poly()) for row in CORPUS]
+    for b, c in [(1, -1), (2, -1), (3, 1), (1, 1), (2, 2), (4, 4), (8, 4),
+                 (2, -2), (3, -1), (5, 3)]:
+        g = PrincipalQuartic(Fraction(b), Fraction(c))
+        pairs += [(g.poly(), family(g, s)[0].poly()) for s in (-3, -1, 1, 3)]
+    return pairs
+
+
+def test_certificate_height_bounds_disc_times_u():
+    # same_field rests on this bound: for U(Y) = e_g u(Y / e_f) and the
+    # certificate u, |disc F| U is integral, with coefficients at most
+    # _certificate_height in absolute value
+    pairs = _corpus_and_family_pairs()
+    assert len(pairs) == 125
+    fractional = 0
+    for f, g in pairs:
+        mf, mg = _integer_model(f), _integer_model(g)
+        cert = same_field(f, g)
+        big_u = [Fraction(x) * mg.e / mf.e**t
+                 for t, x in enumerate((cert.q, cert.p, cert.n, cert.m))]
+        fractional += any(x.denominator > 1 for x in big_u)
+        height = quartic._certificate_height(mf.coeffs, mg.coeffs)
+        for x in big_u:
+            y = abs(mf.disc) * x
+            assert y.denominator == 1 and abs(y) <= height, (f, g)
+    # 9 corpus rows and 4 members have a U that is not integral
+    assert fractional == 13
+
+
+@pytest.mark.parametrize("f, g, found", [
+    ([-1, 1, 1, -1, 1], [-43, 37, 0, 0, 1], True),
+    ([-3, 1, -6, 0, 1], [-3, 3, -6, 0, 1], False)])
+def test_same_field_lifts_once(monkeypatch, f, g, found):
+    # past the split test the roots of F and G are lifted once each, to
+    # the final precision, and one interpolation basis serves all 24
+    # matchings; no rational reconstruction is left
+    assert not hasattr(quartic, "rational_reconstruct")
+    calls = Counter()
+    for name in ("_lift_roots", "_interpolation_basis"):
+        def counted(*args, _name=name, _fn=getattr(quartic, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(quartic, name, counted)
+    cert = same_field(qpoly(f), qpoly(g))
+    assert (cert is not None) == found
+    assert calls == {"_lift_roots": 2, "_interpolation_basis": 1}
 
 
 # -- the split-prime search, against polynomial arithmetic over F_p -------------

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from octaq.errors import FactorizationIncomplete
 from octaq.hilbert import is_prime
 from octaq.rationals import (FACTOR_BUDGET, PSI_13, _strong_probable_prime,
-                             factorize, is_square, rational_reconstruct,
-                             same_square_class, squarefree_part)
+                             factorize, is_square, same_square_class,
+                             squarefree_part)
 
 M89 = 2**89 - 1  # prime, but above PSI_13
 
@@ -129,29 +129,3 @@ def test_is_square():
     assert not is_square(Fraction(-4))
     assert same_square_class(Fraction(8), Fraction(2))
     assert not same_square_class(Fraction(8), Fraction(3))
-
-
-def test_rational_reconstruct_examples():
-    m = 10**9 + 7
-    assert rational_reconstruct(pow(2, -1, m), m) == Fraction(1, 2)
-    assert rational_reconstruct(-pow(3, -1, m), m) == Fraction(-1, 3)
-    assert rational_reconstruct(12345, m) == 12345
-    # modulo 10 only 0, +-1, +-2 and +-1/2 fit the bound 2, and 1/2 is
-    # not invertible: 5 and 7 have no reconstruction
-    assert rational_reconstruct(5, 10) is None
-    assert rational_reconstruct(7, 10) is None
-    with pytest.raises(ValueError):
-        rational_reconstruct(0, 1)
-
-
-def test_rational_reconstruct_recovers_perturbed():
-    rng = random.Random(5)
-    for m in (10**9 + 7, 3**40):
-        for _ in range(1000):
-            x = Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**4))
-            if x.denominator % 3 == 0:
-                continue
-            residue = x.numerator * pow(x.denominator, -1, m) % m
-            assert rational_reconstruct(residue, m) == x
-            # a perturbed residue is some other fraction, or none
-            assert rational_reconstruct(residue + 1, m) != x

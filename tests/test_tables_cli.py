@@ -1,12 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import octaq
 from octaq.cli import main, parse_polynomial
 from octaq.errors import ParseError
 from octaq.polynomials import poly_str, qpoly
@@ -201,16 +205,12 @@ def test_cli_qcurve_from_quartic_non_octahedral(capsys, poly):
     assert data["error"]["type"] == "NotOctahedral"
 
 
-def _run_child(*argv):
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import octaq
+def _run_child(*argv, stdout=subprocess.PIPE):
     env = {**os.environ,
            "PYTHONPATH": str(Path(octaq.__file__).resolve().parents[1])}
     return subprocess.run([sys.executable, "-m", "octaq.cli", *argv],
-                          capture_output=True, text=True, timeout=60, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=60, env=env)
 
 
 @pytest.mark.parametrize("exponent", ["3000000", "9" * 5000])
@@ -242,6 +242,22 @@ def test_cli_qcurve_from_quartic_non_s4_ends():
     proc = _run_child("qcurve", "from-quartic", "x^4+3x^2+1")
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["type"] == "NotOctahedral"
+
+
+@pytest.mark.parametrize("argv", [("verify-tables",),
+                                  ("analyze", "x^4+x-1")])
+def test_cli_closed_stdout_exits_141_quietly(argv):
+    # a reader that closes the pipe early, as `octaq verify-tables | head`
+    # does, used to end in a BrokenPipeError traceback and exit 1: the
+    # large output fails while it is written, the small one at the flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_child(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 141
 
 
 def test_cli_verify_tables_mutated(tmp_path, capsys):
