@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 validation failure (bad input, out-of-scope
 value, failed table row), 3 computational limit (factoring budget,
-search box, or split-prime search exhausted).
+search box, or split-prime search exhausted), 141 (128 + SIGPIPE) when
+stdout is closed before the report is written.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from .errors import (ComputationalLimit, NotOctahedral, OctaqError,
                      ParseError, ValidationFailure)
 from .gl2f9 import (five_groups, s4_conjugacy_scan, verify_outer_involutions,
                     verify_subgroup_classification)
-from .polynomials import UniPoly, poly_str, qpoly
-from .qcurve import (WITT_SAMPLES, curve_from_t, symbolic_suite,
-                     t_from_principal, weil_restriction_factor)
+from .polynomials import QQ, UniPoly, poly_str, qpoly
+from .qcurve import (WITT_SAMPLES, curve_from_t, principal_quartic_poly,
+                     symbolic_suite, t_from_principal,
+                     weil_restriction_factor)
 from .quartic import ReducedQuartic, depress, principalize
 from .rationals import FACTOR_BUDGET, squarefree_part
 from .tables import load_bundled_corpus, parse_table, verify_table_row
@@ -136,8 +138,7 @@ def cmd_analyze(args) -> int:
         out["qcurve"] = {
             "t": str(t),
             "field_k": f"Q(sqrt({squarefree_part(-3 * report.d)}))",
-            "g_t": [str(-3 * (t - 1) ** 3), str(4 * (t - 1) ** 2),
-                    "0", "0", "1"],
+            "g_t": [str(c) for c in principal_quartic_poly(QQ, t).coeffs],
         }
     _emit(out)
     return 0
@@ -206,10 +207,7 @@ def cmd_qcurve_from_t(args) -> int:
 
 def cmd_qcurve_from_quartic(args) -> int:
     poly, reduced = _s4_quartic(args.polynomial)
-    if not poly[2] and not poly[3]:
-        principal = reduced  # already X^4 + bX + c
-    else:
-        principal, _ = principalize(reduced, box=args.box)
+    principal, _ = principalize(reduced, box=args.box)
     t = t_from_principal(principal)
     rec = curve_from_t(t)
     _emit({

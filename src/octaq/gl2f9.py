@@ -18,12 +18,15 @@ That proves two things at once: the kernel of the action is exactly F9*,
 so PGL2(F9) acts faithfully and each element is its permutation, and
 the pair generates PGL2(F9).
 
-The verified statements: the generator relations between powers of
-zeta^j S and zeta^k T, the collapse of the 64 subgroups <zeta^j S,
-zeta^k T> onto five groups G1..G5, their order table together with the
-SL2 intersections (which pins the 2^r S4^+- label of each), maximality of
-the index-2 members, the behaviour of the three scalar-twist involutions
-on each group, and the uniqueness of the S4 conjugacy class in PGL2(F9).
+The statements the ledger verifies: the generator relations between
+powers of zeta^j S and zeta^k T, the named equalities between the
+subgroups H_{j,k} = <zeta^j S, zeta^k T> that identify five groups
+G1..G5, F3* in all 64 of them, the order table of G1..G5 together with
+the SL2 intersections (which pins the 2^r S4^+- label of each),
+maximality of the index-2 members, the behaviour of the three
+scalar-twist involutions on each group, and the uniqueness of the S4
+conjugacy class in PGL2(F9).  That each of the 64 H_{j,k} equals one of
+G1..G5 is checked by the test suite, not by the ledger.
 
 Two of these proofs work on generators rather than on all elements.  A
 map on a finite group is multiplicative as soon as phi(a s) = phi(a)
@@ -303,9 +306,10 @@ def five_groups() -> dict[str, MatGroup]:
 
 
 def verify_subgroup_classification() -> CheckLedger:
-    """Reproduce the subgroup classification: relations, collapse of the
-    H_{j,k} onto five groups, the order table with SL2 intersections,
-    maximality, common projective image, and scalar containment."""
+    """Reproduce the subgroup classification: relations, the named
+    equalities between the H_{j,k} that identify G1..G5, the order table
+    with SL2 intersections, maximality, common projective image, and
+    scalar containment."""
     led = CheckLedger()
     verify_generator_relations(led)
 

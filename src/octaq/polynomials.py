@@ -3,11 +3,14 @@
 Three coefficient rings are supported, all immutable:
 
 * ``Fraction`` (the field object is the ``QQ`` singleton),
-* ``QuadElement`` u + v*sqrt(t) for a fixed non-square rational t,
 * ``PolyElement`` in the ring Q[s] (``PolyRing``): integer coefficients
   over one denominator, divided only by nonzero constants, so an identity
   between rational functions of s is checked with its denominators
-  cleared.
+  cleared,
+* ``QuadElement`` u + v*sqrt(t) in Q(sqrt(t)) = Q[s]/(s^2 - t) for a
+  fixed non-square rational t (``QuadField``, a ``PolyRing``): the same
+  integer numerators over one denominator, at most two of them, since
+  each product is reduced by s^2 = t as it is formed.
 
 Coefficients are stored lowest degree first with a nonzero leading
 coefficient; the zero polynomial has an empty tuple.  Discriminants of
@@ -41,130 +44,6 @@ class RationalField:
 
 
 QQ = RationalField()
-
-
-class QuadElement:
-    """u + v*sqrt(t) with fixed non-square rational t."""
-
-    __slots__ = ("field", "u", "v")
-
-    def __init__(self, field: "QuadField", u: Scalar, v: Scalar):
-        self.field = field
-        self.u = Fraction(u)
-        self.v = Fraction(v)
-
-    def _coerce(self, other):
-        if isinstance(other, QuadElement):
-            if other.field.t != self.field.t:
-                raise ValueError("mixed quadratic fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadElement(self.field, other, 0)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElement(self.field, self.u + o.u, self.v + o.v)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadElement(self.field, -self.u, -self.v)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElement(self.field, self.u - o.u, self.v - o.v)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        t = self.field.t
-        return QuadElement(
-            self.field,
-            self.u * o.u + t * self.v * o.v,
-            self.u * o.v + self.v * o.u,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadElement":
-        nrm = self.u * self.u - self.field.t * self.v * self.v
-        if nrm == 0:
-            raise ZeroDivisionError("zero element of quadratic field")
-        return QuadElement(self.field, self.u / nrm, -self.v / nrm)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = QuadElement(self.field, 1, 0)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.u == o.u and self.v == o.v
-
-    def __hash__(self):
-        return hash((self.field.t, self.u, self.v))
-
-    def __bool__(self):
-        return self.u != 0 or self.v != 0
-
-    def conjugate(self) -> "QuadElement":
-        return QuadElement(self.field, self.u, -self.v)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.v == 0
-
-    def __repr__(self):
-        return f"({self.u} + {self.v}*sqrt({self.field.t}))"
-
-
-class QuadField:
-    """Q(sqrt(t)) for a fixed non-square rational t."""
-
-    def __init__(self, t: Scalar):
-        t = Fraction(t)
-        if is_square(t):
-            raise ValueError(f"{t} is a rational square; use QQ directly")
-        self.t = t
-        self.zero = QuadElement(self, 0, 0)
-        self.one = QuadElement(self, 1, 0)
-        self.sqrt_t = QuadElement(self, 0, 1)
-
-    def embed(self, x: Scalar) -> QuadElement:
-        return QuadElement(self, x, 0)
-
-    def element(self, u: Scalar, v: Scalar) -> QuadElement:
-        return QuadElement(self, u, v)
-
-    def __repr__(self):
-        return f"Q(sqrt({self.t}))"
 
 
 class UniPoly:
@@ -458,7 +337,17 @@ def _interpolate(ys: Sequence[int]) -> list[int]:
     return _trim(out)
 
 
-# -- the polynomial ring Q[s] -------------------------------------------------
+# -- the polynomial ring Q[s] and its quotients Q[s]/(s^2 - t) ---------------
+
+
+def _poly_mul(a: Sequence, b: Sequence) -> list:
+    """Product of ascending coefficient lists, over Z or any field."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 class PolyElement:
@@ -497,7 +386,8 @@ class PolyElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyElement(self.ring, tuple(-x for x in self.num), self.den)
+        return self.ring.element_class(self.ring, tuple(-x for x in self.num),
+                                       self.den)
 
     def __sub__(self, other):
         return self + -self._coerce(other)
@@ -507,13 +397,8 @@ class PolyElement:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        a, b = self.num, o.num
-        out = [0] * (len(a) + len(b) - 1) if a and b else []
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _element(self.ring, out, self.den * o.den)
+        return _element(self.ring, _poly_mul(self.num, o.num),
+                        self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -560,26 +445,28 @@ class PolyElement:
 
 
 def _element(ring: "PolyRing", num: list, den: int) -> PolyElement:
-    """num/den as a PolyElement, for den != 0: trims num and divides it and
-    den by their gcd, signed as den."""
+    """num/den as an element of ring, for den != 0: trims num and divides
+    it and den by their gcd, signed as den."""
     if not _trim(num):
         return ring.zero
     g = gcd(den, *num) if den > 0 else -gcd(den, *num)
     if g != 1:
         num = [x // g for x in num]
         den //= g
-    return PolyElement(ring, tuple(num), den)
+    return ring.element_class(ring, tuple(num), den)
 
 
 class PolyRing:
     """The polynomial ring Q[var]; UniPoly takes it as a coefficient field,
     with division by nonzero constants only."""
 
+    element_class = PolyElement
+
     def __init__(self, var: str = "s"):
         self.var = var
-        self.zero = PolyElement(self, (), 1)
-        self.one = PolyElement(self, (1,), 1)
-        self.gen = PolyElement(self, (0, 1), 1)
+        self.zero = self.element_class(self, (), 1)
+        self.one = self.element_class(self, (1,), 1)
+        self.gen = self.element_class(self, (0, 1), 1)
 
     def embed(self, x) -> PolyElement:
         if isinstance(x, PolyElement) and x.ring is self:
@@ -595,6 +482,96 @@ class PolyRing:
 
     def __repr__(self):
         return f"QQ[{self.var}]"
+
+
+class QuadElement(PolyElement):
+    """u + v*sqrt(t) in Q(sqrt(t)) = Q[s]/(s^2 - t): the element of Q[s]
+    of degree at most 1 that represents it, so num has at most two
+    entries.  Only a product can reach s^2, and __mul__ reduces it."""
+
+    __slots__ = ()
+
+    def _coerce(self, other) -> PolyElement:
+        # two fields with the same t are one field
+        if isinstance(other, QuadElement) and other.ring is not self.ring:
+            if other.ring.t != self.ring.t:
+                raise ValueError("mixed quadratic fields")
+            return other
+        return super()._coerce(other)
+
+    def __mul__(self, other):
+        # (c0 + c1 s + c2 s^2)/d with s^2 = tn/td is
+        # (c0 td + c2 tn + c1 td s)/(d td)
+        o = self._coerce(other)
+        c, den = _poly_mul(self.num, o.num), self.den * o.den
+        if len(c) == 3:
+            t = self.ring.t
+            tn, td = t.numerator, t.denominator
+            c, den = [c[0] * td + c[2] * tn, c[1] * td], den * td
+        return _element(self.ring, c, den)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "QuadElement":
+        """The conjugate over the rational norm: with x = (n0 + n1 s)/d,
+        1/x = (n0 - n1 s) d td / (n0^2 td - n1^2 tn)."""
+        n0, n1 = (self.num + (0, 0))[:2]
+        t = self.ring.t
+        nrm = n0 * n0 * t.denominator - n1 * n1 * t.numerator
+        if nrm == 0:
+            raise ZeroDivisionError("zero element of quadratic field")
+        scale = self.den * t.denominator
+        return _element(self.ring, [n0 * scale, -n1 * scale], nrm)
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def conjugate(self) -> "QuadElement":
+        return QuadElement(self.ring, self.num[:1]
+                           + tuple(-x for x in self.num[1:]), self.den)
+
+    @property
+    def field(self) -> "QuadField":
+        return self.ring
+
+    @property
+    def u(self) -> Fraction:
+        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
+
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self.num[1], self.den) if self.num[1:] else Fraction(0)
+
+    @property
+    def is_rational(self) -> bool:
+        return len(self.num) < 2
+
+    def __repr__(self):
+        return f"({self.u} + {self.v}*sqrt({self.ring.t}))"
+
+
+class QuadField(PolyRing):
+    """Q(sqrt(t)) = Q[s]/(s^2 - t) for a fixed non-square rational t;
+    sqrt_t is the class of s."""
+
+    element_class = QuadElement
+
+    def __init__(self, t: Scalar):
+        t = Fraction(t)
+        if is_square(t):
+            raise ValueError(f"{t} is a rational square; use QQ directly")
+        self.t = t
+        super().__init__()
+        self.sqrt_t = self.gen
+
+    def element(self, u: Scalar, v: Scalar) -> QuadElement:
+        return self.from_coeffs((u, v))
+
+    def __repr__(self):
+        return f"Q(sqrt({self.t}))"
 
 
 # used by no module of octaq; perfbench/selftest.py calls it

@@ -29,7 +29,7 @@ from .errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
                      Reducible, SearchExhausted)
 from .hilbert import (INF, BrauerClass, _support, brauer_class,
                       witt_invariant_diagonal)
-from .polynomials import QQ, UniPoly, _disc, poly_str, qpoly
+from .polynomials import QQ, UniPoly, _disc, _poly_mul, poly_str, qpoly
 from .rationals import (_exact_div, _primes_below, _val_unit, factorize,
                         is_square, same_square_class, squarefree_part)
 
@@ -66,16 +66,6 @@ def _scaled_numerators(coeffs, e: int) -> tuple[list[int], int]:
     scaled = [Fraction(x) / e**i for i, x in enumerate(coeffs)]
     big_l = lcm(*[x.denominator for x in scaled])
     return [x.numerator * (big_l // x.denominator) for x in scaled], big_l
-
-
-def _poly_mul(a, b) -> list:
-    """Product of ascending coefficient lists, over Z or any field."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _int_rem(a: list[int], c: list[int]) -> list[int]:

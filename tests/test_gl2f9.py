@@ -137,6 +137,17 @@ def test_classify_exhaustive_over_all_pairs():
     assert seen == {"2S4+", "4S4+", "2S4-", "4S4-", "8S4-"}
 
 
+def test_hjk_collapse_onto_five_groups():
+    # the 64 subgroups <zeta^j S, zeta^k T> are, as sets, the five groups
+    named = {g.elements: name for name, g in five_groups().items()}
+    counts = {}
+    for j in range(8):
+        for k in range(8):
+            name = named[h_jk(j, k).elements]
+            counts[name] = counts.get(name, 0) + 1
+    assert counts == {"G1": 4, "G2": 16, "G3": 4, "G4": 8, "G5": 32}
+
+
 def test_outer_involutions_per_group():
     expected_names = {"G1": ["f1"], "G2": ["f1", "f2"], "G3": ["phi"],
                       "G4": ["phi", "f1"], "G5": ["phi", "f1", "f2"]}

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from octaq.polynomials import (QQ, PolyRing, QuadField, UniPoly,
-                               _resultant_y, discriminant, poly, poly_gcd,
-                               qpoly)
+from octaq.polynomials import (QQ, PolyRing, QuadElement, QuadField,
+                               UniPoly, _resultant_y, discriminant, poly,
+                               poly_gcd, qpoly)
 from octaq.quartic import _power_sums
+from octaq.rationals import is_square
 from oracles import (FunctionField, bareiss_determinant,
                      constant_resultant as resultant, power_sums,
                      resultant_bivariate, sylvester_matrix,
@@ -309,3 +310,66 @@ def test_ring_arithmetic_matches_function_field(a, b, c):
 def test_ring_refuses_a_mixed_ring():
     with pytest.raises(ValueError, match="mixed polynomial rings"):
         _RING.gen + PolyRing("s").gen
+
+
+# -- Q(sqrt(t)) = Q[s]/(s^2 - t) against the closed forms ---------------------
+
+_non_square = st.one_of(
+    st.sampled_from([Fraction(5, 7), Fraction(-3, 2), Fraction(283, 27)]),
+    ratios.filter(lambda t: not is_square(t)))
+
+
+def _assert_in_field(x, field):
+    assert type(x) is QuadElement and x.field is field
+    assert len(x.num) <= 2 and (not x.num or x.num[-1])
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(_non_square, st.lists(ratios, min_size=4, max_size=4))
+@example(Fraction(5, 7), [Fraction(1, 3), Fraction(2, 5), Fraction(0),
+                          Fraction(3, 4)])
+@example(Fraction(283, 27), [Fraction(0), Fraction(0), Fraction(1),
+                             Fraction(-1)])
+def test_quad_field_matches_closed_forms(t, coords):
+    u1, v1, u2, v2 = coords
+    K = QuadField(t)
+    x, y = K.element(u1, v1), K.element(u2, v2)
+    closed = [(x * y, u1 * u2 + t * v1 * v2, u1 * v2 + u2 * v1),
+              (x + y, u1 + u2, v1 + v2), (x - y, u1 - u2, v1 - v2),
+              (-x, -u1, -v1), (x.conjugate(), u1, -v1),
+              (3 * x, 3 * u1, 3 * v1), (x * u2, u1 * u2, v1 * u2),
+              (x ** 2, u1 * u1 + t * v1 * v1, 2 * u1 * v1)]
+    for got, u, v in closed:
+        _assert_in_field(got, K)
+        assert (got.u, got.v) == (u, v)
+    assert x.is_rational == (v1 == 0)
+    results = [x ** 3]
+    for z in (x, y):
+        if z:
+            results += [z.inverse(), z ** -2, 1 / z]
+            assert z * z.inverse() == K.one
+            assert z ** -2 == z.inverse() ** 2
+        else:
+            with pytest.raises(ZeroDivisionError):
+                z.inverse()
+    if y:
+        results.append(x / y)
+        assert x / y == x * y.inverse()
+    for got in results:
+        _assert_in_field(got, K)
+
+
+def test_quad_field_mixing():
+    assert QuadField(2).sqrt_t * QuadField(2).sqrt_t == 2
+    assert QuadField(2).sqrt_t + QuadField(2).one == QuadField(2).element(1, 1)
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        QuadField(2).sqrt_t * QuadField(3).sqrt_t
+    ring_s = PolyRing("s")
+    w = QuadField(Fraction(5, 7)).sqrt_t
+    for a, b in ((w, ring_s.gen), (ring_s.gen, w), (w, ring_s.one)):
+        for op in (lambda a, b: a + b, lambda a, b: a - b,
+                   lambda a, b: a * b, lambda a, b: a / b,
+                   lambda a, b: a == b):
+            with pytest.raises(ValueError, match="mixed polynomial rings"):
+                op(a, b)

@@ -205,6 +205,17 @@ def test_cli_qcurve_from_quartic_non_octahedral(capsys, poly):
     assert data["error"]["type"] == "NotOctahedral"
 
 
+@pytest.mark.parametrize("poly, form", [("x^4+16x-16", ["2", "-1"]),
+                                        ("x^4-x-1", ["1", "-1"]),
+                                        ("x^4+x-1", ["1", "-1"])])
+def test_cli_from_quartic_prints_the_principalized_model(capsys, poly, form):
+    # a quartic already of the shape X^4 + bX + c is normalized like any
+    # other, so both commands print one principal model
+    for command in (("qcurve", "from-quartic"), ("principalize",)):
+        code, data = run_cli(capsys, *command, poly)
+        assert code == 0 and data["principal_form"] == form
+
+
 def _run_child(*argv, stdout=subprocess.PIPE):
     env = {**os.environ,
            "PYTHONPATH": str(Path(octaq.__file__).resolve().parents[1])}
