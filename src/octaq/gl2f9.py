@@ -21,12 +21,14 @@ the pair generates PGL2(F9).
 The statements the ledger verifies: the generator relations between
 powers of zeta^j S and zeta^k T, the named equalities between the
 subgroups H_{j,k} = <zeta^j S, zeta^k T> that identify five groups
-G1..G5, F3* in all 64 of them, the order table of G1..G5 together with
-the SL2 intersections (which pins the 2^r S4^+- label of each),
-maximality of the index-2 members, the behaviour of the three
-scalar-twist involutions on each group, and the uniqueness of the S4
-conjugacy class in PGL2(F9).  That each of the 64 H_{j,k} equals one of
-G1..G5 is checked by the test suite, not by the ledger.
+G1..G5 (it closes the nine H_{j,k} they name), F3* in all 64 of them
+(a breadth-first search of each H_{j,k} that stops at -I, whose word is
+the proof), the order table of G1..G5 together with the SL2
+intersections (which pins the 2^r S4^+- label of each), maximality of
+the index-2 members, the behaviour of the three scalar-twist involutions
+on each group, and the uniqueness of the S4 conjugacy class in
+PGL2(F9).  That each of the 64 H_{j,k} equals one of G1..G5 is checked
+by the test suite, which closes all 64, not by the ledger.
 
 Two of these proofs work on generators rather than on all elements.  A
 map on a finite group is multiplicative as soon as phi(a s) = phi(a)
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from math import lcm
 
 from .errors import OctaqError
@@ -150,23 +152,32 @@ class MatGroup:
         return sum(1 for m in self.elements if mat_det(m) == ONE)
 
 
+def _generate(gens, mul, identity):
+    """The group gens generate under mul, breadth-first: the identity, then
+    the generators, then each new product x g (x taken in the order of
+    yielding, g in gens) once, so a search for one element stops at it."""
+    seen = {identity}
+    queue = [identity]
+    yield identity
+    for g in gens:
+        if g not in seen:
+            seen.add(g)
+            queue.append(g)
+            yield g
+    for x in queue:                 # the queue grows as the loop runs
+        for g in gens:
+            y = mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+                yield y
+
+
 def _close(gens, mul, identity, cap: int) -> frozenset | None:
-    """The group gens generate under mul, closed breadth-first, or None
-    once a level takes it past cap elements."""
-    seen = {identity, *gens}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        if len(seen) > cap:
-            return None
-        frontier = nxt
-    return frozenset(seen)
+    """The group gens generate under mul, or None if it has more than cap
+    elements."""
+    els = frozenset(islice(_generate(gens, mul, identity), cap + 1))
+    return None if len(els) > cap else els
 
 
 def closure(generators) -> frozenset:
@@ -313,7 +324,10 @@ def verify_subgroup_classification() -> CheckLedger:
     led = CheckLedger()
     verify_generator_relations(led)
 
-    hs = {jk: h_jk(*jk) for jk in product(range(8), range(8))}
+    # the closures the equalities below read; the other 55 H_{j,k} are
+    # only searched for -I
+    hs = {jk: h_jk(*jk)
+          for jk in [*_FIVE.values(), (1, 2), (2, 2), (1, 1), (2, 1)]}
     gs = {name: hs[jk] for name, jk in _FIVE.items()}
     g1, g2, g3, g4, g5 = (gs[k].elements for k in ("G1", "G2", "G3", "G4", "G5"))
 
@@ -330,9 +344,14 @@ def verify_subgroup_classification() -> CheckLedger:
     led.check("F9*G1 = F9*G3 = G5",
               set_product(F9_UNITS, g1) == set_product(F9_UNITS, g3) == g5)
 
+    # -I is found by a breadth-first search that stops at its first word;
+    # mat_mul is looked up here, so a rebinding of gl2f9.mat_mul reaches it
     minus_id = scalar_mat(MINUS_ONE)
     led.check("F3* in every H_{j,k}",
-              all(minus_id in h.elements for h in hs.values()))
+              all(minus_id in _generate([scalar_mul(ZETA_POW[j], S_MAT),
+                                         scalar_mul(ZETA_POW[k], T_MAT)],
+                                        mat_mul, IDENTITY)
+                  for j, k in product(range(8), range(8))))
 
     expected = {"G1": (48, 24, "2S4+"), "G2": (96, 24, "4S4+"),
                 "G3": (48, 48, "2S4-"), "G4": (96, 48, "4S4-"),

@@ -243,11 +243,13 @@ def _resultant_y(pc: Sequence, rc: Sequence) -> list[list[Fraction]]:
     By evaluation and interpolation (Collins, JACM 1971).  With L the lcm
     of the denominators, m = deg_Y P and n = deg_Y R, Res(LP, LR) =
     L^(m+n) Res(P, R).  By Leibniz's expansion the Sylvester determinant
-    has degree at most D_t in t and D_x in X, the sums over its rows of
-    the largest degree of an entry.  At each node t0 = 0..D_t, x0 = 0..D_x
-    the integer Sylvester matrix keeps the generic shape (m, n), so a
-    leading coefficient that vanishes there stays in it.  Integer Bareiss
-    gives its determinant; forward differences interpolate in X, then t.
+    has degree at most D_t in t and D_x in X, the largest sum of the
+    degrees of its entries along a permutation (_leibniz_degree); if every
+    permutation meets a zero entry the determinant is 0 and one node
+    shows it.  At each node t0 = 0..D_t, x0 = 0..D_x the integer
+    Sylvester matrix keeps the generic shape (m, n), so a leading
+    coefficient that vanishes there stays in it.  Integer Bareiss gives
+    its determinant; forward differences interpolate in X, then t.
     """
     pc, rc = (_trim([_trim([_trim([Fraction(c) for c in ts]) for ts in xs])
                      for xs in a]) for a in (pc, rc))
@@ -258,26 +260,57 @@ def _resultant_y(pc: Sequence, rc: Sequence) -> list[list[Fraction]]:
                   for c in ts))
     pz, rz = ([[[int(c * big_l) for c in ts] for ts in xs] for xs in a]
               for a in (pc, rc))
-    x_len = [max(map(len, a)) for a in (pz, rz)]
-    t_len = [max(len(ts) for xs in a for ts in xs) for a in (pz, rz)]
-    dx = n * (x_len[0] - 1) + m * (x_len[1] - 1)
-    dt = n * (t_len[0] - 1) + m * (t_len[1] - 1)
+
+    def bound(deg) -> int:
+        # None marks a zero entry; a None bound means Res = 0: one node
+        return _leibniz_degree(_sylvester(
+            [deg(xs) if xs else None for xs in pz],
+            [deg(xs) if xs else None for xs in rz], None)) or 0
+    dx = bound(lambda xs: len(xs) - 1)
+    dt = bound(lambda xs: max(map(len, xs)) - 1)
     in_x = []
     for t0 in range(dt + 1):
         px, rx = ([[_horner(ts, t0) for ts in xs] for xs in a]
                   for a in (pz, rz))
         values = []
         for x0 in range(dx + 1):
-            pv = [_horner(xs, x0) for xs in reversed(px)]
-            rv = [_horner(xs, x0) for xs in reversed(rx)]
-            values.append(_bareiss(
-                [[0] * i + pv + [0] * (n - 1 - i) for i in range(n)]
-                + [[0] * i + rv + [0] * (m - 1 - i) for i in range(m)]))
+            values.append(_bareiss(_sylvester(
+                [_horner(xs, x0) for xs in px],
+                [_horner(xs, x0) for xs in rx], 0)))
         in_x.append(_interpolate(values))
     scale = big_l ** (m + n)
     return _trim([[Fraction(c, scale) for c in _interpolate(
         [node[i] if i < len(node) else 0 for node in in_x])]
         for i in range(dx + 1)])
+
+
+def _sylvester(p: Sequence, r: Sequence, zero) -> list[list]:
+    """The Sylvester matrix of the ascending coefficient lists p and r:
+    deg r shifted rows of p, then deg p shifted rows of r, each with its
+    leading coefficient first and zero elsewhere."""
+    m, n = len(p) - 1, len(r) - 1
+    return ([[zero] * i + p[::-1] + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + r[::-1] + [zero] * (m - 1 - i)
+               for i in range(m)])
+
+
+def _leibniz_degree(deg: Sequence[Sequence]) -> int | None:
+    """The largest sum(deg[i][p(i)]) over the permutations p of the
+    columns of a square matrix of entry degrees, None marking a zero
+    entry; None if every permutation meets one.  By Leibniz's expansion
+    this bounds the degree of the determinant.  A dynamic programme over
+    the sets of columns used by the first rows: 2^size states."""
+    best = {0: 0}                      # used-column mask -> largest sum
+    for row in deg:
+        nxt = {}
+        for used, total in best.items():
+            for col, d in enumerate(row):
+                if d is not None and not used >> col & 1:
+                    key = used | 1 << col
+                    if nxt.get(key, -1) < total + d:
+                        nxt[key] = total + d
+        best = nxt
+    return best.get((1 << len(deg)) - 1)
 
 
 def _trim(cs: list) -> list:
@@ -434,6 +467,9 @@ class PolyElement:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # a constant equals, so hashes as, the int or Fraction it embeds
+        if len(self.num) <= 1:
+            return hash(Fraction(self.num[0] if self.num else 0, self.den))
         return hash((self.num, self.den))
 
     def __bool__(self):

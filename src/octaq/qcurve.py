@@ -258,11 +258,12 @@ def weil_restriction_factor(t: Optional[Fraction] = None) -> WeilRestrictionReco
     t = None runs the symbolic version over Q[s] with t = s^2, where P and
     R lie in Q[t][X][Y].  Both versions compute the resultant by
     polynomials._resultant_y from its values at integer points.  Its
-    degree is bounded by the row sums of the Sylvester matrix (3 rows of
-    P, deg_Y P = 4; 4 rows of R, deg_Y R = 3): D_t = 3*2 + 4*1 = 10 in t
-    and D_x = 3*4 + 4*3 = 24 in X.  Every node keeps that generic shape,
-    so the leading coefficient P_4 = t^2 stays in the matrix at t = 0.  A
-    rational t is the case D_t = 0.
+    degree is bounded by the largest sum of entry degrees along a
+    permutation of the 7 x 7 Sylvester matrix (3 rows of P, deg_Y P = 4;
+    4 rows of R, deg_Y R = 3), by Leibniz's expansion: D_t = 8 in t and
+    D_x = 16 in X, the true degrees, so 17 * 9 nodes.  Every node keeps
+    that generic shape, so the leading coefficient P_4 = t^2 stays in the
+    matrix at t = 0.  A rational t is the case D_t = 0.
     """
     if t is None:
         return _symbolic_weil_restriction(SymbolicContext())

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from octaq.errors import OctaqError
 from octaq.gl2f9 import (F9_INV, F9_MUL, GL2_GENERATORS, IDENTITY, I_UNIT,
                          MINUS_ONE, ONE, S_MAT, T_MAT, ZERO, ZETA, ZETA_POW,
-                         _PERM_ID, _close, _compose, _is_inner, _perm,
-                         _perm_order, _pgl2f9, classify_hjk, closure,
+                         _PERM_ID, _close, _compose, _generate, _is_inner,
+                         _perm, _perm_order, _pgl2f9, classify_hjk, closure,
                          five_groups, group, h_jk,
                          mat_det, mat_inv, mat_mul, mat_order, projective_det,
                          s4_conjugacy_scan, scalar_mul, twist_f1, twist_f2,
@@ -69,6 +69,43 @@ def test_closure_multiplies_through_the_module_binding(monkeypatch):
     monkeypatch.setattr(mod, "mat_mul", counting)
     assert len(closure([S_MAT, T_MAT])) == 48
     assert len(calls) == 48 * 2
+
+
+def test_generate_yields_identity_then_generators_then_each_element_once():
+    els = list(_generate([S_MAT, T_MAT, S_MAT], mat_mul, IDENTITY))
+    assert els[:3] == [IDENTITY, S_MAT, T_MAT]
+    assert len(els) == len(set(els)) == 48
+    assert set(els) == closure([S_MAT, T_MAT])
+    assert list(_generate([], mat_mul, IDENTITY)) == [IDENTITY]
+
+
+def test_minus_identity_search_matches_the_closures():
+    minus_id = scalar_mul(MINUS_ONE, IDENTITY)
+    for j in range(8):
+        for k in range(8):
+            gens = [scalar_mul(ZETA_POW[j], S_MAT),
+                    scalar_mul(ZETA_POW[k], T_MAT)]
+            assert ((minus_id in _generate(gens, mat_mul, IDENTITY))
+                    == (minus_id in h_jk(j, k).elements)), (j, k)
+    # <S> = {I, S} and the order-3 T^2 miss -I: the search ends, False
+    assert minus_id not in _generate([S_MAT], mat_mul, IDENTITY)
+    assert minus_id not in _generate([mat_mul(T_MAT, T_MAT)], mat_mul,
+                                     IDENTITY)
+
+
+def test_subgroup_classification_closes_only_what_it_reads(monkeypatch):
+    # closing all 64 H_{j,k} would take 17,732 products; the ledger takes
+    # 2 * 1056 for the nine closures the equalities read, 48 for SL2(F3),
+    # 20 for the relations and 3084 for the 64 searches for -I
+    import octaq.gl2f9 as mod
+    calls = []
+
+    def counting(x, y):
+        calls.append(1)
+        return mat_mul(x, y)
+    monkeypatch.setattr(mod, "mat_mul", counting)
+    assert verify_subgroup_classification().ok
+    assert len(calls) < 6000
 
 
 def test_classify_examples():

@@ -1,14 +1,16 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from octaq import polynomials
 from octaq.polynomials import (QQ, PolyRing, QuadElement, QuadField,
-                               UniPoly, _resultant_y, discriminant, poly,
-                               poly_gcd, qpoly)
+                               UniPoly, _leibniz_degree, _resultant_y,
+                               discriminant, poly, poly_gcd, qpoly)
 from octaq.quartic import _power_sums
 from octaq.rationals import is_square
 from oracles import (FunctionField, bareiss_determinant,
@@ -228,6 +230,85 @@ def test_resultant_y_matches_bareiss_oracle(pc, rc):
     assert _resultant_y(pc, rc) == expected
 
 
+def _brute_leibniz_degree(deg):
+    sums = [sum(row[col] for row, col in zip(deg, perm))
+            for perm in permutations(range(len(deg)))
+            if all(row[col] is not None for row, col in zip(deg, perm))]
+    return max(sums, default=None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda size: st.lists(
+    st.lists(st.none() | st.integers(0, 6), min_size=size, max_size=size),
+    min_size=size, max_size=size)))
+@example([])                            # the empty determinant 1: degree 0
+@example([[None, 1], [None, 2]])        # a zero column: None
+@example([[1, 5], [0, 1]])              # the anti-diagonal 5 + 0 wins
+def test_leibniz_degree_matches_brute_force(deg):
+    assert _leibniz_degree(deg) == _brute_leibniz_degree(deg)
+
+
+def _leibniz_bounds(pc, rc):
+    """The bounds (X first, then t) that _resultant_y reads from
+    _leibniz_degree on pc and rc, and the number of its Bareiss nodes."""
+    bounds, nodes = [], []
+
+    def recording(deg):
+        bounds.append(_leibniz_degree(deg))
+        return bounds[-1]
+
+    def counting(mat):
+        nodes.append(1)
+        return bareiss(mat)
+    bareiss = polynomials._bareiss
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomials, "_leibniz_degree", recording)
+        mp.setattr(polynomials, "_bareiss", counting)
+        _resultant_y(pc, rc)
+    return tuple(bounds), len(nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_in_y, _in_y)
+@example([[], [[1]]], [[], [[1]]])      # P = R = Y: a zero column, Res = 0
+def test_resultant_y_degrees_within_the_leibniz_bound(pc, rc):
+    # the true degrees are the oracle's: the interpolated result cannot
+    # exceed the bound, right or wrong
+    try:
+        expected = oracle_resultant_y(pc, rc)
+    except ValueError:
+        return
+    (dx, dt), nodes = _leibniz_bounds(pc, rc)
+    if dx is None:      # every permutation meets a zero entry
+        assert dt is None and expected == [] and nodes == 1
+        return
+    assert len(expected) - 1 <= dx
+    assert max(map(len, expected), default=0) - 1 <= dt
+    assert nodes == (dx + 1) * (dt + 1)
+
+
+def test_weil_resultant_leibniz_bounds_are_its_degrees():
+    # 16 in X and 8 in t, the true degrees: 17 * 9 = 153 nodes on the
+    # symbolic input (the row sums, 24 and 10, would give 275); 17 at a
+    # rational t
+    from octaq import qcurve
+    calls = []
+
+    def capture(pc, rc):
+        calls.append((pc, rc))
+        return resultant_y(pc, rc)
+    resultant_y = qcurve._resultant_y
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qcurve, "_resultant_y", capture)
+        qcurve.weil_restriction_factor(None)
+        qcurve.weil_restriction_factor(Fraction(5, 3))
+    (symbolic, rational) = calls
+    assert _leibniz_bounds(*symbolic) == ((16, 8), 153)
+    assert _leibniz_bounds(*rational) == ((16, 0), 17)
+    res = _resultant_y(*symbolic)
+    assert len(res) - 1 == 16 and max(map(len, res)) - 1 == 8
+
+
 def test_resultant_y_leading_coefficient_vanishing_at_node_0():
     # P = t Y^2 + X Y + 1 and R = Y - t X: deg_Y P = 2 although P(0) has
     # Y-degree 1, and Res = t^3 X^2 + t X^2 + 1 keeps the t^3
@@ -373,3 +454,19 @@ def test_quad_field_mixing():
                    lambda a, b: a == b):
             with pytest.raises(ValueError, match="mixed polynomial rings"):
                 op(a, b)
+
+
+def test_constants_hash_as_the_rationals_they_equal():
+    ring, field = PolyRing("s"), QuadField(2)
+    for x in (0, 3, -7, Fraction(2, 3), Fraction(-5, 4)):
+        for c in (ring.embed(x), field.embed(x)):
+            assert c == x and hash(c) == hash(x) == hash(Fraction(x))
+            assert len({c, x}) == 1
+    assert len({QuadField(2).embed(3), 3}) == 1
+    # equal non-constant elements, built apart, hash alike
+    a = ring.from_coeffs([Fraction(1, 2), 3]) * 2
+    b = ring.from_coeffs([1, 6])
+    assert a == b and hash(a) == hash(b)
+    u = field.element(Fraction(1, 3), 2)
+    v = QuadField(2).element(1, 6) / 3
+    assert u == v and hash(u) == hash(v)
