@@ -18,8 +18,8 @@ from fractions import Fraction
 from .embedding import classify, endo_algebras
 from .errors import (ComputationalLimit, NotOctahedral, OctaqError,
                      ParseError, ValidationFailure)
-from .gl2f9 import (five_groups, s4_conjugacy_scan, verify_outer_involutions,
-                    verify_subgroup_classification)
+from .gl2f9 import (_TWIST_PLAN, five_groups, s4_conjugacy_scan,
+                    verify_outer_involutions, verify_subgroup_classification)
 from .polynomials import QQ, UniPoly, poly_str, qpoly
 from .qcurve import (WITT_SAMPLES, curve_from_t, principal_quartic_poly,
                      symbolic_suite, t_from_principal,
@@ -284,14 +284,16 @@ def cmd_symbolic(args) -> int:
 
 def cmd_gl2f9(args) -> int:
     led = verify_subgroup_classification()
+    twists = {name: verify_outer_involutions(grp)
+              for name, grp in five_groups().items()}
     out = {
         "schema": SCHEMA,
         "checks": led.entries,
-        "twists": {
-            name: verify_outer_involutions(grp)
-            for name, grp in five_groups().items()
-        },
-        "all_passed": led.ok,
+        "twists": twists,
+        "all_passed": led.ok and all(
+            twists[name][t].get("automorphism")
+            and twists[name][t].get("square_inner")
+            for name, plan in _TWIST_PLAN.items() for t in plan),
     }
     if args.conjugacy:
         scan = s4_conjugacy_scan()
@@ -353,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gl2f9", help="finite matrix-group verification")
     p.add_argument("--conjugacy", action="store_true",
-                   help="S4 conjugacy scan in PGL2(F9) over triangle pairs")
+                   help="proof that the S4 subgroups of PGL2(F9) form one"
+                        " conjugacy class")
     p.set_defaults(fn=cmd_gl2f9)
     return ap
 

@@ -25,20 +25,26 @@ G1..G5 (it closes the nine H_{j,k} they name), F3* in all 64 of them
 (a breadth-first search of each H_{j,k} that stops at -I, whose word is
 the proof), the order table of G1..G5 together with the SL2
 intersections (which pins the 2^r S4^+- label of each), maximality of
-the index-2 members, the behaviour of the three scalar-twist involutions
-on each group, and the uniqueness of the S4 conjugacy class in
-PGL2(F9).  That each of the 64 H_{j,k} equals one of G1..G5 is checked
-by the test suite, which closes all 64, not by the ledger.
+the index-2 members, and the common projective image.  That each of the
+64 H_{j,k} equals one of G1..G5 is checked by the test suite, which
+closes all 64, not by the ledger.  Outside the ledger,
+verify_outer_involutions checks the three scalar-twist involutions on a
+group, and _TWIST_PLAN names the ones that must be outer involutions of
+each of G1..G5; s4_conjugacy_scan proves that PGL2(F9) has one
+conjugacy class of S4 subgroups.
 
 Two of these proofs work on generators rather than on all elements.  A
 map on a finite group is multiplicative as soon as phi(a s) = phi(a)
 phi(s) for every element a and every generator s (induction on word
 length; inverses are positive powers).  S4 is the (2,3,4) von Dyck group
-<x, y | x^4 = y^3 = (xy)^2 = 1> (Coxeter-Moser), so every S4 subgroup of
-PGL2(F9) is generated by a "triangle pair" (a, b) of orders 4 and 3 with
-(ab)^2 = 1, and every triangle pair generates a quotient of S4, which the
-scan proves to be S4 itself.  The orbit of a subgroup under conjugation
-by a finite group is its closure under conjugation by the generators.
+<x, y | x^4 = y^3 = (xy)^2 = 1> (Coxeter-Moser), so a "triangle pair"
+(a, b) of orders 4 and 3 with (ab)^2 = 1 generates a quotient of S4
+with an element of order 4, which is S4 itself.  The scan fixes one
+element a0 of order 4, shows that its conjugates are all the elements of
+order 4, and closes only the triangle pairs (a0, b): every S4 subgroup
+is conjugate to one of those (the proof is in its docstring).  The
+orbit of an element or a set under conjugation by a finite group is its
+closure under conjugation by the generators.
 """
 
 from __future__ import annotations
@@ -456,6 +462,12 @@ def verify_outer_involutions(g: MatGroup) -> dict[str, dict]:
             "f2": verify_twist_map(g, twist_f2)}
 
 
+# the twists of the paper's plan: each must be an automorphism of its group
+# whose square is inner
+_TWIST_PLAN = {"G1": ("f1",), "G2": ("f1", "f2"), "G3": ("phi",),
+               "G4": ("phi", "f1"), "G5": ("phi", "f1", "f2")}
+
+
 # -- S4 subgroups of PGL2(F9) ---------------------------------------------------
 
 _S4_ORDER_PROFILE = {1: 1, 2: 9, 3: 8, 4: 6}
@@ -466,51 +478,74 @@ def _pgl_closure_capped(a: tuple, b: tuple, cap: int) -> frozenset | None:
     return _close((a, b), _compose, _PERM_ID, cap)
 
 
+def _conjugates(elements: frozenset) -> set[frozenset]:
+    """The orbit of a set of permutations under conjugation by PGL2(F9):
+    its closure under conjugation by the permutations of GL2_GENERATORS."""
+    gens = [(_perm(g), _perm(mat_inv(g))) for g in GL2_GENERATORS]
+    orbit, queue = {elements}, [elements]
+    for s in queue:                 # the queue grows as the loop runs
+        for g, gi in gens:
+            conj = frozenset(_compose(_compose(g, p), gi) for p in s)
+            if conj not in orbit:
+                orbit.add(conj)
+                queue.append(conj)
+    return orbit
+
+
 def s4_conjugacy_scan() -> dict:
-    """Find every S4 subgroup of PGL2(F9) and verify they form one
+    """Count the S4 subgroups of PGL2(F9) and verify they form one
     conjugacy class.
 
     PGL2(F9) is the closure of the permutations of GL2_GENERATORS, which
-    must have 720 elements (see the module docstring).  Completeness rests
-    on the presentation S4 = <x, y | x^4 = y^3 = (xy)^2 = 1>: every S4
-    subgroup contains a pair (a, b) with ord a = 4, ord b = 3 and
-    (ab)^2 = 1, so the scan runs over all such triangle pairs.  Each pair
-    not inside an already-found subgroup is closed (at most 24 elements)
-    and must give a group with the element-order profile of S4; anything
-    else raises OctaqError.  The conjugacy class of one subgroup is its
-    closure under conjugation by the two generators of PGL2(F9)."""
+    must have 720 elements (see the module docstring).  Fix a0, the least
+    element of order 4.  The scan proves, raising OctaqError otherwise:
+    (1) the conjugates of a0 are all the elements of order 4; (2) each
+    triangle pair (a0, b), ord b = 3 and (a0 b)^2 = 1, whose b lies in no
+    subgroup already found closes to at most 24 elements with the
+    element-order profile of S4, and in the first such closure every
+    element of order 4 has a triangle partner and the six elements of
+    order 4 generate it.  Each closure is a quotient of the von Dyck group
+    S4 with an element of order 4, hence S4 itself.
+
+    Let T be any S4 subgroup.  It holds some x of order 4, by (1) x = h a0
+    h^-1, so h^-1 T h holds a0, and being isomorphic to the first closure
+    it holds a partner b of a0.  Then h^-1 T h is the order-24 closure of
+    (a0, b), found in (2).  So every S4 is conjugate to one through a0,
+    and there is one class when every S4 through a0 lies in the orbit of
+    the first.  An S4 is named by its six elements of order 4, which
+    generate it, so that orbit is the orbit of the first one's six, and
+    with one class its size is subgroup_count, the number of S4
+    subgroups."""
     order = {p: _perm_order(p) for p in sorted(_pgl2f9())}
-    fours = [p for p, o in order.items() if o == 4]
-    threes = [p for p, o in order.items() if o == 3]
+    fours = frozenset(p for p, o in order.items() if o == 4)
+    a0 = min(fours)
+    if frozenset().union(*_conjugates(frozenset({a0}))) != fours:
+        raise OctaqError("the elements of order 4 in PGL2(F9) are not one"
+                         " conjugacy class")
     square_one = {p for p, o in order.items() if o <= 2}
     subs: list[frozenset] = []
-    for a in fours:
-        for b in threes:
-            # (ab)^2 = 1 fixes the point 0: a cheap screen before the test
-            ab0 = a[b[0]]
-            if a[b[ab0]] != 0 or _compose(a, b) not in square_one:
-                continue
-            if any(a in sub and b in sub for sub in subs):
-                continue
-            sub = _pgl_closure_capped(a, b, 24)
-            if (sub is None
-                    or Counter(map(order.get, sub)) != _S4_ORDER_PROFILE):
-                raise OctaqError("a (2,3,4) triangle pair in PGL2(F9) does"
-                                 " not generate S4")
-            subs.append(sub)
+    for b in (p for p, o in order.items() if o == 3):
+        # (a0 b)^2 = 1 fixes the point 0: a cheap screen before the test
+        if (a0[b[a0[b[0]]]] != 0 or _compose(a0, b) not in square_one
+                or any(b in sub for sub in subs)):
+            continue
+        sub = _pgl_closure_capped(a0, b, 24)
+        if (sub is None
+                or Counter(map(order.get, sub)) != _S4_ORDER_PROFILE):
+            raise OctaqError("a (2,3,4) triangle pair in PGL2(F9) does"
+                             " not generate S4")
+        subs.append(sub)
     if not subs:
         raise OctaqError("no S4 subgroup of PGL2(F9) found")
-    gens = [(_perm(g), _perm(mat_inv(g))) for g in GL2_GENERATORS]
-    orbit = {subs[0]}
-    frontier = [subs[0]]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for g, gi in gens:
-                conj = frozenset(_compose(_compose(g, p), gi) for p in sub)
-                if conj not in orbit:
-                    orbit.add(conj)
-                    nxt.append(conj)
-        frontier = nxt
-    return {"subgroup_count": len(subs),
-            "single_conjugacy_class": orbit == set(subs)}
+    first = subs[0]
+    six = fours & first
+    if (not all(any(order[y] == 3 and _compose(x, y) in square_one
+                    for y in first) for x in six)
+            or _close(six, _compose, _PERM_ID, 24) != first):
+        raise OctaqError("the elements of order 4 of an S4 in PGL2(F9) do"
+                         " not all have triangle partners in it or do not"
+                         " generate it")
+    orbit = _conjugates(six)
+    return {"subgroup_count": len(orbit),
+            "single_conjugacy_class": all(fours & sub in orbit
+                                          for sub in subs)}

@@ -160,6 +160,12 @@ def witt_invariant_diagonal(coeffs: Iterable[Fraction | int],
     places = list(places)
     for v in places:
         check_place(v)
+    return _witt(cs, places)
+
+
+def _witt(cs: Iterable[int], places: Iterable) -> BrauerClass:
+    """witt_invariant_diagonal on nonzero integers cs at places the caller
+    has already proved to be places."""
     pairs = list(combinations(cs, 2))
     return BrauerClass(frozenset(v for v in places if prod(
         _symbol(a, b, v) for a, b in pairs) == -1))

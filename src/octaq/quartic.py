@@ -27,8 +27,7 @@ from typing import NamedTuple, Optional
 
 from .errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
                      Reducible, SearchExhausted)
-from .hilbert import (INF, BrauerClass, _support, brauer_class,
-                      witt_invariant_diagonal)
+from .hilbert import INF, BrauerClass, _support, _witt, brauer_class
 from .polynomials import QQ, UniPoly, _disc, _poly_mul, poly_str, qpoly
 from .rationals import (_exact_div, _primes_below, _val_unit, factorize,
                         is_square, same_square_class, squarefree_part)
@@ -546,7 +545,9 @@ def trace_form(f: ReducedQuartic) -> TraceFormData:
     if not all(diag) or any(_pairing(gram, u, v)
                             for u, v in itertools.combinations(basis, 2)):
         raise AssertionError("trace-form basis is not orthogonal")
-    witt = witt_invariant_diagonal(diag, {2, INF} | _support(disc))
+    # the primes of disc F were proved by its factorization, so the places
+    # are not proved again
+    witt = _witt(diag, {2, INF} | _support(disc))
     return TraceFormData(gram, diag, f.disc_class(), witt)
 
 

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from octaq.errors import OctaqError
 from octaq.gl2f9 import (F9_INV, F9_MUL, GL2_GENERATORS, IDENTITY, I_UNIT,
                          MINUS_ONE, ONE, S_MAT, T_MAT, ZERO, ZETA, ZETA_POW,
-                         _PERM_ID, _close, _compose, _generate, _is_inner,
-                         _perm, _perm_order, _pgl2f9, classify_hjk, closure,
+                         _PERM_ID, _TWIST_PLAN, _close, _compose, _generate,
+                         _is_inner, _perm, _perm_order, _pgl2f9, classify_hjk,
+                         closure,
                          five_groups, group, h_jk,
                          mat_det, mat_inv, mat_mul, mat_order, projective_det,
                          s4_conjugacy_scan, scalar_mul, twist_f1, twist_f2,
@@ -188,6 +189,8 @@ def test_hjk_collapse_onto_five_groups():
 def test_outer_involutions_per_group():
     expected_names = {"G1": ["f1"], "G2": ["f1", "f2"], "G3": ["phi"],
                       "G4": ["phi", "f1"], "G5": ["phi", "f1", "f2"]}
+    # the plan the CLI requires is this one
+    assert {k: list(v) for k, v in _TWIST_PLAN.items()} == expected_names
     for name, grp in five_groups().items():
         res = verify_outer_involutions(grp)
         for twist in expected_names[name]:
@@ -289,23 +292,56 @@ def test_twist_check_uses_every_generator():
 
 
 def test_s4_scan_equals_conjugates_of_pgl2f3(monkeypatch):
-    # independent of the triangle argument: the subgroups the scan closes
-    # are exactly the oracle's conjugates of pi(GL2(F3)) under all of
-    # PGL2(F9), each mapped to its permutations of P^1(F9)
+    # independent of the one-class argument: the subgroups the scan counts,
+    # each named by its six elements of order 4, are exactly the oracle's
+    # conjugates of pi(GL2(F3)) under all of PGL2(F9), each mapped to its
+    # permutations of P^1(F9)
     import octaq.gl2f9 as mod
-    seen = []
+    orbits = []
+    inner = mod._conjugates
+
+    def spy(elements):
+        orbits.append(inner(elements))
+        return orbits[-1]
+    monkeypatch.setattr(mod, "_conjugates", spy)
+    res = s4_conjugacy_scan()
+    assert res == {"subgroup_count": 30, "single_conjugacy_class": True}
+    counted = [o for o in orbits if all(len(s) == 6 for s in o)]
+    assert len(counted) == 1
+    orbit = pgl2f3_conjugates()
+    mapped = {frozenset(_perm(mat_entries(m)) for m in sub) for sub in orbit}
+    # the six elements of order 4 name the subgroup
+    named = {frozenset(_perm(mat_entries(m)) for m in sub
+                       if _pgl_order(m) == 4) for sub in orbit}
+    assert len(orbit) == len(mapped) == len(named) == 30
+    assert counted[0] == named
+
+
+def test_s4_scan_closes_two_triangle_pairs(monkeypatch):
+    # the least element of order 4 lies in 30 * 6 / 90 = 2 of the S4
+    # subgroups, and the scan closes one triangle pair for each
+    import octaq.gl2f9 as mod
+    closed = []
     inner = mod._pgl_closure_capped
 
     def spy(a, b, cap):
-        seen.append(inner(a, b, cap))
-        return seen[-1]
+        closed.append(inner(a, b, cap))
+        return closed[-1]
     monkeypatch.setattr(mod, "_pgl_closure_capped", spy)
-    res = s4_conjugacy_scan()
-    assert res == {"subgroup_count": 30, "single_conjugacy_class": True}
-    orbit = pgl2f3_conjugates()
-    mapped = {frozenset(_perm(mat_entries(m)) for m in sub) for sub in orbit}
-    assert len(orbit) == len(mapped) == len(seen) == 30
-    assert set(seen) == mapped
+    s4_conjugacy_scan()
+    a0 = min(p for p in _pgl2f9() if _perm_order(p) == 4)
+    assert len(closed) == len(set(closed)) == 2
+    assert all(len(sub) == 24 and a0 in sub for sub in closed)
+
+
+def test_s4_scan_rejects_order_four_elements_outside_one_class(monkeypatch):
+    import octaq.gl2f9 as mod
+    perm_order = mod._perm_order
+    eight = min(p for p in _pgl2f9() if perm_order(p) == 8)
+    monkeypatch.setattr(mod, "_perm_order",
+                        lambda p: 4 if p == eight else perm_order(p))
+    with pytest.raises(OctaqError, match="not one conjugacy class"):
+        s4_conjugacy_scan()
 
 
 def test_s4_scan_rejects_a_bad_triangle_closure(monkeypatch):

@@ -397,8 +397,7 @@ def test_trace_form_factors_disc_f_and_its_primes_only(monkeypatch):
     f = ReducedQuartic(Fraction(1, 2), Fraction(-3, 4), 5)
     tf = trace_form(f)
     disc = abs(f._model[2])
-    primes = set(factorize_fn(disc).factors)
-    assert disc in seen and set(seen) <= {disc, *primes}
+    assert set(seen) == {disc}
     assert not {abs(x) for x in tf.diagonal} & set(seen)
 
 

@@ -457,6 +457,20 @@ def test_cli_gl2f9(capsys):
         "d926f3b1849140788ec56b60cce50e4bea42b71c156e20bed3bd917a70178f0b"
 
 
+def test_cli_gl2f9_fails_on_a_broken_twist(capsys, monkeypatch):
+    # phi as multiplication by zeta is no automorphism of G3, G4 or G5,
+    # where the plan needs phi; the ledger itself still passes
+    import octaq.gl2f9 as gl2f9
+    monkeypatch.setattr(gl2f9, "twist_phi",
+                        lambda m: gl2f9.scalar_mul(gl2f9.ZETA, m))
+    code, data = run_cli(capsys, "gl2f9")
+    assert code == 2
+    assert data["all_passed"] is False
+    assert all(e["passed"] for e in data["checks"])
+    assert not any(data["twists"][g]["phi"].get("automorphism")
+                   for g in ("G3", "G4", "G5"))
+
+
 def test_cli_gl2f9_conjugacy(capsys):
     import hashlib
     code = main(["gl2f9", "--conjugacy"])
