@@ -25,7 +25,8 @@ G1..G5 (it closes the nine H_{j,k} they name), F3* in all 64 of them
 (a breadth-first search of each H_{j,k} that stops at -I, whose word is
 the proof), the order table of G1..G5 together with the SL2
 intersections (which pins the 2^r S4^+- label of each), maximality of
-the index-2 members, and the common projective image.  That each of the
+the index-2 members, and the common projective image pi(Gj), closed
+from the permutations of the generators of Gj.  That each of the
 64 H_{j,k} equals one of G1..G5 is checked by the test suite, which
 closes all 64, not by the ledger.  Outside the ledger,
 verify_outer_involutions checks the three scalar-twist involutions on a
@@ -379,11 +380,17 @@ def verify_subgroup_classification() -> CheckLedger:
     led.check("G4 maximal in G5 (index 2 subgroup)",
               g4 < g5 and 2 * len(g4) == len(g5))
 
-    pg1 = frozenset(map(_perm, g1))
+    pg1 = _projective_image(gs["G1"])
     led.check("pi(Gj) identical for j = 1..5",
-              all(frozenset(map(_perm, gs[k].elements)) == pg1
+              all(_projective_image(gs[k]) == pg1
                   for k in ("G2", "G3", "G4", "G5")))
     return led
+
+
+def _projective_image(g: MatGroup) -> frozenset:
+    """pi(g) in PGL2(F9) as permutations of P^1(F9): pi is a homomorphism,
+    so pi(<gens>) = <pi(gens)>, closed from the generators' permutations."""
+    return _close([_perm(m) for m in g.generators], _compose, _PERM_ID, 720)
 
 
 # -- outer involutions ----------------------------------------------------------

@@ -17,8 +17,9 @@ coefficient; the zero polynomial has an empty tuple.  Discriminants of
 cubics and quartics use their closed form, which only multiplies and adds
 coefficients and so works over every one of these rings and over Z.
 Resultants in Y of polynomials in Q[t][X][Y] come from their values at
-integer points, each an integer Sylvester determinant, interpolated back
-exactly, so no fraction field of polynomials is ever formed.
+integer points, each an integer Sylvester determinant (by a subresultant
+remainder sequence), interpolated back exactly, so no fraction field of
+polynomials is ever formed.
 """
 
 from __future__ import annotations
@@ -247,9 +248,9 @@ def _resultant_y(pc: Sequence, rc: Sequence) -> list[list[Fraction]]:
     degrees of its entries along a permutation (_leibniz_degree); if every
     permutation meets a zero entry the determinant is 0 and one node
     shows it.  At each node t0 = 0..D_t, x0 = 0..D_x the integer
-    Sylvester matrix keeps the generic shape (m, n), so a leading
-    coefficient that vanishes there stays in it.  Integer Bareiss gives
-    its determinant; forward differences interpolate in X, then t.
+    Sylvester determinant keeps the formal degrees (m, n), so a leading
+    coefficient that vanishes there stays in it; _resultant_prs gives it
+    by a subresultant PRS.  Forward differences interpolate in X, then t.
     """
     pc, rc = (_trim([_trim([_trim([Fraction(c) for c in ts]) for ts in xs])
                      for xs in a]) for a in (pc, rc))
@@ -274,9 +275,8 @@ def _resultant_y(pc: Sequence, rc: Sequence) -> list[list[Fraction]]:
                   for a in (pz, rz))
         values = []
         for x0 in range(dx + 1):
-            values.append(_bareiss(_sylvester(
-                [_horner(xs, x0) for xs in px],
-                [_horner(xs, x0) for xs in rx], 0)))
+            values.append(_resultant_prs([_horner(xs, x0) for xs in px],
+                                         [_horner(xs, x0) for xs in rx]))
         in_x.append(_interpolate(values))
     scale = big_l ** (m + n)
     return _trim([[Fraction(c, scale) for c in _interpolate(
@@ -327,29 +327,53 @@ def _horner(cs: Sequence, x):
     return acc
 
 
-def _bareiss(mat: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss's fraction-free
-    elimination (Math. Comp. 1968); every division is checked exact, with
-    the explicit raise of _exact_div inlined in the hot loop."""
-    size = len(mat)
-    sign, prev = 1, 1
-    for k in range(size - 1):
-        if not mat[k][k]:
-            swap = next((i for i in range(k + 1, size) if mat[i][k]), None)
-            if swap is None:
-                return 0
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        row_k, pivot = mat[k], mat[k][k]
-        for row in mat[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, size):
-                x = pivot * row[j] - lead * row_k[j]
-                row[j], r = divmod(x, prev)
-                if r:
-                    raise AssertionError(f"{x} is not divisible by {prev}")
-        prev = pivot
-    return sign * mat[-1][-1] if size else 1
+def _resultant_prs(p: Sequence[int], r: Sequence[int]) -> int:
+    """The determinant of the Sylvester matrix (_sylvester) of the
+    ascending integer coefficient lists p and r at their formal degrees
+    m = len(p) - 1 and n = len(r) - 1, a leading coefficient 0 included.
+
+    If p_m or r_n is 0, the first column has at most one nonzero entry:
+    expanding along it, Res_(m,n)(p, r) = p_m Res_(m,n-1)(p, r') when
+    r_n = 0, (-1)^n r_n Res_(m-1,n)(p', r) when p_m = 0, and 0 when both
+    are.  Res_(m,0)(p, r) = r_0^m.  Otherwise the subresultant PRS of
+    Collins (JACM 1967) and Brown-Traub (JACM 1971), as in Cohen, GTM 138,
+    Algorithm 3.3.7, without contents: Res(a, b) = (-1)^(deg a deg b)
+    Res(b, a), and each pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b
+    is divided by g h^delta.  Every division is exact over Z, checked by
+    the explicit raise of _exact_div."""
+    acc = 1
+    while len(p) > 1 and len(r) > 1 and not (p[-1] and r[-1]):
+        if p[-1]:
+            acc *= p[-1]
+            r = r[:-1]
+        elif r[-1]:
+            acc *= -r[-1] if len(r) % 2 == 0 else r[-1]
+            p = p[:-1]
+        else:
+            return 0
+    a, b, g, h = p, r, 1, 1
+    if len(a) < len(b):
+        a, b = b, a
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            acc = -acc
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta, lead, rem = da - db, b[-1], list(a)
+        if da & db & 1:
+            acc = -acc
+        for _ in range(delta + 1):  # rem = lead^(delta+1) a mod b
+            top, k = rem.pop(), len(rem) - db
+            rem = [lead * x for x in rem]
+            if top:
+                for i in range(db):
+                    rem[k + i] -= top * b[i]
+        if not _trim(rem):
+            return 0
+        a, b = b, [_exact_div(x, g * h ** delta) for x in rem]
+        g = a[-1]
+        h = _exact_div(g ** delta * h, h ** delta)
+    da = len(a) - 1
+    return acc * _exact_div(b[0] ** da * h, h ** da)
 
 
 def _interpolate(ys: Sequence[int]) -> list[int]:

@@ -20,7 +20,10 @@ t = -disc/(27 b^4).
 Every displayed identity is checked exactly: polynomial identities in
 Q[s], denominators cleared, after the substitution t = s^2 (so sqrt(t) = s
 is rational), and Brauer-class identities at sampled rational t, symbols
-being arithmetic rather than polynomial objects.
+being arithmetic rather than polynomial objects.  The two costliest are
+proved from values at integer points: the Weil resultant at the nodes of
+a Leibniz degree bound, and the Tschirnhaus image of g_t at s = 0..D for
+a bound D on the degrees of both sides.
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ from .errors import (CyclotomicExcluded, DegenerateParameter,
                      ExcludedParameter, NotOctahedral, NotPrimitive,
                      NotPrincipal, OctaqError)
 from .hilbert import brauer_class
-from .polynomials import (QQ, PolyRing, QuadField, UniPoly, _resultant_y,
-                          discriminant, poly, poly_str)
+from .polynomials import (QQ, PolyRing, QuadField, UniPoly, _horner,
+                          _resultant_y, discriminant, poly, poly_str)
 from .quartic import (PrincipalQuartic, ReducedQuartic, _integer_model,
-                      _normalize_principal, _rational_image,
+                      _newton_image, _normalize_principal, _rational_image,
                       reduced_tschirnhaus_poly, trace_form)
-from .rationals import is_square, squarefree_part
+from .rationals import _exact_div, is_square, squarefree_part
 
 J_AT_CUSP = 1728
 
@@ -261,9 +264,10 @@ def weil_restriction_factor(t: Optional[Fraction] = None) -> WeilRestrictionReco
     degree is bounded by the largest sum of entry degrees along a
     permutation of the 7 x 7 Sylvester matrix (3 rows of P, deg_Y P = 4;
     4 rows of R, deg_Y R = 3), by Leibniz's expansion: D_t = 8 in t and
-    D_x = 16 in X, the true degrees, so 17 * 9 nodes.  Every node keeps
-    that generic shape, so the leading coefficient P_4 = t^2 stays in the
-    matrix at t = 0.  A rational t is the case D_t = 0.
+    D_x = 16 in X, the true degrees, so 17 * 9 nodes.  Each node is an
+    integer subresultant PRS at the formal degrees (4, 3), so the leading
+    coefficient P_4 = t^2, 0 at t = 0, is expanded along the first column
+    there.  A rational t is the case D_t = 0.
     """
     if t is None:
         return _symbolic_weil_restriction(SymbolicContext())
@@ -342,21 +346,77 @@ def _check_tsc_torsion_to_principal(ctx: SymbolicContext) -> bool:
     return reduced_tschirnhaus_poly(ctx.f_t, m, n, p) == ctx.g_t
 
 
+class _Degree:
+    """A bound on the s-degree of a polynomial, None for 0: a sum has at
+    most the larger degree, a product the sum of the two; an int is a
+    constant.  Run through the arithmetic of a polynomial identity, it
+    bounds the degree of each side."""
+
+    __slots__ = ("d",)
+
+    def __init__(self, d):
+        self.d = d
+
+    def _add(self, other):
+        o = other.d if isinstance(other, _Degree) else (0 if other else None)
+        return _Degree(max((x for x in (self.d, o) if x is not None),
+                           default=None))
+
+    def _mul(self, other):
+        o = other.d if isinstance(other, _Degree) else (0 if other else None)
+        return _Degree(None if None in (self.d, o) else self.d + o)
+
+    __add__ = __radd__ = __sub__ = __rsub__ = _add
+    __mul__ = __rmul__ = _mul
+
+    def __pow__(self, k: int):
+        return _Degree(None if self.d is None else self.d * k)
+
+    def __neg__(self):
+        return self
+
+    def __bool__(self):
+        return self.d is not None
+
+
+def _tsc_sides(values: list, div) -> tuple[list, list]:
+    """The two sides of _check_tsc_principal_to_torsion, coefficients of
+    X^0, X^1, ..., from the values of Lm, Ln, Lp, L and the coefficients
+    of g_t and f_t, with div dividing exactly by 2, 3 and 4."""
+    m, n, p, big_l, g0, g1, g2, *f = values
+    q = div(3 * g1 * m + 2 * g2 * n, 4)
+    e2, e3, e4 = _newton_image(g0, g1, g2, (q, p, n, m), div)
+    return ([e4, -e3, e2, 0, 1],
+            [x * big_l ** (4 - i) for i, x in enumerate(f[:4])] + f[4:])
+
+
 def _check_tsc_principal_to_torsion(ctx: SymbolicContext) -> bool:
     """Tsc(g_t; m, n, p) = f_t for m = -4(t+3s)/(bt), n = 16cs/(b^2 t), p =
     -64c^2 s/(3b^3 t), cleared of L = 3b^3 t: the image of (Lm, Ln, Lp) has
-    L times its roots, so L^(4-i) times the X^i coefficient of f_t."""
+    L times its roots, so L^(4-i) times the X^i coefficient of f_t.
+
+    Both sides are polynomials in s, proved equal by their values at
+    s = 0..D, Newton's identities on integers (_newton_image with
+    _exact_div); D bounds their degrees, from the same arithmetic run on
+    the degrees of the polynomials (_Degree): 58 on the real context.  A
+    polynomial of ctx with a value outside Z fails the explicit raise of
+    _exact_div, and so the check."""
     e = ctx.e
-    t, s = ctx.t, ctx.s
+    t, s, g = ctx.t, ctx.s, ctx.g_t
+    if g.degree != 4 or g.lc != 1 or g[3]:
+        raise ValueError("need a monic reduced quartic")
     b = e(4) * (t - e(1)) ** 2
     c = e(-3) * (t - e(1)) ** 3
-    big_l = e(3) * b**3 * t
-    image = reduced_tschirnhaus_poly(ctx.g_t, e(-12) * (t + e(3) * s) * b**2,
-                                     e(48) * c * s * b, e(-64) * c**2 * s)
-    f = ctx.f_t.coeffs
-    return image == UniPoly(ctx.field, [x * big_l ** (4 - i)
-                                        for i, x in enumerate(f[:4])]
-                            + list(f[4:]))
+    polys = [e(-12) * (t + e(3) * s) * b**2, e(48) * c * s * b,
+             e(-64) * c**2 * s, e(3) * b**3 * t, *g.coeffs[:3],
+             *ctx.f_t.coeffs]
+    sides = _tsc_sides([_Degree(len(x.num) - 1 if x else None)
+                        for x in polys], lambda x, k: x)
+    bound = max((x.d for side in sides for x in side
+                 if isinstance(x, _Degree) and x), default=0)
+    return all(lhs == rhs for s0 in range(bound + 1) for lhs, rhs in [
+        _tsc_sides([_exact_div(_horner(x.num, s0), x.den) for x in polys],
+                   _exact_div)])
 
 
 def _check_disc_principal(ctx: SymbolicContext) -> bool:

@@ -316,9 +316,13 @@ def to_function_field(F: FunctionField, x):
     return F.from_poly(UniPoly(QQ, [Fraction(c, x.den) for c in x.num]))
 
 
-def sylvester_matrix(f: UniPoly, g: UniPoly) -> list[list]:
-    """(deg f + deg g) square matrix over the coefficient field."""
-    m, n = f.degree, g.degree
+def sylvester_matrix(f: UniPoly, g: UniPoly, m: int | None = None,
+                     n: int | None = None) -> list[list]:
+    """(m + n) square matrix over the coefficient field, m = deg f and
+    n = deg g unless given: a formal degree above the true one puts a
+    zero leading coefficient in the matrix."""
+    m = f.degree if m is None else m
+    n = g.degree if n is None else n
     size = m + n
     rows = []
     fc = [f[m - i] for i in range(m + 1)]  # highest degree first

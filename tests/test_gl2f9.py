@@ -6,7 +6,8 @@ from octaq.errors import OctaqError
 from octaq.gl2f9 import (F9_INV, F9_MUL, GL2_GENERATORS, IDENTITY, I_UNIT,
                          MINUS_ONE, ONE, S_MAT, T_MAT, ZERO, ZETA, ZETA_POW,
                          _PERM_ID, _TWIST_PLAN, _close, _compose, _generate,
-                         _is_inner, _perm, _perm_order, _pgl2f9, classify_hjk,
+                         _is_inner, _perm, _perm_order, _pgl2f9,
+                         _projective_image, classify_hjk,
                          closure,
                          five_groups, group, h_jk,
                          mat_det, mat_inv, mat_mul, mat_order, projective_det,
@@ -154,6 +155,15 @@ def test_subgroup_classification_ledger_all_pass():
     failed = [e["name"] for e in led.entries if not e["passed"]]
     assert not failed, failed
     assert len(led.entries) == 16
+
+
+def test_projective_image_from_generators_is_the_elementwise_image():
+    # pi(<gens>) = <pi(gens)>: the ledger's pi(Gj) reads only generators
+    images = {name: _projective_image(g) for name, g in five_groups().items()}
+    for name, g in five_groups().items():
+        assert images[name] == frozenset(map(_perm, g.elements))
+    assert set(images.values()) == {images["G1"]}
+    assert len(images["G1"]) == 24
 
 
 def test_hjk_reduction_to_nine_cases():

@@ -72,13 +72,14 @@ def test_trace_form_checks_survive_python_O():
 
 
 def test_resultant_kernel_checks_survive_python_O():
-    # Bareiss fed a non-integer matrix meets a division that is not exact;
-    # values of x(x-1)/2, integral but not in Z[x], give a forward
-    # difference that is not divisible by j!: both end in an explicit raise
+    # the subresultant kernel fed a non-integer coefficient meets a
+    # division that is not exact; values of x(x-1)/2, integral but not in
+    # Z[x], give a forward difference that is not divisible by j!: both
+    # end in an explicit raise
     script = (
         "from fractions import Fraction\n"
         "from octaq import polynomials as p\n"
-        "for call in (lambda: p._bareiss([[1, 1], [1, Fraction(1, 2)]]),\n"
+        "for call in (lambda: p._resultant_prs([1, 1], [Fraction(3, 2), 1]),\n"
         "             lambda: p._interpolate([0, 0, 1, 3])):\n"
         "    try:\n"
         "        print('returned', call())\n"

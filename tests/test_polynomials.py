@@ -230,6 +230,29 @@ def test_resultant_y_matches_bareiss_oracle(pc, rc):
     assert _resultant_y(pc, rc) == expected
 
 
+_formal = st.integers(0, 6).flatmap(lambda d: st.lists(
+    st.integers(-9, 9), min_size=d + 1, max_size=d + 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_formal, _formal, st.sampled_from(["p", "r", "both", "neither"]))
+@example([1, 2, 0], [3, 1], "neither")  # P_4 = t^2 at t0 = 0, in small
+@example([5], [1, 2, 3], "neither")     # Res_(0,2) = 5^2
+@example([1, 2], [3, 4], "both")        # a zero first column
+@example([0, 1, 1], [2, 0, 0, 1], "neither")  # degrees drop by 2
+def test_resultant_prs_is_the_formal_sylvester_determinant(p, r, zeros):
+    # the kernel at each node of _resultant_y: the Sylvester determinant
+    # at the formal degrees len - 1, whose leading coefficients may be 0
+    if zeros in ("p", "both"):
+        p[-1] = 0
+    if zeros in ("r", "both"):
+        r[-1] = 0
+    expected = bareiss_determinant(
+        sylvester_matrix(qpoly(p), qpoly(r), len(p) - 1, len(r) - 1),
+        QQ.zero, QQ.one)
+    assert polynomials._resultant_prs(p, r) == expected
+
+
 def _brute_leibniz_degree(deg):
     sums = [sum(row[col] for row, col in zip(deg, perm))
             for perm in permutations(range(len(deg)))
@@ -250,20 +273,20 @@ def test_leibniz_degree_matches_brute_force(deg):
 
 def _leibniz_bounds(pc, rc):
     """The bounds (X first, then t) that _resultant_y reads from
-    _leibniz_degree on pc and rc, and the number of its Bareiss nodes."""
+    _leibniz_degree on pc and rc, and the number of its integer nodes."""
     bounds, nodes = [], []
 
     def recording(deg):
         bounds.append(_leibniz_degree(deg))
         return bounds[-1]
 
-    def counting(mat):
+    def counting(p, r):
         nodes.append(1)
-        return bareiss(mat)
-    bareiss = polynomials._bareiss
+        return kernel(p, r)
+    kernel = polynomials._resultant_prs
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polynomials, "_leibniz_degree", recording)
-        mp.setattr(polynomials, "_bareiss", counting)
+        mp.setattr(polynomials, "_resultant_prs", counting)
         _resultant_y(pc, rc)
     return tuple(bounds), len(nodes)
 

@@ -369,6 +369,54 @@ def test_weil_entry_reads_the_torsion_quartic():
             "companion_divides_weil_resultant"}
 
 
+def _tsc_nodes(ctx):
+    """(D, number of integer nodes) of the tsc_principal_to_torsion check
+    on ctx, and its result."""
+    from octaq import qcurve
+    calls = []
+
+    def spying(values, div):
+        calls.append(sides(values, div))
+        return calls[-1]
+    sides = qcurve._tsc_sides
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qcurve, "_tsc_sides", spying)
+        passed = qcurve._check_tsc_principal_to_torsion(ctx)
+    degrees, *nodes = calls
+    bound = max(x.d for side in degrees for x in side
+                if isinstance(x, qcurve._Degree) and x)
+    return bound, len(nodes), passed
+
+
+def test_tsc_principal_to_torsion_degree_bound():
+    # the bound is the true s-degree of the image over Q[s]: 58 from the
+    # X^0 coefficient, (f_0 L^4 = 2 + 4 * 14), so 59 nodes
+    from octaq.quartic import reduced_tschirnhaus_poly
+    ctx = SymbolicContext()
+    assert _tsc_nodes(ctx) == (58, 59, True)
+    e, t, s = ctx.e, ctx.t, ctx.s
+    b, c = e(4) * (t - e(1)) ** 2, e(-3) * (t - e(1)) ** 3
+    image = reduced_tschirnhaus_poly(
+        ctx.g_t, e(-12) * (t + e(3) * s) * b**2, e(48) * c * s * b,
+        e(-64) * c**2 * s)
+    assert max(len(x.num) - 1 for x in image.coeffs) == 58
+
+
+def test_tsc_principal_to_torsion_bound_reads_the_context():
+    # s^80 in the constant term of g_t raises the bound with it: roots of
+    # size s^20, so 4 (10 + 3 * 20) for E4, M of degree 10 being the Y^3
+    # coefficient; the check stops at the first node that differs
+    ctx = SymbolicContext()
+    g = list(ctx.g_t.coeffs)
+    g[0] = g[0] + ctx.s ** 80
+    ctx.g_t = UniPoly(ctx.field, g)
+    bound, nodes, passed = _tsc_nodes(ctx)
+    assert bound == 280 and nodes <= bound + 1 and not passed
+    failed = {e.name for e in symbolic_suite(samples=1, ctx=ctx)
+              if not e.passed}
+    assert "tsc_principal_to_torsion" in failed
+
+
 def test_torsion_quartic_is_reduced():
     K = QuadField(Fraction(7))
     f = torsion_quartic(K, K.embed(7), K.sqrt_t)
