@@ -9,13 +9,12 @@ from .embedding import (DiscDecomposition, EmbeddingReport, EndoReport,
                         endo_algebras, obstruction, splitting_obstruction)
 from .errors import OctaqError
 from .gl2f9 import classify_hjk, s4_conjugacy_scan, verify_subgroup_classification
-from .hilbert import (INF, BrauerClass, brauer_class, class_product,
-                      hilbert_symbol, witt_invariant_diagonal)
+from .hilbert import (INF, BrauerClass, brauer_class, hilbert_symbol,
+                      witt_invariant_diagonal)
 from .polynomials import (QQ, QuadElement, QuadField, UniPoly, discriminant,
-                          poly_gcd, qpoly)
+                          qpoly)
 from .qcurve import (QCurveRecord, SymbolicContext, curve_from_t, family,
-                     symbolic_suite, t_from_principal, tschirnhaus_to_torsion,
-                     weil_restriction_factor)
+                     symbolic_suite, t_from_principal, weil_restriction_factor)
 from .quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
                       TraceFormData, depress, galois_is_S4, is_principal,
                       principalize, resolvent_cubic, same_field, trace_form,

@@ -20,8 +20,9 @@ from .errors import (ComputationalLimit, NotOctahedral, OctaqError,
                      ParseError, ValidationFailure)
 from .gl2f9 import (_TWIST_PLAN, five_groups, s4_conjugacy_scan,
                     verify_outer_involutions, verify_subgroup_classification)
+from .hilbert import INF
 from .polynomials import QQ, UniPoly, poly_str, qpoly
-from .qcurve import (WITT_SAMPLES, curve_from_t, principal_quartic_poly,
+from .qcurve import (J_AT_CUSP, curve_from_t, principal_quartic_poly,
                      symbolic_suite, t_from_principal,
                      weil_restriction_factor)
 from .quartic import ReducedQuartic, depress, principalize
@@ -91,7 +92,7 @@ def _s4_quartic(text: str) -> tuple[UniPoly, ReducedQuartic]:
 
 
 def _place(v) -> object:
-    return "oo" if v == float("inf") else v
+    return "oo" if v == INF else v
 
 
 def _brauer_json(cls) -> list:
@@ -191,7 +192,7 @@ def cmd_qcurve_from_t(args) -> int:
         "schema": SCHEMA,
         "t": str(t),
         "j_invariant": _quad_json(rec.j),
-        "j_at_cusp": 1728,
+        "j_at_cusp": J_AT_CUSP,
         "model": {"A": _quad_json(rec.model[0]), "B": _quad_json(rec.model[1])},
         "torsion_quartic": [_quad_json(c) for c in rec.f_t.coeffs],
         "principal_quartic": [str(c) for c in rec.g_t.coeffs],
@@ -268,10 +269,7 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_symbolic(args) -> int:
-    if not 1 <= args.samples <= len(WITT_SAMPLES):
-        raise ValidationFailure(f"--samples {args.samples} is outside"
-                                f" 1..{len(WITT_SAMPLES)}")
-    entries = symbolic_suite(samples=args.samples)
+    entries = symbolic_suite()
     _emit({
         "schema": SCHEMA,
         "checks": [{"name": e.name, "passed": e.passed,
@@ -348,9 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_tables)
 
     p = sub.add_parser("symbolic", help="symbolic identity suite in Q[s]")
-    p.add_argument("--samples", type=int, default=20,
-                   help="sampled t count for the Witt check, 1 to"
-                        f" {len(WITT_SAMPLES)} (default %(default)s)")
     p.set_defaults(fn=cmd_symbolic)
 
     p = sub.add_parser("gl2f9", help="finite matrix-group verification")

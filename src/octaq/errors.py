@@ -59,8 +59,9 @@ class CyclotomicExcluded(ValidationFailure):
     """Discriminant class -3 (field of cube roots of unity) is out of scope."""
 
 
-class DegenerateUnresolvable(OctaqError):
-    """Perturbation retries failed to reach a non-degenerate configuration."""
+class DegenerateUnresolvable(ComputationalLimit):
+    """The Tschirnhaus dodges of quartic.witt_formula (at most
+    quartic.WITT_DODGES) reached no non-degenerate model."""
 
 
 class InvalidTypeParameter(ValidationFailure):

@@ -133,16 +133,6 @@ T_MAT = (ONE, MINUS_ONE, ONE, ZERO)
 GL2_GENERATORS = ((ZETA, ZERO, ZERO, ONE), (MINUS_ONE, ONE, MINUS_ONE, ZERO))
 
 
-def mat_order(m: tuple) -> int:
-    k, cur = 1, m
-    while cur != IDENTITY:
-        cur = mat_mul(cur, m)
-        k += 1
-        if k > 5760:
-            raise ValueError("not an element of GL2(F9)")
-    return k
-
-
 # -- groups --------------------------------------------------------------------
 
 

@@ -142,13 +142,6 @@ def brauer_class(a: Fraction | int, b: Fraction | int) -> BrauerClass:
                                  if _symbol(m, n, v) == -1))
 
 
-def class_product(*classes: BrauerClass) -> BrauerClass:
-    out = TRIVIAL
-    for c in classes:
-        out = out * c
-    return out
-
-
 def witt_invariant_diagonal(coeffs: Iterable[Fraction | int],
                             places: Iterable) -> BrauerClass:
     """Hasse-Witt invariant of <a_1, ..., a_n>: the places v of ``places``

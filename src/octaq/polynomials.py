@@ -180,6 +180,8 @@ def qpoly(coeffs: Sequence[Scalar]) -> UniPoly:
 
 
 def poly_str(p: UniPoly, var: str = "x") -> str:
+    """p with its highest term first, as "x^4 - x - 1": a coefficient 1 or
+    -1 of a power of var is left out, a constant term is written in full."""
     if p.is_zero():
         return "0"
     parts = []
@@ -187,12 +189,15 @@ def poly_str(p: UniPoly, var: str = "x") -> str:
         c = p[i]
         if not c:
             continue
+        power = var if i == 1 else f"{var}^{i}"
         if i == 0:
             parts.append(f"{c}")
-        elif i == 1:
-            parts.append(f"{c}*{var}" if c != p.field.one else var)
+        elif c == p.field.one:
+            parts.append(power)
+        elif c == -p.field.one:
+            parts.append(f"-{power}")
         else:
-            parts.append(f"{c}*{var}^{i}" if c != p.field.one else f"{var}^{i}")
+            parts.append(f"{c}*{power}")
     return " + ".join(parts).replace("+ -", "- ")
 
 

@@ -38,7 +38,7 @@ from .errors import (CyclotomicExcluded, DegenerateParameter,
                      NotPrincipal, OctaqError)
 from .hilbert import brauer_class
 from .polynomials import (QQ, PolyRing, QuadField, UniPoly, _horner,
-                          _resultant_y, discriminant, poly, poly_str)
+                          _resultant_y, discriminant, poly_str)
 from .quartic import (PrincipalQuartic, ReducedQuartic, _integer_model,
                       _newton_image, _normalize_principal, _rational_image,
                       reduced_tschirnhaus_poly, trace_form)
@@ -161,23 +161,6 @@ def t_from_principal(g: PrincipalQuartic) -> Fraction:
     return t
 
 
-def tschirnhaus_to_torsion(g: PrincipalQuartic):
-    """Transformation parameters (m, n, p) over Q(sqrt(t)) carrying g to
-    f_t, verified exactly; returns (t, quad field, (m, n, p))."""
-    t = t_from_principal(g)
-    K = QuadField(t)
-    b, c = K.embed(g.b), K.embed(g.c)
-    tK, w = K.embed(t), K.sqrt_t
-    m = -K.embed(4) * (tK + K.embed(3) * w) / (b * tK)
-    n = K.embed(16) * c * w / (b**2 * tK)
-    p = -K.embed(64) * c**2 * w / (K.embed(3) * b**3 * tK)
-    image = reduced_tschirnhaus_poly(poly(K, g.poly().coeffs), m, n, p)
-    expected = torsion_quartic(K, tK, w)
-    if image != expected:
-        raise AssertionError("transformation to the torsion quartic failed")
-    return t, K, (m, n, p)
-
-
 def torsion_to_principal_params(field, t, sqrt_t):
     """(m, n, p) with Tsc(f_t; m, n, p) = g_t:
     (1/72, -1/36, (-37 - 27 sqrt(t))/36)."""
@@ -254,13 +237,13 @@ def _binomial_expand(field, coeffs, w):
     return biv
 
 
-def weil_restriction_factor(t: Optional[Fraction] = None) -> WeilRestrictionRecord:
+def weil_restriction_factor(t: Fraction | int) -> WeilRestrictionRecord:
     """Split f_t(X + Y sqrt(t)) = P(X, Y) + R(X, Y) sqrt(t) over Q, form the
     degree-16 resultant Res_Y(P, R) and verify h_t divides it exactly.
 
-    t = None runs the symbolic version over Q[s] with t = s^2, where P and
-    R lie in Q[t][X][Y].  Both versions compute the resultant by
-    polynomials._resultant_y from its values at integer points.  Its
+    The symbolic version over Q[s] with t = s^2, where P and R lie in
+    Q[t][X][Y], is _symbolic_weil_restriction.  Both compute the resultant
+    by polynomials._resultant_y from its values at integer points.  Its
     degree is bounded by the largest sum of entry degrees along a
     permutation of the 7 x 7 Sylvester matrix (3 rows of P, deg_Y P = 4;
     4 rows of R, deg_Y R = 3), by Leibniz's expansion: D_t = 8 in t and
@@ -269,8 +252,6 @@ def weil_restriction_factor(t: Optional[Fraction] = None) -> WeilRestrictionReco
     coefficient P_4 = t^2, 0 at t = 0, is expanded along the first column
     there.  A rational t is the case D_t = 0.
     """
-    if t is None:
-        return _symbolic_weil_restriction(SymbolicContext())
     record = curve_from_t(t)
     K = record.quad_field
     biv = _binomial_expand(K, record.f_t.coeffs, K.sqrt_t)

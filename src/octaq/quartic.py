@@ -268,20 +268,6 @@ def _irreducible(model: _Model) -> bool:
     return _irreducible_by_modp(model) or not _reducible_by_hensel(model)
 
 
-def is_irreducible_quartic(f: UniPoly) -> bool:
-    """Exact irreducibility over Q for a monic quartic (see _irreducible)."""
-    if f.degree != 4 or f.lc != 1:
-        raise ValueError("need a monic quartic")
-    return _irreducible(_integer_model(f))
-
-
-def cubic_has_rational_root(f: UniPoly) -> bool:
-    """Exact test for a monic cubic: reducible means a linear factor."""
-    if f.degree != 3 or f.lc != 1:
-        raise ValueError("need a monic cubic")
-    return not _irreducible(_integer_model(f))
-
-
 # -- domain types -------------------------------------------------------------
 
 
@@ -487,10 +473,10 @@ def resolvent_cubic(f: ReducedQuartic) -> UniPoly:
 
 
 def galois_is_S4(f: ReducedQuartic) -> bool:
-    """Irreducible resolvent cubic and non-square disc F = e^12 disc f."""
-    if cubic_has_rational_root(resolvent_cubic(f)):
-        return False
-    return not is_square(f._model.disc)
+    """Irreducible resolvent cubic (a reducible cubic has a rational root)
+    and non-square disc F = e^12 disc f."""
+    return (_irreducible(_integer_model(resolvent_cubic(f)))
+            and not is_square(f._model.disc))
 
 
 # -- trace form ---------------------------------------------------------------
@@ -551,15 +537,20 @@ def trace_form(f: ReducedQuartic) -> TraceFormData:
     return TraceFormData(gram, diag, f.disc_class(), witt)
 
 
-def witt_formula(f: ReducedQuartic, max_tries: int = 20) -> BrauerClass:
+# Tschirnhaus dodges witt_formula makes before it gives up
+WITT_DODGES = 20
+
+
+def witt_formula(f: ReducedQuartic) -> BrauerClass:
     """Witt invariant by the closed formula
     w = (2 a d, 2a^3 + 9b^2 - 8ac) x (-1, -d),
-    after a small Tschirnhaus dodge when a = 0 or d = 2a in Q*/Q*^2."""
+    after a small Tschirnhaus dodge when a = 0 or d = 2a in Q*/Q*^2, at
+    most WITT_DODGES of them (DegenerateUnresolvable after that)."""
     # Fraction hashes are PYTHONHASHSEED-independent, so the dodge sequence
     # (and hence the report bytes) is reproducible across runs
     rng = random.Random(hash((f.a, f.b, f.c, 0x77D6)))
     cur = f
-    for _ in range(max_tries):
+    for _ in range(WITT_DODGES):
         a, b, c = cur.a, cur.b, cur.c
         d = cur.disc()
         if a != 0 and not same_square_class(d, 2 * a):
@@ -576,8 +567,8 @@ def witt_formula(f: ReducedQuartic, max_tries: int = 20) -> BrauerClass:
         except NotPrimitive:
             continue
     raise DegenerateUnresolvable(
-        f"no non-degenerate model of {poly_str(f.poly())} after {max_tries}"
-        " perturbations")
+        f"no non-degenerate model of {poly_str(f.poly())} after"
+        f" WITT_DODGES = {WITT_DODGES} Tschirnhaus dodges")
 
 
 # -- principality ------------------------------------------------------------

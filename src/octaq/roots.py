@@ -5,6 +5,10 @@ every returned approximation carries a residual bound |f(z)| < 10**-digits
 checked by re-evaluating f at doubled working precision with exact
 rational coefficients.  Downstream consumers (the same-field certifier)
 never trust these values without an exact algebraic verification anyway.
+
+No command imports this module; mpmath comes with the ``dev`` extra, not
+as a runtime dependency.  It remains only for perfbench/tracer.py, which
+imports it by name, and goes with the next benchmark change (ROADMAP 3).
 """
 
 from __future__ import annotations

@@ -4,13 +4,13 @@ octaq uses them."""
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import isqrt
+from math import isqrt, prod
 
 from octaq.errors import (CyclotomicExcluded, ExcludedParameter,
                           NotPrimitive, OctaqError)
 from octaq.gl2f9 import F9_ADD, F9_INV, F9_MUL, F9_NEG, MINUS_ONE, ONE, ZETA
-from octaq.hilbert import (INF, BrauerClass, brauer_class, check_place,
-                           class_product)
+from octaq.hilbert import (INF, TRIVIAL, BrauerClass, brauer_class,
+                           check_place)
 from octaq.polynomials import (QQ, QuadField, UniPoly, poly_gcd,
                                poly_str)
 from octaq.qcurve import (SymbolicContext, _binomial_expand,
@@ -433,8 +433,8 @@ def sym_diagonalize(g: list[list[Fraction]]
 def witt_by_brauer_classes(coeffs) -> BrauerClass:
     """Hasse-Witt invariant of <a_1, ..., a_n> as the product of the
     classes (a_i, a_j), i < j, each over the full support of its entries."""
-    return class_product(*(brauer_class(a, b)
-                           for a, b in combinations(coeffs, 2)))
+    return prod((brauer_class(a, b) for a, b in combinations(coeffs, 2)),
+                start=TRIVIAL)
 
 
 def fraction_trace_form(f) -> TraceFormData:

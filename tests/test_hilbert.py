@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from octaq.hilbert import (INF, TRIVIAL, BrauerClass, brauer_class,
-                           class_product, hilbert_symbol,
-                           witt_invariant_diagonal)
+                           hilbert_symbol, witt_invariant_diagonal)
 from octaq.rationals import PSI_13, _strong_probable_prime
 from oracles import fraction_hilbert_symbol
 
@@ -158,7 +157,7 @@ def test_norm_identity_on_squarefree_d():
 def test_class_is_two_torsion():
     c = brauer_class(-2, -3)
     assert (c * c).is_trivial
-    assert class_product(brauer_class(2, 3), brauer_class(2, 3)).is_trivial
+    assert (brauer_class(2, 3) * brauer_class(2, 3)).is_trivial
 
 
 def test_symmetric_difference_law():
@@ -177,8 +176,8 @@ def test_witt_invariant_examples():
     assert witt_invariant_diagonal([1, 1, 1], {2, INF}).is_trivial
     assert witt_invariant_diagonal([1, 3, -5], {2, 3, 5, INF}) == \
         brauer_class(3, -5)
-    assert witt_invariant_diagonal([2, 3, 6], {2, 3, INF}) == class_product(
-        brauer_class(2, 3), brauer_class(2, 6), brauer_class(3, 6))
+    assert witt_invariant_diagonal([2, 3, 6], {2, 3, INF}) == (
+        brauer_class(2, 3) * brauer_class(2, 6) * brauer_class(3, 6))
     assert witt_invariant_diagonal([1, 1], {2, INF}) == TRIVIAL
 
 

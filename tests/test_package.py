@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -16,18 +17,39 @@ def test_star_import_binds_no_module():
             if isinstance(value, ModuleType)] == []
 
 
-def test_import_and_analyze_do_not_load_mpmath():
-    # no command uses floating point; mpmath stays behind octaq.roots
-    script = ("import sys, octaq\n"
-              "assert 'mpmath' not in sys.modules\n"
-              "from octaq.cli import main\n"
-              "main(['analyze', 'x^4+x-1'])\n"
-              "assert 'mpmath' not in sys.modules\n")
-    src = str(Path(octaq.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": src})
+# the CLI examples of the README
+README_COMMANDS = (
+    ["verify-tables"],
+    ["analyze", "x^4+x-1"],
+    ["classify", "x^4+37x-43"],
+    ["principalize", "--", "-1,-1,0,0,1"],
+    ["qcurve", "from-t", "--", "-1"],
+    ["qcurve", "from-quartic", "x^4+x-1"],
+    ["symbolic"],
+    ["gl2f9", "--conjugacy"],
+)
+
+
+def test_readme_commands_need_no_runtime_dependency():
+    # octaq has no runtime dependency: with mpmath unimportable, every
+    # README example exits 0 and verify-tables keeps its pinned stdout
+    script = (
+        "import contextlib, hashlib, io, json, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from octaq.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()\n"
+        "    print(json.dumps([argv, code, digest]))\n")
+    proc = _run_python("-c", script, json.dumps(README_COMMANDS))
     assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.decode().splitlines()]
+    assert [argv for argv, _, _ in runs] == list(README_COMMANDS)
+    assert [code for _, code, _ in runs] == [0] * len(README_COMMANDS)
+    assert runs[0][2] == \
+        "1975292ab56075ce0476e128ca5a081eb202d5d78c403c1c5a898c9214106ae8"
 
 
 def _run_python(*args):

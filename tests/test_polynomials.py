@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from octaq import polynomials
 from octaq.polynomials import (QQ, PolyRing, QuadElement, QuadField,
                                UniPoly, _leibniz_degree, _resultant_y,
-                               discriminant, poly, poly_gcd, qpoly)
+                               discriminant, poly, poly_gcd, poly_str, qpoly)
 from octaq.quartic import _power_sums
 from octaq.rationals import is_square
 from oracles import (FunctionField, bareiss_determinant,
@@ -168,6 +168,18 @@ def test_sturm_counts():
     assert count_real_roots(qpoly([24, -50, 35, -10, 1])) == 4  # (x-1)..(x-4)
 
 
+def test_poly_str_writes_unit_coefficients_as_signs():
+    # a coefficient -1 of a power of the variable is a sign, as 1 is left
+    # out; a constant term -1 is written in full
+    assert poly_str(qpoly([-1, -1, 0, 0, 1])) == "x^4 - x - 1"
+    assert poly_str(qpoly([1, 0, -1, 0, -1])) == "-x^4 - x^2 + 1"
+    assert poly_str(qpoly([-1, Fraction(-1, 2), -2])) == "-2*x^2 - 1/2*x - 1"
+    assert poly_str(qpoly([-1])) == "-1"
+    s = PolyRing("s").gen
+    assert repr(-s * s - s) == "-s^2 - s"
+    assert repr(-s * s - 1) == "-s^2 - 1"
+
+
 def test_gcd_monic():
     f = qpoly([-1, 0, 1]) * qpoly([2, 1])
     g = qpoly([2, 1]) * qpoly([5, 1])
@@ -323,7 +335,7 @@ def test_weil_resultant_leibniz_bounds_are_its_degrees():
     resultant_y = qcurve._resultant_y
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qcurve, "_resultant_y", capture)
-        qcurve.weil_restriction_factor(None)
+        qcurve._symbolic_weil_restriction(qcurve.SymbolicContext())
         qcurve.weil_restriction_factor(Fraction(5, 3))
     (symbolic, rational) = calls
     assert _leibniz_bounds(*symbolic) == ((16, 8), 153)

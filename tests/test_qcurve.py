@@ -12,10 +12,10 @@ from octaq.errors import (CyclotomicExcluded, DegenerateParameter,
 from octaq.polynomials import (QQ, QuadElement, QuadField, UniPoly,
                                discriminant, qpoly)
 from octaq.qcurve import (J_AT_CUSP, WITT_SAMPLES, SymbolicContext,
-                          curve_from_t, family,
+                          _symbolic_weil_restriction, curve_from_t, family,
                           principal_quartic_poly, symbolic_suite,
                           t_from_principal, torsion_quartic,
-                          tschirnhaus_to_torsion, weil_restriction_factor)
+                          weil_restriction_factor)
 from octaq.quartic import (PrincipalQuartic, ReducedQuartic, is_principal,
                            same_field)
 from octaq.rationals import is_square, squarefree_part
@@ -56,8 +56,7 @@ def test_principal_maps_reject_nonzero_a():
     # h_{-1} = x^4 - 6x^2 + 8x + 51 is irreducible but not of the shape
     # X^4 + bX + c; reading only b, c and disc used to give t = -729/4
     h = ReducedQuartic(-6, 8, 51)
-    for fn in (t_from_principal, tschirnhaus_to_torsion,
-               lambda g: family(g, 1)):
+    for fn in (t_from_principal, lambda g: family(g, 1)):
         with pytest.raises(NotPrincipal, match=r"x\^4 - 6\*x\^2"):
             fn(h)
 
@@ -113,13 +112,6 @@ def test_cyclotomic_excluded():
         found = True
         break
     assert found
-
-
-def test_tschirnhaus_to_torsion_numeric():
-    # verified internally through an exact polynomial identity over Q(sqrt t)
-    t, K, (m, n, p) = tschirnhaus_to_torsion(PrincipalQuartic(1, -1))
-    assert t == Fraction(283, 27)
-    assert not m.is_rational and not n.is_rational
 
 
 def test_family_spot_and_properties():
@@ -213,7 +205,7 @@ def test_weil_restriction_numeric():
 
 
 def test_weil_restriction_symbolic():
-    wr = weil_restriction_factor(None)
+    wr = _symbolic_weil_restriction(SymbolicContext())
     assert wr.resultant_degree == 16
     assert wr.divisible
     assert wr.cofactor.degree == 12
@@ -222,7 +214,6 @@ def test_weil_restriction_symbolic():
 def test_weil_cofactors_match_bareiss_oracle():
     # the resultant in Q[s] and at rational t against Bareiss on Q(s)[X] or
     # Q[X] entries: same resultant, so the same cofactor of h_t
-    from octaq.qcurve import _symbolic_weil_restriction
     ff = FunctionFieldContext()
     cases = [(_symbolic_weil_restriction(SymbolicContext()),
               bareiss_weil_resultant(ctx=ff), ff.h_t,
@@ -242,7 +233,6 @@ def test_weil_restriction_reads_coefficient_denominators():
     # f_t(2X)/16 has the constant term -3(25 + 9t + 30s)/4; the resultant
     # of its expansion is divisible by h_t(2X)/16, with the same cofactor
     # degree, only if each coefficient is read with its denominator
-    from octaq.qcurve import _symbolic_weil_restriction
     ctx = SymbolicContext()
     F = ctx.field
     halve = UniPoly(F, (F.zero, F.embed(2)))
@@ -342,7 +332,7 @@ def test_symbolic_suite_reports_false_identities_and_raises_bugs(monkeypatch):
     with pytest.raises(TypeError, match="a bug"):
         symbolic_suite(samples=1)
     with pytest.raises(TypeError, match="a bug"):
-        main(["symbolic", "--samples", "1"])
+        main(["symbolic"])
 
 
 def _failed_with(attr, corrupt):

@@ -13,19 +13,19 @@ from hypothesis import strategies as st
 
 from octaq import polynomials, quartic, rationals
 from octaq.embedding import classify
-from octaq.errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
-                          OctaqError, Reducible, SearchExhausted)
+from octaq.errors import (ComputationalLimit, DegenerateUnresolvable,
+                          NotPrimitive, NotPrincipal, OctaqError, Reducible,
+                          SearchExhausted)
 from octaq.hilbert import INF, brauer_class
 from octaq.polynomials import (QQ, QuadField, UniPoly, _disc, discriminant,
                                qpoly)
 from octaq.qcurve import SymbolicContext, family
 from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
-                           _certificate_holds, _integer_model,
+                           _certificate_holds, _integer_model, _irreducible,
                            _irreducible_by_modp, _isotropic_vectors,
                            _normalize_principal,
                            _reducible_by_hensel, _split_prime, _tabulate,
-                           cubic_has_rational_root,
-                           depress, galois_is_S4, is_irreducible_quartic,
+                           depress, galois_is_S4,
                            is_principal, principalize, resolvent_cubic,
                            same_field, trace_form,
                            tschirnhaus, witt_formula)
@@ -63,14 +63,16 @@ def rand_s4_quartic(rng, bound=20):
 
 
 def test_irreducibility():
-    assert is_irreducible_quartic(qpoly([-1, 1, 0, 0, 1]))
-    assert is_irreducible_quartic(qpoly([1, 0, 0, 0, 1]))          # x^4+1
-    assert not is_irreducible_quartic(qpoly([1, 4, 6, 4, 1]))       # (x+1)^4
-    assert not is_irreducible_quartic(qpoly([-1, 0, 0, 0, 1]))      # x^4-1
-    assert not is_irreducible_quartic(qpoly([1, 0, 2, 0, 1]))       # (x^2+1)^2
-    assert not is_irreducible_quartic(qpoly([4, 0, 5, 0, 1]))       # (x^2+1)(x^2+4)
-    # quadratic factors with equal constant terms (v = z branch)
-    assert not is_irreducible_quartic(qpoly([1, 1, 2, 1, 1]))       # (x^2+1)(x^2+x+1)
+    for coeffs, expected in (
+            ([-1, 1, 0, 0, 1], True),
+            ([1, 0, 0, 0, 1], True),       # x^4+1
+            ([1, 4, 6, 4, 1], False),      # (x+1)^4
+            ([-1, 0, 0, 0, 1], False),     # x^4-1
+            ([1, 0, 2, 0, 1], False),      # (x^2+1)^2
+            ([4, 0, 5, 0, 1], False),      # (x^2+1)(x^2+4)
+            # quadratic factors with equal constant terms (v = z branch)
+            ([1, 1, 2, 1, 1], False)):     # (x^2+1)(x^2+x+1)
+        assert _irreducible(_integer_model(qpoly(coeffs))) == expected, coeffs
 
 
 def _has_integer_root(c):
@@ -106,11 +108,8 @@ def test_irreducibility_routes_agree():
             c = [rng.randint(-30, 30) for _ in range(degree)] + [1]
             ref = not _has_integer_root(c) and (
                 degree == 3 or not _has_quadratic_factor(c))
-            if degree == 4:
-                assert is_irreducible_quartic(qpoly(c)) == ref, c
-            else:
-                assert cubic_has_rational_root(qpoly(c)) == (not ref), c
             model = _integer_model(qpoly(c))
+            assert _irreducible(model) == ref, c
             if model.disc:
                 if _irreducible_by_modp(model):
                     assert ref, c
@@ -129,11 +128,11 @@ def test_irreducibility_large_coefficients():
     # large constant terms: no integer is factored either way
     big_c = 110788386666756895948510216909
     f = qpoly([big_c, 1, 0, 0, 1])
-    assert isinstance(is_irreducible_quartic(f), bool)
+    assert isinstance(_irreducible(_integer_model(f)), bool)
     # a manufactured reducible quartic with a huge constant term
     big = 10**15 + 37
     g = qpoly([-big, 1]) * qpoly([big - 3, 1]) * qpoly([7, 1]) * qpoly([-2, 1])
-    assert not is_irreducible_quartic(g)
+    assert not _irreducible(_integer_model(g))
 
 
 @settings(max_examples=200, deadline=None)
@@ -197,7 +196,7 @@ def test_depress_preserves_disc_class():
     for _ in range(50):
         coeffs = [rng.randint(-6, 6) for _ in range(4)] + [1]
         f = qpoly(coeffs)
-        if not is_irreducible_quartic(f) or discriminant(f) == 0:
+        if not _irreducible(_integer_model(f)) or discriminant(f) == 0:
             continue
         r = depress(f)
         assert same_square_class(r.disc(), discriminant(f))
@@ -409,10 +408,15 @@ def test_witt_formula_examples():
     assert witt_formula(ReducedQuartic(0, 1, -1)).ramified == frozenset({2, 283})
 
 
-def test_witt_formula_names_the_polynomial():
+def test_witt_formula_names_the_polynomial(monkeypatch):
+    # running out of dodges is an exhausted bound: a ComputationalLimit
+    # (CLI exit 3) whose message names the polynomial and WITT_DODGES
+    monkeypatch.setattr(quartic, "WITT_DODGES", 0)
     with pytest.raises(DegenerateUnresolvable) as info:
-        witt_formula(ReducedQuartic(-6, 8, 51), max_tries=0)
+        witt_formula(ReducedQuartic(-6, 8, 51))
+    assert isinstance(info.value, ComputationalLimit)
     assert "x^4 - 6*x^2 + 8*x + 51" in str(info.value)
+    assert "WITT_DODGES = 0" in str(info.value)
     assert "Fraction(" not in str(info.value)
 
 

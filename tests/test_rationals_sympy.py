@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octaq.polynomials import discriminant, qpoly
-from octaq.quartic import cubic_has_rational_root, is_irreducible_quartic
+from octaq.quartic import _integer_model, _irreducible
 from octaq.rationals import factorize, squarefree_part
 from oracles import constant_resultant
 
@@ -77,7 +77,7 @@ def test_irreducibility_matches_sympy_beyond_divisor_enumeration():
                       rng.randint(-99, 99), rng.randint(-99, 99), 1])
     for c in cases:
         assert abs(c[0]) >= 10**12
-        assert is_irreducible_quartic(qpoly(c)) == \
+        assert _irreducible(_integer_model(qpoly(c))) == \
             _sympy_poly(c).is_irreducible, c
 
 
@@ -85,14 +85,14 @@ def test_irreducibility_matches_sympy_small_coefficients():
     rng = random.Random(37)
     for _ in range(300):
         c = [rng.randint(-40, 40) for _ in range(4)] + [1]
-        assert is_irreducible_quartic(qpoly(c)) == \
+        assert _irreducible(_integer_model(qpoly(c))) == \
             _sympy_poly(c).is_irreducible, c
         # one cubic in three made reducible by a linear factor
         c = [rng.randint(-40, 40) for _ in range(3)] + [1]
         if rng.random() < 1 / 3:
             c = list((qpoly(c[1:]) * qpoly([rng.randint(-9, 9), 1])).coeffs)
-        assert cubic_has_rational_root(qpoly(c)) == \
-            (not _sympy_poly(c).is_irreducible), c
+        assert _irreducible(_integer_model(qpoly(c))) == \
+            _sympy_poly(c).is_irreducible, c
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,10 @@
-import mpmath
+"""octaq.roots, the certified mpmath root finder that no command uses.
+mpmath is not a runtime dependency of octaq, so the module skips when it
+is missing."""
+
 import pytest
 
+mpmath = pytest.importorskip("mpmath")
 from octaq.polynomials import qpoly
 from octaq.roots import complex_roots, mpf_to_fraction
 
