@@ -196,19 +196,29 @@ def _eval_mod(c: list[int], x: int, m: int) -> int:
     return acc
 
 
-def _lift_roots(c: list[int], roots: list[int], p: int, j: int, k: int
-                ) -> list[int]:
-    """Newton lifting of simple roots of c from mod p^j to mod p^k."""
+def _lift_roots(c: list[int], roots: list[int], p: int, k: int) -> list[int]:
+    """The roots mod p^k of the monic integer c, from all deg c of its
+    roots mod p, which must be distinct mod p.
+
+    Newton lifting with precision doubling that carries the inverse too:
+    z = c'(r)^-1 mod p once per root, then z <- z (2 - c'(r) z) mod p^e,
+    so no step inverts.  The last root is not lifted: the p-adic roots
+    of c sum to -c[n - 1] and Hensel lifts are unique, so it is that sum
+    less the others, mod p^k (Vieta)."""
     dc = [i * c[i] for i in range(1, len(c))]
+    moduli, e, m = [], 1, p**k
+    while e < k:
+        e = min(2 * e, k)
+        moduli.append(p**e)
     out = []
-    for r in roots:
-        e = j
-        while e < k:
-            e = min(2 * e, k)
-            m = p**e
-            r = (r - _eval_mod(c, r, m) * pow(_eval_mod(dc, r, m), -1, m)) % m
+    for r in roots[:-1]:
+        z = pow(functools.reduce(lambda acc, x: acc * r + x, dc[::-1]), -1, p)
+        for mod in moduli:
+            r = (r - _eval_mod(c, r, mod) * z) % mod
+            if mod < m:
+                z = z * (2 - _eval_mod(dc, r, mod) * z) % mod
         out.append(r)
-    return out
+    return out + [(-c[-2] - sum(out)) % m]
 
 
 def _cauchy_bound(c: list[int]) -> int:
@@ -241,12 +251,14 @@ def _reducible_by_hensel(model: _Model) -> bool:
     linear factors, with coefficients below (1 + R)^2 for the root bound R;
     so lifting the roots past twice that bound and trying the single roots
     and, for a quartic, the 3 pairs containing the first root (a 2 + 2
-    split or its complement) finds every factor by exact division."""
+    split or its complement) finds every factor by exact division.  The
+    deg c roots mod p are distinct, as p does not divide disc(c), and
+    _lift_roots takes the last of them free by Vieta."""
     c = model.coeffs
     p, roots = _split_prime(model)
     k = _precision_for(p, 2 * (1 + _cauchy_bound(c))**2)
     m = p**k
-    roots = _lift_roots(c, roots, p, 1, k)
+    roots = _lift_roots(c, roots, p, k)
     subsets = [(i,) for i in range(len(roots))]
     if len(roots) == 4:
         subsets += [(0, 1), (0, 2), (0, 3)]
@@ -779,12 +791,15 @@ def same_field(f: UniPoly, g: UniPoly) -> Optional[FieldCertificate]:
     the residues shows whether it has its 4 roots mod p, and if it does
     not, the fields differ.
 
-    Otherwise lift the roots of F and G once, to a modulus M = p^k above
-    2H for the height H of _certificate_height.  For each of the 24
-    matchings of roots, interpolate U with U(root of F) = matched root of
-    G, and read the coefficients of D U, D = |disc F|, as symmetric
-    residues mod M: a residue above H rejects the matching, and the
-    others give a candidate that is verified exactly.
+    Otherwise lift the 4 roots of F and of G mod p, distinct as p divides
+    neither discriminant, once, to a modulus M = p^k above 2H for the
+    height H of _certificate_height; Newton steps carry the inverse of
+    the derivative, and the last root is free by Vieta.  For each of the
+    24 matchings of roots, interpolate U with U(root of F) = matched root
+    of G, in the basis from F(Y) / (Y - r_i) with one inversion, and read
+    the coefficients of D U, D = |disc F|, as symmetric residues mod M: a
+    residue above H rejects the matching, and the others give a candidate
+    that is verified exactly.
 
     None is a proof.  If the fields agree, gamma = u(beta) for some u in
     Q[X], and U(Y) = e_g u(Y / e_f) maps the roots of F to those of G in
@@ -814,8 +829,8 @@ def same_field(f: UniPoly, g: UniPoly) -> Optional[FieldCertificate]:
     height = _certificate_height(big_f, big_g)
     k = _precision_for(p, max(2 * height, _MODULUS_FLOOR))
     m, scale = p**k, abs(mf.disc)
-    basis = _interpolation_basis(_lift_roots(big_f, f_roots, p, 1, k), m)
-    for perm in itertools.permutations(_lift_roots(big_g, g_roots, p, 1, k)):
+    basis = _interpolation_basis(_lift_roots(big_f, f_roots, p, k), m, big_f)
+    for perm in itertools.permutations(_lift_roots(big_g, g_roots, p, k)):
         coeffs = []
         for t in range(4):
             x = scale * sum(v * b[t] for v, b in zip(perm, basis)) % m
@@ -847,15 +862,28 @@ def _certificate_height(big_f: list[int], big_g: list[int]) -> int:
     return 4 * _cauchy_bound(big_g) * (1 + r_f)**3 * (2 * r_f)**9
 
 
-def _interpolation_basis(nodes: list[int], m: int) -> list[list[int]]:
-    """Lagrange basis mod m: L_i(nodes[j]) = [i == j], for nodes whose
-    differences are units mod m."""
+def _interpolation_basis(nodes: list[int], m: int, c: list[int]
+                         ) -> list[list[int]]:
+    """Lagrange basis mod m, L_i(nodes[j]) = [i == j], at the deg c roots
+    mod m of the monic c, whose differences are units mod m.
+
+    L_i = q_i / q_i(r_i) for q_i = c(Y) / (Y - r_i) by synthetic division,
+    exact as c(r_i) = 0 mod m; c is the product of the Y - r_j mod m, so
+    q_i is that of the Y - r_j, j != i, and q_i(r_i) = c'(r_i).  The deg c
+    values are inverted with one pow and prefix products (Montgomery)."""
+    quotients, dens, prefix = [], [], [1]
+    for r in nodes:
+        q, den = [1], 1
+        for coeff in c[-2:0:-1]:
+            q.append((coeff + r * q[-1]) % m)
+            den = (den * r + q[-1]) % m
+        quotients.append(q[::-1])
+        dens.append(den)
+        prefix.append(prefix[-1] * den % m)
+    inv = pow(prefix.pop(), -1, m)
     basis = []
-    for i, x in enumerate(nodes):
-        others = nodes[:i] + nodes[i + 1:]
-        den = 1
-        for y in others:
-            den = den * (x - y) % m
-        inv = pow(den, -1, m)
-        basis.append([c * inv % m for c in _from_roots(others, m)])
-    return basis
+    for q, den, before in zip(quotients[::-1], dens[::-1], prefix[::-1]):
+        inv_i = inv * before % m
+        inv = inv * den % m
+        basis.append([x * inv_i % m for x in q])
+    return basis[::-1]

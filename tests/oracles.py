@@ -19,7 +19,7 @@ from octaq.qcurve import (SymbolicContext, _binomial_expand,
                           principal_quartic_poly, torsion_quartic)
 from octaq.errors import SearchExhausted
 from octaq.quartic import (PrincipalQuartic, TraceFormData, _ceil_div,
-                           _eval_mod, _integer_model,
+                           _eval_mod, _from_roots, _integer_model,
                            _normalize_principal, reduced_tschirnhaus_poly)
 from octaq.rationals import _val_unit, factorize, is_square, squarefree_part
 
@@ -446,8 +446,9 @@ def fraction_trace_form(f) -> TraceFormData:
     ct_g_c = [[sum(c[k][i] * g[k][l] * c[l][j]
                    for k in range(3) for l in range(3)) for j in range(3)]
               for i in range(3)]
-    assert ct_g_c == [[diag[i] if i == j else 0 for j in range(3)]
-                      for i in range(3)]
+    if ct_g_c != [[diag[i] if i == j else 0 for j in range(3)]
+                  for i in range(3)]:
+        raise AssertionError(f"C^T G C = {ct_g_c} is not diag {diag}")
     return TraceFormData(gram=tuple(tuple(r) for r in g),
                          diagonal=tuple(diag),
                          disc_class=squarefree_part(
@@ -604,6 +605,40 @@ def normalize_principal_by_factoring(b: Fraction, c: Fraction
         r = -r
         b2 = -b2
     return PrincipalQuartic(b2, c2), r
+
+
+# -- the p-adic kernels of same_field before the carried inverse ---------------
+
+
+def lift_roots_by_inversion(c: list[int], roots: list[int], p: int, k: int
+                            ) -> list[int]:
+    """Newton lifting of each simple root of c from mod p to mod p^k,
+    with one inversion mod p^e per doubling step and no root from Vieta."""
+    dc = [i * c[i] for i in range(1, len(c))]
+    out = []
+    for r in roots:
+        e = 1
+        while e < k:
+            e = min(2 * e, k)
+            m = p**e
+            r = (r - _eval_mod(c, r, m) * pow(_eval_mod(dc, r, m), -1, m)) % m
+        out.append(r)
+    return out
+
+
+def interpolation_basis_by_products(nodes: list[int], m: int
+                                    ) -> list[list[int]]:
+    """Lagrange basis mod m, L_i(nodes[j]) = [i == j], with L_i the product
+    of the Y - r_j, j != i, over its value at r_i, one pow per node."""
+    basis = []
+    for i, x in enumerate(nodes):
+        others = nodes[:i] + nodes[i + 1:]
+        den = 1
+        for y in others:
+            den = den * (x - y) % m
+        inv = pow(den, -1, m)
+        basis.append([c * inv % m for c in _from_roots(others, m)])
+    return basis
 
 
 # -- GL2(F9) on packed integers, PGL2(F9) on canonical representatives ---------

@@ -33,7 +33,8 @@ from octaq.rationals import (_val_unit, factorize, is_square,
                               same_square_class, squarefree_part)
 from octaq.tables import load_bundled_corpus
 from oracles import (FunctionFieldContext, compose, fraction_gram,
-                     fraction_trace_form, isotropic_vectors_by_pairs,
+                     fraction_trace_form, interpolation_basis_by_products,
+                     isotropic_vectors_by_pairs, lift_roots_by_inversion,
                      mn_shells, normalize_principal_by_factoring,
                      roots_mod_by_residues,
                      sylvester_discriminant, to_function_field,
@@ -872,6 +873,35 @@ def test_same_field_lifts_once(monkeypatch, f, g, found):
     cert = same_field(qpoly(f), qpoly(g))
     assert (cert is not None) == found
     assert calls == {"_lift_roots": 2, "_interpolation_basis": 1}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([3, 4]),
+       st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4),
+       st.integers(1, 16))
+@example(4, [-1, 1, 0, 0], 1)           # x^4 + x - 1 splits first at 59
+@example(4, [-43, 37, 0, 0], 16)
+@example(3, [-2, 0, 0, 0], 7)           # x^3 - 2 splits first at 31
+def test_lift_roots_and_basis_match_oracles(deg, coeffs, k):
+    # the carried inverse and the root from Vieta give the lifts of the
+    # per-step inversion, and the basis from c(Y) / (Y - r_i) with one
+    # inversion gives that of the products of the other Y - r_j
+    c = coeffs[:deg] + [1]
+    model = _integer_model(qpoly(c))
+    assume(model.disc != 0)
+    try:
+        p, roots = _split_prime(model)
+    except SearchExhausted:
+        assume(False)
+    m = p**k
+    lifted = quartic._lift_roots(c, roots, p, k)
+    assert lifted == lift_roots_by_inversion(c, roots, p, k)
+    assert all(quartic._eval_mod(c, r, m) == 0 for r in lifted)
+    basis = quartic._interpolation_basis(lifted, m, c)
+    assert basis == interpolation_basis_by_products(lifted, m)
+    for i, b in enumerate(basis):
+        for j, r in enumerate(lifted):
+            assert quartic._eval_mod(b, r, m) == int(i == j)
 
 
 # -- the split-prime search, against polynomial arithmetic over F_p -------------
