@@ -2,15 +2,18 @@
 
 For an S4 quartic field with squarefree discriminant class d, write
 d = sign * 2^nu * d1 * d3 * d5 * d7 with d_i the product of the primes
-congruent to i mod 8 dividing d.  For principal fields the solvability of
-the four central embedding problems depends only on this decomposition:
+congruent to i mod 8 dividing d.  2S4+ is solvable iff w x (2, d) is
+trivial, for w the Witt invariant of the trace form (Serre, 1984).  For
+principal fields the solvability of the four central embedding problems
+depends only on this decomposition:
 
     2S4+  <=>  d < 0 and d5 = d7 = 1
     4S4+  <=>  d > 0 and d3 = d7 = 1
     4S4-  <=>  d5 = 1
     8S4-  solvable with type [d5, -d3]  <=>  the field is principal
 
-The generic obstruction w x (-2, d) x (2, b) x (-1, r) is exposed for
+On other fields classify reports 4S4+ and 4S4- as None (unknown).  The
+generic obstruction w x (-2, d) x (2, b) x (-1, r) is exposed for
 arbitrary type parameters (b, r); it is trivial exactly when the
 corresponding lifting exists.  The norm conditions (2, -3d), (-1, -3d),
 (-2, -3d) drive the endomorphism-algebra bookkeeping: they detect
@@ -69,16 +72,19 @@ class EmbeddingReport:
     decomposition: DiscDecomposition
     principal: bool
     solvable_2s4_plus: bool
-    solvable_4s4_plus: bool
-    solvable_4s4_minus: bool
+    solvable_4s4_plus: Optional[bool]     # None: not principal, unknown
+    solvable_4s4_minus: Optional[bool]
     solvable_8s4_minus: bool
     type_8s4_minus: tuple[int, int]
     star_norm2: bool      # (2, -3d) trivial: norm 2 exists in Q(sqrt(-3d))
     norm_minus1: bool     # (-1, -3d) trivial
     norm_minus2: bool     # (-2, -3d) trivial
 
-    def table_id(self) -> int:
-        """1..5 following the classification used for the shipped corpus."""
+    def table_id(self) -> Optional[int]:
+        """1..5 following the classification used for the shipped corpus;
+        None for a field that is not principal."""
+        if not self.principal:
+            return None
         if self.solvable_2s4_plus:
             return 1
         if self.solvable_4s4_minus:
@@ -100,11 +106,12 @@ class EmbeddingReport:
 def classify(f: ReducedQuartic) -> EmbeddingReport:
     """Full embedding-problem report for an S4 quartic.
 
-    The solvability flags for 2S4+/4S4+/4S4- are the discriminant
-    criteria, which characterize solvability when the field is principal;
-    8S4- with type [d5, -d3] is solvable iff the field is principal.  For
-    a non-principal field evaluate ``obstruction`` with explicit (b, r)
-    instead of reading the three flags.
+    2S4+ is Serre's criterion, w x (2, d) trivial, for every S4 field.
+    4S4+ and 4S4- are the discriminant criteria, which characterize
+    solvability when the field is principal, and None otherwise, as is
+    table_id(); 8S4- with type [d5, -d3] is solvable iff the field is
+    principal.  For a non-principal field evaluate ``obstruction`` with
+    explicit (b, r).
     """
     if not f.is_s4:
         raise NotOctahedral(
@@ -116,9 +123,11 @@ def classify(f: ReducedQuartic) -> EmbeddingReport:
         d=d,
         decomposition=dec,
         principal=principal,
-        solvable_2s4_plus=(d < 0 and dec.d5 == 1 and dec.d7 == 1),
-        solvable_4s4_plus=(d > 0 and dec.d3 == 1 and dec.d7 == 1),
-        solvable_4s4_minus=(dec.d5 == 1),
+        solvable_2s4_plus=(f.trace_data.witt
+                           * brauer_class(2, d)).is_trivial,
+        solvable_4s4_plus=(d > 0 and dec.d3 == 1 and dec.d7 == 1
+                           if principal else None),
+        solvable_4s4_minus=dec.d5 == 1 if principal else None,
         solvable_8s4_minus=principal,
         type_8s4_minus=(dec.d5, -dec.d3),
         star_norm2=brauer_class(2, -3 * d).is_trivial,

@@ -39,9 +39,8 @@ from .errors import (CyclotomicExcluded, DegenerateParameter,
 from .hilbert import brauer_class
 from .polynomials import (QQ, PolyRing, QuadField, UniPoly, _horner,
                           _resultant_y, discriminant, poly_str)
-from .quartic import (PrincipalQuartic, ReducedQuartic, _integer_model,
-                      _newton_image, _normalize_principal, _rational_image,
-                      reduced_tschirnhaus_poly, trace_form)
+from .quartic import (PrincipalQuartic, ReducedQuartic, _newton_image,
+                      _principal_image, reduced_tschirnhaus_poly, trace_form)
 from .rationals import _exact_div, is_square, squarefree_part
 
 J_AT_CUSP = 1728
@@ -195,12 +194,10 @@ def family(g: PrincipalQuartic, s_param: Fraction | int
     if 3 * b * s + 4 * c == 0:
         raise ExcludedParameter(f"s = {s} is the excluded parameter -4c/3b")
     p = principal_closure_p(b, c, Fraction(1), s)
-    image = _rational_image(g._model, Fraction(1), s, p)
-    if _integer_model(image).disc == 0:
+    image = _principal_image(g, Fraction(1), s, p)
+    if image is None:
         raise NotPrimitive("family member is not squarefree")
-    if image[2] != 0:
-        raise AssertionError("family member has a nonzero quadratic term")
-    out, _ = _normalize_principal(image[1], image[0])
+    out, _ = image
     bs, cs = out.b, out.c
     b4, c3 = bs**4, cs**3
     radicand = 3 * (27 * b4 - 256 * c3)

@@ -110,83 +110,52 @@ def _roots_mod(values: list[int], p: int) -> list[int]:
     return [x for x in range(p) if not values[x] % p]
 
 
-_CERT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109)
-
-
-def _irreducible_by_modp(model: _Model) -> bool:
-    """True when Frobenius data at primes p not dividing disc = disc(c)
-    certify that the integer model c of a cubic or quartic is irreducible;
-    False when no prime of _CERT_PRIMES does, which proves nothing.
-
-    Since c is squarefree mod p, its roots mod p, read from one table of
-    the values c(0), c(1), ... (_tabulate), give the degree of its linear
-    part gcd(c, X^p - X).  A cubic with no root mod p is irreducible.  A
-    quartic with one root mod p has the pattern (1,3), so no quadratic
-    factor.  A rootless quartic is
-    irreducible mod p exactly when disc is a non-square mod p, since the
-    number of irreducible factors mod p has the parity of the degree
-    exactly when disc is a square mod p (Stickelberger; Swan, Pacific J.
-    Math. 1962); otherwise its pattern (2,2) rules out linear factors
-    only."""
-    c, _, disc = model
-    no_root = no_quad = False
-    values: list[int] = []
-    table = _tabulate(c)
-    for p in _CERT_PRIMES:
-        d = disc % p
-        if not d:
-            continue
-        values.extend(itertools.islice(table, p - len(values)))
-        roots = len(_roots_mod(values, p))
-        if roots == 0:
-            if len(c) == 4 or pow(d, (p - 1) // 2, p) != 1:
-                return True
-            no_root = True
-        elif roots == 1:
-            no_quad = True
-        if no_root and no_quad:
-            return True
-    return False
-
-
 @functools.cache
 def _split_primes() -> tuple[int, ...]:
-    """The odd primes below 2^14, all tried before a split-prime search
-    gives up: an S4 quartic splits completely at primes of density 1/24,
-    so running out is a computational limit, never an answer.  The search
-    reads every residue of each prime it tries, so its cost grows
-    like p, not log p; a full scan to the cap holds 2^14 integer values.
-    Sieved on first use, which keeps the import cheap."""
+    """The odd primes below 2^14, the prime list of every Frobenius scan
+    (_frobenius): a cubic or quartic splits completely at primes of
+    positive density, 1/24 for S4, so running out is a computational
+    limit, never an answer.  A scan reads every residue of each prime it
+    tries, so its cost grows like p, not log p; a full scan to the cap
+    holds 2^14 integer values.  Sieved on first use, which keeps the
+    import cheap."""
     return _primes_below(1 << 14)[1:]
 
 
-def _split_prime(model: _Model, avoid: int = 1) -> tuple[int, list[int]]:
-    """Smallest odd prime p dividing neither disc = disc(c) != 0 nor avoid
-    at which the integer model c of a cubic or quartic splits into
-    distinct linear factors, with the sorted roots of c mod p.
-
-    No polynomial arithmetic over F_p: since p does not divide disc, c is
-    squarefree mod p, so it splits, i.e. X^p = X mod (c, p), exactly when
-    deg c of the residues 0, ..., p - 1 are roots.  One table of the
-    integer values c(0), c(1), ... is extended by running sums
-    (_tabulate) as p grows and reduced at each prime.  By
-    Stickelberger's theorem disc is then a square mod p, which rules out
-    half the primes before any value is reduced."""
+def _frobenius(model: _Model, avoid: int = 1):
+    """(p, disc mod p, values) for each odd prime p of _split_primes that
+    divides neither disc = disc(c) != 0 nor avoid, values holding at least
+    c(0), ..., c(p - 1) for the integer model c of a cubic or quartic, in
+    one table extended by running sums (_tabulate); past the last prime,
+    SearchExhausted names the cap.  As p does not divide disc, c is
+    squarefree mod p: its roots mod p (_roots_mod) give the degree of
+    gcd(c, X^p - X), and its number of irreducible factors has the parity
+    of deg c exactly when disc is a square mod p (Stickelberger; Swan,
+    Pacific J. Math. 1962)."""
     c, _, disc = model
     values: list[int] = []
     table = _tabulate(c)
     for p in _split_primes():
         d = disc % p
-        if not (d and avoid % p and pow(d, (p - 1) // 2, p) == 1):
-            continue
-        values.extend(itertools.islice(table, p - len(values)))
-        roots = _roots_mod(values, p)
-        if len(roots) == len(c) - 1:
-            return p, roots
+        if d and avoid % p:
+            values.extend(itertools.islice(table, p - len(values)))
+            yield p, d, values
     raise SearchExhausted(
         f"no odd prime up to {_split_primes()[-1]} splits {c} into distinct"
         " linear factors")
+
+
+def _split_prime(model: _Model, avoid: int = 1) -> tuple[int, list[int]]:
+    """Smallest odd prime p dividing neither disc = disc(c) != 0 nor avoid
+    at which the integer model c of a cubic or quartic splits into
+    distinct linear factors, with the sorted roots of c mod p, read from
+    the Frobenius scan (_frobenius).  disc is then a square mod p
+    (Stickelberger), which rules out half the primes unreduced."""
+    for p, d, values in _frobenius(model, avoid):
+        if pow(d, (p - 1) // 2, p) == 1:
+            roots = _roots_mod(values, p)
+            if len(roots) == len(model.coeffs) - 1:
+                return p, roots
 
 
 def _eval_mod(c: list[int], x: int, m: int) -> int:
@@ -242,20 +211,14 @@ def _from_roots(roots: list[int], m: int) -> list[int]:
     return h
 
 
-def _reducible_by_hensel(model: _Model) -> bool:
-    """Decide whether the integer model c of a cubic or quartic, with
-    disc(c) != 0, factors over Q.
-
-    At a prime p where c splits into distinct linear factors, any monic
-    integer factor of degree 1 or 2 is the product of the matching p-adic
-    linear factors, with coefficients below (1 + R)^2 for the root bound R;
-    so lifting the roots past twice that bound and trying the single roots
-    and, for a quartic, the 3 pairs containing the first root (a 2 + 2
-    split or its complement) finds every factor by exact division.  The
-    deg c roots mod p are distinct, as p does not divide disc(c), and
-    _lift_roots takes the last of them free by Vieta."""
-    c = model.coeffs
-    p, roots = _split_prime(model)
+def _has_factor(c: list[int], p: int, roots: list[int]) -> bool:
+    """Whether the monic integer cubic or quartic c has a monic integer
+    factor of degree 1 or 2, from its deg c roots mod a prime p not
+    dividing disc(c).  Such a factor is the product of the matching p-adic
+    linear factors, with coefficients below (1 + R)^2 for the root bound
+    R; so lifting the roots past twice that bound and trying the single
+    roots and, for a quartic, the 3 pairs containing the first root (a
+    2 + 2 split or its complement) finds every factor by exact division."""
     k = _precision_for(p, 2 * (1 + _cauchy_bound(c))**2)
     m = p**k
     roots = _lift_roots(c, roots, p, k)
@@ -270,14 +233,32 @@ def _reducible_by_hensel(model: _Model) -> bool:
 
 
 def _irreducible(model: _Model) -> bool:
-    """Irreducibility over Q of a cubic or quartic, on its integer model.
+    """Irreducibility over Q of a cubic or quartic, on its integer model c,
+    from one Frobenius scan (_frobenius); no integer is factored.
 
-    A zero discriminant means a repeated factor.  Otherwise Frobenius data
-    at small primes usually certify irreducibility, and the Hensel factor
-    search decides the rest; no integer is factored."""
-    if model.disc == 0:
+    A zero disc means a repeated factor.  A cubic with no root mod p is
+    irreducible, and so is a rootless quartic with disc a non-square mod p
+    (Stickelberger).  A rootless quartic with square disc has the pattern
+    (2,2), so no linear factor, and one with a single root the pattern
+    (1,3), so no quadratic factor: seeing both proves irreducibility.  If
+    c splits completely at p before any of these certificates, the Hensel
+    factor search (_has_factor) decides at that prime."""
+    c, _, disc = model
+    if disc == 0:
         return False
-    return _irreducible_by_modp(model) or not _reducible_by_hensel(model)
+    no_root = no_quad = False
+    for p, d, values in _frobenius(model):
+        roots = _roots_mod(values, p)
+        if len(roots) == len(c) - 1:
+            return not _has_factor(c, p, roots)
+        if not roots:
+            if len(c) == 4 or pow(d, (p - 1) // 2, p) != 1:
+                return True
+            no_root = True
+        elif len(roots) == 1:
+            no_quad = True
+        if no_root and no_quad:
+            return True
 
 
 # -- domain types -------------------------------------------------------------
@@ -634,6 +615,21 @@ def _normalize_principal(b: Fraction, c: Fraction) -> tuple[PrincipalQuartic, Fr
     return PrincipalQuartic(b2, c2), r
 
 
+def _principal_image(f: ReducedQuartic, m, n, p
+                     ) -> Optional[tuple[PrincipalQuartic, Fraction]]:
+    """The normalized image X^4 + bX + c of f under the reduced Tschirnhaus
+    transformation (m, n, p) of an isotropic vector, with its scale r
+    (_normalize_principal); None when the image is not squarefree.  A
+    squarefree image is the minimal polynomial of a generator of the
+    field, so irreducible; PrincipalQuartic checks it again."""
+    image = _rational_image(f._model, m, n, p)
+    if image[2] != 0:
+        raise AssertionError("isotropic vector gave nonzero X^2 term")
+    if _integer_model(image).disc == 0:
+        return None
+    return _normalize_principal(image[1], image[0])
+
+
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
@@ -730,17 +726,11 @@ def principalize(f: ReducedQuartic, box: int = 50
         raise NotPrincipal("Witt invariant differs from (-1, -d) for"
                            f" {poly_str(f.poly())}")
     for m, n, pf in _isotropic_vectors(f.trace_data.gram, box):
-        gp = _rational_image(f._model, m, n, pf)
-        if gp[2] != 0:
-            raise AssertionError("isotropic vector gave nonzero X^2 term")
-        if _integer_model(gp).disc == 0:
-            continue
-        # a squarefree gp is the minimal polynomial of a generator of
-        # the field, so irreducible; PrincipalQuartic checks it again
-        out, r = _normalize_principal(gp[1], gp[0])
-        q = (3 * f.b * m + 2 * f.a * n) / 4
-        cert = FieldCertificate(m=m * r, n=n * r, p=pf * r, q=q * r)
-        return out, cert
+        image = _principal_image(f, m, n, pf)
+        if image is not None:
+            out, r = image
+            q = (3 * f.b * m + 2 * f.a * n) / 4
+            return out, FieldCertificate(m=m * r, n=n * r, p=pf * r, q=q * r)
     raise SearchExhausted(
         f"no isotropic vector with (m, n) coordinates <= {box}")
 

@@ -1,0 +1,165 @@
+"""Mutant harness: each mutant replaces one exact snippet of the sources in
+a temporary copy of src/, tests/ and pyproject.toml, and runs its target
+test files there with pytest -x.  A mutant is killed when pytest reports a
+failing test (exit status 1).
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py ID ...     # the named ones
+
+It fails when a snippet, of a mutant or of an equivalent mutant, is not
+found exactly once (so a refactor must update its mutants rather than
+silently drop them), when the target tests fail without any mutant, and
+when a mutant survives.  Equivalent mutants are listed apart, each with
+its proof, and never run.  pytest does not collect this file, as its name
+does not start with test_.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str               # relative to the repository root
+    old: str                # must occur exactly once in file
+    new: str
+    targets: tuple[str, ...]
+    origin: str             # the CHANGES.md entry or ROADMAP item
+
+
+QUARTIC = "src/octaq/quartic.py"
+
+MUTANTS = (
+    Mutant("vieta-root-sign", QUARTIC,
+           "return out + [(-c[-2] - sum(out)) % m]",
+           "return out + [(c[-2] + sum(out)) % m]",
+           ("tests/test_quartic.py",),
+           "CHANGES.md: cheaper p-adic kernels of same_field"),
+    Mutant("newton-inverse-not-carried", QUARTIC,
+           "z = z * (2 - _eval_mod(dc, r, mod) * z) % mod",
+           "pass",
+           ("tests/test_quartic.py",),
+           "CHANGES.md: cheaper p-adic kernels of same_field"),
+    Mutant("basis-quotient-constant-off-by-one", QUARTIC,
+           "        quotients.append(q[::-1])",
+           "        q[-1] += 1\n        quotients.append(q[::-1])",
+           ("tests/test_quartic.py",),
+           "CHANGES.md: cheaper p-adic kernels of same_field"),
+    Mutant("resultant-prs-leading-zero-sign", "src/octaq/polynomials.py",
+           "acc *= -r[-1] if len(r) % 2 == 0 else r[-1]",
+           "acc *= r[-1] if len(r) % 2 == 0 else -r[-1]",
+           ("tests/test_polynomials.py",),
+           "ROADMAP item 13"),
+    Mutant("tsc-one-node-short", "src/octaq/qcurve.py",
+           "for s0 in range(bound + 1)",
+           "for s0 in range(bound)",
+           ("tests/test_qcurve.py",),
+           "ROADMAP item 13"),
+    Mutant("same-field-scale-one", QUARTIC,
+           "m, scale = p**k, abs(mf.disc)",
+           "m, scale = p**k, 1",
+           ("tests/test_quartic.py",),
+           "ROADMAP item 13"),
+    Mutant("disc-check-always-passes", "src/octaq/tables.py",
+           'checks["disc"] = report.d == squarefree_part(row.expected_disc)',
+           'checks["disc"] = True',
+           ("tests/test_tables_cli.py",),
+           "ROADMAP item 13"),
+    Mutant("stickelberger-parity-flipped", QUARTIC,
+           "if len(c) == 4 or pow(d, (p - 1) // 2, p) != 1:",
+           "if len(c) == 4 or pow(d, (p - 1) // 2, p) == 1:",
+           ("tests/test_quartic.py",),
+           "CHANGES.md: one Frobenius scan per integer model"),
+    Mutant("has-factor-without-pairs", QUARTIC,
+           "subsets += [(0, 1), (0, 2), (0, 3)]",
+           "subsets += []",
+           ("tests/test_quartic.py",),
+           "CHANGES.md: one Frobenius scan per integer model"),
+    Mutant("two-s4-plus-without-witt", "src/octaq/embedding.py",
+           "solvable_2s4_plus=(f.trace_data.witt\n"
+           "                           * brauer_class(2, d)).is_trivial,",
+           "solvable_2s4_plus=brauer_class(2, d).is_trivial,",
+           ("tests/test_embedding.py",),
+           "ROADMAP item 1"),
+)
+
+EQUIVALENT = (
+    (Mutant("det-field-tries-y-zero", "src/octaq/embedding.py",
+            "for y in range(1, min(isqrt(bsf), DET_FIELD_MAX_X) + 1)",
+            "for y in range(0, min(isqrt(bsf), DET_FIELD_MAX_X) + 1)",
+            ("tests/test_embedding.py",), "ROADMAP item 13"),
+     "b is not a square, so its squarefree part bsf > 1 is not a square"
+     " either, and y = 0 (bsf - 0 a square) never matches: the search"
+     " returns the same first y"),
+)
+
+
+def _check_snippets(mutants) -> list[str]:
+    errors = []
+    for m in mutants:
+        count = (ROOT / m.file).read_text().count(m.old)
+        if count != 1:
+            errors.append(f"{m.id}: snippet found {count} times in {m.file}")
+    return errors
+
+
+def _pytest(workdir: Path, targets) -> int:
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *targets], cwd=workdir,
+        # no bytecode cache: a mutant of the same size and mtime as its
+        # original must not be served from a stale .pyc
+        env={**os.environ, "PYTHONPATH": str(workdir / "src"),
+             "PYTHONDONTWRITEBYTECODE": "1"},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main(ids: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not ids or m.id in ids]
+    unknown = set(ids) - {m.id for m in MUTANTS}
+    errors = [f"unknown mutant {i}" for i in sorted(unknown)]
+    errors += _check_snippets(MUTANTS + tuple(m for m, _ in EQUIVALENT))
+    if errors:
+        print("\n".join(errors))
+        return 1
+    for m, proof in EQUIVALENT:
+        print(f"equivalent  {m.id}: {proof}")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, work / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        targets = sorted({t for m in chosen for t in m.targets})
+        if _pytest(work, targets):
+            print(f"the target tests fail without a mutant: {targets}")
+            return 1
+        survivors = 0
+        for m in chosen:
+            path = work / m.file
+            source = path.read_text()
+            path.write_text(source.replace(m.old, m.new))
+            start = time.perf_counter()
+            status = _pytest(work, m.targets)
+            path.write_text(source)
+            verdict = {1: "killed"}.get(status, "SURVIVED" if status == 0
+                                        else f"ERROR (pytest exit {status})")
+            survivors += verdict != "killed"
+            print(f"{verdict}  {m.id} ({time.perf_counter() - start:.1f} s,"
+                  f" {', '.join(m.targets)}; {m.origin})")
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

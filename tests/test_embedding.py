@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from octaq.embedding import (_B_MOVES, _R_MOVES, _adjust_class, classify,
@@ -10,7 +10,7 @@ from octaq.embedding import (_B_MOVES, _R_MOVES, _adjust_class, classify,
                              endo_algebras, obstruction,
                              splitting_obstruction)
 from octaq.errors import (CyclotomicExcluded, InvalidTypeParameter,
-                          NotOctahedral)
+                          NotOctahedral, Reducible)
 from octaq.hilbert import brauer_class
 from octaq.polynomials import qpoly
 from octaq.quartic import ReducedQuartic, depress, galois_is_S4, trace_form
@@ -119,6 +119,32 @@ def test_obstruction_two_s4_plus_reduction():
         w = trace_form(f).witt
         ob = obstruction(w, report.d, 1, report.d)
         assert ob.is_trivial == report.norm_minus2, row.expected_disc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-6, 6), st.integers(1, 8), st.integers(-9, 9))
+@example(-2, 3, -3)     # d = -6411: d5 = d7 = 1, but not principal
+def test_two_s4_plus_is_serre_form(a, b, c):
+    # 2S4+ is read from w x (2, d) on every S4 field; on principal fields
+    # it equals the discriminant criterion, and only they get 4S4 flags
+    try:
+        f = ReducedQuartic(a, b, c)
+    except Reducible:
+        assume(False)
+    assume(galois_is_S4(f))
+    report = classify(f)
+    d, dec = report.d, report.decomposition
+    assert report.solvable_2s4_plus == (
+        trace_form(f).witt * brauer_class(2, d)).is_trivial
+    if report.principal:
+        assert report.solvable_2s4_plus == (d < 0 and dec.d5 == 1
+                                            and dec.d7 == 1)
+        assert report.solvable_4s4_minus == (dec.d5 == 1)
+        assert report.table_id() in (1, 2, 3, 4, 5)
+    else:
+        assert report.solvable_4s4_plus is None
+        assert report.solvable_4s4_minus is None
+        assert report.table_id() is None
 
 
 def test_obstruction_invalid_b():

@@ -22,9 +22,8 @@ from octaq.polynomials import (QQ, QuadField, UniPoly, _disc, discriminant,
 from octaq.qcurve import SymbolicContext, family
 from octaq.quartic import (FieldCertificate, PrincipalQuartic, ReducedQuartic,
                            _certificate_holds, _integer_model, _irreducible,
-                           _irreducible_by_modp, _isotropic_vectors,
-                           _normalize_principal,
-                           _reducible_by_hensel, _split_prime, _tabulate,
+                           _has_factor, _isotropic_vectors,
+                           _normalize_principal, _split_prime, _tabulate,
                            depress, galois_is_S4,
                            is_principal, principalize, resolvent_cubic,
                            same_field, trace_form,
@@ -101,8 +100,8 @@ def _has_quadratic_factor(c):
     return False
 
 
-def test_irreducibility_routes_agree():
-    # brute force vs mod-p certificates vs Hensel factor search
+def test_irreducibility_routes_agree(monkeypatch):
+    # brute force vs the one-pass scan vs the Hensel factor search
     rng = random.Random(271)
     for degree in (4, 3):
         for _ in range(400):
@@ -112,17 +111,28 @@ def test_irreducibility_routes_agree():
             model = _integer_model(qpoly(c))
             assert _irreducible(model) == ref, c
             if model.disc:
-                if _irreducible_by_modp(model):
-                    assert ref, c
-                assert _reducible_by_hensel(model) == (not ref), c
+                p, roots = _split_prime(model)
+                assert _has_factor(c, p, roots) == (not ref), c
             else:
                 assert not ref, c
-    # an S4 quartic and its resolvent cubic are certified before Hensel
-    for row in CORPUS:
-        f = depress(row.source_poly())
-        for g in (f.poly(), resolvent_cubic(f)):
-            model = _integer_model(g)
-            assert _irreducible_by_modp(model), model
+    # an S4 quartic and its resolvent cubic, for the source and the
+    # principal model of every row, are decided at a prime p <= 109
+    polys = [g for row in CORPUS
+             for f in (depress(row.source_poly()),
+                       depress(row.principal_poly()))
+             for g in (f.poly(), resolvent_cubic(f))]
+    reached = []
+    scan = quartic._frobenius
+
+    def spy(*args):
+        for item in scan(*args):
+            reached[-1] = item[0]
+            yield item
+    monkeypatch.setattr(quartic, "_frobenius", spy)
+    for g in polys:
+        reached.append(None)
+        assert _irreducible(_integer_model(g)), g
+    assert len(reached) == 340 and max(reached) <= 109
 
 
 def test_irreducibility_large_coefficients():

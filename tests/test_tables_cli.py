@@ -152,6 +152,19 @@ def test_cli_analyze_table5_row(capsys):
     assert "Q(i)" in algebras
 
 
+def test_cli_non_principal_prints_only_proved_flags(capsys):
+    # d = -6411 has d5 = d7 = 1, so the discriminant criteria would claim
+    # 2S4+ and 4S4-; but the field is not principal and w x (2, d) is not
+    # trivial, so 2S4+ is unsolvable and the 4S4 flags are unknown
+    for command in ("analyze", "classify"):
+        code, data = run_cli(capsys, command, "x^4-2x^2+3x-3")
+        assert code == 0 and data["principal"] is False
+        assert data["disc_class"] == -6411
+        emb = data["embedding"]
+        assert (emb["2S4+"], emb["4S4+"], emb["4S4-"]) == (False, None, None)
+    assert data["table"] is None
+
+
 @pytest.mark.parametrize("argv, error, poly", [
     (("analyze", "x^4-6x^2+8x+51"), "NotOctahedral", "x^4 - 6*x^2 + 8*x + 51"),
     (("classify", "x^4+1"), "NotOctahedral", "x^4 + 1"),
