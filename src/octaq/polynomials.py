@@ -10,7 +10,8 @@ Three coefficient rings are supported, all immutable:
 * ``QuadElement`` u + v*sqrt(t) in Q(sqrt(t)) = Q[s]/(s^2 - t) for a
   fixed non-square rational t (``QuadField``, a ``PolyRing``): the same
   integer numerators over one denominator, at most two of them, since
-  each product is reduced by s^2 = t as it is formed.
+  each product is reduced by s^2 = t as it is formed.  As in Q[s], an
+  element is divided only by a nonzero rational.
 
 Coefficients are stored lowest degree first with a nonzero leading
 coefficient; the zero polynomial has an empty tuple.  Discriminants of
@@ -51,11 +52,8 @@ class UniPoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs: Iterable):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_trim(list(coeffs)))
 
     # -- basic structure ---------------------------------------------------
 
@@ -161,10 +159,7 @@ class UniPoly:
         )
 
     def eval(self, x):
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def __repr__(self):
         return f"UniPoly({poly_str(self)})"
@@ -468,10 +463,10 @@ class PolyElement:
         # by a nonzero constant only: any other quotient would leave Q[s]
         o = self._coerce(other)
         if not o.num:
-            raise ZeroDivisionError("division by zero in Q[s]")
+            raise ZeroDivisionError(f"division by zero in {self.ring!r}")
         if len(o.num) > 1:
-            raise ValueError(f"{o} is not a constant: Q[s] divides only by"
-                             " nonzero constants")
+            raise ValueError(f"{o} is not a constant: {self.ring!r} divides"
+                             " only by nonzero constants")
         return _element(self.ring, [o.den * x for x in self.num],
                         o.num[0] * self.den)
 
@@ -552,7 +547,9 @@ class PolyRing:
 class QuadElement(PolyElement):
     """u + v*sqrt(t) in Q(sqrt(t)) = Q[s]/(s^2 - t): the element of Q[s]
     of degree at most 1 that represents it, so num has at most two
-    entries.  Only a product can reach s^2, and __mul__ reduces it."""
+    entries.  Only a product can reach s^2, and __mul__ reduces it.  It
+    divides as Q[s] does, by nonzero rationals only; any other divisor
+    raises ValueError."""
 
     __slots__ = ()
 
@@ -577,27 +574,6 @@ class QuadElement(PolyElement):
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QuadElement":
-        """The conjugate over the rational norm: with x = (n0 + n1 s)/d,
-        1/x = (n0 - n1 s) d td / (n0^2 td - n1^2 tn)."""
-        n0, n1 = (self.num + (0, 0))[:2]
-        t = self.ring.t
-        nrm = n0 * n0 * t.denominator - n1 * n1 * t.numerator
-        if nrm == 0:
-            raise ZeroDivisionError("zero element of quadratic field")
-        scale = self.den * t.denominator
-        return _element(self.ring, [n0 * scale, -n1 * scale], nrm)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def conjugate(self) -> "QuadElement":
-        return QuadElement(self.ring, self.num[:1]
-                           + tuple(-x for x in self.num[1:]), self.den)
-
     @property
     def field(self) -> "QuadField":
         return self.ring
@@ -609,10 +585,6 @@ class QuadElement(PolyElement):
     @property
     def v(self) -> Fraction:
         return Fraction(self.num[1], self.den) if self.num[1:] else Fraction(0)
-
-    @property
-    def is_rational(self) -> bool:
-        return len(self.num) < 2
 
     def __repr__(self):
         return f"({self.u} + {self.v}*sqrt({self.ring.t}))"

@@ -7,7 +7,10 @@ is isomorphic to
 
 for a non-square rational t, with j-invariant
 
-    j_t = 64 (5 + 3 sqrt(t))^3 / ((-1 + sqrt(t))^2 (1 + sqrt(t))).
+    j_t = 64 (5 + 3 sqrt(t))^3 / ((-1 + sqrt(t))^2 (1 + sqrt(t)))
+        = [64(27t^2 + 360t + 125) + 128(81t + 175) sqrt(t)] / (t - 1)^2,
+
+held in the second form, whose denominator is rational (no field inverse).
 
 The x-coordinates of its 3-torsion are the roots of the quartic f_t over
 Q(sqrt(t)); a reduced Tschirnhaus transformation takes f_t to the rational
@@ -115,7 +118,8 @@ class QCurveRecord:
 
 
 def curve_from_t(t: Fraction | int) -> QCurveRecord:
-    """Curve data for a non-degenerate parameter (t not 0, 1 or a square)."""
+    """Curve data for a non-degenerate parameter (t not 0, 1 or a square);
+    j is j_invariant_split over its rational denominator (t - 1)^2."""
     t = Fraction(t)
     if t in (0, 1) or is_square(t):
         raise DegenerateParameter(
@@ -123,7 +127,7 @@ def curve_from_t(t: Fraction | int) -> QCurveRecord:
     K = QuadField(t)
     w = K.sqrt_t
     tK = K.embed(t)
-    j_num, j_den = j_invariant_factored(K, tK, w)
+    j_num, j_den = j_invariant_split(K, tK, w)
     record = QCurveRecord(
         t=t,
         quad_field=K,
@@ -234,48 +238,48 @@ def _binomial_expand(field, coeffs, w):
     return biv
 
 
+def _weil_parts(ctx: SymbolicContext) -> tuple[list, list]:
+    """P and R of f_t(X + sY) = P + sR over the Q[s] of ctx, t = s^2, in
+    Q[t][X][Y] as _resultant_y takes them: each coefficient num(s)/den of
+    the expansion is e(s^2) + s o(s^2), the even and odd entries of num
+    over den giving its coefficients e in P and o in R."""
+    parts = ([], [])
+    for entry in _binomial_expand(ctx.field, ctx.f_t.coeffs, ctx.s):
+        for part, start in zip(parts, (0, 1)):
+            part.append([[Fraction(x, c.den) for x in c.num[start::2]]
+                         for c in entry.coeffs])
+    return parts
+
+
 def weil_restriction_factor(t: Fraction | int) -> WeilRestrictionRecord:
     """Split f_t(X + Y sqrt(t)) = P(X, Y) + R(X, Y) sqrt(t) over Q, form the
     degree-16 resultant Res_Y(P, R) and verify h_t divides it exactly.
 
-    The symbolic version over Q[s] with t = s^2, where P and R lie in
-    Q[t][X][Y], is _symbolic_weil_restriction.  Both compute the resultant
-    by polynomials._resultant_y from its values at integer points.  Its
-    degree is bounded by the largest sum of entry degrees along a
-    permutation of the 7 x 7 Sylvester matrix (3 rows of P, deg_Y P = 4;
-    4 rows of R, deg_Y R = 3), by Leibniz's expansion: D_t = 8 in t and
-    D_x = 16 in X, the true degrees, so 17 * 9 nodes.  Each node is an
-    integer subresultant PRS at the formal degrees (4, 3), so the leading
-    coefficient P_4 = t^2, 0 at t = 0, is expanded along the first column
-    there.  A rational t is the case D_t = 0.
+    P and R are those of the split over Q[t] (_weil_parts), at t; the
+    symbolic version, on the split itself, is _symbolic_weil_restriction.
+    Both compute the resultant by polynomials._resultant_y from its values
+    at integer points.  Its degree is bounded by the largest sum of entry
+    degrees along a permutation of the 7 x 7 Sylvester matrix (3 rows of
+    P, deg_Y P = 4; 4 rows of R, deg_Y R = 3), by Leibniz's expansion:
+    D_t = 8 in t and D_x = 16 in X, the true degrees, so 17 * 9 nodes.
+    Each node is an integer subresultant PRS at the formal degrees (4, 3),
+    so the leading coefficient P_4 = t^2, 0 at t = 0, is expanded along
+    the first column there.  A rational t is the case D_t = 0.
     """
     record = curve_from_t(t)
-    K = record.quad_field
-    biv = _binomial_expand(K, record.f_t.coeffs, K.sqrt_t)
-    res = _resultant_y([[[c.u] for c in entry.coeffs] for entry in biv],
-                       [[[c.v] for c in entry.coeffs] for entry in biv])
+    res = _resultant_y(*([[[_horner(ts, record.t)] for ts in xs] for xs in a]
+                         for a in _weil_parts(SymbolicContext())))
     return _weil_record(UniPoly(QQ, [ts[0] if ts else QQ.zero for ts in res]),
                         record.h_t)
 
 
 def _symbolic_weil_restriction(ctx: SymbolicContext) -> WeilRestrictionRecord:
-    """weil_restriction_factor over Q[s], on the polynomials of ctx: each
-    coefficient num(s)/den of the expansion is e(s^2) + s o(s^2), its even
-    and odd entries of num over den giving the coefficients e of P and o of
-    R in t = s^2; the resultant is divided by the monic h_t over Q[s]."""
-    R = ctx.field
-    pc, rc = [], []
-    for entry in _binomial_expand(R, ctx.f_t.coeffs, ctx.s):
-        pc.append([[Fraction(x, c.den) for x in c.num[0::2]]
-                   for c in entry.coeffs])
-        rc.append([[Fraction(x, c.den) for x in c.num[1::2]]
-                   for c in entry.coeffs])
-    res = []
-    for ts in _resultant_y(pc, rc):     # back to Q[s]: t^k is s^(2k)
-        in_s = [0] * (2 * len(ts))
-        in_s[0::2] = ts
-        res.append(R.from_coeffs(in_s))
-    return _weil_record(UniPoly(R, res), ctx.h_t)
+    """weil_restriction_factor over Q[s], on the polynomials of ctx: the
+    resultant of the split (_weil_parts), back in Q[s], is divided by the
+    monic h_t over Q[s]."""
+    res = [ctx.field.from_coeffs([c for k in ts for c in (k, 0)])
+           for ts in _resultant_y(*_weil_parts(ctx))]  # t^k is s^(2k)
+    return _weil_record(UniPoly(ctx.field, res), ctx.h_t)
 
 
 def _weil_record(res: UniPoly, companion: UniPoly) -> WeilRestrictionRecord:

@@ -375,13 +375,11 @@ def reduced_tschirnhaus_poly(f: UniPoly, m, n, p) -> UniPoly:
     Res_Y(f(Y), X - (mY^3 + nY^2 + pY + q)).
 
     One route over every coefficient ring, Q, Q[s] and Q(sqrt(t)):
-    Newton's identities (_newton_image), over Q on the integer model
-    (_rational_image)."""
+    Newton's identities (_newton_image) in F; over Q, tschirnhaus and
+    _principal_image run them on the integer model (_rational_image)."""
     F = f.field
     if f.degree != 4 or f.lc != F.one or f[3]:
         raise ValueError("need a monic reduced quartic")
-    if F is QQ:
-        return _rational_image(_integer_model(f), m, n, p)
     m, n, p = (F.embed(x) if isinstance(x, (int, Fraction)) else x
                for x in (m, n, p))
     q = (3 * f[1] * m + 2 * f[2] * n) / 4

@@ -38,6 +38,8 @@ class Mutant(NamedTuple):
 
 
 QUARTIC = "src/octaq/quartic.py"
+QCURVE = "src/octaq/qcurve.py"
+GL2F9 = "src/octaq/gl2f9.py"
 
 MUTANTS = (
     Mutant("vieta-root-sign", QUARTIC,
@@ -60,7 +62,7 @@ MUTANTS = (
            "acc *= r[-1] if len(r) % 2 == 0 else -r[-1]",
            ("tests/test_polynomials.py",),
            "ROADMAP item 13"),
-    Mutant("tsc-one-node-short", "src/octaq/qcurve.py",
+    Mutant("tsc-one-node-short", QCURVE,
            "for s0 in range(bound + 1)",
            "for s0 in range(bound)",
            ("tests/test_qcurve.py",),
@@ -91,6 +93,35 @@ MUTANTS = (
            "solvable_2s4_plus=brauer_class(2, d).is_trivial,",
            ("tests/test_embedding.py",),
            "ROADMAP item 1"),
+    Mutant("j-split-form-coefficient", QCURVE,
+           "e(360)",
+           "e(361)",
+           ("tests/test_qcurve.py",),
+           "CHANGES.md: Q(sqrt(t)) divides only by rationals"),
+    Mutant("weil-parts-parity-swapped", QCURVE,
+           "zip(parts, (0, 1))",
+           "zip(parts, (1, 0))",
+           ("tests/test_qcurve.py",),
+           "CHANGES.md: Q(sqrt(t)) divides only by rationals"),
+    Mutant("generate-skips-generators", GL2F9,
+           "            queue.append(g)\n            yield g\n",
+           "            queue.append(g)\n",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: fewer products in the proofs"),
+    Mutant("leibniz-x-bound-one-short", "src/octaq/polynomials.py",
+           "dx = bound(lambda xs: len(xs) - 1)",
+           "dx = bound(lambda xs: len(xs) - 1) - 1",
+           ("tests/test_polynomials.py", "tests/test_qcurve.py"),
+           "CHANGES.md: fewer products in the proofs"),
+    Mutant("s4-scan-without-order-four-class", GL2F9,
+           "    if frozenset().union(*_conjugates(frozenset({a0})))"
+           " != fours:\n"
+           "        raise OctaqError(\"the elements of order 4 in PGL2(F9) are"
+           " not one\"\n"
+           "                         \" conjugacy class\")\n",
+           "",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: S4 conjugacy from one class of order-4 elements"),
 )
 
 EQUIVALENT = (

@@ -1,18 +1,20 @@
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from octaq.errors import (CyclotomicExcluded, DegenerateParameter,
                           ExcludedParameter, NotOctahedral, NotPrincipal,
                           OctaqError, Reducible)
-from octaq.polynomials import (QQ, QuadElement, QuadField, UniPoly,
+from octaq.polynomials import (QQ, QuadElement, QuadField, UniPoly, _horner,
                                discriminant, qpoly)
 from octaq.qcurve import (J_AT_CUSP, WITT_SAMPLES, SymbolicContext,
-                          _symbolic_weil_restriction, curve_from_t, family,
+                          _symbolic_weil_restriction, _weil_parts,
+                          curve_from_t, family, j_invariant_factored,
                           principal_quartic_poly, symbolic_suite,
                           t_from_principal, torsion_quartic,
                           weil_restriction_factor)
@@ -34,6 +36,24 @@ def test_curve_from_t_minus_one():
     A, B = rec.model
     assert (A.u, A.v) == (-30, -18)
     assert (B.u, B.v) == (56, 72)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 10**3)))
+@example(Fraction(-1))
+@example(Fraction(283, 27))
+def test_curve_j_is_the_split_form(t):
+    # the record's j, taken from the form over the rational (t - 1)^2, is
+    # 64(5 + 3w)^3 / ((w - 1)^2 (w + 1)), cross-multiplied: no division
+    assume(t not in (0, 1) and not is_square(t))
+    rec = curve_from_t(t)
+    K = rec.quad_field
+    num, den = j_invariant_factored(K, K.embed(t), K.sqrt_t)
+    assert rec.j * den == num
+    split_den = (t - 1) ** 2
+    assert (rec.j.u, rec.j.v) == (
+        64 * (27 * t**2 + 360 * t + 125) / split_den,
+        128 * (81 * t + 175) / split_den)
 
 
 def test_degenerate_parameters():
@@ -193,7 +213,7 @@ def test_family_j_matches_curve_j():
         # map u + v*sqrt(D) to u + v*scale*sqrt(t)
         K = rec.quad_field
         mapped = K.element(j_fam.u, j_fam.v * scale)
-        assert mapped in (j_t, j_t.conjugate())
+        assert mapped in (j_t, K.element(j_t.u, -j_t.v))
 
 
 def test_weil_restriction_numeric():
@@ -227,6 +247,39 @@ def test_weil_cofactors_match_bareiss_oracle():
         assert wr.resultant_degree == res.degree == 16
         assert image(wr.companion) == companion
         assert image(wr.cofactor) == quot
+
+
+def test_weil_parts_reassemble_f_t():
+    # P + sR = f_t(X + sY) with t = s^2, at integer points: P takes the even
+    # powers of s and R the odd ones (the resultant alone cannot tell, as
+    # Res_Y(R, P) = Res_Y(P, R) for deg_Y P = 4, deg_Y R = 3)
+    pc, rc = _weil_parts(SymbolicContext())
+
+    def at(part, x, y, t):
+        return _horner([_horner([_horner(ts, t) for ts in xs], x)
+                        for xs in part], y)
+    for s, x, y in product(range(-2, 3), repeat=3):
+        f = torsion_quartic(QQ, Fraction(s * s), Fraction(s))
+        assert f.eval(x + s * y) == at(pc, x, y, s * s) + s * at(rc, x, y,
+                                                                  s * s)
+
+
+def test_weil_restriction_reads_no_quad_coordinates(monkeypatch):
+    # P and R are the split over Q[t] at t: the coordinates u, v of the
+    # Q(sqrt(t)) coefficients of f_t build no resultant
+    expected = {t: bareiss_weil_resultant(t)
+                for t in (Fraction(-1), Fraction(2), Fraction(-7, 2))}
+
+    def refuse(self):
+        raise AssertionError("QuadElement coordinates read")
+    for name in ("u", "v"):
+        monkeypatch.setattr(QuadElement, name, property(refuse))
+    with pytest.raises(AssertionError):
+        QuadField(2).sqrt_t.u
+    for t, res in expected.items():
+        wr = weil_restriction_factor(t)
+        assert wr.divisible and (wr.resultant_degree, wr.cofactor) == \
+            (16, res.divmod(wr.companion)[0])
 
 
 def test_weil_restriction_reads_coefficient_denominators():

@@ -513,10 +513,16 @@ def test_cli_symbolic_stdout_is_pinned(capsys):
     ("-1", "b4a72cb596214600ac6341c438c59ab76a285977704e9c0a16359e352f104997"),
     ("5/3", "4758ec94bff9073c03fa70b6d73a25e290879a2320dad93a604f3efb756c826a"),
     ("2", "bcf04685ac1a4f33f712e13657f6ae90e3bb1f9c76e22459fef5bb95f26f500e"),
+    ("283/27",
+     "f9271b1b5c3557b5547e0c654566e434634d8a58e74461aa487d5708ff8eebc6"),
+    ("-7/2",
+     "3127aec8bc0f1aa3d473438bc6ffbdbb2c2604a13574adc76c95a6087ef0063a"),
+    ("1/3",
+     "1781a889dbba3406d1c057c43cf875afbf24ed87ff1b32dfaae569d56cb969a9"),
 ])
 def test_cli_qcurve_from_t_stdout_is_pinned(capsys, t, digest):
     import hashlib
-    code = main(["qcurve", "from-t", t])
+    code = main(["qcurve", "from-t", "--", t])
     out = capsys.readouterr().out
     assert code == 0
     # stdout, the Weil-restriction record included, is pinned byte for
