@@ -470,11 +470,6 @@ _TWIST_PLAN = {"G1": ("f1",), "G2": ("f1", "f2"), "G3": ("phi",),
 _S4_ORDER_PROFILE = {1: 1, 2: 9, 3: 8, 4: 6}
 
 
-# the closure of one triangle pair, kept apart from that of PGL2(F9)
-def _pgl_closure_capped(a: tuple, b: tuple, cap: int) -> frozenset | None:
-    return _close((a, b), _compose, _PERM_ID, cap)
-
-
 def _conjugates(elements: frozenset) -> set[frozenset]:
     """The orbit of a set of permutations under conjugation by PGL2(F9):
     its closure under conjugation by the permutations of GL2_GENERATORS."""
@@ -526,7 +521,7 @@ def s4_conjugacy_scan() -> dict:
         if (a0[b[a0[b[0]]]] != 0 or _compose(a0, b) not in square_one
                 or any(b in sub for sub in subs)):
             continue
-        sub = _pgl_closure_capped(a0, b, 24)
+        sub = _close((a0, b), _compose, _PERM_ID, 24)
         if (sub is None
                 or Counter(map(order.get, sub)) != _S4_ORDER_PROFILE):
             raise OctaqError("a (2,3,4) triangle pair in PGL2(F9) does"

@@ -23,10 +23,10 @@ t = -disc/(27 b^4).
 Every displayed identity is checked exactly: polynomial identities in
 Q[s], denominators cleared, after the substitution t = s^2 (so sqrt(t) = s
 is rational), and Brauer-class identities at sampled rational t, symbols
-being arithmetic rather than polynomial objects.  The two costliest are
-proved from values at integer points: the Weil resultant at the nodes of
-a Leibniz degree bound, and the Tschirnhaus image of g_t at s = 0..D for
-a bound D on the degrees of both sides.
+being arithmetic rather than polynomial objects.  The costliest, the
+Weil resultant, is proved from its values at the integer nodes of a
+Leibniz degree bound; the three Tschirnhaus identities are each one call
+of reduced_tschirnhaus_poly over Q[s].
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from .errors import (CyclotomicExcluded, DegenerateParameter,
 from .hilbert import brauer_class
 from .polynomials import (QQ, PolyRing, QuadField, UniPoly, _horner,
                           _resultant_y, discriminant, poly_str)
-from .quartic import (PrincipalQuartic, ReducedQuartic, _newton_image,
-                      _principal_image, reduced_tschirnhaus_poly, trace_form)
-from .rationals import _exact_div, is_square, squarefree_part
+from .quartic import (PrincipalQuartic, ReducedQuartic, _principal_image,
+                      reduced_tschirnhaus_poly, trace_form)
+from .rationals import is_square, squarefree_part
 
 J_AT_CUSP = 1728
 
@@ -117,13 +117,19 @@ class QCurveRecord:
     h_t: UniPoly               # over Q
 
 
-def curve_from_t(t: Fraction | int) -> QCurveRecord:
-    """Curve data for a non-degenerate parameter (t not 0, 1 or a square);
-    j is j_invariant_split over its rational denominator (t - 1)^2."""
+def _nondegenerate(t: Fraction | int) -> Fraction:
+    """t as a Fraction; raises DegenerateParameter for 0, 1 or a square."""
     t = Fraction(t)
     if t in (0, 1) or is_square(t):
         raise DegenerateParameter(
             f"t = {t} is degenerate (0, 1, or a rational square)")
+    return t
+
+
+def curve_from_t(t: Fraction | int) -> QCurveRecord:
+    """Curve data for a non-degenerate parameter (t not 0, 1 or a square);
+    j is j_invariant_split over its rational denominator (t - 1)^2."""
+    t = _nondegenerate(t)
     K = QuadField(t)
     w = K.sqrt_t
     tK = K.embed(t)
@@ -266,11 +272,11 @@ def weil_restriction_factor(t: Fraction | int) -> WeilRestrictionRecord:
     so the leading coefficient P_4 = t^2, 0 at t = 0, is expanded along
     the first column there.  A rational t is the case D_t = 0.
     """
-    record = curve_from_t(t)
-    res = _resultant_y(*([[[_horner(ts, record.t)] for ts in xs] for xs in a]
+    t = _nondegenerate(t)
+    res = _resultant_y(*([[[_horner(ts, t)] for ts in xs] for xs in a]
                          for a in _weil_parts(SymbolicContext())))
     return _weil_record(UniPoly(QQ, [ts[0] if ts else QQ.zero for ts in res]),
-                        record.h_t)
+                        companion_quartic_poly(QQ, t))
 
 
 def _symbolic_weil_restriction(ctx: SymbolicContext) -> WeilRestrictionRecord:
@@ -328,77 +334,20 @@ def _check_tsc_torsion_to_principal(ctx: SymbolicContext) -> bool:
     return reduced_tschirnhaus_poly(ctx.f_t, m, n, p) == ctx.g_t
 
 
-class _Degree:
-    """A bound on the s-degree of a polynomial, None for 0: a sum has at
-    most the larger degree, a product the sum of the two; an int is a
-    constant.  Run through the arithmetic of a polynomial identity, it
-    bounds the degree of each side."""
-
-    __slots__ = ("d",)
-
-    def __init__(self, d):
-        self.d = d
-
-    def _add(self, other):
-        o = other.d if isinstance(other, _Degree) else (0 if other else None)
-        return _Degree(max((x for x in (self.d, o) if x is not None),
-                           default=None))
-
-    def _mul(self, other):
-        o = other.d if isinstance(other, _Degree) else (0 if other else None)
-        return _Degree(None if None in (self.d, o) else self.d + o)
-
-    __add__ = __radd__ = __sub__ = __rsub__ = _add
-    __mul__ = __rmul__ = _mul
-
-    def __pow__(self, k: int):
-        return _Degree(None if self.d is None else self.d * k)
-
-    def __neg__(self):
-        return self
-
-    def __bool__(self):
-        return self.d is not None
-
-
-def _tsc_sides(values: list, div) -> tuple[list, list]:
-    """The two sides of _check_tsc_principal_to_torsion, coefficients of
-    X^0, X^1, ..., from the values of Lm, Ln, Lp, L and the coefficients
-    of g_t and f_t, with div dividing exactly by 2, 3 and 4."""
-    m, n, p, big_l, g0, g1, g2, *f = values
-    q = div(3 * g1 * m + 2 * g2 * n, 4)
-    e2, e3, e4 = _newton_image(g0, g1, g2, (q, p, n, m), div)
-    return ([e4, -e3, e2, 0, 1],
-            [x * big_l ** (4 - i) for i, x in enumerate(f[:4])] + f[4:])
-
-
 def _check_tsc_principal_to_torsion(ctx: SymbolicContext) -> bool:
-    """Tsc(g_t; m, n, p) = f_t for m = -4(t+3s)/(bt), n = 16cs/(b^2 t), p =
-    -64c^2 s/(3b^3 t), cleared of L = 3b^3 t: the image of (Lm, Ln, Lp) has
-    L times its roots, so L^(4-i) times the X^i coefficient of f_t.
-
-    Both sides are polynomials in s, proved equal by their values at
-    s = 0..D, Newton's identities on integers (_newton_image with
-    _exact_div); D bounds their degrees, from the same arithmetic run on
-    the degrees of the polynomials (_Degree): 58 on the real context.  A
-    polynomial of ctx with a value outside Z fails the explicit raise of
-    _exact_div, and so the check."""
-    e = ctx.e
-    t, s, g = ctx.t, ctx.s, ctx.g_t
-    if g.degree != 4 or g.lc != 1 or g[3]:
-        raise ValueError("need a monic reduced quartic")
-    b = e(4) * (t - e(1)) ** 2
-    c = e(-3) * (t - e(1)) ** 3
-    polys = [e(-12) * (t + e(3) * s) * b**2, e(48) * c * s * b,
-             e(-64) * c**2 * s, e(3) * b**3 * t, *g.coeffs[:3],
-             *ctx.f_t.coeffs]
-    sides = _tsc_sides([_Degree(len(x.num) - 1 if x else None)
-                        for x in polys], lambda x, k: x)
-    bound = max((x.d for side in sides for x in side
-                 if isinstance(x, _Degree) and x), default=0)
-    return all(lhs == rhs for s0 in range(bound + 1) for lhs, rhs in [
-        _tsc_sides([_exact_div(_horner(x.num, s0), x.den) for x in polys],
-                   _exact_div)])
+    """Tsc(g_t; m, n, p) = f_t for m = -4(t+3s)/(bt), n = 16cs/(b^2 t) and
+    p = -64c^2 s/(3b^3 t), b = 4(t-1)^2, c = -3(t-1)^3: in lowest terms
+    m = -(t+3s)/L, n = -3s(t-1)/L and p = -3s(t-1)^2/L over the least
+    common denominator L = t(t-1)^2.  The image of (Lm, Ln, Lp) has L times
+    the roots, so L^(4-i) times the X^i coefficient of f_t, an identity
+    in Q[s] on the one Newton route of reduced_tschirnhaus_poly."""
+    e, t, s = ctx.e, ctx.t, ctx.s
+    u = t - e(1)
+    big_l = t * u * u
+    image = reduced_tschirnhaus_poly(ctx.g_t, -(t + e(3) * s),
+                                     e(-3) * s * u, e(-3) * s * u * u)
+    return image == UniPoly(ctx.field, [x * big_l ** (4 - i) for i, x
+                                        in enumerate(ctx.f_t.coeffs)])
 
 
 def _check_disc_principal(ctx: SymbolicContext) -> bool:

@@ -62,11 +62,16 @@ MUTANTS = (
            "acc *= r[-1] if len(r) % 2 == 0 else -r[-1]",
            ("tests/test_polynomials.py",),
            "ROADMAP item 13"),
-    Mutant("tsc-one-node-short", QCURVE,
-           "for s0 in range(bound + 1)",
-           "for s0 in range(bound)",
+    Mutant("tsc-clearing-one-factor-short", QCURVE,
+           "big_l = t * u * u",
+           "big_l = t * u",
            ("tests/test_qcurve.py",),
-           "ROADMAP item 13"),
+           "CHANGES.md: tsc_principal_to_torsion in Q[s]"),
+    Mutant("tsc-lm-sign", QCURVE,
+           "-(t + e(3) * s)",
+           "(t + e(3) * s)",
+           ("tests/test_qcurve.py",),
+           "CHANGES.md: tsc_principal_to_torsion in Q[s]"),
     Mutant("same-field-scale-one", QUARTIC,
            "m, scale = p**k, abs(mf.disc)",
            "m, scale = p**k, 1",
@@ -98,6 +103,16 @@ MUTANTS = (
            "e(361)",
            ("tests/test_qcurve.py",),
            "CHANGES.md: Q(sqrt(t)) divides only by rationals"),
+    Mutant("t-from-principal-times-4", QCURVE,
+           "t = -disc / (27 * g.b**4)",
+           "t = -4 * disc / (27 * g.b**4)",
+           ("tests/test_frobenius.py",),
+           "ROADMAP item 12"),
+    Mutant("weierstrass-b-coefficient", QCURVE,
+           "e(8) * (e(7) + e(9) * sqrt_t)",
+           "e(8)",
+           ("tests/test_frobenius.py",),
+           "ROADMAP item 12"),
     Mutant("weil-parts-parity-swapped", QCURVE,
            "zip(parts, (0, 1))",
            "zip(parts, (1, 0))",

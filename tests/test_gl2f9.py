@@ -333,12 +333,14 @@ def test_s4_scan_closes_two_triangle_pairs(monkeypatch):
     # subgroups, and the scan closes one triangle pair for each
     import octaq.gl2f9 as mod
     closed = []
-    inner = mod._pgl_closure_capped
+    inner = mod._close
 
-    def spy(a, b, cap):
-        closed.append(inner(a, b, cap))
-        return closed[-1]
-    monkeypatch.setattr(mod, "_pgl_closure_capped", spy)
+    def spy(gens, mul, identity, cap):
+        out = inner(gens, mul, identity, cap)
+        if cap == 24 and len(gens) == 2:        # a triangle pair (a0, b)
+            closed.append(out)
+        return out
+    monkeypatch.setattr(mod, "_close", spy)
     s4_conjugacy_scan()
     a0 = min(p for p in _pgl2f9() if _perm_order(p) == 4)
     assert len(closed) == len(set(closed)) == 2
@@ -357,7 +359,11 @@ def test_s4_scan_rejects_order_four_elements_outside_one_class(monkeypatch):
 
 def test_s4_scan_rejects_a_bad_triangle_closure(monkeypatch):
     import octaq.gl2f9 as mod
-    monkeypatch.setattr(mod, "_pgl_closure_capped", lambda a, b, cap: None)
+    inner = mod._close
+    # no triangle pair (a0, b) closes within its cap
+    monkeypatch.setattr(mod, "_close", lambda gens, mul, identity, cap: None
+                        if cap == 24 and len(gens) == 2
+                        else inner(gens, mul, identity, cap))
     with pytest.raises(OctaqError, match="triangle pair"):
         s4_conjugacy_scan()
 

@@ -57,9 +57,10 @@ def test_curve_j_is_the_split_form(t):
 
 
 def test_degenerate_parameters():
-    for t in (0, 1, 4, Fraction(9, 16)):
+    for fn, t in product((curve_from_t, weil_restriction_factor),
+                         (0, 1, 4, Fraction(9, 16), Fraction(9, 4))):
         with pytest.raises(DegenerateParameter):
-            curve_from_t(t)
+            fn(t)
     assert J_AT_CUSP == 1728
 
 
@@ -412,52 +413,53 @@ def test_weil_entry_reads_the_torsion_quartic():
             "companion_divides_weil_resultant"}
 
 
-def _tsc_nodes(ctx):
-    """(D, number of integer nodes) of the tsc_principal_to_torsion check
-    on ctx, and its result."""
-    from octaq import qcurve
-    calls = []
-
-    def spying(values, div):
-        calls.append(sides(values, div))
-        return calls[-1]
-    sides = qcurve._tsc_sides
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qcurve, "_tsc_sides", spying)
-        passed = qcurve._check_tsc_principal_to_torsion(ctx)
-    degrees, *nodes = calls
-    bound = max(x.d for side in degrees for x in side
-                if isinstance(x, qcurve._Degree) and x)
-    return bound, len(nodes), passed
-
-
-def test_tsc_principal_to_torsion_degree_bound():
-    # the bound is the true s-degree of the image over Q[s]: 58 from the
-    # X^0 coefficient, (f_0 L^4 = 2 + 4 * 14), so 59 nodes
-    from octaq.quartic import reduced_tschirnhaus_poly
-    ctx = SymbolicContext()
-    assert _tsc_nodes(ctx) == (58, 59, True)
-    e, t, s = ctx.e, ctx.t, ctx.s
-    b, c = e(4) * (t - e(1)) ** 2, e(-3) * (t - e(1)) ** 3
-    image = reduced_tschirnhaus_poly(
-        ctx.g_t, e(-12) * (t + e(3) * s) * b**2, e(48) * c * s * b,
-        e(-64) * c**2 * s)
-    assert max(len(x.num) - 1 for x in image.coeffs) == 58
-
-
-def test_tsc_principal_to_torsion_bound_reads_the_context():
-    # s^80 in the constant term of g_t raises the bound with it: roots of
-    # size s^20, so 4 (10 + 3 * 20) for E4, M of degree 10 being the Y^3
-    # coefficient; the check stops at the first node that differs
+def test_tsc_principal_to_torsion_reads_the_context():
+    # s^80 in the constant term of g_t: the image over Q[s] is no longer
+    # L^(4-i) times the coefficients of f_t
     ctx = SymbolicContext()
     g = list(ctx.g_t.coeffs)
     g[0] = g[0] + ctx.s ** 80
     ctx.g_t = UniPoly(ctx.field, g)
-    bound, nodes, passed = _tsc_nodes(ctx)
-    assert bound == 280 and nodes <= bound + 1 and not passed
     failed = {e.name for e in symbolic_suite(samples=1, ctx=ctx)
               if not e.passed}
     assert "tsc_principal_to_torsion" in failed
+
+
+def test_tschirnhaus_entries_share_one_route(monkeypatch):
+    # the three Tschirnhaus identities of the suite are each one call of
+    # reduced_tschirnhaus_poly over the Q[s] of the context
+    from octaq import qcurve
+    fields = []
+    inner = qcurve.reduced_tschirnhaus_poly
+
+    def spy(f, m, n, p):
+        fields.append(f.field)
+        return inner(f, m, n, p)
+    monkeypatch.setattr(qcurve, "reduced_tschirnhaus_poly", spy)
+    ctx = SymbolicContext()
+    assert all(e.passed for e in symbolic_suite(samples=1, ctx=ctx))
+    assert len(fields) == 3 and all(F is ctx.field for F in fields)
+
+
+@pytest.mark.parametrize("t", [2, -1, Fraction(5, 3), Fraction(-7, 2)])
+def test_tsc_principal_to_torsion_in_the_quadratic_field(t):
+    # without clearing: over Q(sqrt(t)), where dividing by the rational
+    # t(t-1)^2 is allowed, Tsc(g_t; m, n, p) = f_t for the parameters
+    # m = -4(t+3w)/(bt), n = 16cw/(b^2 t), p = -64c^2 w/(3b^3 t), which
+    # are -(t+3w)/L, -3w(t-1)/L and -3w(t-1)^2/L, L = t(t-1)^2
+    from octaq.quartic import reduced_tschirnhaus_poly
+    t = Fraction(t)
+    rec = curve_from_t(t)
+    K, w = rec.quad_field, rec.quad_field.sqrt_t
+    c, b = rec.g_t[0], rec.g_t[1]
+    m = -4 * (t + 3 * w) / (b * t)
+    n = 16 * c * w / (b * b * t)
+    p = -64 * c * c * w / (3 * b**3 * t)
+    big_l = t * (t - 1) ** 2
+    assert (m, n, p) == (-(t + 3 * w) / big_l, -3 * w * (t - 1) / big_l,
+                         -3 * w * (t - 1) ** 2 / big_l)
+    g = UniPoly(K, [K.embed(x) for x in rec.g_t.coeffs])
+    assert reduced_tschirnhaus_poly(g, m, n, p) == rec.f_t
 
 
 def test_torsion_quartic_is_reduced():
