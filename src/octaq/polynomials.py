@@ -17,10 +17,11 @@ Coefficients are stored lowest degree first with a nonzero leading
 coefficient; the zero polynomial has an empty tuple.  Discriminants of
 cubics and quartics use their closed form, which only multiplies and adds
 coefficients and so works over every one of these rings and over Z.
-Resultants in Y of polynomials in Q[t][X][Y] come from their values at
-integer points, each an integer Sylvester determinant (by a subresultant
-remainder sequence), interpolated back exactly, so no fraction field of
-polynomials is ever formed.
+No resultant is formed here: the one octaq needs, the Weil restriction
+of the 3-torsion quartic, is a composed sum built from power sums by
+Newton's identities (Bostan, Flajolet, Salvy and Schost, "Fast
+computation of special resultants", J. Symbolic Comput. 2006; see
+qcurve), so no fraction field of polynomials is ever formed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from .rationals import _exact_div, is_square
+from .rationals import is_square
 
 Scalar = Union[int, Fraction]
 
@@ -205,7 +206,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-# -- discriminants and resultants -------------------------------------------
+# -- discriminants ------------------------------------------------------------
 
 
 def _disc(c: Sequence):
@@ -233,86 +234,6 @@ def discriminant(f: UniPoly):
     return _disc(f.coeffs)
 
 
-# -- resultants in Y over Q[t][X], by evaluation and interpolation ------------
-
-
-def _resultant_y(pc: Sequence, rc: Sequence) -> list[list[Fraction]]:
-    """Res_Y(P, R) for P = sum_j pc[j] Y^j and R = sum_j rc[j] Y^j in
-    Q[t][X][Y], pc[j][i][k] being the coefficient of X^i t^k in that of
-    Y^j; returns res with res[i][k] the coefficient of X^i t^k.
-
-    By evaluation and interpolation (Collins, JACM 1971).  With L the lcm
-    of the denominators, m = deg_Y P and n = deg_Y R, Res(LP, LR) =
-    L^(m+n) Res(P, R).  By Leibniz's expansion the Sylvester determinant
-    has degree at most D_t in t and D_x in X, the largest sum of the
-    degrees of its entries along a permutation (_leibniz_degree); if every
-    permutation meets a zero entry the determinant is 0 and one node
-    shows it.  At each node t0 = 0..D_t, x0 = 0..D_x the integer
-    Sylvester determinant keeps the formal degrees (m, n), so a leading
-    coefficient that vanishes there stays in it; _resultant_prs gives it
-    by a subresultant PRS.  Forward differences interpolate in X, then t.
-    """
-    pc, rc = (_trim([_trim([_trim([Fraction(c) for c in ts]) for ts in xs])
-                     for xs in a]) for a in (pc, rc))
-    if not pc or not rc:
-        raise ValueError("resultant of the zero polynomial")
-    m, n = len(pc) - 1, len(rc) - 1
-    big_l = lcm(*(c.denominator for a in (pc, rc) for xs in a for ts in xs
-                  for c in ts))
-    pz, rz = ([[[int(c * big_l) for c in ts] for ts in xs] for xs in a]
-              for a in (pc, rc))
-
-    def bound(deg) -> int:
-        # None marks a zero entry; a None bound means Res = 0: one node
-        return _leibniz_degree(_sylvester(
-            [deg(xs) if xs else None for xs in pz],
-            [deg(xs) if xs else None for xs in rz], None)) or 0
-    dx = bound(lambda xs: len(xs) - 1)
-    dt = bound(lambda xs: max(map(len, xs)) - 1)
-    in_x = []
-    for t0 in range(dt + 1):
-        px, rx = ([[_horner(ts, t0) for ts in xs] for xs in a]
-                  for a in (pz, rz))
-        values = []
-        for x0 in range(dx + 1):
-            values.append(_resultant_prs([_horner(xs, x0) for xs in px],
-                                         [_horner(xs, x0) for xs in rx]))
-        in_x.append(_interpolate(values))
-    scale = big_l ** (m + n)
-    return _trim([[Fraction(c, scale) for c in _interpolate(
-        [node[i] if i < len(node) else 0 for node in in_x])]
-        for i in range(dx + 1)])
-
-
-def _sylvester(p: Sequence, r: Sequence, zero) -> list[list]:
-    """The Sylvester matrix of the ascending coefficient lists p and r:
-    deg r shifted rows of p, then deg p shifted rows of r, each with its
-    leading coefficient first and zero elsewhere."""
-    m, n = len(p) - 1, len(r) - 1
-    return ([[zero] * i + p[::-1] + [zero] * (n - 1 - i) for i in range(n)]
-            + [[zero] * i + r[::-1] + [zero] * (m - 1 - i)
-               for i in range(m)])
-
-
-def _leibniz_degree(deg: Sequence[Sequence]) -> int | None:
-    """The largest sum(deg[i][p(i)]) over the permutations p of the
-    columns of a square matrix of entry degrees, None marking a zero
-    entry; None if every permutation meets one.  By Leibniz's expansion
-    this bounds the degree of the determinant.  A dynamic programme over
-    the sets of columns used by the first rows: 2^size states."""
-    best = {0: 0}                      # used-column mask -> largest sum
-    for row in deg:
-        nxt = {}
-        for used, total in best.items():
-            for col, d in enumerate(row):
-                if d is not None and not used >> col & 1:
-                    key = used | 1 << col
-                    if nxt.get(key, -1) < total + d:
-                        nxt[key] = total + d
-        best = nxt
-    return best.get((1 << len(deg)) - 1)
-
-
 def _trim(cs: list) -> list:
     """cs without its zero (or empty) leading entries."""
     while cs and not cs[-1]:
@@ -325,73 +246,6 @@ def _horner(cs: Sequence, x):
     for c in reversed(cs):
         acc = acc * x + c
     return acc
-
-
-def _resultant_prs(p: Sequence[int], r: Sequence[int]) -> int:
-    """The determinant of the Sylvester matrix (_sylvester) of the
-    ascending integer coefficient lists p and r at their formal degrees
-    m = len(p) - 1 and n = len(r) - 1, a leading coefficient 0 included.
-
-    If p_m or r_n is 0, the first column has at most one nonzero entry:
-    expanding along it, Res_(m,n)(p, r) = p_m Res_(m,n-1)(p, r') when
-    r_n = 0, (-1)^n r_n Res_(m-1,n)(p', r) when p_m = 0, and 0 when both
-    are.  Res_(m,0)(p, r) = r_0^m.  Otherwise the subresultant PRS of
-    Collins (JACM 1967) and Brown-Traub (JACM 1971), as in Cohen, GTM 138,
-    Algorithm 3.3.7, without contents: Res(a, b) = (-1)^(deg a deg b)
-    Res(b, a), and each pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b
-    is divided by g h^delta.  Every division is exact over Z, checked by
-    the explicit raise of _exact_div."""
-    acc = 1
-    while len(p) > 1 and len(r) > 1 and not (p[-1] and r[-1]):
-        if p[-1]:
-            acc *= p[-1]
-            r = r[:-1]
-        elif r[-1]:
-            acc *= -r[-1] if len(r) % 2 == 0 else r[-1]
-            p = p[:-1]
-        else:
-            return 0
-    a, b, g, h = p, r, 1, 1
-    if len(a) < len(b):
-        a, b = b, a
-        if len(a) % 2 == 0 and len(b) % 2 == 0:
-            acc = -acc
-    while len(b) > 1:
-        da, db = len(a) - 1, len(b) - 1
-        delta, lead, rem = da - db, b[-1], list(a)
-        if da & db & 1:
-            acc = -acc
-        for _ in range(delta + 1):  # rem = lead^(delta+1) a mod b
-            top, k = rem.pop(), len(rem) - db
-            rem = [lead * x for x in rem]
-            if top:
-                for i in range(db):
-                    rem[k + i] -= top * b[i]
-        if not _trim(rem):
-            return 0
-        a, b = b, [_exact_div(x, g * h ** delta) for x in rem]
-        g = a[-1]
-        h = _exact_div(g ** delta * h, h ** delta)
-    da = len(a) - 1
-    return acc * _exact_div(b[0] ** da * h, h ** da)
-
-
-def _interpolate(ys: Sequence[int]) -> list[int]:
-    """Ascending coefficients of the polynomial in Z[x] of degree below
-    len(ys) that takes the values ys at x = 0, 1, ...: its Newton form has
-    the coefficients (Delta^j y_0) / j!, each checked to be an integer."""
-    newton, diffs, fact = [], list(ys), 1
-    for j in range(len(ys)):
-        fact *= j or 1
-        newton.append(_exact_div(diffs[0], fact))
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    out = []
-    for j in range(len(newton) - 1, -1, -1):   # out = out * (x - j) + a_j
-        out = [0] + out
-        for i in range(len(out) - 1):
-            out[i] -= j * out[i + 1]
-        out[0] += newton[j]
-    return _trim(out)
 
 
 # -- the polynomial ring Q[s] and its quotients Q[s]/(s^2 - t) ---------------

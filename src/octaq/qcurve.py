@@ -23,10 +23,12 @@ t = -disc/(27 b^4).
 Every displayed identity is checked exactly: polynomial identities in
 Q[s], denominators cleared, after the substitution t = s^2 (so sqrt(t) = s
 is rational), and Brauer-class identities at sampled rational t, symbols
-being arithmetic rather than polynomial objects.  The costliest, the
-Weil resultant, is proved from its values at the integer nodes of a
-Leibniz degree bound; the three Tschirnhaus identities are each one call
-of reduced_tschirnhaus_poly over Q[s].
+being arithmetic rather than polynomial objects.  The Weil restriction
+of f_t is the composed sum of f_t and its conjugate, built from power
+sums by Newton's identities (Bostan, Flajolet, Salvy and Schost, J.
+Symbolic Comput. 2006) and divided by h_t exactly in Q[s]; the three
+Tschirnhaus identities are each one call of reduced_tschirnhaus_poly
+over Q[s].
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ from .errors import (CyclotomicExcluded, DegenerateParameter,
                      NotPrincipal, OctaqError)
 from .hilbert import brauer_class
 from .polynomials import (QQ, PolyRing, QuadField, UniPoly, _horner,
-                          _resultant_y, discriminant, poly_str)
-from .quartic import (PrincipalQuartic, ReducedQuartic, _principal_image,
-                      reduced_tschirnhaus_poly, trace_form)
+                          discriminant, poly_str)
+from .quartic import (PrincipalQuartic, ReducedQuartic, _power_sums,
+                      _principal_image, reduced_tschirnhaus_poly, trace_form)
 from .rationals import is_square, squarefree_part
 
 J_AT_CUSP = 1728
@@ -231,61 +233,69 @@ class WeilRestrictionRecord:
     companion: UniPoly
 
 
-def _binomial_expand(field, coeffs, w):
-    """Coefficients (in Y) of f(X + wY) as UniPoly-in-X entries:
-    biv[j] = w^j * sum_k c_k C(k, j) X^(k-j)."""
-    n = len(coeffs) - 1
-    biv = []
-    for j in range(n + 1):
-        wj = w**j
-        xs = [coeffs[k] * field.embed(comb(k, j)) * wj
-              for k in range(j, n + 1)]
-        biv.append(UniPoly(field, xs))
-    return biv
+def _composed_sum(f: UniPoly, g: UniPoly) -> UniPoly:
+    """The degree-16 composed sum W(X) = prod (X - (a + b)/2) over the
+    roots a of f and b of g, monic reduced quartics over one coefficient
+    ring: Res_Y(f(Y), g(2X - Y))/2^16, from power sums as in Bostan,
+    Flajolet, Salvy and Schost, "Fast computation of special resultants"
+    (J. Symbolic Comput. 2006).  The power sums of W are
+    p_k(W) = 2^-k sum_m C(k, m) p_m(f) p_(k-m)(g) (quartic._power_sums),
+    and Newton's identities k w_k = -sum_(i=1..k) w_(k-i) p_i(W), w_k the
+    coefficient of X^(16-k), divide only by the constant k: over Q[s], W
+    stays in Q[s]."""
+    F = f.field
+    if any(p.degree != 4 or p.lc != F.one or p[3] for p in (f, g)):
+        raise ValueError("need two monic reduced quartics")
+    pf, pg = (_power_sums(p[0], p[1], p[2], 17) for p in (f, g))
+    pw = [sum((comb(k, m) * pf[m] * pg[k - m] for m in range(k + 1)),
+              F.zero) / F.embed(2**k) for k in range(17)]
+    w = [F.one]
+    for k in range(1, 17):
+        w.append(-sum((w[k - i] * pw[i] for i in range(1, k + 1)), F.zero)
+                 / F.embed(k))
+    return UniPoly(F, w[::-1])
 
 
-def _weil_parts(ctx: SymbolicContext) -> tuple[list, list]:
-    """P and R of f_t(X + sY) = P + sR over the Q[s] of ctx, t = s^2, in
-    Q[t][X][Y] as _resultant_y takes them: each coefficient num(s)/den of
-    the expansion is e(s^2) + s o(s^2), the even and odd entries of num
-    over den giving its coefficients e in P and o in R."""
-    parts = ([], [])
-    for entry in _binomial_expand(ctx.field, ctx.f_t.coeffs, ctx.s):
-        for part, start in zip(parts, (0, 1)):
-            part.append([[Fraction(x, c.den) for x in c.num[start::2]]
-                         for c in entry.coeffs])
-    return parts
+def _weil_composed_sum(ctx: SymbolicContext) -> UniPoly:
+    """The W of weil_restriction_factor over the Q[s] of ctx, t = s^2: the
+    composed sum of ctx.f_t and its conjugate under s -> -s, each
+    coefficient's odd entries of num negated.  P and R have a common root
+    Y exactly when X + sY is a root of f_t and X - sY one of its
+    conjugate, that is when X is half their sum; swapping the two quartics
+    fixes W, so W is even in s."""
+    F = ctx.field
+    conjugate = UniPoly(F, [F.element_class(
+        F, tuple(-x if i % 2 else x for i, x in enumerate(c.num)), c.den)
+        for c in ctx.f_t.coeffs])
+    return _composed_sum(ctx.f_t, conjugate)
 
 
 def weil_restriction_factor(t: Fraction | int) -> WeilRestrictionRecord:
-    """Split f_t(X + Y sqrt(t)) = P(X, Y) + R(X, Y) sqrt(t) over Q, form the
-    degree-16 resultant Res_Y(P, R) and verify h_t divides it exactly.
+    """The Weil restriction W of f_t at t, of degree 16, and the exact
+    division of W by h_t over Q.
 
-    P and R are those of the split over Q[t] (_weil_parts), at t; the
-    symbolic version, on the split itself, is _symbolic_weil_restriction.
-    Both compute the resultant by polynomials._resultant_y from its values
-    at integer points.  Its degree is bounded by the largest sum of entry
-    degrees along a permutation of the 7 x 7 Sylvester matrix (3 rows of
-    P, deg_Y P = 4; 4 rows of R, deg_Y R = 3), by Leibniz's expansion:
-    D_t = 8 in t and D_x = 16 in X, the true degrees, so 17 * 9 nodes.
-    Each node is an integer subresultant PRS at the formal degrees (4, 3),
-    so the leading coefficient P_4 = t^2, 0 at t = 0, is expanded along
-    the first column there.  A rational t is the case D_t = 0.
+    f_t(X + Y sqrt(t)) = P(X, Y) + R(X, Y) sqrt(t) with P, R over Q, and
+    W = Res_Y(P, R)/(4096 t^4) is the composed sum of f_t and its
+    conjugate (_weil_composed_sum).  It is built over Q[s], t = s^2, where
+    it is even in s, and each coefficient num(s)/den is read at t from the
+    even entries of num; a nonzero odd entry raises OctaqError.  The
+    symbolic version, on W over Q[s], is _symbolic_weil_restriction.
     """
     t = _nondegenerate(t)
-    res = _resultant_y(*([[[_horner(ts, t)] for ts in xs] for xs in a]
-                         for a in _weil_parts(SymbolicContext())))
-    return _weil_record(UniPoly(QQ, [ts[0] if ts else QQ.zero for ts in res]),
-                        companion_quartic_poly(QQ, t))
+    coeffs = []
+    for c in _weil_composed_sum(SymbolicContext()).coeffs:
+        if any(c.num[1::2]):
+            raise OctaqError(f"the Weil restriction has an odd power of s"
+                             f" in {c}")
+        coeffs.append(Fraction(_horner(c.num[::2], t), c.den))  # s^2k is t^k
+    return _weil_record(UniPoly(QQ, coeffs), companion_quartic_poly(QQ, t))
 
 
 def _symbolic_weil_restriction(ctx: SymbolicContext) -> WeilRestrictionRecord:
     """weil_restriction_factor over Q[s], on the polynomials of ctx: the
-    resultant of the split (_weil_parts), back in Q[s], is divided by the
-    monic h_t over Q[s]."""
-    res = [ctx.field.from_coeffs([c for k in ts for c in (k, 0)])
-           for ts in _resultant_y(*_weil_parts(ctx))]  # t^k is s^(2k)
-    return _weil_record(UniPoly(ctx.field, res), ctx.h_t)
+    composed sum W (_weil_composed_sum) is divided by the monic h_t over
+    Q[s]."""
+    return _weil_record(_weil_composed_sum(ctx), ctx.h_t)
 
 
 def _weil_record(res: UniPoly, companion: UniPoly) -> WeilRestrictionRecord:

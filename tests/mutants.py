@@ -57,11 +57,6 @@ MUTANTS = (
            "        q[-1] += 1\n        quotients.append(q[::-1])",
            ("tests/test_quartic.py",),
            "CHANGES.md: cheaper p-adic kernels of same_field"),
-    Mutant("resultant-prs-leading-zero-sign", "src/octaq/polynomials.py",
-           "acc *= -r[-1] if len(r) % 2 == 0 else r[-1]",
-           "acc *= r[-1] if len(r) % 2 == 0 else -r[-1]",
-           ("tests/test_polynomials.py",),
-           "ROADMAP item 13"),
     Mutant("tsc-clearing-one-factor-short", QCURVE,
            "big_l = t * u * u",
            "big_l = t * u",
@@ -113,20 +108,174 @@ MUTANTS = (
            "e(8)",
            ("tests/test_frobenius.py",),
            "ROADMAP item 12"),
-    Mutant("weil-parts-parity-swapped", QCURVE,
-           "zip(parts, (0, 1))",
-           "zip(parts, (1, 0))",
+    Mutant("composed-sum-binomial-off-by-one", QCURVE,
+           "comb(k, m) * pf[m]",
+           "(comb(k, m) + ((k, m) == (4, 2))) * pf[m]",
            ("tests/test_qcurve.py",),
-           "CHANGES.md: Q(sqrt(t)) divides only by rationals"),
+           "CHANGES.md: the Weil restriction as a composed sum"),
+    Mutant("weil-conjugate-left-out", QCURVE,
+           "return _composed_sum(ctx.f_t, conjugate)",
+           "return _composed_sum(ctx.f_t, ctx.f_t)",
+           ("tests/test_qcurve.py",),
+           "CHANGES.md: the Weil restriction as a composed sum"),
+    Mutant("newton-divides-by-k-plus-one", QCURVE,
+           "/ F.embed(k))",
+           "/ F.embed(k + 1))",
+           ("tests/test_qcurve.py",),
+           "CHANGES.md: the Weil restriction as a composed sum"),
+    Mutant("newton-sign-flipped", QCURVE,
+           "w.append(-sum(",
+           "w.append(sum(",
+           ("tests/test_qcurve.py",),
+           "CHANGES.md: the Weil restriction as a composed sum"),
+    Mutant("weil-evenness-unchecked", QCURVE,
+           "if any(c.num[1::2]):",
+           "if False:",
+           ("tests/test_qcurve.py",),
+           "CHANGES.md: the Weil restriction as a composed sum"),
+    Mutant("tabulate-k-for-k-factorial", QUARTIC,
+           "diffs.append(factorial(k) * c.pop(0))",
+           "diffs.append(k * c.pop(0))",
+           ("tests/test_quartic.py",),
+           "CHANGES.md: running sums for the corpus's two searches"),
+    Mutant("depress-taylor-coefficient", QUARTIC,
+           "c2 = (6 * h + 3 * a3) * h + a2",
+           "c2 = (6 * h + 2 * a3) * h + a2",
+           ("tests/test_quartic.py",),
+           "CHANGES.md: running sums for the corpus's two searches"),
+    Mutant("roots-mod-skips-zero", QUARTIC,
+           "return [x for x in range(p) if not values[x] % p]",
+           "return [x for x in range(1, p) if not values[x] % p]",
+           ("tests/test_quartic.py",),
+           "CHANGES.md: running sums for the corpus's two searches"),
+    Mutant("perm-infinity-image", GL2F9,
+           "images.append(_INF if c == ZERO else ma[F9_INV[c]])",
+           "images.append(_INF if c == ZERO else F9_INV[c])",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: GL2(F9) on 4-tuples, PGL2(F9) as permutations"),
+    Mutant("is-inner-without-confirmation", GL2F9,
+           "                for s in g.generators)\n"
+           "                and all(mat_mul(h, m) == mat_mul(mapping[m], h)\n"
+           "                        for m in g.elements)):",
+           "                for s in g.generators)):",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: GL2(F9) on 4-tuples, PGL2(F9) as permutations"),
+    Mutant("compose-reversed", GL2F9,
+           "return tuple(map(p.__getitem__, q))",
+           "return tuple(map(q.__getitem__, p))",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: GL2(F9) on 4-tuples, PGL2(F9) as permutations"),
+    Mutant("perm-without-singular-check", GL2F9,
+           "    if mat_det(m) == ZERO:\n"
+           "        raise OctaqError(\"a singular matrix is not an element of"
+           " PGL2(F9)\")\n",
+           "",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: GL2(F9) on 4-tuples, PGL2(F9) as permutations"),
+    Mutant("pgl-without-720-check", GL2F9,
+           "if pgl is None or len(pgl) != 720:",
+           "if pgl is None:",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: GL2(F9) on 4-tuples, PGL2(F9) as permutations"),
+    Mutant("is-inner-screen-s-h", GL2F9,
+           "all(mat_mul(h, s) == mat_mul(mapping[s], h)",
+           "all(mat_mul(s, h) == mat_mul(mapping[s], h)",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: GL2(F9) on 4-tuples, PGL2(F9) as permutations"),
+    Mutant("projective-det-without-f3-check", GL2F9,
+           "if any(e not in (ZERO, ONE, MINUS_ONE) for e in m0):",
+           "if False:",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: GL2(F9) on 4-tuples, PGL2(F9) as permutations"),
+    Mutant("mat-mul-entry", GL2F9,
+           "add[mc[yb]][md[yd]])",
+           "add[mc[yb]][md[yc]])",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: GL2(F9) on 4-tuples, PGL2(F9) as permutations"),
+    Mutant("scalar-mul-swapped", GL2F9,
+           "return mc[a], mc[b], mc[cc], mc[d]",
+           "return mc[a], mc[cc], mc[b], mc[d]",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: GL2(F9) on 4-tuples, PGL2(F9) as permutations"),
+    Mutant("square-hits-mod-63-index", QUARTIC,
+           "q63[v % 63]",
+           "q63[(v + 1) % 63]",
+           ("tests/test_quartic.py",),
+           "CHANGES.md: running sums for the corpus's two searches"),
+    Mutant("conjugates-one-generator", GL2F9,
+           "_perm(mat_inv(g))) for g in GL2_GENERATORS]",
+           "_perm(mat_inv(g))) for g in GL2_GENERATORS[:1]]",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: GL2(F9) on 4-tuples, PGL2(F9) as permutations"),
+    Mutant("isotropic-roots-minus-first", QUARTIC,
+           "for root in ((r, -r) if r else (0,)):",
+           "for root in ((-r, r) if r else (0,)):",
+           ("tests/test_quartic.py",),
+           "CHANGES.md: running sums for the corpus's two searches"),
+    Mutant("isotropic-band-start-moved", QUARTIC,
+           "1 - norm), 2 * norm - 1)",
+           "2 - norm), 2 * norm - 1)",
+           ("tests/test_quartic.py",),
+           "CHANGES.md: running sums for the corpus's two searches"),
+    Mutant("normalize-gcd-of-b-only", QUARTIC,
+           "g = gcd(b.numerator, c.numerator)",
+           "g = gcd(b.numerator)",
+           ("tests/test_quartic.py",),
+           "CHANGES.md: running sums for the corpus's two searches"),
+    Mutant("parse-degree-cap-at-5", "src/octaq/cli.py",
+           "int(digits) > 4",
+           "int(digits) > 5",
+           ("tests/test_tables_cli.py",),
+           "CHANGES.md: running sums for the corpus's two searches"),
+    Mutant("witt-companion-disc-sign", QCURVE,
+           "brauer_class(-1, -rq.disc())",
+           "brauer_class(-1, rq.disc())",
+           ("tests/test_qcurve.py",),
+           "CHANGES.md: running sums for the corpus's two searches"),
+    Mutant("perm-denominator-entry", GL2F9,
+           "(den := add[mc[x]][d])",
+           "(den := add[mc[x]][b])",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: GL2(F9) on 4-tuples, PGL2(F9) as permutations"),
+    Mutant("normalize-drops-a-denominator-prime", QUARTIC,
+           "primes.update(den_fac.factors)",
+           "primes.update(sorted(den_fac.factors)[1:])",
+           ("tests/test_quartic.py",),
+           "CHANGES.md: running sums for the corpus's two searches"),
+    Mutant("same-field-roots-by-residue", QUARTIC,
+           "list(itertools.islice(_tabulate([x % p for x in big_g]), p)), p)",
+           "[_eval_mod(big_g, x, p) for x in range(p)], p)",
+           ("tests/test_quartic.py",),
+           "CHANGES.md: running sums for the corpus's two searches"),
+    Mutant("quad-product-drops-s-squared", "src/octaq/polynomials.py",
+           "c, den = [c[0] * td + c[2] * tn, c[1] * td], den * td",
+           "c, den = [c[0] * td, c[1] * td], den * td",
+           ("tests/test_polynomials.py",),
+           "CHANGES.md: Q(sqrt(t)) as Q[s]/(s^2 - t)"),
+    Mutant("quad-product-ignores-t-denominator", "src/octaq/polynomials.py",
+           "c, den = [c[0] * td + c[2] * tn, c[1] * td], den * td",
+           "c, den = [c[0] + c[2] * tn, c[1]], den",
+           ("tests/test_polynomials.py",),
+           "CHANGES.md: Q(sqrt(t)) as Q[s]/(s^2 - t)"),
+    Mutant("quad-coerce-without-equal-t", "src/octaq/polynomials.py",
+           "if isinstance(other, QuadElement) and other.ring is not self.ring:",
+           "if False:",
+           ("tests/test_polynomials.py",),
+           "CHANGES.md: Q(sqrt(t)) as Q[s]/(s^2 - t)"),
+    Mutant("close-without-cap-check", GL2F9,
+           "return None if len(els) > cap else els",
+           "return els",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: one process for verify-tables"),
+    Mutant("s4-scan-closes-found-subgroups", GL2F9,
+           "                or any(b in sub for sub in subs)):",
+           "                or False):",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: S4 conjugacy from one class of order-4 elements"),
     Mutant("generate-skips-generators", GL2F9,
            "            queue.append(g)\n            yield g\n",
            "            queue.append(g)\n",
            ("tests/test_gl2f9.py",),
-           "CHANGES.md: fewer products in the proofs"),
-    Mutant("leibniz-x-bound-one-short", "src/octaq/polynomials.py",
-           "dx = bound(lambda xs: len(xs) - 1)",
-           "dx = bound(lambda xs: len(xs) - 1) - 1",
-           ("tests/test_polynomials.py", "tests/test_qcurve.py"),
            "CHANGES.md: fewer products in the proofs"),
     Mutant("s4-scan-without-order-four-class", GL2F9,
            "    if frozenset().union(*_conjugates(frozenset({a0})))"
@@ -147,6 +296,23 @@ EQUIVALENT = (
      "b is not a square, so its squarefree part bsf > 1 is not a square"
      " either, and y = 0 (bsf - 0 a square) never matches: the search"
      " returns the same first y"),
+    (Mutant("s4-scan-screen-point-moved", GL2F9,
+            "a0[b[a0[b[0]]]] != 0",
+            "a0[b[a0[b[1]]]] != 1",
+            ("tests/test_gl2f9.py",), "CHANGES.md: GL2(F9) on 4-tuples,"
+            " PGL2(F9) as permutations"),
+     "(a0 b)^2 = 1 fixes every point, so no pair that passes the full"
+     " test is screened out at point 1 either, and every pair that fails"
+     " it is still rejected by the test: the same subgroups are found"),
+    (Mutant("perm-order-max-for-lcm", GL2F9,
+            "order = lcm(order, length)",
+            "order = max(order, length)",
+            ("tests/test_gl2f9.py",), "CHANGES.md: GL2(F9) on 4-tuples,"
+            " PGL2(F9) as permutations"),
+     "a cycle of length d gives g^d at least d fixed points, and an element"
+     " of PGL2(F9) other than 1 fixes at most 2 points of P^1(F9): a cycle"
+     " shorter than the order has length 1 or 2, and a 2 makes the order"
+     " even, so the lcm of the cycle lengths is their maximum"),
 )
 
 

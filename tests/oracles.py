@@ -4,7 +4,7 @@ octaq uses them."""
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import isqrt, prod
+from math import comb, isqrt, prod
 
 from octaq.errors import (CyclotomicExcluded, ExcludedParameter,
                           NotPrimitive, OctaqError)
@@ -13,10 +13,10 @@ from octaq.hilbert import (INF, TRIVIAL, BrauerClass, brauer_class,
                            check_place)
 from octaq.polynomials import (QQ, QuadField, UniPoly, poly_gcd,
                                poly_str)
-from octaq.qcurve import (SymbolicContext, _binomial_expand,
-                          _require_principal, companion_quartic_poly,
-                          curve_from_t, principal_closure_p,
-                          principal_quartic_poly, torsion_quartic)
+from octaq.qcurve import (SymbolicContext, _require_principal,
+                          companion_quartic_poly, curve_from_t,
+                          principal_closure_p, principal_quartic_poly,
+                          torsion_quartic)
 from octaq.errors import SearchExhausted
 from octaq.quartic import (PrincipalQuartic, TraceFormData, _ceil_div,
                            _eval_mod, _from_roots, _integer_model,
@@ -111,6 +111,19 @@ def _poly_pow(p: UniPoly, k: int) -> UniPoly:
     return out
 
 
+def binomial_expand(field, coeffs, w):
+    """Coefficients (in Y) of f(X + wY) as UniPoly-in-X entries:
+    biv[j] = w^j * sum_k c_k C(k, j) X^(k-j)."""
+    n = len(coeffs) - 1
+    biv = []
+    for j in range(n + 1):
+        wj = w**j
+        xs = [coeffs[k] * field.embed(comb(k, j)) * wj
+              for k in range(j, n + 1)]
+        biv.append(UniPoly(field, xs))
+    return biv
+
+
 def bareiss_weil_resultant(t=None, ctx=None) -> UniPoly:
     """Res_Y(P, R) of f_t(X + Y sqrt(t)) = P + R sqrt(t) by
     resultant_bivariate: over Q for a rational t; for t = None over the
@@ -119,7 +132,7 @@ def bareiss_weil_resultant(t=None, ctx=None) -> UniPoly:
     if t is not None:
         record = curve_from_t(t)
         K = record.quad_field
-        biv = _binomial_expand(K, record.f_t.coeffs, K.sqrt_t)
+        biv = binomial_expand(K, record.f_t.coeffs, K.sqrt_t)
         return resultant_bivariate(
             [UniPoly(QQ, [c.u for c in e.coeffs]) for e in biv],
             [UniPoly(QQ, [c.v for c in e.coeffs]) for e in biv])
@@ -130,7 +143,7 @@ def bareiss_weil_resultant(t=None, ctx=None) -> UniPoly:
         cs = [x if i % 2 == parity else 0 for i, x in enumerate(c.num.coeffs)]
         return F.from_poly(UniPoly(QQ, cs[parity:]))
 
-    biv = _binomial_expand(F, ctx.f_t.coeffs, ctx.s)
+    biv = binomial_expand(F, ctx.f_t.coeffs, ctx.s)
     return resultant_bivariate(
         [UniPoly(F, [half(c, 0) for c in e.coeffs]) for e in biv],
         [UniPoly(F, [half(c, 1) for c in e.coeffs]) for e in biv])

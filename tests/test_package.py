@@ -99,30 +99,12 @@ def test_trace_form_checks_survive_python_O():
     assert "determinant" in lines[0] and "orthogonal" in lines[1]
 
 
-def test_resultant_kernel_checks_survive_python_O():
-    # the subresultant kernel fed a non-integer coefficient meets a
-    # division that is not exact; values of x(x-1)/2, integral but not in
-    # Z[x], give a forward difference that is not divisible by j!: both
-    # end in an explicit raise
-    script = (
-        "from fractions import Fraction\n"
-        "from octaq import polynomials as p\n"
-        "for call in (lambda: p._resultant_prs([1, 1], [Fraction(3, 2), 1]),\n"
-        "             lambda: p._interpolate([0, 0, 1, 3])):\n"
-        "    try:\n"
-        "        print('returned', call())\n"
-        "    except AssertionError as exc:\n"
-        "        print(exc)\n")
-    proc = _run_python("-O", "-c", script)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().splitlines() == [
-        "-1/2 is not divisible by 1", "1 is not divisible by 2"]
-
-
 def test_symbolic_suite_under_python_O():
     # the identity suite keeps its stdout under -O, a corrupted g_t still
-    # fails its entries, and every division the ring Q[s] refuses (by zero,
-    # by a non-constant) is an explicit raise
+    # fails its entries, an h_t with its constant off by 1 fails the Weil
+    # entry, a Weil restriction with an odd power of s still raises, and
+    # every division the ring Q[s] refuses (by zero, by a non-constant) is
+    # an explicit raise
     import hashlib
     proc = _run_python("-O", "-m", "octaq.cli", "symbolic")
     assert proc.returncode == 0, proc.stderr
@@ -137,6 +119,18 @@ def test_symbolic_suite_under_python_O():
         "ctx.g_t = UniPoly(ctx.field, bad)\n"
         "print(sorted(e.name for e in symbolic_suite(samples=1, ctx=ctx)\n"
         "             if not e.passed))\n"
+        "ctx = SymbolicContext()\n"
+        "ctx.h_t = ctx.h_t + UniPoly(ctx.field, [1])\n"
+        "print(sorted(e.name for e in symbolic_suite(samples=1, ctx=ctx)\n"
+        "             if not e.passed))\n"
+        "from octaq import qcurve\n"
+        "composed_sum = qcurve._composed_sum\n"
+        "qcurve._composed_sum = lambda f, g: composed_sum(f, g) + UniPoly(\n"
+        "    f.field, [f.field.gen])\n"
+        "try:\n"
+        "    print('returned', qcurve.weil_restriction_factor(2))\n"
+        "except qcurve.OctaqError as exc:\n"
+        "    print(type(exc).__name__)\n"
         "s = ctx.s\n"
         "for call in (lambda: s / 0, lambda: s / (s + 1),\n"
         "             lambda: (s + 1) ** -1):\n"
@@ -149,7 +143,9 @@ def test_symbolic_suite_under_python_O():
     assert proc.stdout.decode().splitlines() == [
         "['disc_principal_quartic', 'tsc_companion_to_principal',"
         " 'tsc_principal_to_torsion', 'tsc_torsion_to_principal']",
-        "ZeroDivisionError", "ValueError", "ValueError"]
+        "['companion_divides_weil_resultant', 'disc_companion_quartic',"
+        " 'tsc_companion_to_principal']",
+        "OctaqError", "ZeroDivisionError", "ValueError", "ValueError"]
 
 
 def test_gl2f9_conjugacy_under_python_O():

@@ -1,16 +1,14 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from octaq import polynomials
 from octaq.polynomials import (QQ, PolyRing, QuadElement, QuadField,
-                               UniPoly, _leibniz_degree, _resultant_y,
-                               discriminant, poly, poly_gcd, poly_str, qpoly)
+                               UniPoly, discriminant, poly, poly_gcd,
+                               poly_str, qpoly)
 from octaq.quartic import _power_sums
 from octaq.rationals import is_square
 from oracles import (FunctionField, bareiss_determinant,
@@ -207,174 +205,6 @@ def test_bivariate_resultant_vs_tschirnhaus():
         ]
         res = resultant_bivariate(fy, x_minus_u)
         assert res == reduced_tschirnhaus_poly(f, m, n, p)
-
-
-# -- Res_Y over Q[t][X] by evaluation and interpolation ----------------------
-
-_T = FunctionField(QQ, "t")
-
-
-def oracle_resultant_y(pc, rc):
-    """_resultant_y by resultant_bivariate over Q(t)[X], in its layout."""
-    def to_field(a):
-        return [UniPoly(_T, [_T.from_poly(qpoly(ts)) for ts in xs])
-                for xs in a]
-    res = resultant_bivariate(to_field(pc), to_field(rc))
-    return [list(c.num.coeffs) for c in res.coeffs]
-
-
-_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-_in_x_t = st.lists(st.lists(_rationals, max_size=3), max_size=3)
-_in_y = st.lists(_in_x_t, max_size=4)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_in_y, _in_y)
-def test_resultant_y_matches_bareiss_oracle(pc, rc):
-    try:
-        expected = oracle_resultant_y(pc, rc)
-    except ValueError:   # the zero polynomial, in both routes
-        with pytest.raises(ValueError, match="zero polynomial"):
-            _resultant_y(pc, rc)
-        return
-    assert _resultant_y(pc, rc) == expected
-
-
-_formal = st.integers(0, 6).flatmap(lambda d: st.lists(
-    st.integers(-9, 9), min_size=d + 1, max_size=d + 1))
-
-
-@settings(max_examples=400, deadline=None)
-@given(_formal, _formal, st.sampled_from(["p", "r", "both", "neither"]))
-@example([1, 2, 0], [3, 1], "neither")  # P_4 = t^2 at t0 = 0, in small
-@example([5], [1, 2, 3], "neither")     # Res_(0,2) = 5^2
-@example([1, 2], [3, 4], "both")        # a zero first column
-@example([0, 1, 1], [2, 0, 0, 1], "neither")  # degrees drop by 2
-def test_resultant_prs_is_the_formal_sylvester_determinant(p, r, zeros):
-    # the kernel at each node of _resultant_y: the Sylvester determinant
-    # at the formal degrees len - 1, whose leading coefficients may be 0
-    if zeros in ("p", "both"):
-        p[-1] = 0
-    if zeros in ("r", "both"):
-        r[-1] = 0
-    expected = bareiss_determinant(
-        sylvester_matrix(qpoly(p), qpoly(r), len(p) - 1, len(r) - 1),
-        QQ.zero, QQ.one)
-    assert polynomials._resultant_prs(p, r) == expected
-
-
-def _brute_leibniz_degree(deg):
-    sums = [sum(row[col] for row, col in zip(deg, perm))
-            for perm in permutations(range(len(deg)))
-            if all(row[col] is not None for row, col in zip(deg, perm))]
-    return max(sums, default=None)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 5).flatmap(lambda size: st.lists(
-    st.lists(st.none() | st.integers(0, 6), min_size=size, max_size=size),
-    min_size=size, max_size=size)))
-@example([])                            # the empty determinant 1: degree 0
-@example([[None, 1], [None, 2]])        # a zero column: None
-@example([[1, 5], [0, 1]])              # the anti-diagonal 5 + 0 wins
-def test_leibniz_degree_matches_brute_force(deg):
-    assert _leibniz_degree(deg) == _brute_leibniz_degree(deg)
-
-
-def _leibniz_bounds(pc, rc):
-    """The bounds (X first, then t) that _resultant_y reads from
-    _leibniz_degree on pc and rc, and the number of its integer nodes."""
-    bounds, nodes = [], []
-
-    def recording(deg):
-        bounds.append(_leibniz_degree(deg))
-        return bounds[-1]
-
-    def counting(p, r):
-        nodes.append(1)
-        return kernel(p, r)
-    kernel = polynomials._resultant_prs
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polynomials, "_leibniz_degree", recording)
-        mp.setattr(polynomials, "_resultant_prs", counting)
-        _resultant_y(pc, rc)
-    return tuple(bounds), len(nodes)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_in_y, _in_y)
-@example([[], [[1]]], [[], [[1]]])      # P = R = Y: a zero column, Res = 0
-def test_resultant_y_degrees_within_the_leibniz_bound(pc, rc):
-    # the true degrees are the oracle's: the interpolated result cannot
-    # exceed the bound, right or wrong
-    try:
-        expected = oracle_resultant_y(pc, rc)
-    except ValueError:
-        return
-    (dx, dt), nodes = _leibniz_bounds(pc, rc)
-    if dx is None:      # every permutation meets a zero entry
-        assert dt is None and expected == [] and nodes == 1
-        return
-    assert len(expected) - 1 <= dx
-    assert max(map(len, expected), default=0) - 1 <= dt
-    assert nodes == (dx + 1) * (dt + 1)
-
-
-def test_weil_resultant_leibniz_bounds_are_its_degrees():
-    # 16 in X and 8 in t, the true degrees: 17 * 9 = 153 nodes on the
-    # symbolic input (the row sums, 24 and 10, would give 275); 17 at a
-    # rational t
-    from octaq import qcurve
-    calls = []
-
-    def capture(pc, rc):
-        calls.append((pc, rc))
-        return resultant_y(pc, rc)
-    resultant_y = qcurve._resultant_y
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qcurve, "_resultant_y", capture)
-        qcurve._symbolic_weil_restriction(qcurve.SymbolicContext())
-        qcurve.weil_restriction_factor(Fraction(5, 3))
-    (symbolic, rational) = calls
-    assert _leibniz_bounds(*symbolic) == ((16, 8), 153)
-    assert _leibniz_bounds(*rational) == ((16, 0), 17)
-    res = _resultant_y(*symbolic)
-    assert len(res) - 1 == 16 and max(map(len, res)) - 1 == 8
-
-
-def test_resultant_y_leading_coefficient_vanishing_at_node_0():
-    # P = t Y^2 + X Y + 1 and R = Y - t X: deg_Y P = 2 although P(0) has
-    # Y-degree 1, and Res = t^3 X^2 + t X^2 + 1 keeps the t^3
-    pc = [[[1]], [[], [1]], [[0, 1]]]
-    rc = [[[], [0, -1]], [[1]]]
-    res = _resultant_y(pc, rc)
-    assert res == oracle_resultant_y(pc, rc) == [[1], [], [0, 1, 0, 1]]
-
-
-def test_resultant_y_identically_zero():
-    # P = (Y - X)(Y + t), R = (Y - X)(X Y + 1/2) share the factor Y - X
-    pc = [[[], [0, -1]], [[0, 1], [-1]], [[1]]]
-    rc = [[[], [Fraction(-1, 2)]], [[Fraction(1, 2)], [], [-1]], [[], [1]]]
-    assert _resultant_y(pc, rc) == oracle_resultant_y(pc, rc) == []
-
-
-def test_resultant_y_degree_0_branches():
-    # Res(a, R) = a^deg R, Res(P, b) = b^deg P, Res(a, b) = 1
-    a = [[[1, 1]]]                                   # 1 + t
-    r = [[[0, 1]], [[], [1]], [[], [], [1]]]         # t + X Y + X^2 Y^2
-    assert _resultant_y(a, r) == oracle_resultant_y(a, r) == [[1, 2, 1]]
-    assert _resultant_y(r, a) == oracle_resultant_y(r, a) == [[1, 2, 1]]
-    b = [[[Fraction(1, 2)], [0, 1]]]                 # 1/2 + t X
-    assert _resultant_y(b, b + [[]]) == [[1]]
-    assert _resultant_y(r[:1], [[[3]]]) == [[1]]
-
-
-def test_resultant_y_zero_polynomial():
-    for zero in ([], [[]], [[[0], [0, 0]]]):
-        with pytest.raises(ValueError, match="zero polynomial"):
-            _resultant_y(zero, [[[1]], [[1]]])
-        with pytest.raises(ValueError, match="zero polynomial"):
-            _resultant_y([[[1]], [[1]]], zero)
 
 
 # -- the ring Q[s] against the field Q(s) of the oracles ---------------------

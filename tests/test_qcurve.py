@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from octaq.errors import (CyclotomicExcluded, DegenerateParameter,
                           ExcludedParameter, NotOctahedral, NotPrincipal,
                           OctaqError, Reducible)
-from octaq.polynomials import (QQ, QuadElement, QuadField, UniPoly, _horner,
+from octaq.polynomials import (QQ, QuadElement, QuadField, UniPoly,
                                discriminant, qpoly)
 from octaq.qcurve import (J_AT_CUSP, WITT_SAMPLES, SymbolicContext,
-                          _symbolic_weil_restriction, _weil_parts,
+                          _composed_sum, _symbolic_weil_restriction,
                           curve_from_t, family, j_invariant_factored,
                           principal_quartic_poly, symbolic_suite,
                           t_from_principal, torsion_quartic,
@@ -21,8 +21,9 @@ from octaq.qcurve import (J_AT_CUSP, WITT_SAMPLES, SymbolicContext,
 from octaq.quartic import (PrincipalQuartic, ReducedQuartic, is_principal,
                            same_field)
 from octaq.rationals import is_square, squarefree_part
-from oracles import (FunctionFieldContext, bareiss_weil_resultant, compose,
-                     quad_element_family, to_function_field)
+from oracles import (FunctionFieldContext, bareiss_weil_resultant,
+                     binomial_expand, compose, quad_element_family,
+                     resultant_bivariate, to_function_field)
 
 # acceptance criterion 6's principal seeds (b, c)
 CRITERION_6_SEEDS = [(1, -1), (2, -1), (3, 1), (1, 1), (2, 2), (4, 4),
@@ -233,42 +234,59 @@ def test_weil_restriction_symbolic():
 
 
 def test_weil_cofactors_match_bareiss_oracle():
-    # the resultant in Q[s] and at rational t against Bareiss on Q(s)[X] or
-    # Q[X] entries: same resultant, so the same cofactor of h_t
+    # W in Q[s] and at rational t against Res_Y(P, R) by Bareiss on Q(s)[X]
+    # or Q[X] entries, coefficient by coefficient: Res_Y(P, R) = 4096 t^4 W,
+    # with t = s^2 over Q(s)
     ff = FunctionFieldContext()
     cases = [(_symbolic_weil_restriction(SymbolicContext()),
-              bareiss_weil_resultant(ctx=ff), ff.h_t,
-              lambda p: to_function_field(ff.field, p))]
-    for t in (Fraction(-1), Fraction(2), Fraction(5, 3)):
+              bareiss_weil_resultant(ctx=ff), ff.h_t, ff.field.embed(4096)
+              * ff.s**8, lambda p: to_function_field(ff.field, p))]
+    for t in (Fraction(-1), Fraction(2), Fraction(5, 3), Fraction(-7, 2)):
         cases.append((weil_restriction_factor(t), bareiss_weil_resultant(t),
-                      curve_from_t(t).h_t, lambda p: p))
-    for wr, res, companion, image in cases:
-        quot, rem = res.divmod(companion)
-        assert rem.is_zero() and wr.divisible
-        assert wr.resultant_degree == res.degree == 16
+                      curve_from_t(t).h_t, 4096 * t**4, lambda p: p))
+    for wr, res, companion, scale, image in cases:
+        w = image(wr.cofactor * wr.companion)
+        assert wr.divisible and wr.resultant_degree == res.degree == 16
         assert image(wr.companion) == companion
-        assert image(wr.cofactor) == quot
+        assert [c * scale for c in w.coeffs] == list(res.coeffs)
 
 
-def test_weil_parts_reassemble_f_t():
-    # P + sR = f_t(X + sY) with t = s^2, at integer points: P takes the even
-    # powers of s and R the odd ones (the resultant alone cannot tell, as
-    # Res_Y(R, P) = Res_Y(P, R) for deg_Y P = 4, deg_Y R = 3)
-    pc, rc = _weil_parts(SymbolicContext())
+@settings(max_examples=40, deadline=None)
+@given(*[st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+                  min_size=3, max_size=3)] * 2)
+@example([0, 0, 0], [0, 0, 0])         # X^4 twice: W = X^16
+@example([1, -1, 0], [-3, 2, 1])       # x^4 - x - 1 with another quartic
+def test_composed_sum_matches_resultant_oracle(fc, gc):
+    # W(X) = prod (X - (a + b)/2) = Res_Y(f(Y), g(2X - Y)) / 2^16 by
+    # Bareiss on Q[X] entries, for reduced rational quartics f and g
+    f, g = qpoly(fc + [0, 1]), qpoly(gc + [0, 1])
+    g_2x_minus_y = [compose(c, qpoly([0, 2]))
+                    for c in binomial_expand(QQ, g.coeffs, QQ.embed(-1))]
+    res = resultant_bivariate([qpoly([c]) for c in f.coeffs], g_2x_minus_y)
+    assert _composed_sum(f, g) == res.scale(Fraction(1, 2**16))
+    assert _composed_sum(f, g) == _composed_sum(g, f)
 
-    def at(part, x, y, t):
-        return _horner([_horner([_horner(ts, t) for ts in xs], x)
-                        for xs in part], y)
-    for s, x, y in product(range(-2, 3), repeat=3):
-        f = torsion_quartic(QQ, Fraction(s * s), Fraction(s))
-        assert f.eval(x + s * y) == at(pc, x, y, s * s) + s * at(rc, x, y,
-                                                                  s * s)
+
+def test_weil_restriction_rejects_an_odd_entry(monkeypatch):
+    # W over Q[s] is even in s, so weil_restriction_factor reads each
+    # coefficient at t from its even entries; one nonzero odd entry, in the
+    # constant term or at X^5, is an explicit OctaqError, not a wrong W
+    from octaq import qcurve
+    composed_sum = qcurve._composed_sum
+    for k in (0, 5):
+        def odd(f, g, k=k):
+            w = composed_sum(f, g)
+            return w + UniPoly(w.field, [w.field.zero] * k + [w.field.gen])
+        monkeypatch.setattr(qcurve, "_composed_sum", odd)
+        with pytest.raises(OctaqError, match="odd power of s"):
+            weil_restriction_factor(Fraction(2))
 
 
 def test_weil_restriction_reads_no_quad_coordinates(monkeypatch):
-    # P and R are the split over Q[t] at t: the coordinates u, v of the
-    # Q(sqrt(t)) coefficients of f_t build no resultant
-    expected = {t: bareiss_weil_resultant(t)
+    # W is built over Q[s] and read at t: the coordinates u, v of the
+    # Q(sqrt(t)) coefficients of f_t build no W, the oracle's Res_Y(P, R)
+    # over 4096 t^4
+    expected = {t: bareiss_weil_resultant(t).scale(1 / (4096 * t**4))
                 for t in (Fraction(-1), Fraction(2), Fraction(-7, 2))}
 
     def refuse(self):
