@@ -9,6 +9,7 @@ stdout is closed before the report is written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -104,11 +105,19 @@ def _quad_json(q) -> dict:
             "radicand": str(q.field.t)}
 
 
+def _curve_json(rec) -> dict:
+    """t, j, the model and the quartics g_t and h_t of a QCurveRecord."""
+    a, b = rec.model
+    return {"t": str(rec.t), "j_invariant": _quad_json(rec.j),
+            "model": {"A": _quad_json(a), "B": _quad_json(b)},
+            "principal_quartic": [str(c) for c in rec.g_t.coeffs],
+            "companion_quartic": [str(c) for c in rec.h_t.coeffs]}
+
+
 def cmd_analyze(args) -> int:
     poly, reduced = _s4_quartic(args.polynomial)
     report = classify(reduced)
     out = {
-        "schema": SCHEMA,
         "input": poly_str(poly),
         "reduced": [str(reduced.c), str(reduced.b), str(reduced.a),
                     "0", "1"],
@@ -149,7 +158,6 @@ def cmd_principalize(args) -> int:
     poly, reduced = _s4_quartic(args.polynomial)
     out, cert = principalize(reduced, box=args.box)
     _emit({
-        "schema": SCHEMA,
         "input": poly_str(poly),
         "principal_form": [str(out.b), str(out.c)],
         "polynomial": poly_str(out.poly()),
@@ -163,17 +171,9 @@ def cmd_classify(args) -> int:
     poly, reduced = _s4_quartic(args.polynomial)
     report = classify(reduced)
     out = {
-        "schema": SCHEMA,
         "input": poly_str(poly),
         "disc_class": report.d,
-        "decomposition": {
-            "sign": report.decomposition.sign,
-            "nu": report.decomposition.nu,
-            "d1": report.decomposition.d1,
-            "d3": report.decomposition.d3,
-            "d5": report.decomposition.d5,
-            "d7": report.decomposition.d7,
-        },
+        "decomposition": dataclasses.asdict(report.decomposition),
         "principal": report.principal,
         "embedding": report.flags(),
         "norms": {"2": report.star_norm2, "-1": report.norm_minus1,
@@ -189,14 +189,9 @@ def cmd_qcurve_from_t(args) -> int:
     rec = curve_from_t(t)
     wr = weil_restriction_factor(t)
     _emit({
-        "schema": SCHEMA,
-        "t": str(t),
-        "j_invariant": _quad_json(rec.j),
+        **_curve_json(rec),
         "j_at_cusp": J_AT_CUSP,
-        "model": {"A": _quad_json(rec.model[0]), "B": _quad_json(rec.model[1])},
         "torsion_quartic": [_quad_json(c) for c in rec.f_t.coeffs],
-        "principal_quartic": [str(c) for c in rec.g_t.coeffs],
-        "companion_quartic": [str(c) for c in rec.h_t.coeffs],
         "weil_restriction": {
             "resultant_degree": wr.resultant_degree,
             "companion_divides": wr.divisible,
@@ -209,18 +204,12 @@ def cmd_qcurve_from_t(args) -> int:
 def cmd_qcurve_from_quartic(args) -> int:
     poly, reduced = _s4_quartic(args.polynomial)
     principal, _ = principalize(reduced, box=args.box)
-    t = t_from_principal(principal)
-    rec = curve_from_t(t)
+    rec = curve_from_t(t_from_principal(principal))
     _emit({
-        "schema": SCHEMA,
+        **_curve_json(rec),
         "input": poly_str(poly),
         "principal_form": [str(principal.b), str(principal.c)],
-        "t": str(t),
-        "field_k": f"Q(sqrt({squarefree_part(t)}))",
-        "j_invariant": _quad_json(rec.j),
-        "model": {"A": _quad_json(rec.model[0]), "B": _quad_json(rec.model[1])},
-        "principal_quartic": [str(c) for c in rec.g_t.coeffs],
-        "companion_quartic": [str(c) for c in rec.h_t.coeffs],
+        "field_k": f"Q(sqrt({squarefree_part(rec.t)}))",
     })
     return 0
 
@@ -259,7 +248,6 @@ def cmd_verify_tables(args) -> int:
         status = "ok" if r["passed"] else "FAIL " + "; ".join(r["failures"])
         print(f"row d={r['d']} table {r['table']}: {status}", file=sys.stderr)
     _emit({
-        "schema": SCHEMA,
         "rows": len(results),
         "passed": n_pass,
         "failed": len(results) - n_pass,
@@ -271,7 +259,6 @@ def cmd_verify_tables(args) -> int:
 def cmd_symbolic(args) -> int:
     entries = symbolic_suite()
     _emit({
-        "schema": SCHEMA,
         "checks": [{"name": e.name, "passed": e.passed,
                     **({"detail": e.detail} if e.detail else {})}
                    for e in entries],
@@ -285,7 +272,6 @@ def cmd_gl2f9(args) -> int:
     twists = {name: verify_outer_involutions(grp)
               for name, grp in five_groups().items()}
     out = {
-        "schema": SCHEMA,
         "checks": led.entries,
         "twists": twists,
         "all_passed": led.ok and all(
@@ -302,7 +288,8 @@ def cmd_gl2f9(args) -> int:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
+    json.dump({"schema": SCHEMA, **obj}, sys.stdout, indent=2,
+              sort_keys=True)
     sys.stdout.write("\n")
 
 
@@ -380,14 +367,9 @@ def _run(args) -> int:
             if value < 0:
                 raise ValidationFailure(f"{flag} {value} is negative")
         return args.fn(args)
-    except ComputationalLimit as exc:
-        _emit({"schema": SCHEMA,
-               "error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 3
-    except ValidationFailure as exc:
-        _emit({"schema": SCHEMA,
-               "error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 2
+    except (ComputationalLimit, ValidationFailure) as exc:
+        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        return 3 if isinstance(exc, ComputationalLimit) else 2
 
 
 if __name__ == "__main__":

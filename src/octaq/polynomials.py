@@ -14,9 +14,14 @@ Three coefficient rings are supported, all immutable:
   element is divided only by a nonzero rational.
 
 Coefficients are stored lowest degree first with a nonzero leading
-coefficient; the zero polynomial has an empty tuple.  Discriminants of
-cubics and quartics use their closed form, which only multiplies and adds
-coefficients and so works over every one of these rings and over Z.
+coefficient; the zero polynomial has an empty tuple.  Every ring and Z
+share one list kernel per operation: _poly_mul, _poly_add and
+_divmod_monic, long division by a monic (Knuth, TAOCP vol. 2, 4.6.1).
+UniPoly's +, * and divmod and PolyElement's + and * run on them, as do
+quartic's integer Newton images, Hensel factor search and certificate
+check G(U) mod F.  Discriminants of cubics and quartics use their closed
+form, which only multiplies and adds coefficients and so works over
+every one of these rings and over Z.
 No resultant is formed here: the one octaq needs, the Weil restriction
 of the 3-torsion quartic, is a composed sum built from power sums by
 Newton's identities (Bostan, Flajolet, Salvy and Schost, "Fast
@@ -90,13 +95,7 @@ class UniPoly:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UniPoly(self.field, out)
+        return UniPoly(self.field, _poly_add(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "UniPoly":
         return UniPoly(self.field, [-c for c in self.coeffs])
@@ -105,15 +104,8 @@ class UniPoly:
         return self + (-other)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero() or other.is_zero():
-            return UniPoly(self.field, ())
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.field, out)
+        return UniPoly(self.field, _poly_mul(self.coeffs, other.coeffs,
+                                             self.field.zero))
 
     def scale(self, c) -> "UniPoly":
         return UniPoly(self.field, [a * c for a in self.coeffs])
@@ -124,24 +116,16 @@ class UniPoly:
         return self.scale(self.lc ** -1)
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
+        """(q, r) with self = q other + r and deg r < deg other, by the
+        monic other / lc; ValueError if a ring without 1/lc needs it."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [self.field.zero] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        dlc = other.lc
-        d = other.degree
-        while len(rem) - 1 >= d and any(bool(c) for c in rem):
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            factor = rem[-1] / dlc
-            q[k] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - factor * c
-            rem.pop()
-        return UniPoly(self.field, q), UniPoly(self.field, rem)
+        if self.degree < other.degree:
+            return UniPoly(self.field, ()), self
+        inv = self.field.one / other.lc
+        q, r = _divmod_monic(self.coeffs, other.scale(inv).coeffs,
+                             self.field.zero)
+        return UniPoly(self.field, q).scale(inv), UniPoly(self.field, r)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
@@ -234,6 +218,9 @@ def discriminant(f: UniPoly):
     return _disc(f.coeffs)
 
 
+# -- list kernels: ascending coefficient lists over Z or any ring -------------
+
+
 def _trim(cs: list) -> list:
     """cs without its zero (or empty) leading entries."""
     while cs and not cs[-1]:
@@ -248,17 +235,44 @@ def _horner(cs: Sequence, x):
     return acc
 
 
-# -- the polynomial ring Q[s] and its quotients Q[s]/(s^2 - t) ---------------
-
-
-def _poly_mul(a: Sequence, b: Sequence) -> list:
-    """Product of ascending coefficient lists, over Z or any field."""
-    out = [0] * (len(a) + len(b) - 1)
+def _poly_mul(a: Sequence, b: Sequence, zero=0) -> list:
+    """Product of ascending coefficient lists over Z or any ring; zero is
+    the ring's, so that an entry no product reaches lies in it too."""
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def _poly_add(a: Sequence, b: Sequence) -> list:
+    """Sum of ascending coefficient lists, untrimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] += x
+    return out
+
+
+def _divmod_monic(a: Sequence, c: Sequence, zero=0) -> tuple[list, list]:
+    """(q, r), a = q c + r with len(r) < len(c), for a monic c over Z or
+    any ring (zero as in _poly_mul); r is untrimmed.  Long division (Knuth,
+    TAOCP vol. 2, 4.6.1, Algorithm D) that never divides, as lc(c) = 1."""
+    r, d = list(a), len(c) - 1
+    q = [zero] * max(0, len(r) - d)
+    while len(r) > d:
+        t = r.pop()
+        if t:
+            k = len(r) - d
+            q[k] = t
+            for j in range(d):
+                r[k + j] -= t * c[j]
+    return q, r
+
+
+# -- the polynomial ring Q[s] and its quotients Q[s]/(s^2 - t) ---------------
 
 
 class PolyElement:
@@ -287,12 +301,7 @@ class PolyElement:
             den = lcm(den, o.den)
             a = [x * (den // self.den) for x in a]
             b = [x * (den // o.den) for x in b]
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return _element(self.ring, out, den)
+        return _element(self.ring, _poly_add(a, b), den)
 
     __radd__ = __add__
 

@@ -28,7 +28,8 @@ from typing import NamedTuple, Optional
 from .errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
                      Reducible, SearchExhausted)
 from .hilbert import INF, BrauerClass, _support, _witt, brauer_class
-from .polynomials import QQ, UniPoly, _disc, _poly_mul, poly_str, qpoly
+from .polynomials import (QQ, UniPoly, _disc, _divmod_monic, _poly_mul,
+                          poly_str, qpoly)
 from .rationals import (_exact_div, _primes_below, _val_unit, factorize,
                         is_square, same_square_class, squarefree_part)
 
@@ -65,18 +66,6 @@ def _scaled_numerators(coeffs, e: int) -> tuple[list[int], int]:
     scaled = [Fraction(x) / e**i for i, x in enumerate(coeffs)]
     big_l = lcm(*[x.denominator for x in scaled])
     return [x.numerator * (big_l // x.denominator) for x in scaled], big_l
-
-
-def _int_rem(a: list[int], c: list[int]) -> list[int]:
-    """a mod the monic integer polynomial c, over Z (ascending lists)."""
-    a, d = list(a), len(c) - 1
-    while len(a) > d:
-        t = a.pop()
-        if t:
-            k = len(a) - d
-            for j in range(d):
-                a[k + j] -= t * c[j]
-    return a
 
 
 def _tabulate(coeffs, start: int = 0):
@@ -181,7 +170,7 @@ def _lift_roots(c: list[int], roots: list[int], p: int, k: int) -> list[int]:
         moduli.append(p**e)
     out = []
     for r in roots[:-1]:
-        z = pow(functools.reduce(lambda acc, x: acc * r + x, dc[::-1]), -1, p)
+        z = pow(_eval_mod(dc, r, p), -1, p)
         for mod in moduli:
             r = (r - _eval_mod(c, r, mod) * z) % mod
             if mod < m:
@@ -226,8 +215,9 @@ def _has_factor(c: list[int], p: int, roots: list[int]) -> bool:
     if len(roots) == 4:
         subsets += [(0, 1), (0, 2), (0, 3)]
     for subset in subsets:
-        h = _from_roots([roots[i] for i in subset], m)
-        if not any(_int_rem(c, [x - m if 2 * x > m else x for x in h])):
+        h = [x - m if 2 * x > m else x
+             for x in _from_roots([roots[i] for i in subset], m)]
+        if not any(_divmod_monic(c, h)[1]):
             return True
     return False
 
@@ -752,7 +742,7 @@ def _certificate_holds(mf: _Model, mg: _Model, cert: FieldCertificate
     deg = len(big_g) - 1
     acc = [big_g[deg]]
     for i in range(deg - 1, -1, -1):
-        acc = _int_rem(_poly_mul(acc, w), big_f)
+        acc = _divmod_monic(_poly_mul(acc, w), big_f)[1]
         acc[0] += big_g[i] * big_l ** (deg - i)
     return not any(acc)
 

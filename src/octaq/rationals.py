@@ -95,17 +95,16 @@ class IntegerFactorization:
         return d
 
 
-def factorize(n: int, budget: Optional[int] = None) -> IntegerFactorization:
-    """Prime factorization of n != 0, as far as ``budget`` rho iterations
-    (default ``FACTOR_BUDGET.get()``) reach.
+def factorize(n: int) -> IntegerFactorization:
+    """Prime factorization of n != 0, as far as ``FACTOR_BUDGET.get()`` rho
+    iterations reach.
 
-    Results are memoized on (|n|, budget); equal arguments always give
-    the same result, since the rho constants are fixed.
+    Results are memoized on (|n|, budget); equal arguments under equal
+    budgets always give the same result, since the rho constants are fixed.
     """
     if n == 0:
         raise ValueError("0 has no factorization")
-    if budget is None:
-        budget = FACTOR_BUDGET.get()
+    budget = FACTOR_BUDGET.get()
     if budget < 0:
         raise ValueError(f"factoring budget {budget} is negative")
     result = _factorize(abs(n), budget)

@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 QUARTIC = "src/octaq/quartic.py"
 QCURVE = "src/octaq/qcurve.py"
 GL2F9 = "src/octaq/gl2f9.py"
+POLYNOMIALS = "src/octaq/polynomials.py"
 
 MUTANTS = (
     Mutant("vieta-root-sign", QUARTIC,
@@ -247,17 +248,32 @@ MUTANTS = (
            "[_eval_mod(big_g, x, p) for x in range(p)], p)",
            ("tests/test_quartic.py",),
            "CHANGES.md: running sums for the corpus's two searches"),
-    Mutant("quad-product-drops-s-squared", "src/octaq/polynomials.py",
+    Mutant("quad-product-drops-s-squared", POLYNOMIALS,
            "c, den = [c[0] * td + c[2] * tn, c[1] * td], den * td",
            "c, den = [c[0] * td, c[1] * td], den * td",
            ("tests/test_polynomials.py",),
            "CHANGES.md: Q(sqrt(t)) as Q[s]/(s^2 - t)"),
-    Mutant("quad-product-ignores-t-denominator", "src/octaq/polynomials.py",
+    Mutant("quad-product-ignores-t-denominator", POLYNOMIALS,
            "c, den = [c[0] * td + c[2] * tn, c[1] * td], den * td",
            "c, den = [c[0] + c[2] * tn, c[1]], den",
            ("tests/test_polynomials.py",),
            "CHANGES.md: Q(sqrt(t)) as Q[s]/(s^2 - t)"),
-    Mutant("quad-coerce-without-equal-t", "src/octaq/polynomials.py",
+    Mutant("divmod-monic-constant-quotient-zeroed", POLYNOMIALS,
+           "q[k] = t",
+           "q[k] = t if k else zero",
+           ("tests/test_polynomials.py",),
+           "CHANGES.md: one list kernel per polynomial operation"),
+    Mutant("divmod-monic-skips-last-divisor-term", POLYNOMIALS,
+           "for j in range(d):",
+           "for j in range(d - 1):",
+           ("tests/test_polynomials.py",),
+           "CHANGES.md: one list kernel per polynomial operation"),
+    Mutant("poly-add-tail-overwritten", POLYNOMIALS,
+           "out = list(a)",
+           "out = list(a[:len(b)]) + [0] * (len(a) - len(b))",
+           ("tests/test_polynomials.py",),
+           "CHANGES.md: one list kernel per polynomial operation"),
+    Mutant("quad-coerce-without-equal-t", POLYNOMIALS,
            "if isinstance(other, QuadElement) and other.ring is not self.ring:",
            "if False:",
            ("tests/test_polynomials.py",),

@@ -654,6 +654,69 @@ def interpolation_basis_by_products(nodes: list[int], m: int
     return basis
 
 
+# -- the polynomial kernels before one list kernel per operation -------------
+
+
+def add_by_loop(a: UniPoly, b: UniPoly) -> UniPoly:
+    """UniPoly.__add__ with its own loop over the shorter summand."""
+    field, a, b = a.field, a.coeffs, b.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return UniPoly(field, out)
+
+
+def mul_by_loop(a: UniPoly, b: UniPoly) -> UniPoly:
+    """UniPoly.__mul__ with its own schoolbook loop over a.field."""
+    if a.is_zero() or b.is_zero():
+        return UniPoly(a.field, ())
+    out = [a.field.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if not x:
+            continue
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return UniPoly(a.field, out)
+
+
+def divmod_by_rescan(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """UniPoly.divmod dividing by lc at each step, popping trailing zeros
+    and rescanning the remainder for a nonzero entry before each one."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [a.field.zero] * max(0, a.degree - b.degree + 1)
+    rem = list(a.coeffs)
+    dlc = b.lc
+    d = b.degree
+    while len(rem) - 1 >= d and any(bool(c) for c in rem):
+        while rem and not rem[-1]:
+            rem.pop()
+        if len(rem) - 1 < d:
+            break
+        k = len(rem) - 1 - d
+        factor = rem[-1] / dlc
+        q[k] = factor
+        for i, c in enumerate(b.coeffs):
+            rem[k + i] = rem[k + i] - factor * c
+        rem.pop()
+    return UniPoly(a.field, q), UniPoly(a.field, rem)
+
+
+def int_rem_by_pops(a: list[int], c: list[int]) -> list[int]:
+    """a mod the monic integer polynomial c, over Z (ascending lists): the
+    remainder loop of same_field's certificate and factor checks."""
+    a, d = list(a), len(c) - 1
+    while len(a) > d:
+        t = a.pop()
+        if t:
+            k = len(a) - d
+            for j in range(d):
+                a[k + j] -= t * c[j]
+    return a
+
+
 # -- GL2(F9) on packed integers, PGL2(F9) on canonical representatives ---------
 #
 # A matrix [[a, b], [c, d]] of F9 codes is the integer a + 81 b + 81^2 c +

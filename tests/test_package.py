@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -62,6 +63,17 @@ def _run_python(*args):
     src = str(Path(octaq.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, *args], capture_output=True,
                           timeout=300, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_package_has_no_assert_statement():
+    # -O strips assert statements, so no invariant may rest on one: every
+    # module of the package, parsed, holds none
+    package = Path(octaq.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_verify_tables_under_python_O():

@@ -7,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octaq.polynomials import (QQ, PolyRing, QuadElement, QuadField,
-                               UniPoly, discriminant, poly, poly_gcd,
+                               UniPoly, _divmod_monic, _poly_add, _poly_mul,
+                               _trim, discriminant, poly, poly_gcd,
                                poly_str, qpoly)
 from octaq.quartic import _power_sums
 from octaq.rationals import is_square
-from oracles import (FunctionField, bareiss_determinant,
-                     constant_resultant as resultant, power_sums,
+from oracles import (FunctionField, add_by_loop, bareiss_determinant,
+                     constant_resultant as resultant, divmod_by_rescan,
+                     int_rem_by_pops, mul_by_loop, power_sums,
                      resultant_bivariate, sylvester_matrix,
                      to_function_field)
 from sturm import count_real_roots
@@ -254,6 +256,81 @@ def test_ring_arithmetic_matches_function_field(a, b, c):
 def test_ring_refuses_a_mixed_ring():
     with pytest.raises(ValueError, match="mixed polynomial rings"):
         _RING.gen + PolyRing("s").gen
+
+
+# -- the list kernels against the loops they replaced ---------------------------
+
+_z_lists = st.lists(small, max_size=7)
+_monic_z = st.lists(small, max_size=4).map(lambda c: c + [1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_z_lists, _monic_z)
+@example([], [3, 1])                # a zero dividend
+@example([1, 2], [0, 0, 0, 1])      # deg a < deg c
+@example([5, 0, 0], [7, 1])         # zero leading entries of a
+@example([4, -2, 7], [1])           # a constant divisor
+def test_list_kernels_over_z_match_the_replaced_loops(a, c):
+    q, r = _divmod_monic(a, c)
+    assert r == int_rem_by_pops(a, c) and len(r) < len(c)
+    assert _trim(_poly_add(_poly_mul(q, c), r)) == _trim(list(a))
+    assert (qpoly(q), qpoly(r)) == divmod_by_rescan(qpoly(a), qpoly(c))
+    assert qpoly(_poly_add(a, c)) == add_by_loop(qpoly(a), qpoly(c))
+    assert qpoly(_poly_mul(a, c)) == mul_by_loop(qpoly(a), qpoly(c))
+
+
+_q_polys = st.lists(ratios, max_size=7).map(qpoly)
+_q_divisors = st.tuples(st.lists(ratios, max_size=4), ratios.filter(bool)
+                        ).map(lambda c: qpoly(c[0] + [c[1]]))
+
+
+def _assert_division_matches(a, b):
+    q, r = a.divmod(b)
+    assert (q, r) == divmod_by_rescan(a, b)
+    assert q * b + r == a and r.degree < b.degree
+    assert a + b == add_by_loop(a, b) and a * b == mul_by_loop(a, b)
+    return q, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(_q_polys, _q_divisors)
+@example(qpoly([]), qpoly([1, Fraction(2, 3)]))
+@example(qpoly([1, 2]), qpoly([0, 0, 0, Fraction(-5, 2)]))
+@example(qpoly([1, 0, 0, 3]), qpoly([Fraction(1, 2), 0, 2]))
+def test_unipoly_divmod_over_q_matches_the_replaced_loop(a, b):
+    # non-monic divisors; every coefficient stays a Fraction, as before
+    q, r = _assert_division_matches(a, b)
+    for p in (q, r, a + b, a * b):
+        assert all(type(x) is Fraction for x in p.coeffs)
+    with pytest.raises(ZeroDivisionError):
+        a.divmod(qpoly([]))
+
+
+_ring_polys = st.lists(_in_ring, max_size=5).map(
+    lambda cs: UniPoly(_RING, cs))
+_ring_divisors = st.tuples(st.lists(_in_ring, max_size=3),
+                           ratios.filter(bool)).map(
+    lambda c: UniPoly(_RING, c[0] + [_RING.embed(c[1])]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ring_polys, _ring_divisors, _in_ring)
+@example(UniPoly(_RING, ()), UniPoly(_RING, (_RING.gen, _RING.one)),
+         _RING.zero)
+def test_unipoly_divmod_over_ring_matches_the_replaced_loop(a, b, x):
+    # a constant leading coefficient divides in Q[s]; s + x does not, so
+    # both routes raise ValueError once a quotient term is needed, and
+    # return (0, a) when none is
+    _assert_division_matches(a, b)
+    c = UniPoly(_RING, b.coeffs + (_RING.gen + x,))
+    if a.degree < c.degree:
+        assert a.divmod(c) == divmod_by_rescan(a, c) == (UniPoly(_RING, ()), a)
+    else:
+        for route in (a.divmod, lambda c: divmod_by_rescan(a, c)):
+            with pytest.raises(ValueError, match="not a constant"):
+                route(c)
+    with pytest.raises(ZeroDivisionError):
+        a.divmod(UniPoly(_RING, ()))
 
 
 # -- Q(sqrt(t)) = Q[s]/(s^2 - t) against the closed forms ---------------------

@@ -390,7 +390,7 @@ def test_symbolic_suite_reports_false_identities_and_raises_bugs(monkeypatch):
     # its entry; any other exception is a bug and ends the command
     from octaq import qcurve
     from octaq.cli import main
-    for exc in (ValueError("v"), ZeroDivisionError("z"), AssertionError("a")):
+    for exc in (ValueError("v"), ZeroDivisionError("z")):
         def false_identity(ctx, exc=exc):
             raise exc
         monkeypatch.setattr(qcurve, "_check_j_two_forms", false_identity)
@@ -398,13 +398,14 @@ def test_symbolic_suite_reports_false_identities_and_raises_bugs(monkeypatch):
         assert entry.name == "j_invariant_two_forms" and not entry.passed
         assert entry.detail == f"{type(exc).__name__}: {exc}"
 
-    def bug(ctx):
-        raise TypeError("a bug, not a false identity")
-    monkeypatch.setattr(qcurve, "_check_j_two_forms", bug)
-    with pytest.raises(TypeError, match="a bug"):
-        symbolic_suite(samples=1)
-    with pytest.raises(TypeError, match="a bug"):
-        main(["symbolic"])
+    for kind in (TypeError, AssertionError):
+        def bug(ctx, kind=kind):
+            raise kind("a bug, not a false identity")
+        monkeypatch.setattr(qcurve, "_check_j_two_forms", bug)
+        with pytest.raises(kind, match="a bug"):
+            symbolic_suite(samples=1)
+        with pytest.raises(kind, match="a bug"):
+            main(["symbolic"])
 
 
 def _failed_with(attr, corrupt):

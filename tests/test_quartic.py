@@ -592,9 +592,16 @@ def test_invariants_computed_once_per_quartic(monkeypatch):
 def test_corpus_row_searches_read_value_tables(monkeypatch):
     # same_field and principalize find roots mod p from running-sum value
     # tables, with no Horner evaluation per residue; _eval_mod runs only
-    # in Newton lifting, at moduli p^e with e >= 2
-    moduli, horner = [], []
+    # in Newton lifting: at moduli p^e with e >= 2, and at p itself once
+    # per lifted root, for c'(r)
+    moduli, horner, lifted = [], [], []
     eval_mod, horner_fn = quartic._eval_mod, polynomials._horner
+    lift = quartic._lift_roots
+
+    def counted_lift(c, roots, p, k):
+        lifted.append(len(roots) - 1)
+        return lift(c, roots, p, k)
+    monkeypatch.setattr(quartic, "_lift_roots", counted_lift)
 
     def counted_eval_mod(c, x, m):
         moduli.append(m)
@@ -612,9 +619,11 @@ def test_corpus_row_searches_read_value_tables(monkeypatch):
     principalize(depress(row.source_poly()))
     assert not horner
     assert moduli
+    at_p = 0
     for m in moduli:
-        fac = factorize(m)
-        assert len(fac.factors) == 1 and max(fac.factors.values()) >= 2
+        (_, e), = factorize(m).factors.items()
+        at_p += e == 1
+    assert at_p == sum(lifted)
 
 
 @settings(max_examples=150, deadline=None)

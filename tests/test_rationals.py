@@ -29,6 +29,15 @@ def next_prime(k: int) -> int:
         k += 1
 
 
+def factorize_within(n: int, budget: int):
+    """factorize(n) with FACTOR_BUDGET set to budget."""
+    token = FACTOR_BUDGET.set(budget)
+    try:
+        return factorize(n)
+    finally:
+        FACTOR_BUDGET.reset(token)
+
+
 def test_factorize_reconstructs():
     rng = random.Random(11)
     for _ in range(300):
@@ -42,15 +51,15 @@ def test_factorize_large_prime_residue():
     # with no rho work at all, primes past the trial-division table are
     # proven, and prime squares through the perfect-square step
     for p in (999_983, 10**18 + 9):
-        f = factorize(p, budget=0)
+        f = factorize_within(p, 0)
         assert f.complete and f.factors == {p: 1}
-        f2 = factorize(p * p, budget=0)
+        f2 = factorize_within(p * p, 0)
         assert f2.complete and f2.factors == {p: 2}
 
 
 def test_factorize_incomplete_flagged():
     p, q = 1_000_003, 1_000_033
-    f = factorize(p * q, budget=0)
+    f = factorize_within(p * q, 0)
     assert not f.complete and f.cofactor == p * q
     with pytest.raises(FactorizationIncomplete):
         f.squarefree_part()
@@ -64,8 +73,8 @@ def test_factorize_incomplete_flagged():
 
 
 def test_factorize_never_declares_prime_above_psi13():
-    for budget in (0, None):
-        f = factorize(M89, budget)
+    for budget in (0, FACTOR_BUDGET.get()):
+        f = factorize_within(M89, budget)
         assert not f.complete and f.cofactor == M89 and not f.factors
     assert not is_prime(M89)
     with pytest.raises(FactorizationIncomplete):
@@ -93,7 +102,7 @@ def test_factorize_cached_result_is_immutable():
        st.sampled_from([1, -1]), st.sampled_from([0, 2000]))
 def test_factorize_multiplies_back(starts, sign, budget):
     n = sign * prod(next_prime(k) for k in starts)
-    f = factorize(n, budget)
+    f = factorize_within(n, budget)
     assert f.value() == n
     assert all(p < PSI_13 and gcd(p, f.cofactor) == 1 for p in f.factors)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from octaq.polynomials import discriminant, qpoly
 from octaq.quartic import _integer_model, _irreducible
-from octaq.rationals import factorize, squarefree_part
+from octaq.rationals import FACTOR_BUDGET, factorize, squarefree_part
 from oracles import constant_resultant
 
 sympy = pytest.importorskip("sympy")
@@ -32,8 +32,12 @@ def test_listed_factors_are_prime():
     cases += [prime(40) * prime(40) for _ in range(20)]
     cases += [prime(60) ** 2 * rng.randint(2, 10**6) for _ in range(20)]
     cases += [M89 * prime(30) for _ in range(10)]
-    for n in cases:
-        f = factorize(n, budget=20_000)
+    token = FACTOR_BUDGET.set(20_000)
+    try:
+        factorizations = [(n, factorize(n)) for n in cases]
+    finally:
+        FACTOR_BUDGET.reset(token)
+    for n, f in factorizations:
         assert f.value() == n
         assert all(sympy.isprime(p) for p in f.factors)
         if f.complete:
