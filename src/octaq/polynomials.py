@@ -117,11 +117,15 @@ class UniPoly:
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         """(q, r) with self = q other + r and deg r < deg other, by the
-        monic other / lc; ValueError if a ring without 1/lc needs it."""
+        monic other / lc, with no scaling when lc is 1; ValueError if a
+        ring without 1/lc needs it."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return UniPoly(self.field, ()), self
+        if other.lc == self.field.one:
+            q, r = _divmod_monic(self.coeffs, other.coeffs, self.field.zero)
+            return UniPoly(self.field, q), UniPoly(self.field, r)
         inv = self.field.one / other.lc
         q, r = _divmod_monic(self.coeffs, other.scale(inv).coeffs,
                              self.field.zero)
@@ -290,6 +294,10 @@ class PolyElement:
             if other.ring is not self.ring:
                 raise ValueError("mixed polynomial rings")
             return other
+        if type(other) is int:
+            # an integer constant is already in lowest terms over 1
+            return (self.ring.element_class(self.ring, (other,), 1) if other
+                    else self.ring.zero)
         if isinstance(other, (int, Fraction)):
             return self.ring.embed(other)
         raise TypeError(f"{other!r} is not in {self.ring!r}")

@@ -111,7 +111,7 @@ def _split_primes() -> tuple[int, ...]:
     return _primes_below(1 << 14)[1:]
 
 
-def _frobenius(model: _Model, avoid: int = 1):
+def _frobenius(c, disc: int, avoid: int = 1):
     """(p, disc mod p, values) for each odd prime p of _split_primes that
     divides neither disc = disc(c) != 0 nor avoid, values holding at least
     c(0), ..., c(p - 1) for the integer model c of a cubic or quartic, in
@@ -121,7 +121,6 @@ def _frobenius(model: _Model, avoid: int = 1):
     gcd(c, X^p - X), and its number of irreducible factors has the parity
     of deg c exactly when disc is a square mod p (Stickelberger; Swan,
     Pacific J. Math. 1962)."""
-    c, _, disc = model
     values: list[int] = []
     table = _tabulate(c)
     for p in _split_primes():
@@ -130,21 +129,44 @@ def _frobenius(model: _Model, avoid: int = 1):
             values.extend(itertools.islice(table, p - len(values)))
             yield p, d, values
     raise SearchExhausted(
-        f"no odd prime up to {_split_primes()[-1]} splits {c} into distinct"
-        " linear factors")
+        f"no odd prime up to {_split_primes()[-1]} splits {list(c)} into"
+        " distinct linear factors")
 
 
 def _split_prime(model: _Model, avoid: int = 1) -> tuple[int, list[int]]:
     """Smallest odd prime p dividing neither disc = disc(c) != 0 nor avoid
     at which the integer model c of a cubic or quartic splits into
-    distinct linear factors, with the sorted roots of c mod p, read from
-    the Frobenius scan (_frobenius).  disc is then a square mod p
-    (Stickelberger), which rules out half the primes unreduced."""
-    for p, d, values in _frobenius(model, avoid):
+    distinct linear factors, with the sorted roots of c mod p.
+
+    The least such p for avoid = 1 is searched once per process for each
+    c (_least_split_prime) and shared by every same_field call on c; it
+    is the answer unless it divides avoid, and only then is c scanned
+    again, past the primes of avoid."""
+    p, roots = _least_split_prime(tuple(model.coeffs), model.disc)
+    if not avoid % p:
+        p, roots = _scan_split_prime(model.coeffs, model.disc, avoid)
+    return p, list(roots)
+
+
+@functools.lru_cache(maxsize=4096)
+def _least_split_prime(c: tuple[int, ...], disc: int
+                       ) -> tuple[int, tuple[int, ...]]:
+    """_scan_split_prime of c with avoid = 1, kept by the coefficients of
+    c (disc is their closed form) in a cache bounded like
+    rationals._factorize; SearchExhausted is not kept, so every call past
+    the cap raises it again."""
+    return _scan_split_prime(c, disc, 1)
+
+
+def _scan_split_prime(c, disc: int, avoid: int) -> tuple[int, tuple[int, ...]]:
+    """_split_prime read from one Frobenius scan (_frobenius): disc is a
+    square mod a split prime p (Stickelberger), which rules out half the
+    primes unreduced."""
+    for p, d, values in _frobenius(c, disc, avoid):
         if pow(d, (p - 1) // 2, p) == 1:
             roots = _roots_mod(values, p)
-            if len(roots) == len(model.coeffs) - 1:
-                return p, roots
+            if len(roots) == len(c) - 1:
+                return p, tuple(roots)
 
 
 def _eval_mod(c: list[int], x: int, m: int) -> int:
@@ -224,7 +246,17 @@ def _has_factor(c: list[int], p: int, roots: list[int]) -> bool:
 
 def _irreducible(model: _Model) -> bool:
     """Irreducibility over Q of a cubic or quartic, on its integer model c,
-    from one Frobenius scan (_frobenius); no integer is factored.
+    proved once per process for each c (_irreducible_scan) and shared by
+    every ReducedQuartic and same_field call on c; no integer is
+    factored."""
+    return _irreducible_scan(tuple(model.coeffs), model.disc)
+
+
+@functools.lru_cache(maxsize=4096)
+def _irreducible_scan(c: tuple[int, ...], disc: int) -> bool:
+    """_irreducible from one Frobenius scan (_frobenius), kept by the
+    coefficients of c (disc is their closed form) in a cache bounded like
+    rationals._factorize.
 
     A zero disc means a repeated factor.  A cubic with no root mod p is
     irreducible, and so is a rootless quartic with disc a non-square mod p
@@ -233,11 +265,10 @@ def _irreducible(model: _Model) -> bool:
     (1,3), so no quadratic factor: seeing both proves irreducibility.  If
     c splits completely at p before any of these certificates, the Hensel
     factor search (_has_factor) decides at that prime."""
-    c, _, disc = model
     if disc == 0:
         return False
     no_root = no_quad = False
-    for p, d, values in _frobenius(model):
+    for p, d, values in _frobenius(c, disc):
         roots = _roots_mod(values, p)
         if len(roots) == len(c) - 1:
             return not _has_factor(c, p, roots)

@@ -88,6 +88,16 @@ MUTANTS = (
            "subsets += []",
            ("tests/test_quartic.py",),
            "CHANGES.md: one Frobenius scan per integer model"),
+    Mutant("split-prime-cached-despite-avoid", QUARTIC,
+           "if not avoid % p:",
+           "if False:",
+           ("tests/test_quartic.py",),
+           "CHANGES.md: one Frobenius scan per integer model per process"),
+    Mutant("irreducible-key-drops-a-coefficient", QUARTIC,
+           "return _irreducible_scan(tuple(model.coeffs), model.disc)",
+           "return _irreducible_scan(tuple(model.coeffs[1:]), model.disc)",
+           ("tests/test_quartic.py",),
+           "CHANGES.md: one Frobenius scan per integer model per process"),
     Mutant("two-s4-plus-without-witt", "src/octaq/embedding.py",
            "solvable_2s4_plus=(f.trace_data.witt\n"
            "                           * brauer_class(2, d)).is_trivial,",

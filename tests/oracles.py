@@ -19,8 +19,9 @@ from octaq.qcurve import (SymbolicContext, _require_principal,
                           torsion_quartic)
 from octaq.errors import SearchExhausted
 from octaq.quartic import (PrincipalQuartic, TraceFormData, _ceil_div,
-                           _eval_mod, _from_roots, _integer_model,
-                           _normalize_principal, reduced_tschirnhaus_poly)
+                           _eval_mod, _frobenius, _from_roots,
+                           _integer_model, _normalize_principal,
+                           _roots_mod, reduced_tschirnhaus_poly)
 from octaq.rationals import _val_unit, factorize, is_square, squarefree_part
 
 
@@ -618,6 +619,20 @@ def normalize_principal_by_factoring(b: Fraction, c: Fraction
         r = -r
         b2 = -b2
     return PrincipalQuartic(b2, c2), r
+
+
+# -- the split-prime search before its memo ---------------------------------
+
+
+def split_prime_by_scan(model, avoid: int = 1) -> tuple[int, list[int]]:
+    """_split_prime as one Frobenius scan of the model on every call, with
+    no cache: the least split prime of the model prime to avoid and the
+    sorted roots mod it; SearchExhausted past the cap."""
+    for p, d, values in _frobenius(model.coeffs, model.disc, avoid):
+        if pow(d, (p - 1) // 2, p) == 1:
+            roots = _roots_mod(values, p)
+            if len(roots) == len(model.coeffs) - 1:
+                return p, roots
 
 
 # -- the p-adic kernels of same_field before the carried inverse ---------------

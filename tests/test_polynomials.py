@@ -333,6 +333,26 @@ def test_unipoly_divmod_over_ring_matches_the_replaced_loop(a, b, x):
         a.divmod(UniPoly(_RING, ()))
 
 
+_leading = st.one_of(st.just(Fraction(1)), ratios.filter(bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_q_polys, st.lists(ratios, max_size=4), _leading, _ring_polys,
+       st.lists(_in_ring, max_size=3))
+@example(qpoly([1, 0, 0, 3]), [Fraction(1, 2), 0], Fraction(1),
+         UniPoly(_RING, (_RING.one, _RING.zero, _RING.gen)), [_RING.gen])
+@example(qpoly([1, 2]), [], Fraction(1), UniPoly(_RING, ()), [])
+def test_unipoly_divmod_by_monic_and_non_monic_matches_the_replaced_loop(
+        a, low, lc, ring_a, ring_low):
+    # a divisor with leading coefficient 1 is divided by with no scaling,
+    # others through their monic multiple; both give the (q, r) of the
+    # loop that divided by lc at every step, over Q and over Q[s]
+    q, r = _assert_division_matches(a, qpoly(low + [lc]))
+    assert all(type(x) is Fraction for x in q.coeffs + r.coeffs)
+    _assert_division_matches(
+        ring_a, UniPoly(_RING, ring_low + [_RING.embed(lc)]))
+
+
 # -- Q(sqrt(t)) = Q[s]/(s^2 - t) against the closed forms ---------------------
 
 _non_square = st.one_of(
@@ -417,3 +437,22 @@ def test_constants_hash_as_the_rationals_they_equal():
     u = field.element(Fraction(1, 3), 2)
     v = QuadField(2).element(1, 6) / 3
     assert u == v and hash(u) == hash(v)
+
+
+def test_integer_constants_coerce_as_they_embed():
+    # an int reaches Q[s] and Q(sqrt(t)) without a Fraction, as the element
+    # embed builds; bool and Fraction keep the embedding route
+    ring, field = PolyRing("s"), QuadField(2)
+    for domain in (ring, field):
+        for x in (0, 3, -7, True, Fraction(6, 2)):
+            embedded, coerced = domain.embed(x), x * domain.one
+            assert type(coerced) is type(embedded)
+            assert (coerced.num, coerced.den) == (embedded.num, embedded.den)
+            assert coerced == embedded == x
+            assert hash(coerced) == hash(embedded) == hash(x)
+    for c in (ring.embed(3), 3 * ring.one, QuadField(2).embed(3),
+              3 * QuadField(2).one, ring.one + 2, 4 - field.one):
+        assert c == 3 and hash(c) == hash(3) == hash(Fraction(3))
+        assert (c.num, c.den) == ((3,), 1)
+    assert len({ring.embed(3), 3 * ring.one, 3}) == 1
+    assert len({QuadField(2).embed(3), 3 * QuadField(2).one, 3}) == 1

@@ -15,7 +15,7 @@ from octaq import polynomials, quartic, rationals
 from octaq.embedding import classify
 from octaq.errors import (ComputationalLimit, DegenerateUnresolvable,
                           NotPrimitive, NotPrincipal, OctaqError, Reducible,
-                          SearchExhausted)
+                          SearchExhausted, ValidationFailure)
 from octaq.hilbert import INF, brauer_class
 from octaq.polynomials import (QQ, QuadField, UniPoly, _disc, discriminant,
                                qpoly)
@@ -35,7 +35,7 @@ from oracles import (FunctionFieldContext, compose, fraction_gram,
                      fraction_trace_form, interpolation_basis_by_products,
                      isotropic_vectors_by_pairs, lift_roots_by_inversion,
                      mn_shells, normalize_principal_by_factoring,
-                     roots_mod_by_residues,
+                     roots_mod_by_residues, split_prime_by_scan,
                      sylvester_discriminant, to_function_field,
                      witt_by_brauer_classes)
 from sturm import count_real_roots
@@ -131,6 +131,9 @@ def test_irreducibility_routes_agree(monkeypatch):
     monkeypatch.setattr(quartic, "_frobenius", spy)
     for g in polys:
         reached.append(None)
+        # depress proved f already, and some rows share a resolvent cubic:
+        # a cold cache makes every polynomial scan
+        quartic._irreducible_scan.cache_clear()
         assert _irreducible(_integer_model(g)), g
     assert len(reached) == 340 and max(reached) <= 109
 
@@ -1096,6 +1099,97 @@ def test_same_field_names_the_split_prime_cap(monkeypatch):
     monkeypatch.setattr(quartic, "_split_primes", lambda: (3, 5, 7))
     with pytest.raises(SearchExhausted, match="up to 7"):
         same_field(qpoly([-1, 1, 0, 0, 1]), qpoly([-1, -1, 0, 0, 1]))
+
+
+# -- the Frobenius-scan memo: one scan per integer model per process ---------
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([3, 4]),
+       st.lists(st.integers(-10**9, 10**9), min_size=4, max_size=4),
+       st.lists(st.sampled_from(_SMALL_PRIMES), max_size=4),
+       st.booleans())
+@example(4, [-1, 1, 0, 0], [], True)         # x^4 + x - 1 splits first at 59
+@example(4, [-1, 1, 0, 0], [3, 5], False)
+@example(3, [-2, 0, 0, 0], [31, 43], True)   # x^3 - 2 splits first at 31
+def test_memoized_split_prime_matches_the_uncached_scan(deg, coeffs, primes,
+                                                        hit):
+    # avoid is divisible by the least split prime exactly when hit: the
+    # memo answers that prime, or scans again past the primes of avoid
+    c = coeffs[:deg] + [1]
+    model = _integer_model(qpoly(c))
+    assume(model.disc != 0 and _irreducible(model))
+    try:
+        least = split_prime_by_scan(model)
+    except SearchExhausted:
+        assume(False)
+    avoid = math.prod(q for q in primes if q != least[0])
+    if hit:
+        avoid *= least[0]
+    quartic._least_split_prime.cache_clear()
+    try:
+        expected = split_prime_by_scan(model, avoid)
+    except SearchExhausted:
+        for _ in range(2):
+            with pytest.raises(SearchExhausted):
+                _split_prime(model, avoid)
+        return
+    # a first call, then one answered from the cache
+    for _ in range(2):
+        assert _split_prime(model, avoid) == expected
+    # callers get their own list of roots, so changing it changes no cache
+    p, roots = _split_prime(model)
+    assert (p, roots) == least
+    roots.reverse()
+    assert _split_prime(model) == least
+
+
+def test_family_pass_scans_each_integer_model_once(monkeypatch):
+    # acceptance criterion 6's 40 members, as the family benchmark runs
+    # them: the seeds are built first, then each member comes from
+    # qcurve.family and is certified against its seed by same_field.
+    # Counters are keyed by coefficient tuple, a search also by whether it
+    # looks for the least split prime (avoid = 1) or past the primes of
+    # avoid.
+    asked, scans, searches = Counter(), Counter(), Counter()
+    irreducible, frobenius = quartic._irreducible, quartic._frobenius
+    search = quartic._scan_split_prime
+
+    def counted(counter, fn, key):
+        def wrapper(*args):
+            counter[key(*args)] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(quartic, "_irreducible", counted(
+        asked, irreducible, lambda model: tuple(model.coeffs)))
+    monkeypatch.setattr(quartic, "_frobenius", counted(
+        scans, frobenius, lambda c, *_: tuple(c)))
+    monkeypatch.setattr(quartic, "_scan_split_prime", counted(
+        searches, search, lambda c, _, avoid: (tuple(c), avoid == 1)))
+    seeds = [PrincipalQuartic(b, c) for b, c in (
+        (1, -1), (2, -1), (3, 1), (1, 1), (2, 2), (4, 4), (8, 4), (2, -2),
+        (3, -1), (5, 3))]
+    certified = 0
+    for g in seeds:
+        for s in (-3, -1, 1, 3):
+            try:
+                member, _ = family(g, s)
+            except ValidationFailure:
+                continue
+            assert same_field(g.poly(), member.poly()) is not None
+            certified += 1
+    assert certified == 40
+    # models are asked about again and again, but each is proved once
+    assert sum(asked.values()) > 2 * len(asked)
+    assert all(scans[c] - searches[c, True] - searches[c, False] == 1
+               for c in asked)
+    # one least-split-prime search per seed serves all its members; a
+    # member whose avoid that prime divides costs one scan more
+    seed_models = {tuple(g._model.coeffs) for g in seeds}
+    least = {c for c, is_least in searches if is_least}
+    assert least == seed_models
+    assert all(searches[c, True] == 1 for c in least)
+    assert sum(searches.values()) < certified
 
 
 @settings(max_examples=60, deadline=None)

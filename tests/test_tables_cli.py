@@ -7,7 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import octaq
@@ -65,6 +65,7 @@ def test_polynomial_string_parser():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.fractions(max_denominator=50), max_size=7))
+@example([-1, 0, 0, 0, 0, 1])   # degree 5, the first one refused
 def test_parse_polynomial_round_trips_poly_str(coeffs):
     p = qpoly(coeffs)
     if p.degree <= 4:
