@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 validation failure (bad input, out-of-scope
 value, failed table row), 3 computational limit (factoring budget,
-search box, or split-prime search exhausted, or a number too long for
-CPython's int-to-str limit), 141 (128 + SIGPIPE) when stdout is closed
-before the report is written.
+search box, or split-prime search exhausted, or a number of the input or
+the result past CPython's int-str limit), 141 (128 + SIGPIPE) when stdout
+is closed before the report is written.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .embedding import classify, endo_algebras
 from .errors import (ComputationalLimit, NotOctahedral, OctaqError,
-                     ParseError, ValidationFailure)
+                     ParseError, ValidationFailure, _digit_limit)
 from .gl2f9 import (_TWIST_PLAN, five_groups, s4_conjugacy_scan,
                     verify_outer_involutions, verify_subgroup_classification)
 from .hilbert import INF
@@ -44,6 +44,8 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
+        if _digit_limit(exc):
+            raise  # well formed: _run reports the limit
         raise ParseError(f"bad number {text!r}") from exc
 
 
@@ -372,15 +374,15 @@ def _run(args) -> int:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 3 if isinstance(exc, ComputationalLimit) else 2
     except ValueError as exc:
-        # CPython's guard on int-to-str, met when a result (such as the
-        # constant of g_t for a t of 1500 digits) is too long to print
-        if "integer string conversion" not in str(exc):
+        # CPython's guard on int-str conversion, met by a long number of the
+        # input or of the result (the constant of g_t at a 1500-digit t)
+        if not _digit_limit(exc):
             raise
         _emit({"error": {"type": "ComputationalLimit", "message": (
-            "a number in the result has more digits than"
+            "a number in the input or the result has more than"
             f" sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}"
-            " allows to print; run python with -X int_max_str_digits=0 to"
-            " lift the limit")}})
+            " digits, CPython's limit on int-str conversion; run python"
+            " with -X int_max_str_digits=0 to lift the limit")}})
         return 3
 
 

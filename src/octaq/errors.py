@@ -2,7 +2,7 @@
 
 Two families matter for the CLI exit code: validation errors (bad or
 out-of-scope input, exit 2) and computational limits (a configured bound
-was exhausted, exit 3).  Everything else is a bug.
+or CPython's int-str digit limit was reached, exit 3).  All else is a bug.
 """
 
 
@@ -70,3 +70,10 @@ class InvalidTypeParameter(ValidationFailure):
 
 class ParseError(ValidationFailure):
     """Malformed table file or polynomial string."""
+
+
+def _digit_limit(exc: Exception) -> bool:
+    """Whether exc is CPython's int-str conversion guard, met by a number of
+    the input or the result past sys.get_int_max_str_digits() digits."""
+    text = "integer string conversion"
+    return isinstance(exc, ValueError) and text in str(exc)

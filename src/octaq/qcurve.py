@@ -51,58 +51,46 @@ from .rationals import is_square, squarefree_part
 J_AT_CUSP = 1728
 
 
-# -- generic constructors over any field carrying (t, sqrt_t) -----------------
+# -- constructors from t and sqrt_t in Q, Q[s] or Q(sqrt(t)); each ring --------
+# embeds an int operand itself, so only a bare constant needs field.embed
 
 
 def torsion_quartic(field, t, sqrt_t) -> UniPoly:
     """f_t = X^4 - 12(5+3w)X^2 + 32(7+9w)X - 12(25+9t+30w), w = sqrt(t):
     the 3-division polynomial of the Weierstrass model, scaled monic."""
-    e = field.embed
-    return UniPoly(field, (
-        e(-12) * (e(25) + e(9) * t + e(30) * sqrt_t),
-        e(32) * (e(7) + e(9) * sqrt_t),
-        e(-12) * (e(5) + e(3) * sqrt_t),
-        field.zero,
-        field.one,
-    ))
+    return UniPoly(field, (-12 * (25 + 9 * t + 30 * sqrt_t),
+                           32 * (7 + 9 * sqrt_t), -12 * (5 + 3 * sqrt_t),
+                           field.zero, field.one))
 
 
 def principal_quartic_poly(field, t) -> UniPoly:
     """g_t = X^4 + 4(t-1)^2 X - 3(t-1)^3."""
-    e = field.embed
-    tm1 = t - e(1)
-    return UniPoly(field, (e(-3) * tm1**3, e(4) * tm1**2, field.zero,
-                           field.zero, field.one))
+    tm1 = t - 1
+    return UniPoly(field, (-3 * tm1**3, 4 * tm1**2, field.zero, field.zero,
+                           field.one))
 
 
 def companion_quartic_poly(field, t) -> UniPoly:
     """h_t = X^4 - 6X^2 + 8X + 3(8 - 9t)."""
-    e = field.embed
-    return UniPoly(field, (e(3) * (e(8) - e(9) * t), e(8), e(-6),
+    return UniPoly(field, (3 * (8 - 9 * t), field.embed(8), field.embed(-6),
                            field.zero, field.one))
 
 
-def j_invariant_factored(field, t, sqrt_t):
+def j_invariant_factored(sqrt_t):
     """(numerator, denominator) of 64 (5+3w)^3 / ((-1+w)^2 (1+w))."""
-    e = field.embed
-    w = sqrt_t
-    return (e(64) * (e(5) + e(3) * w) ** 3,
-            (e(-1) + w) ** 2 * (e(1) + w))
+    return 64 * (5 + 3 * sqrt_t) ** 3, (-1 + sqrt_t) ** 2 * (1 + sqrt_t)
 
 
-def j_invariant_split(field, t, sqrt_t):
+def j_invariant_split(t, sqrt_t):
     """(numerator, denominator) of j with rational and sqrt(t) parts apart:
     64(27t^2+360t+125)/(t-1)^2 + 128(81t+175)/(t-1)^2 * sqrt(t)."""
-    e = field.embed
-    return (e(64) * (e(27) * t**2 + e(360) * t + e(125))
-            + e(128) * (e(81) * t + e(175)) * sqrt_t,
-            (t - e(1)) ** 2)
+    return (64 * (27 * t**2 + 360 * t + 125) + 128 * (81 * t + 175) * sqrt_t,
+            (t - 1) ** 2)
 
 
-def weierstrass_model(field, sqrt_t):
+def weierstrass_model(sqrt_t):
     """(A, B) of Y^2 = X^3 + AX + B."""
-    e = field.embed
-    return (e(-6) * (e(5) + e(3) * sqrt_t), e(8) * (e(7) + e(9) * sqrt_t))
+    return -6 * (5 + 3 * sqrt_t), 8 * (7 + 9 * sqrt_t)
 
 
 # -- numeric records -----------------------------------------------------------
@@ -134,18 +122,16 @@ def curve_from_t(t: Fraction | int) -> QCurveRecord:
     t = _nondegenerate(t)
     K = QuadField(t)
     w = K.sqrt_t
-    tK = K.embed(t)
-    j_num, j_den = j_invariant_split(K, tK, w)
-    record = QCurveRecord(
+    j_num, j_den = j_invariant_split(t, w)
+    return QCurveRecord(
         t=t,
         quad_field=K,
         j=j_num / j_den,
-        model=weierstrass_model(K, w),
-        f_t=torsion_quartic(K, tK, w),
+        model=weierstrass_model(w),
+        f_t=torsion_quartic(K, t, w),
         g_t=principal_quartic_poly(QQ, t),
         h_t=companion_quartic_poly(QQ, t),
     )
-    return record
 
 
 def _require_principal(g: ReducedQuartic) -> None:
@@ -172,12 +158,10 @@ def t_from_principal(g: PrincipalQuartic) -> Fraction:
     return t
 
 
-def torsion_to_principal_params(field, t, sqrt_t):
+def torsion_to_principal_params(sqrt_t):
     """(m, n, p) with Tsc(f_t; m, n, p) = g_t:
     (1/72, -1/36, (-37 - 27 sqrt(t))/36)."""
-    e = field.embed
-    return (e(1) / e(72), -e(1) / e(36),
-            (e(-37) - e(27) * sqrt_t) / e(36))
+    return Fraction(1, 72), Fraction(-1, 36), (-37 - 27 * sqrt_t) / 36
 
 
 def principal_closure_p(b: Fraction, c: Fraction, m: Fraction,
@@ -248,11 +232,11 @@ def _composed_sum(f: UniPoly, g: UniPoly) -> UniPoly:
         raise ValueError("need two monic reduced quartics")
     pf, pg = (_power_sums(p[0], p[1], p[2], 17) for p in (f, g))
     pw = [sum((comb(k, m) * pf[m] * pg[k - m] for m in range(k + 1)),
-              F.zero) / F.embed(2**k) for k in range(17)]
+              F.zero) / 2**k for k in range(17)]
     w = [F.one]
     for k in range(1, 17):
         w.append(-sum((w[k - i] * pw[i] for i in range(1, k + 1)), F.zero)
-                 / F.embed(k))
+                 / k)
     return UniPoly(F, w[::-1])
 
 
@@ -328,9 +312,6 @@ class SymbolicContext:
         self.g_t = principal_quartic_poly(self.field, self.t)
         self.h_t = companion_quartic_poly(self.field, self.t)
 
-    def e(self, x):
-        return self.field.embed(x)
-
 
 @dataclass
 class SuiteEntry:
@@ -340,7 +321,7 @@ class SuiteEntry:
 
 
 def _check_tsc_torsion_to_principal(ctx: SymbolicContext) -> bool:
-    m, n, p = torsion_to_principal_params(ctx.field, ctx.t, ctx.s)
+    m, n, p = torsion_to_principal_params(ctx.s)
     return reduced_tschirnhaus_poly(ctx.f_t, m, n, p) == ctx.g_t
 
 
@@ -351,23 +332,21 @@ def _check_tsc_principal_to_torsion(ctx: SymbolicContext) -> bool:
     common denominator L = t(t-1)^2.  The image of (Lm, Ln, Lp) has L times
     the roots, so L^(4-i) times the X^i coefficient of f_t, an identity
     in Q[s] on the one Newton route of reduced_tschirnhaus_poly."""
-    e, t, s = ctx.e, ctx.t, ctx.s
-    u = t - e(1)
+    t, s = ctx.t, ctx.s
+    u = t - 1
     big_l = t * u * u
-    image = reduced_tschirnhaus_poly(ctx.g_t, -(t + e(3) * s),
-                                     e(-3) * s * u, e(-3) * s * u * u)
+    image = reduced_tschirnhaus_poly(ctx.g_t, -(t + 3 * s), -3 * s * u,
+                                     -3 * s * u * u)
     return image == UniPoly(ctx.field, [x * big_l ** (4 - i) for i, x
                                         in enumerate(ctx.f_t.coeffs)])
 
 
 def _check_disc_principal(ctx: SymbolicContext) -> bool:
-    e = ctx.e
-    return discriminant(ctx.g_t) == e(-(2**8) * 27) * ctx.t * (ctx.t - e(1)) ** 8
+    return discriminant(ctx.g_t) == -(2**8) * 27 * ctx.t * (ctx.t - 1) ** 8
 
 
 def _check_disc_companion(ctx: SymbolicContext) -> bool:
-    e = ctx.e
-    return discriminant(ctx.h_t) == e(-(2**8) * 3**9) * ctx.t * (ctx.t - e(1)) ** 2
+    return discriminant(ctx.h_t) == -(2**8) * 3**9 * ctx.t * (ctx.t - 1) ** 2
 
 
 def _check_weil_divisibility(ctx: SymbolicContext) -> bool:
@@ -376,16 +355,15 @@ def _check_weil_divisibility(ctx: SymbolicContext) -> bool:
 
 
 def _check_tsc_companion_to_principal(ctx: SymbolicContext) -> bool:
-    e = ctx.e
-    m, n, p = -e(1) / e(9), -e(1) / e(9), e(5) / e(9)
+    m, n, p = Fraction(-1, 9), Fraction(-1, 9), Fraction(5, 9)
     return reduced_tschirnhaus_poly(ctx.h_t, m, n, p) == ctx.g_t
 
 
 def _check_j_two_forms(ctx: SymbolicContext) -> bool:
     """The two forms of j_t, cross-multiplied: 64(5+3s)^3 (t-1)^2 =
     [64(27t^2+360t+125) + 128(81t+175)s] (s-1)^2 (s+1)."""
-    num_f, den_f = j_invariant_factored(ctx.field, ctx.t, ctx.s)
-    num_s, den_s = j_invariant_split(ctx.field, ctx.t, ctx.s)
+    num_f, den_f = j_invariant_factored(ctx.s)
+    num_s, den_s = j_invariant_split(ctx.t, ctx.s)
     return num_f * den_s == num_s * den_f
 
 

@@ -233,33 +233,24 @@ def _has_factor(c: Sequence[int], p: int, roots: list[int]) -> bool:
 @functools.lru_cache(maxsize=4096)
 def _irreducible(model: _Model) -> bool:
     """Irreducibility over Q of a cubic or quartic, on its integer model c,
-    from one Frobenius scan (_frobenius); no integer is factored.  Kept by
-    the model in a cache bounded like rationals._factorize, so it is
-    proved once per process for each model and shared by every
-    ReducedQuartic and same_field call on it.
+    decided at one prime of a Frobenius scan (_frobenius); no integer is
+    factored.  Kept by the model in a cache bounded like
+    rationals._factorize, so it is proved once per process for each model
+    and shared by every ReducedQuartic and same_field call on it.
 
-    A zero disc means a repeated factor.  A cubic with no root mod p is
-    irreducible, and so is a rootless quartic with disc a non-square mod p
-    (Stickelberger).  A rootless quartic with square disc has the pattern
-    (2,2), so no linear factor, and one with a single root the pattern
-    (1,3), so no quadratic factor: seeing both proves irreducibility.  If
-    c splits completely at p before any of these certificates, the Hensel
-    factor search (_has_factor) decides at that prime."""
+    A zero disc means a repeated factor.  The certificate is the first
+    prime p at which a cubic has no root, or a quartic no root and disc a
+    non-square (the pattern [4], by Stickelberger).  If c splits
+    completely at p first, the Hensel factor search (_has_factor) decides
+    at p, as it does for every reducible c and for A4 and V4 quartics."""
     c, _, disc = model
     if disc == 0:
         return False
-    no_root = no_quad = False
     for p, d, values in _frobenius(model):
         roots = _roots_mod(values, p)
         if len(roots) == len(c) - 1:
             return not _has_factor(c, p, roots)
-        if not roots:
-            if len(c) == 4 or pow(d, (p - 1) // 2, p) != 1:
-                return True
-            no_root = True
-        elif len(roots) == 1:
-            no_quad = True
-        if no_root and no_quad:
+        if not roots and (len(c) == 4 or pow(d, (p - 1) // 2, p) != 1):
             return True
 
 
@@ -774,11 +765,12 @@ def same_field(f: UniPoly, g: UniPoly) -> Optional[FieldCertificate]:
     models F and G, with roots e_f beta and e_g gamma; the substitution
     X -> X/e multiplies the discriminant of a quartic by e^12, so reject
     when disc(F) and disc(G) (closed form) differ in square class.  Take
-    the smallest prime p not dividing e_f e_g disc(F) disc(G) at which F
-    splits completely, found with the roots of F mod p by evaluation at
-    the residues (_split_prime).  That is the least split prime of F,
-    kept by the model F and so found once per process for every call on
-    F, unless it divides e_f e_g disc(G); only then is F scanned again,
+    the smallest prime p not dividing disc(F) disc(G) at which F splits
+    completely, with the roots of F mod p (_split_prime).  No prime of e_f
+    is such a p: the coefficients of F below X^3 carry e_f, so 0 is a
+    double root of F mod it; so for G.  That p is the least split prime
+    of F, kept by the model F and so found once per process for every
+    call on F, unless it divides disc(G); only then is F scanned again,
     past those primes.  By Dedekind, p splits completely in the field of
     F, so G splits too when the fields agree; evaluating G at the
     residues shows whether it has its 4 roots mod p, and if it does not,
@@ -813,10 +805,9 @@ def same_field(f: UniPoly, g: UniPoly) -> Optional[FieldCertificate]:
     mf, mg = models
     if not same_square_class(mf.disc, mg.disc):
         return None
-    avoid = mf.e * mg.e * mg.disc
     p, f_roots = _split_prime(mf)
-    if not avoid % p:
-        p, f_roots = _split_prime(mf, avoid)
+    if not mg.disc % p:
+        p, f_roots = _split_prime(mf, mg.disc)
     big_f, big_g = mf.coeffs, mg.coeffs
     g_roots = _roots_mod(
         list(itertools.islice(_tabulate([x % p for x in big_g]), p)), p)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .embedding import classify, endo_algebras
-from .errors import ComputationalLimit, ParseError
+from .errors import ComputationalLimit, ParseError, _digit_limit
 from .polynomials import UniPoly, qpoly
 from .quartic import depress, principalize, same_field
 from .rationals import squarefree_part
@@ -55,6 +55,8 @@ def parse_table(text: str) -> list[TableRow]:
             b, c = (int(v) for v in parts[3].split(","))
             star = {"0": False, "1": True}[parts[4]]
         except (ValueError, KeyError) as exc:
+            if _digit_limit(exc):
+                raise  # well formed: cli._run reports the limit
             raise ParseError(f"line {lineno}: {exc}") from exc
         if table_id not in (1, 2, 3, 4, 5):
             raise ParseError(f"line {lineno}: table_id must be 1..5")

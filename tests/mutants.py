@@ -64,8 +64,8 @@ MUTANTS = (
            ("tests/test_qcurve.py",),
            "CHANGES.md: tsc_principal_to_torsion in Q[s]"),
     Mutant("tsc-lm-sign", QCURVE,
-           "-(t + e(3) * s)",
-           "(t + e(3) * s)",
+           "-(t + 3 * s)",
+           "(t + 3 * s)",
            ("tests/test_qcurve.py",),
            "CHANGES.md: tsc_principal_to_torsion in Q[s]"),
     Mutant("same-field-scale-one", QUARTIC,
@@ -79,8 +79,8 @@ MUTANTS = (
            ("tests/test_tables_cli.py",),
            "ROADMAP item 13"),
     Mutant("stickelberger-parity-flipped", QUARTIC,
-           "if len(c) == 4 or pow(d, (p - 1) // 2, p) != 1:",
-           "if len(c) == 4 or pow(d, (p - 1) // 2, p) == 1:",
+           "(len(c) == 4 or pow(d, (p - 1) // 2, p) != 1)",
+           "(len(c) == 4 or pow(d, (p - 1) // 2, p) == 1)",
            ("tests/test_quartic.py",),
            "CHANGES.md: one Frobenius scan per integer model"),
     Mutant("has-factor-without-pairs", QUARTIC,
@@ -89,17 +89,17 @@ MUTANTS = (
            ("tests/test_quartic.py",),
            "CHANGES.md: one Frobenius scan per integer model"),
     # same_field lifts at the least split prime of F even when it divides
-    # avoid: 3 corpus rows need the scan past it
+    # disc G: 3 corpus rows need the scan past it
     Mutant("split-prime-cached-despite-avoid", QUARTIC,
-           "if not avoid % p:",
+           "if not mg.disc % p:",
            "if False:",
            ("tests/test_quartic.py",),
            "CHANGES.md: Frobenius memos keyed on the integer model"),
-    # right answers, but every same_field call scans past its own avoid,
+    # right answers, but every same_field call scans past its own disc G,
     # so no search is shared
     Mutant("same-field-skips-the-least-split-prime", QUARTIC,
            "    p, f_roots = _split_prime(mf)\n",
-           "    p, f_roots = _split_prime(mf, avoid)\n",
+           "    p, f_roots = _split_prime(mf, mg.disc)\n",
            ("tests/test_quartic.py",),
            "CHANGES.md: Frobenius memos keyed on the integer model"),
     # irreducible-key-drops-a-coefficient is retired: the caches are keyed
@@ -111,8 +111,8 @@ MUTANTS = (
            ("tests/test_embedding.py",),
            "ROADMAP item 1"),
     Mutant("j-split-form-coefficient", QCURVE,
-           "e(360)",
-           "e(361)",
+           "360 * t",
+           "361 * t",
            ("tests/test_qcurve.py",),
            "CHANGES.md: Q(sqrt(t)) divides only by rationals"),
     Mutant("t-from-principal-times-4", QCURVE,
@@ -121,8 +121,15 @@ MUTANTS = (
            ("tests/test_frobenius.py",),
            "ROADMAP item 12"),
     Mutant("weierstrass-b-coefficient", QCURVE,
-           "e(8) * (e(7) + e(9) * sqrt_t)",
-           "e(8)",
+           "8 * (7 + 9 * sqrt_t)",
+           "8 + 0 * sqrt_t",
+           ("tests/test_frobenius.py",),
+           "ROADMAP item 12"),
+    # g_t's X coefficient 4(t-1)^2 made 4(t-1)^3: only the random-t
+    # Frobenius check reads g_t at a t off the corpus
+    Mutant("principal-quartic-x-coefficient-power", QCURVE,
+           "4 * tm1**2",
+           "4 * tm1**3",
            ("tests/test_frobenius.py",),
            "ROADMAP item 12"),
     Mutant("composed-sum-binomial-off-by-one", QCURVE,
@@ -136,8 +143,8 @@ MUTANTS = (
            ("tests/test_qcurve.py",),
            "CHANGES.md: the Weil restriction as a composed sum"),
     Mutant("newton-divides-by-k-plus-one", QCURVE,
-           "/ F.embed(k))",
-           "/ F.embed(k + 1))",
+           "/ k)",
+           "/ (k + 1))",
            ("tests/test_qcurve.py",),
            "CHANGES.md: the Weil restriction as a composed sum"),
     Mutant("newton-sign-flipped", QCURVE,
@@ -244,6 +251,13 @@ MUTANTS = (
            "int(digits) > 5",
            ("tests/test_tables_cli.py",),
            "CHANGES.md: running sums for the corpus's two searches"),
+    # a well-formed number past CPython's digit limit reported as bad input
+    Mutant("parse-rational-wraps-the-digit-limit", "src/octaq/cli.py",
+           "        if _digit_limit(exc):\n"
+           "            raise  # well formed: _run reports the limit\n",
+           "",
+           ("tests/test_tables_cli.py",),
+           "CHANGES.md: plain proof kernels"),
     Mutant("witt-companion-disc-sign", QCURVE,
            "brauer_class(-1, -rq.disc())",
            "brauer_class(-1, rq.disc())",

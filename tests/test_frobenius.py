@@ -19,14 +19,22 @@ up to identity versus 3-cycle:
 The cycle type of the source quartic mod p comes from its number of roots
 mod p, and with none from the Legendre symbol of its discriminant, which
 separates the even [2,2] from the odd [4] (Stickelberger).
+
+The same sampled check runs at random t, with the cycle type read from
+the principal quartic g_t, which defines the field cut out by C_t[3].
 """
 
 from fractions import Fraction
 from math import isqrt
 
-from octaq.polynomials import discriminant
-from octaq.qcurve import curve_from_t, t_from_principal
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from octaq.polynomials import QQ, discriminant
+from octaq.qcurve import (curve_from_t, principal_quartic_poly,
+                          t_from_principal)
 from octaq.quartic import PrincipalQuartic
+from octaq.rationals import is_square
 from octaq.tables import load_bundled_corpus
 
 CORPUS = load_bundled_corpus()
@@ -53,11 +61,12 @@ def _cycle_type(coeffs, disc: int, p: int, chi: list) -> tuple:
     return {4: (1, 1, 1, 1), 2: (2, 1, 1), 1: (3, 1)}[roots]
 
 
-def _split_prime_checks(row, primes) -> list:
-    """(p, s, a, cycle type) at each split prime p and root s of s^2 = t."""
-    t = t_from_principal(PrincipalQuartic(row.principal_b, row.principal_c))
-    disc = int(discriminant(row.source_poly()))
-    bad = 6 * t.numerator * t.denominator * (t.numerator - t.denominator) * disc
+def _split_prime_checks(t: Fraction, source, primes) -> list:
+    """(p, s, a, cycle type) at each split prime p of good reduction and
+    root s of s^2 = t, the cycle type that of the quartic source mod p."""
+    disc = discriminant(source)
+    bad = (6 * t.numerator * t.denominator * (t.numerator - t.denominator)
+           * disc.numerator)
     A, B = curve_from_t(t).model
     out = []
     for p in primes:
@@ -68,7 +77,8 @@ def _split_prime_checks(row, primes) -> list:
         tp = _mod(t, p)
         if chi[tp] != 1:
             continue
-        cycle = _cycle_type(row.source_coeffs, disc, p, chi)
+        coeffs = [_mod(c, p) for c in source.coeffs]
+        cycle = _cycle_type(coeffs, _mod(disc, p), p, chi)
         for s in (x for x in range(p) if (x * x - tp) % p == 0):
             a4, b6 = ((_mod(z.u, p) + _mod(z.v, p) * s) % p for z in (A, B))
             if (4 * a4**3 + 27 * b6**2) % p == 0:
@@ -78,17 +88,47 @@ def _split_prime_checks(row, primes) -> list:
     return out
 
 
+def _primes(lo: int, hi: int) -> list:
+    return [p for p in range(lo, hi)
+            if all(p % q for q in range(2, isqrt(p) + 1))]
+
+
+def _mismatches(checks) -> tuple[list, set]:
+    """The checks whose cycle type Frobenius does not allow, and the
+    (a = 0 mod 3, p mod 3) classes seen."""
+    seen, bad = set(), []
+    for p, s, a, cycle in checks:
+        key = (a % 3 == 0, p % 3)
+        seen.add(key)
+        if cycle not in ALLOWED[key]:
+            bad.append((p, s, a, cycle))
+    return bad, seen
+
+
 def test_frobenius_at_split_primes_matches_source_cycle_types():
-    primes = [p for p in range(5, 200)
-              if all(p % q for q in range(2, isqrt(p) + 1))]
+    primes = _primes(5, 200)
     seen, mismatches, count = set(), [], 0
     for row in CORPUS:
-        for p, s, a, cycle in _split_prime_checks(row, primes):
-            key = (a % 3 == 0, p % 3)
-            seen.add(key)
-            count += 1
-            if cycle not in ALLOWED[key]:
-                mismatches.append((row.line, p, s, a, cycle))
+        t = t_from_principal(PrincipalQuartic(row.principal_b,
+                                              row.principal_c))
+        checks = _split_prime_checks(t, row.source_poly(), primes)
+        bad, row_seen = _mismatches(checks)
+        seen |= row_seen
+        count += len(checks)
+        mismatches += [(row.line, *check) for check in bad]
     assert not mismatches, mismatches[:5]
     # every row of the table is sampled, thousands of times in all
     assert len(CORPUS) == 85 and count > 3000 and seen == set(ALLOWED)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-60, 60), st.integers(1, 60))
+def test_frobenius_at_split_primes_matches_g_t_at_random_t(u, v):
+    # a sampled consistency check, as above, at t = u/v with g_t as the
+    # source: it proves nothing about t
+    t = Fraction(u, v)
+    assume(t not in (0, 1) and not is_square(t))
+    checks = _split_prime_checks(t, principal_quartic_poly(QQ, t),
+                                 _primes(5, 100))
+    bad, _ = _mismatches(checks)
+    assert not bad, (t, bad[:5])

@@ -65,7 +65,8 @@ def rand_s4_quartic(rng, bound=20):
 def test_irreducibility():
     for coeffs, expected in (
             ([-1, 1, 0, 0, 1], True),
-            ([1, 0, 0, 0, 1], True),       # x^4+1
+            ([1, 0, 0, 0, 1], True),       # x^4+1, V4
+            ([12, 8, 0, 0, 1], True),      # x^4+8x+12, A4: no 4-cycle
             ([1, 4, 6, 4, 1], False),      # (x+1)^4
             ([-1, 0, 0, 0, 1], False),     # x^4-1
             ([1, 0, 2, 0, 1], False),      # (x^2+1)^2
@@ -116,26 +117,34 @@ def test_irreducibility_routes_agree(monkeypatch):
             else:
                 assert not ref, c
     # an S4 quartic and its resolvent cubic, for the source and the
-    # principal model of every row, are decided at a prime p <= 109
+    # principal model of every row, are each decided at one prime p <= 43:
+    # 326 by a one-prime certificate, 14 by the Hensel search at a split
+    # prime
     polys = [g for row in CORPUS
              for f in (depress(row.source_poly()),
                        depress(row.principal_poly()))
              for g in (f.poly(), resolvent_cubic(f))]
-    reached = []
-    scan = quartic._frobenius
+    reached, hensel = [], []
+    scan, has_factor = quartic._frobenius, quartic._has_factor
 
     def spy(*args):
         for item in scan(*args):
             reached[-1] = item[0]
             yield item
+
+    def hensel_spy(c, p, roots):
+        hensel.append(p)
+        return has_factor(c, p, roots)
     monkeypatch.setattr(quartic, "_frobenius", spy)
+    monkeypatch.setattr(quartic, "_has_factor", hensel_spy)
     for g in polys:
         reached.append(None)
         # depress proved f already, and some rows share a resolvent cubic:
         # a cold cache makes every polynomial scan
         quartic._irreducible.cache_clear()
         assert _irreducible(_integer_model(g)), g
-    assert len(reached) == 340 and max(reached) <= 109
+    assert len(reached) == 340 and max(reached) == 43
+    assert len(hensel) == 14
 
 
 def test_irreducibility_large_coefficients():

@@ -261,6 +261,40 @@ def test_cli_result_past_the_int_str_limit_exits_3(t, unlimited_code):
     json.loads(proc.stdout)
 
 
+def _digit_limit_error(stdout: str) -> None:
+    error = json.loads(stdout)["error"]
+    assert error["type"] == "ComputationalLimit"
+    assert "-X int_max_str_digits=0" in error["message"]
+    assert "sys.get_int_max_str_digits()" in error["message"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this CPython has no int-to-str digit limit")
+def test_cli_input_past_the_int_str_limit_exits_3(capsys, tmp_path):
+    # a well-formed number of 4301 digits used to be a ParseError (exit 2,
+    # its digits echoed back) or, as a table's d, exit 2 with CPython's
+    # text; it meets the limit a number of the result meets
+    big = "7" * 4301
+    proc = _run_child("qcurve", "from-t", "--", big)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    _digit_limit_error(proc.stdout)
+    proc = _run_child("qcurve", "from-t", "--", big,
+                      flags=("-X", "int_max_str_digits=0"))
+    assert proc.returncode == 0, proc.stderr
+    json.loads(proc.stdout)
+    assert main(["analyze", f"x^4+{big}x-1"]) == 3
+    _digit_limit_error(capsys.readouterr().out)
+    # not run with the limit lifted: squarefree_part(d) would spend the
+    # whole factoring budget on a number of 4301 digits
+    table = tmp_path / "big_d.txt"
+    table.write_text(f"1 ; {big} ; -1,-1,0,0,1 ; -1,-1 ; 0\n")
+    proc = _run_child("verify-tables", str(table))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    _digit_limit_error(proc.stdout)
+
+
 def test_cli_other_value_errors_still_end_in_a_traceback(monkeypatch):
     # only the int-to-str guard is a computational limit; any other
     # ValueError is a bug
