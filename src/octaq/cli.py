@@ -10,6 +10,7 @@ is closed before the report is written.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import dataclasses
 import json
 import os
@@ -301,11 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="octaq",
         description="Exact analysis of octahedral quartic fields, their "
                     "embedding problems, and degree-2 Q-curve data")
-    ap.add_argument("--factor-budget", type=int, default=FACTOR_BUDGET.get(),
+    ap.add_argument("--factor-budget", default=FACTOR_BUDGET.get(),
                     help="Pollard rho iterations per factorization; a number"
                          " not split or proven prime within it stops the"
                          " command with exit 3 (default %(default)s)")
-    ap.add_argument("--box", type=int, default=50,
+    ap.add_argument("--box", default=50,
                     help="principalize search box (default %(default)s)")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -348,9 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    budget = FACTOR_BUDGET.set(args.factor_budget)
     try:
-        code = _run(args)
+        # _run sets FACTOR_BUDGET in a copy of the context, so the setting
+        # ends with the command
+        code = contextvars.copy_context().run(_run, args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -359,16 +361,27 @@ def main(argv=None) -> int:
         # shell reports a process killed by it
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    finally:
-        FACTOR_BUDGET.reset(budget)
+
+
+def _setting(flag: str, text: str | int) -> int:
+    """The non-negative integer value of a global flag.  It is parsed here,
+    not by argparse, so that a number past CPython's digit limit reaches
+    _run's ComputationalLimit clause like a number of a command's input."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        if _digit_limit(exc):
+            raise
+        raise ParseError(f"{flag} {text!r} is not an integer") from None
+    if value < 0:
+        raise ValidationFailure(f"{flag} {value} is negative")
+    return value
 
 
 def _run(args) -> int:
     try:
-        for flag, value in (("--factor-budget", args.factor_budget),
-                            ("--box", args.box)):
-            if value < 0:
-                raise ValidationFailure(f"{flag} {value} is negative")
+        FACTOR_BUDGET.set(_setting("--factor-budget", args.factor_budget))
+        args.box = _setting("--box", args.box)
         return args.fn(args)
     except (ComputationalLimit, ValidationFailure) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})

@@ -22,17 +22,17 @@ The statements the ledger verifies: the generator relations between
 powers of zeta^j S and zeta^k T, the named equalities between the
 subgroups H_{j,k} = <zeta^j S, zeta^k T> that identify five groups
 G1..G5 (it closes the nine H_{j,k} they name), F3* in all 64 of them
-(a breadth-first search of each H_{j,k} that stops at -I, whose word is
-the proof), the order table of G1..G5 together with the SL2
-intersections (which pins the 2^r S4^+- label of each), maximality of
-the index-2 members, and the common projective image pi(Gj), closed
-from the permutations of the generators of Gj.  That each of the
-64 H_{j,k} equals one of G1..G5 is checked by the test suite, which
-closes all 64, not by the ledger.  Outside the ledger,
-verify_outer_involutions checks the three scalar-twist involutions on a
-group, and _TWIST_PLAN names the ones that must be outer involutions of
-each of G1..G5; s4_conjugacy_scan proves that PGL2(F9) has one
-conjugacy class of S4 subgroups.
+(-I in the group of the three scalar words s^2, t^3 and (st)^4 of the
+generators s = zeta^j S and t = zeta^k T, which has at most 8 elements),
+the order table of G1..G5 together with the SL2 intersections (which
+pins the 2^r S4^+- label of each), maximality of the index-2 members,
+and the common projective image pi(Gj), closed from the permutations of
+the generators of Gj.  That each of the 64 H_{j,k} equals one of G1..G5
+is checked by the test suite, which closes all 64, not by the ledger.
+Outside the ledger, verify_outer_involutions checks the three
+scalar-twist involutions on a group, and _TWIST_PLAN names the ones that
+must be outer involutions of each of G1..G5; s4_conjugacy_scan proves
+that PGL2(F9) has one conjugacy class of S4 subgroups.
 
 Two of these proofs work on generators rather than on all elements.  A
 map on a finite group is multiplicative as soon as phi(a s) = phi(a)
@@ -52,8 +52,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice, product
-from math import lcm
 
 from .errors import OctaqError
 
@@ -203,8 +203,16 @@ def set_product(scalars, elements) -> frozenset:
 
 
 def h_jk(j: int, k: int) -> MatGroup:
-    return group([scalar_mul(ZETA_POW[j % 8], S_MAT),
-                  scalar_mul(ZETA_POW[k % 8], T_MAT)])
+    """H_{j,k} = <zeta^j S, zeta^k T>, closed once per process for each
+    (j mod 8, k mod 8): the ledger, five_groups and classify_hjk share the
+    64 closures.  A MatGroup is immutable, so sharing it is safe."""
+    return _h_jk(j % 8, k % 8)
+
+
+@lru_cache(maxsize=64)
+def _h_jk(j: int, k: int) -> MatGroup:
+    return group([scalar_mul(ZETA_POW[j], S_MAT),
+                  scalar_mul(ZETA_POW[k], T_MAT)])
 
 
 _LABELS = {(48, 24): "2S4+", (96, 24): "4S4+", (48, 48): "2S4-",
@@ -246,16 +254,26 @@ def _compose(p: tuple, q: tuple) -> tuple:
 
 
 def _perm_order(p: tuple) -> int:
-    """The lcm of the cycle lengths."""
-    order, seen = 1, set()
+    """The length of the cycle through the first point p moves, which is
+    the order of p (1 when p moves no point).
+
+    Let g != 1 have order n, and let x be a point g moves, on a cycle of
+    length l < n.  Then g^l != 1 fixes that cycle and every fixed point of
+    g.  A non-identity element of PGL2(F9) fixes at most 2 points of
+    P^1(F9), so l = 2 and g has no fixed point.  Then g swaps the two
+    fixed points of g^2, so g is antidiagonal in a basis of vectors on
+    those points.  Its square is then scalar, that is g^2 = 1, a
+    contradiction.  So every cycle of g through a moved point has length
+    n."""
     for x in range(10):
-        length = 0
-        while x not in seen:
-            seen.add(x)
-            x = p[x]
-            length += 1
-        if length:
-            order = lcm(order, length)
+        if p[x] != x:
+            break
+    else:
+        return 1
+    order, y = 1, p[x]
+    while y != x:
+        y = p[y]
+        order += 1
     return order
 
 
@@ -306,6 +324,16 @@ def verify_generator_relations(ledger: CheckLedger) -> None:
                  _pow(z3T, 7) == scalar_mul(MINUS_ONE, zT))
 
 
+def _scalar_words(j: int, k: int) -> list[tuple]:
+    """s^2, t^3 and (st)^4 for s = zeta^j S and t = zeta^k T, all scalar.
+    s^2 and t^3 alone generate {I} for H_{0,4} and H_{4,4}."""
+    s = scalar_mul(ZETA_POW[j], S_MAT)
+    t = scalar_mul(ZETA_POW[k], T_MAT)
+    st = mat_mul(s, t)
+    st2 = mat_mul(st, st)
+    return [mat_mul(s, s), mat_mul(mat_mul(t, t), t), mat_mul(st2, st2)]
+
+
 _FIVE = {"G1": (0, 0), "G2": (1, 0), "G3": (2, 0), "G4": (0, 2), "G5": (0, 1)}
 
 
@@ -341,13 +369,13 @@ def verify_subgroup_classification() -> CheckLedger:
     led.check("F9*G1 = F9*G3 = G5",
               set_product(F9_UNITS, g1) == set_product(F9_UNITS, g3) == g5)
 
-    # -I is found by a breadth-first search that stops at its first word;
+    # -I lies in H_{j,k} once it lies in the group of three words in its
+    # generators; they are scalar, so that group has at most 8 elements.
     # mat_mul is looked up here, so a rebinding of gl2f9.mat_mul reaches it
     minus_id = scalar_mat(MINUS_ONE)
     led.check("F3* in every H_{j,k}",
-              all(minus_id in _generate([scalar_mul(ZETA_POW[j], S_MAT),
-                                         scalar_mul(ZETA_POW[k], T_MAT)],
-                                        mat_mul, IDENTITY)
+              all(minus_id in _generate(_scalar_words(j, k), mat_mul,
+                                        IDENTITY)
                   for j, k in product(range(8), range(8))))
 
     expected = {"G1": (48, 24, "2S4+"), "G2": (96, 24, "4S4+"),
@@ -389,12 +417,14 @@ def _projective_image(g: MatGroup) -> frozenset:
 def projective_det(m: tuple) -> int:
     """Sign of det on PGL2(F3), pulled back: write m = lambda m0 with m0
     over F3; det(m0) is +-1 independently of the choice, and lambda is
-    +- the first nonzero entry of m."""
-    lead = next(e for e in m if e != ZERO)
-    m0 = scalar_mul(F9_INV[lead], m)
-    if any(e not in (ZERO, ONE, MINUS_ONE) for e in m0):
+    +- the first nonzero entry of m.  The codes of F3 are 0, 1 and 2 =
+    MINUS_ONE, so m0 is over F3 when no entry exceeds MINUS_ONE."""
+    a, b, c, d = m
+    row = F9_MUL[F9_INV[a or b or c or d]]      # ZERO is the code 0
+    a, b, c, d = row[a], row[b], row[c], row[d]
+    if a > MINUS_ONE or b > MINUS_ONE or c > MINUS_ONE or d > MINUS_ONE:
         raise ValueError("matrix is not a scalar multiple of GL2(F3)")
-    return mat_det(m0)
+    return F9_ADD[F9_MUL[a][d]][F9_NEG[F9_MUL[b][c]]]
 
 
 def twist_phi(m: tuple) -> tuple:
@@ -508,7 +538,7 @@ def s4_conjugacy_scan() -> dict:
     generate it, so that orbit is the orbit of the first one's six, and
     with one class its size is subgroup_count, the number of S4
     subgroups."""
-    order = {p: _perm_order(p) for p in sorted(_pgl2f9())}
+    order = {p: _perm_order(p) for p in _pgl2f9()}
     fours = frozenset(p for p, o in order.items() if o == 4)
     a0 = min(fours)
     if frozenset().union(*_conjugates(frozenset({a0}))) != fours:
@@ -516,7 +546,7 @@ def s4_conjugacy_scan() -> dict:
                          " conjugacy class")
     square_one = {p for p, o in order.items() if o <= 2}
     subs: list[frozenset] = []
-    for b in (p for p, o in order.items() if o == 3):
+    for b in sorted(p for p, o in order.items() if o == 3):
         # (a0 b)^2 = 1 fixes the point 0: a cheap screen before the test
         if (a0[b[a0[b[0]]]] != 0 or _compose(a0, b) not in square_one
                 or any(b in sub for sub in subs)):

@@ -19,7 +19,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import compress, count
 from math import gcd, isqrt
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -34,7 +34,7 @@ def _primes_below(n: int) -> tuple[int, ...]:
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, n, p)))
-    return tuple(p for p, flag in enumerate(sieve) if flag)
+    return tuple(compress(range(n), sieve))
 
 
 _TRIAL_LIMIT = 1 << 10

@@ -207,7 +207,8 @@ MUTANTS = (
            ("tests/test_gl2f9.py",),
            "CHANGES.md: GL2(F9) on 4-tuples, PGL2(F9) as permutations"),
     Mutant("projective-det-without-f3-check", GL2F9,
-           "if any(e not in (ZERO, ONE, MINUS_ONE) for e in m0):",
+           "if a > MINUS_ONE or b > MINUS_ONE or c > MINUS_ONE"
+           " or d > MINUS_ONE:",
            "if False:",
            ("tests/test_gl2f9.py",),
            "CHANGES.md: GL2(F9) on 4-tuples, PGL2(F9) as permutations"),
@@ -258,6 +259,13 @@ MUTANTS = (
            "",
            ("tests/test_tables_cli.py",),
            "CHANGES.md: plain proof kernels"),
+    # a global flag past the digit limit reported as bad input
+    Mutant("setting-wraps-the-digit-limit", "src/octaq/cli.py",
+           "        if _digit_limit(exc):\n            raise\n",
+           "",
+           ("tests/test_tables_cli.py::"
+            "test_cli_setting_past_the_int_str_limit_exits_3",),
+           "CHANGES.md: GL2(F9) proofs without redundant group work"),
     Mutant("witt-companion-disc-sign", QCURVE,
            "brauer_class(-1, -rq.disc())",
            "brauer_class(-1, rq.disc())",
@@ -332,6 +340,25 @@ MUTANTS = (
            "",
            ("tests/test_gl2f9.py",),
            "CHANGES.md: S4 conjugacy from one class of order-4 elements"),
+    # H_{0,4} and H_{4,4} fail the ledger without (st)^4
+    Mutant("minus-identity-words-without-st4", GL2F9,
+           "return [mat_mul(s, s), mat_mul(mat_mul(t, t), t),"
+           " mat_mul(st2, st2)]",
+           "return [mat_mul(s, s), mat_mul(mat_mul(t, t), t)]",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: GL2(F9) proofs without redundant group work"),
+    # the cycle through point 0, which is 1 when p fixes 0
+    Mutant("perm-order-walk-from-point-zero", GL2F9,
+           "        if p[x] != x:\n            break\n",
+           "        if True:\n            break\n",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: GL2(F9) proofs without redundant group work"),
+    # an m with a = 0 scaled by F9_INV[0] = 0 is "over F3" with det 0
+    Mutant("projective-det-scales-by-first-entry", GL2F9,
+           "row = F9_MUL[F9_INV[a or b or c or d]]",
+           "row = F9_MUL[F9_INV[a]]",
+           ("tests/test_gl2f9.py",),
+           "CHANGES.md: GL2(F9) proofs without redundant group work"),
 )
 
 EQUIVALENT = (
@@ -350,15 +377,15 @@ EQUIVALENT = (
      "(a0 b)^2 = 1 fixes every point, so no pair that passes the full"
      " test is screened out at point 1 either, and every pair that fails"
      " it is still rejected by the test: the same subgroups are found"),
-    (Mutant("perm-order-max-for-lcm", GL2F9,
-            "order = lcm(order, length)",
-            "order = max(order, length)",
-            ("tests/test_gl2f9.py",), "CHANGES.md: GL2(F9) on 4-tuples,"
-            " PGL2(F9) as permutations"),
-     "a cycle of length d gives g^d at least d fixed points, and an element"
-     " of PGL2(F9) other than 1 fixes at most 2 points of P^1(F9): a cycle"
-     " shorter than the order has length 1 or 2, and a 2 makes the order"
-     " even, so the lcm of the cycle lengths is their maximum"),
+    (Mutant("perm-order-walk-from-the-last-moved-point", GL2F9,
+            "    for x in range(10):\n        if p[x] != x:",
+            "    for x in range(9, -1, -1):\n        if p[x] != x:",
+            ("tests/test_gl2f9.py",), "CHANGES.md: GL2(F9) proofs without"
+            " redundant group work"),
+     "every cycle of an element of PGL2(F9) through a point it moves has"
+     " the length of its order (the proof is in _perm_order's docstring),"
+     " so the cycle through the last moved point gives the same order as"
+     " the cycle through the first"),
 )
 
 

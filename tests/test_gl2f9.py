@@ -7,7 +7,7 @@ from octaq.gl2f9 import (F9_INV, F9_MUL, GL2_GENERATORS, IDENTITY, I_UNIT,
                          MINUS_ONE, ONE, S_MAT, T_MAT, ZERO, ZETA, ZETA_POW,
                          _PERM_ID, _TWIST_PLAN, _close, _compose, _generate,
                          _is_inner, _perm, _perm_order, _pgl2f9,
-                         _projective_image, classify_hjk,
+                         _projective_image, _scalar_words, classify_hjk,
                          closure,
                          five_groups, group, h_jk,
                          mat_det, mat_inv, mat_mul, projective_det,
@@ -83,13 +83,21 @@ def test_generate_yields_identity_then_generators_then_each_element_once():
 
 
 def test_minus_identity_search_matches_the_closures():
+    # s^2, t^3 and (st)^4 are scalar elements of H_{j,k}, and -I lies in the
+    # group they generate, as it lies in each of the 64 closures
     minus_id = scalar_mul(MINUS_ONE, IDENTITY)
+    scalars = {scalar_mul(c, IDENTITY) for c in range(1, 9)}
     for j in range(8):
         for k in range(8):
-            gens = [scalar_mul(ZETA_POW[j], S_MAT),
-                    scalar_mul(ZETA_POW[k], T_MAT)]
-            assert ((minus_id in _generate(gens, mat_mul, IDENTITY))
-                    == (minus_id in h_jk(j, k).elements)), (j, k)
+            words = _scalar_words(j, k)
+            els = h_jk(j, k).elements
+            assert set(words) <= scalars & els, (j, k)
+            assert minus_id in _generate(words, mat_mul, IDENTITY), (j, k)
+            assert minus_id in els
+    # without (st)^4 the words of H_{0,4} and H_{4,4} generate only I
+    for j, k in ((0, 4), (4, 4)):
+        assert set(_generate(_scalar_words(j, k)[:2], mat_mul,
+                             IDENTITY)) == {IDENTITY}
     # <S> = {I, S} and the order-3 T^2 miss -I: the search ends, False
     assert minus_id not in _generate([S_MAT], mat_mul, IDENTITY)
     assert minus_id not in _generate([mat_mul(T_MAT, T_MAT)], mat_mul,
@@ -98,8 +106,9 @@ def test_minus_identity_search_matches_the_closures():
 
 def test_subgroup_classification_closes_only_what_it_reads(monkeypatch):
     # closing all 64 H_{j,k} would take 17,732 products; the ledger takes
-    # 2 * 1056 for the nine closures the equalities read, 48 for SL2(F3),
-    # 20 for the relations and 3084 for the 64 searches for -I
+    # 2700: 2 * 1056 for the nine closures the equalities read, 48 for
+    # SL2(F3), 20 for the relations, 6 * 64 for the scalar words s^2, t^3
+    # and (st)^4 and 136 for the 64 searches for -I among them
     import octaq.gl2f9 as mod
     calls = []
 
@@ -108,7 +117,26 @@ def test_subgroup_classification_closes_only_what_it_reads(monkeypatch):
         return mat_mul(x, y)
     monkeypatch.setattr(mod, "mat_mul", counting)
     assert verify_subgroup_classification().ok
-    assert len(calls) < 6000
+    assert len(calls) < 3000
+
+
+def test_five_groups_reuse_the_ledger_closures(monkeypatch):
+    # each H_{j,k} is closed once per process: the five groups the ledger
+    # has closed cost no product when five_groups asks for them again
+    import octaq.gl2f9 as mod
+    calls = []
+
+    def counting(x, y):
+        calls.append(1)
+        return mat_mul(x, y)
+    monkeypatch.setattr(mod, "mat_mul", counting)
+    verify_subgroup_classification()
+    calls.clear()
+    groups = five_groups()
+    assert calls == []
+    assert {k: g.order for k, g in groups.items()} == {
+        "G1": 48, "G2": 96, "G3": 48, "G4": 96, "G5": 192}
+    assert h_jk(8, -8) is h_jk(0, 0) is groups["G1"]
 
 
 def test_classify_examples():
@@ -374,6 +402,19 @@ def test_s4_scan_rejects_generators_that_miss_pgl2f9(monkeypatch):
     monkeypatch.setattr(mod, "GL2_GENERATORS", (S_MAT, T_MAT))
     with pytest.raises(OctaqError, match="720"):
         s4_conjugacy_scan()
+
+
+def test_perm_order_is_the_least_power_to_the_identity():
+    # the order read off one cycle against the definition: the least k
+    # with p^k = 1, by repeated composition
+    census = {}
+    for p in _pgl2f9():
+        k, q = 1, p
+        while q != _PERM_ID:
+            k, q = k + 1, _compose(q, p)
+        assert _perm_order(p) == k, p
+        census[k] = census.get(k, 0) + 1
+    assert census == {1: 1, 2: 81, 3: 80, 4: 90, 5: 144, 8: 180, 10: 144}
 
 
 def test_triangle_pairs_count():

@@ -454,6 +454,26 @@ def test_cli_negative_setting_is_bad_input(capsys, flag):
     assert flag in data["error"]["message"]
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this CPython has no int-to-str digit limit")
+@pytest.mark.parametrize("flag", ["--box", "--factor-budget"])
+def test_cli_setting_past_the_int_str_limit_exits_3(capsys, flag):
+    # argparse used to parse the flag: exit 2 with its usage text on
+    # stderr, all 4301 digits echoed; now it meets the limit a number of
+    # the command's input meets
+    big = "7" * 4301
+    assert main([flag, big, "principalize", "x^4+x-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    _digit_limit_error(captured.out)
+    assert "7" * 20 not in captured.out
+    # a malformed value is bad input, as a malformed number of the input is
+    code, data = run_cli(capsys, flag, "7x", "principalize", "x^4+x-1")
+    assert code == 2
+    assert data["error"]["type"] == "ParseError"
+    assert flag in data["error"]["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ("qcurve", "from-t", "1/0"),
     ("qcurve", "from-t", "abc"),
