@@ -33,10 +33,19 @@ from .rationals import FACTOR_BUDGET, squarefree_part
 from .tables import load_bundled_corpus, parse_table, verify_table_row
 
 SCHEMA = 1
+_ECHO = 40  # the most characters of an input that an error message quotes
 
 _TERM_RE = re.compile(
     r"^(?P<sign>[+-])?(?P<num>\d+(?:/\d+)?)?(?:\*)?(?P<var>[xX])?"
     r"(?:\^(?P<exp>\d+))?$")
+
+
+def _excerpt(text: str, show=repr) -> str:
+    """show(text), or show of its first _ECHO characters and the length of
+    text when it is longer: no error message echoes a long input in full."""
+    if len(text) <= _ECHO:
+        return show(text)
+    return f"{show(text[:_ECHO])}... ({len(text)} characters)"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -47,7 +56,7 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         if _digit_limit(exc):
             raise  # well formed: _run reports the limit
-        raise ParseError(f"bad number {text!r}") from exc
+        raise ParseError(f"bad number {_excerpt(text)}") from exc
 
 
 def parse_polynomial(text: str) -> UniPoly:
@@ -65,19 +74,21 @@ def parse_polynomial(text: str) -> UniPoly:
     for chunk in chunks:
         m = _TERM_RE.match(chunk)
         if not m or (m.group("num") is None and m.group("var") is None):
-            raise ParseError(f"cannot parse term {chunk!r}")
+            raise ParseError(f"cannot parse term {_excerpt(chunk)}")
         value = parse_rational((m.group("sign") or "") + (m.group("num") or "1"))
         if m.group("var"):
             # checked as text, so a long exponent builds no dense list and
             # never reaches int()'s digit limit
             digits = (m.group("exp") or "1").lstrip("0") or "0"
             if len(digits) > 1 or int(digits) > 4:
-                raise ParseError(f"degree {digits} in {chunk!r} is above 4,"
-                                 " the largest degree octaq reads")
+                raise ParseError(f"degree {_excerpt(digits, str)} in"
+                                 f" {_excerpt(chunk)} is above 4, the"
+                                 " largest degree octaq reads")
             exp = int(digits)
         else:
             if m.group("exp") is not None:
-                raise ParseError(f"exponent without variable in {chunk!r}")
+                raise ParseError("exponent without variable in"
+                                 f" {_excerpt(chunk)}")
             exp = 0
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + value
     top = max(coeffs)
@@ -372,7 +383,7 @@ def _setting(flag: str, text: str | int) -> int:
     except ValueError as exc:
         if _digit_limit(exc):
             raise
-        raise ParseError(f"{flag} {text!r} is not an integer") from None
+        raise ParseError(f"{flag} {_excerpt(text)} is not an integer") from None
     if value < 0:
         raise ValidationFailure(f"{flag} {value} is negative")
     return value

@@ -15,16 +15,12 @@ class ValidationFailure(OctaqError):
 
 
 class ComputationalLimit(OctaqError):
-    """A configured search bound, precision or factoring budget was exhausted."""
+    """A configured search bound or factoring budget was exhausted."""
 
 
 class FactorizationIncomplete(ComputationalLimit):
     """A cofactor was neither split within the factoring budget nor proven
     prime (primality is proven only below rationals.PSI_13)."""
-
-
-class PrecisionExhausted(ComputationalLimit):
-    """Root certification failed at the maximum working precision."""
 
 
 class SearchExhausted(ComputationalLimit):

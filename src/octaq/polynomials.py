@@ -185,15 +185,6 @@ def poly_str(p: UniPoly, var: str = "x") -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd via the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
-
-
 # -- discriminants ------------------------------------------------------------
 
 

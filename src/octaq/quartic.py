@@ -458,9 +458,11 @@ def resolvent_cubic(f: ReducedQuartic) -> UniPoly:
 
 def galois_is_S4(f: ReducedQuartic) -> bool:
     """Irreducible resolvent cubic (a reducible cubic has a rational root)
-    and non-square disc F = e^12 disc f."""
-    return (_irreducible(_integer_model(resolvent_cubic(f)))
-            and not is_square(f._model.disc))
+    and non-square disc F = e^12 disc f; the resolvent of the integer model
+    F = X^4 + AX^2 + BX + C has roots e^2 times those of f's and disc F."""
+    (c, b, a, _, _), e, disc = f._model
+    cubic = _Model((4 * a * c - b * b, -4 * c, -a, 1), e * e, disc)
+    return _irreducible(cubic) and not is_square(disc)
 
 
 # -- trace form ---------------------------------------------------------------

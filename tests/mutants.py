@@ -279,7 +279,9 @@ MUTANTS = (
     Mutant("normalize-drops-a-denominator-prime", QUARTIC,
            "primes.update(den_fac.factors)",
            "primes.update(sorted(den_fac.factors)[1:])",
-           ("tests/test_quartic.py",),
+           # the factoring-oracle test kills it too, in 13 s of shrinking
+           ("tests/test_quartic.py::"
+            "test_principalize_skips_a_non_squarefree_candidate",),
            "CHANGES.md: running sums for the corpus's two searches"),
     Mutant("same-field-roots-by-residue", QUARTIC,
            "list(itertools.islice(_tabulate([x % p for x in big_g]), p)), p)",
@@ -294,7 +296,8 @@ MUTANTS = (
     Mutant("quad-product-ignores-t-denominator", POLYNOMIALS,
            "c, den = [c[0] * td + c[2] * tn, c[1] * td], den * td",
            "c, den = [c[0] + c[2] * tn, c[1]], den",
-           ("tests/test_polynomials.py",),
+           ("tests/test_polynomials.py::"
+            "test_quad_field_matches_closed_forms",),
            "CHANGES.md: Q(sqrt(t)) as Q[s]/(s^2 - t)"),
     Mutant("divmod-monic-constant-quotient-zeroed", POLYNOMIALS,
            "q[k] = t",
@@ -314,7 +317,7 @@ MUTANTS = (
     Mutant("quad-coerce-without-equal-t", POLYNOMIALS,
            "if isinstance(other, QuadElement) and other.ring is not self.ring:",
            "if False:",
-           ("tests/test_polynomials.py",),
+           ("tests/test_polynomials.py::test_quad_field_mixing",),
            "CHANGES.md: Q(sqrt(t)) as Q[s]/(s^2 - t)"),
     Mutant("close-without-cap-check", GL2F9,
            "return None if len(els) > cap else els",
@@ -359,6 +362,19 @@ MUTANTS = (
            "row = F9_MUL[F9_INV[a]]",
            ("tests/test_gl2f9.py",),
            "CHANGES.md: GL2(F9) proofs without redundant group work"),
+    # X^3 + AX^2 - 4CX + ...: a D4 quartic with A != 0 passes as S4
+    Mutant("resolvent-cubic-a-sign", QUARTIC,
+           "-4 * c, -a, 1)",
+           "-4 * c, a, 1)",
+           ("tests/test_quartic.py::test_galois_s4_examples",),
+           "CHANGES.md: the resolvent cubic read off the integer model"),
+    # every malformed input quoted in full again
+    Mutant("excerpt-without-bound", "src/octaq/cli.py",
+           "    if len(text) <= _ECHO:\n        return show(text)\n",
+           "    return show(text)\n",
+           ("tests/test_tables_cli.py::"
+            "test_cli_parse_error_quotes_a_bounded_prefix",),
+           "CHANGES.md: bounded input echo in ParseError messages"),
 )
 
 EQUIVALENT = (

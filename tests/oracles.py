@@ -11,8 +11,7 @@ from octaq.errors import (CyclotomicExcluded, ExcludedParameter,
 from octaq.gl2f9 import F9_ADD, F9_INV, F9_MUL, F9_NEG, MINUS_ONE, ONE, ZETA
 from octaq.hilbert import (INF, TRIVIAL, BrauerClass, brauer_class,
                            check_place)
-from octaq.polynomials import (QQ, QuadField, UniPoly, poly_gcd,
-                               poly_str)
+from octaq.polynomials import QQ, QuadField, UniPoly, poly_str
 from octaq.qcurve import (SymbolicContext, _require_principal,
                           companion_quartic_poly, curve_from_t,
                           principal_closure_p, principal_quartic_poly,
@@ -23,6 +22,7 @@ from octaq.quartic import (PrincipalQuartic, TraceFormData, _ceil_div,
                            _integer_model, _normalize_principal,
                            _roots_mod, reduced_tschirnhaus_poly)
 from octaq.rationals import _val_unit, factorize, is_square, squarefree_part
+from sturm import poly_gcd
 
 
 def bareiss_determinant(rows: list[list], zero, one):

@@ -1,7 +1,17 @@
 """Sturm counts of real roots, for the tests that pick totally real
-quartics; no command of octaq needs them."""
+quartics, and the polynomial gcd they need; no command of octaq needs
+either."""
 
-from octaq.polynomials import QQ, UniPoly, poly_gcd
+from octaq.polynomials import QQ, UniPoly
+
+
+def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd via the Euclidean algorithm."""
+    while not b.is_zero():
+        a, b = b, a % b
+    if a.is_zero():
+        return a
+    return a.monic()
 
 
 def _sign_at_inf(p: UniPoly, positive: bool) -> int:

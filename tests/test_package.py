@@ -65,15 +65,49 @@ def _run_python(*args):
                           timeout=300, env={**os.environ, "PYTHONPATH": src})
 
 
+PACKAGE = Path(octaq.__file__).resolve().parent
+
+
+def _package_nodes(package: Path = PACKAGE):
+    """(file name, node) for every AST node of every module of package."""
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
 def test_package_has_no_assert_statement():
     # -O strips assert statements, so no invariant may rest on one: every
     # module of the package, parsed, holds none
-    package = Path(octaq.__file__).resolve().parent
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(package.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _non_stdlib_imports(package: Path = PACKAGE) -> list[str]:
+    """The imports of the package that are neither relative nor of a
+    module of the standard library."""
+    found = []
+    for name, node in _package_nodes(package):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{name}:{node.lineno} {module}" for module in modules
+                  if module.partition(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_package_imports_only_the_standard_library(tmp_path):
+    # octaq has no dependency: every import of src/octaq is relative or of
+    # a stdlib module; a module importing mpmath, in either form, is caught
+    assert _non_stdlib_imports() == []
+    (tmp_path / "roots.py").write_text(
+        "import json\nfrom . import errors\nfrom mpmath import mpf\n"
+        "import mpmath.libmp\n", encoding="utf-8")
+    assert _non_stdlib_imports(tmp_path) == [
+        "roots.py:3 mpmath", "roots.py:4 mpmath.libmp"]
 
 
 def test_verify_tables_under_python_O():

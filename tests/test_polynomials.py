@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from octaq.polynomials import (QQ, PolyRing, QuadElement, QuadField,
                                UniPoly, _divmod_monic, _poly_add, _poly_mul,
-                               _trim, discriminant, poly, poly_gcd,
-                               poly_str, qpoly)
+                               _trim, discriminant, poly, poly_str,
+                               qpoly)
 from octaq.quartic import _power_sums
 from octaq.rationals import is_square
 from oracles import (FunctionField, add_by_loop, bareiss_determinant,
@@ -17,7 +17,7 @@ from oracles import (FunctionField, add_by_loop, bareiss_determinant,
                      int_rem_by_pops, mul_by_loop, power_sums,
                      resultant_bivariate, sylvester_matrix,
                      to_function_field)
-from sturm import count_real_roots
+from sturm import count_real_roots, poly_gcd
 
 
 def rand_poly(rng, max_deg=5, lo=-6, hi=6):

@@ -288,6 +288,8 @@ def test_galois_s4_examples():
     assert galois_is_S4(ReducedQuartic(0, 1, -1))
     assert not galois_is_S4(ReducedQuartic(0, 0, 1))       # x^4+1 biquadratic
     assert not galois_is_S4(ReducedQuartic(0, 0, -2))      # x^4-2, D4
+    # x^4+x^2+2, D4 with a != 0: its resolvent has the root a = 1
+    assert not galois_is_S4(ReducedQuartic(1, 0, 2))
     # scale e = 2, so disc F = 2^12 disc f: an A4 quartic (square
     # discriminant) and an S4 quartic of discriminant class 2
     assert not galois_is_S4(ReducedQuartic(-3, 1, Fraction(9, 2)))
@@ -566,27 +568,28 @@ def test_invariants_computed_once_per_quartic(monkeypatch):
     assert is_principal(f)
     assert f.disc() and out.disc_class() == f.disc_class()
     # one model and one irreducibility proof each for f (in
-    # ReducedQuartic), its resolvent cubic (in galois_is_S4) and the
-    # principal model (in PrincipalQuartic); principalize builds one more
-    # model, of its candidate, for the squarefree test only
-    assert calls == {"_integer_model": 4, "_irreducible": 3,
+    # ReducedQuartic) and the principal model (in PrincipalQuartic), one
+    # more proof for the resolvent cubic, read off f's model in
+    # galois_is_S4; principalize builds one more model, of its candidate,
+    # for the squarefree test only
+    assert calls == {"_integer_model": 3, "_irreducible": 3,
                      "galois_is_S4": 1, "trace_form": 1}
     # the principal model is its own reduced form and shares its caches
     assert out.reduced() is out
     assert is_principal(out.reduced())
-    assert calls["_integer_model"] == 4
+    assert calls["_integer_model"] == 3
     assert calls["trace_form"] == 2
 
-    # a table row has six polynomials, each modelled once: the source and
-    # the principal polynomial (in same_field), the depressed source, its
-    # resolvent cubic, principalize's candidate and its normalized output;
-    # all but the candidate get one irreducibility proof, and every
-    # discriminant is the closed form of a model, with no
-    # polynomials.discriminant
+    # a table row models five polynomials once each: the source and the
+    # principal polynomial (in same_field), the depressed source,
+    # principalize's candidate and its normalized output; all but the
+    # candidate get one irreducibility proof, and so does the resolvent
+    # cubic, read off the depressed source's model; every discriminant is
+    # the closed form of a model, with no polynomials.discriminant
     from octaq.tables import verify_table_row
     calls.clear()
     assert verify_table_row(CORPUS[0])["passed"]
-    assert calls["_integer_model"] == 6
+    assert calls["_integer_model"] == 5
     assert calls["_irreducible"] == 5
     assert calls["discriminant"] == 0
 
@@ -1456,10 +1459,6 @@ def test_integer_certificate_check_matches_fraction_oracle():
 def test_principalize_skips_a_non_squarefree_candidate(monkeypatch):
     # no isotropic vector of an irreducible quartic gives a repeated root,
     # so a zero vector (image X^4, closed-form discriminant 0) is put first
-    def forbidden(*args):
-        raise AssertionError("poly_gcd called")
-    for module, attr in _bindings(polynomials.poly_gcd):
-        monkeypatch.setattr(module, attr, forbidden)
     search = quartic._isotropic_vectors
     seen = []
 

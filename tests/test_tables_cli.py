@@ -308,13 +308,16 @@ def test_cli_other_value_errors_still_end_in_a_traceback(monkeypatch):
 @pytest.mark.parametrize("exponent", ["3000000", "9" * 5000])
 def test_cli_analyze_high_degree_exits_quickly(capsys, exponent):
     # x^3000000 used to build 3,000,001 Fractions and take seconds before
-    # exit 2; a 5000-digit exponent is past int()'s digit limit
+    # exit 2; a 5000-digit exponent is past int()'s digit limit, and the
+    # message quotes only its first 40 digits
     start = time.perf_counter()
     code, data = run_cli(capsys, "analyze", f"x^{exponent}+1")
     assert time.perf_counter() - start < 1
     assert code == 2
     assert data["error"]["type"] == "ParseError"
-    assert f"degree {exponent} in" in data["error"]["message"]
+    shown = exponent if len(exponent) <= 40 else \
+        f"{exponent[:40]}... ({len(exponent)} characters)"
+    assert f"degree {shown} in" in data["error"]["message"]
 
 
 def test_cli_principalize_non_octahedral_is_quiet():
@@ -485,6 +488,38 @@ def test_cli_bad_number_exit_code(capsys, argv):
     code, data = run_cli(capsys, *argv)
     assert code == 2
     assert data["error"]["type"] == "ParseError"
+
+
+def test_cli_parse_error_quotes_a_bounded_prefix(capsys):
+    # a malformed input of 5000 characters used to be echoed in full, a
+    # JSON error of about 5100 bytes; its message now quotes at most 40
+    # characters of it and its length
+    token = "z" * 5000
+    for argv in (("--box", token, "principalize", "x^4+x-1"),
+                 ("--factor-budget", token, "analyze", "x^4+x-1"),
+                 ("qcurve", "from-t", token),
+                 ("analyze", f"x^4+{token}x-1"),
+                 ("analyze", f"1,2,{token}"),
+                 ("analyze", "x^4+x^" + "9" * 5000),
+                 ("analyze", "x^4+1^" + "9" * 5000)):
+        assert main(list(argv)) == 2, argv[:2]
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "ParseError"
+        assert len(error["message"]) < 200, error["message"]
+        assert " characters)" in error["message"], error["message"]
+    # a short input is quoted whole, as before
+    for argv, message in (
+            (("--box", "7x", "principalize", "x^4+x-1"),
+             "--box '7x' is not an integer"),
+            (("qcurve", "from-t", "abc"), "bad number 'abc'"),
+            (("analyze", "x^4+yx-1"), "cannot parse term '+yx'"),
+            (("analyze", "x^5+x-1"),
+             "degree 5 in 'x^5' is above 4, the largest degree octaq reads"),
+            (("analyze", "x^4+2^3"), "exponent without variable in '+2^3'")):
+        code, data = run_cli(capsys, *argv)
+        assert (code, data["error"]["message"]) == (2, message)
 
 
 def test_cli_internal_value_error_is_not_bad_input(monkeypatch):
