@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .embedding import classify, endo_algebras
 from .errors import (ComputationalLimit, NotOctahedral, OctaqError,
-                     ParseError, ValidationFailure, _digit_limit)
+                     ParseError, ValidationFailure, _digit_limit, _excerpt)
 from .gl2f9 import (_TWIST_PLAN, five_groups, s4_conjugacy_scan,
                     verify_outer_involutions, verify_subgroup_classification)
 from .hilbert import INF
@@ -33,19 +33,10 @@ from .rationals import FACTOR_BUDGET, squarefree_part
 from .tables import load_bundled_corpus, parse_table, verify_table_row
 
 SCHEMA = 1
-_ECHO = 40  # the most characters of an input that an error message quotes
 
 _TERM_RE = re.compile(
     r"^(?P<sign>[+-])?(?P<num>\d+(?:/\d+)?)?(?:\*)?(?P<var>[xX])?"
     r"(?:\^(?P<exp>\d+))?$")
-
-
-def _excerpt(text: str, show=repr) -> str:
-    """show(text), or show of its first _ECHO characters and the length of
-    text when it is longer: no error message echoes a long input in full."""
-    if len(text) <= _ECHO:
-        return show(text)
-    return f"{show(text[:_ECHO])}... ({len(text)} characters)"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -100,10 +91,12 @@ def _s4_quartic(text: str) -> tuple[UniPoly, ReducedQuartic]:
     must have Galois group S4."""
     poly = parse_polynomial(text)
     if poly.degree != 4 or poly.lc != 1:
-        raise ParseError(f"need a monic quartic, got {poly_str(poly)}")
+        raise ParseError("need a monic quartic, got"
+                         f" {_excerpt(poly_str(poly), str)}")
     reduced = depress(poly)
     if not reduced.is_s4:
-        raise NotOctahedral(f"{poly_str(poly)} does not have Galois group S4")
+        raise NotOctahedral(f"{_excerpt(poly_str(poly), str)} does not have"
+                            " Galois group S4")
     return poly, reduced
 
 
@@ -224,7 +217,7 @@ def cmd_qcurve_from_quartic(args) -> int:
         **_curve_json(rec),
         "input": poly_str(poly),
         "principal_form": [str(principal.b), str(principal.c)],
-        "field_k": f"Q(sqrt({squarefree_part(rec.t)}))",
+        "field_k": f"Q(sqrt({squarefree_part(-3 * reduced.disc_class())}))",
     })
     return 0
 

@@ -28,7 +28,8 @@ from math import isqrt
 from typing import Optional
 
 from .errors import (CyclotomicExcluded, FactorizationIncomplete,
-                     InvalidTypeParameter, NotOctahedral, SearchExhausted)
+                     InvalidTypeParameter, NotOctahedral, SearchExhausted,
+                     _excerpt)
 from .hilbert import BrauerClass, brauer_class
 from .polynomials import poly_str
 from .quartic import ReducedQuartic, is_principal
@@ -114,8 +115,8 @@ def classify(f: ReducedQuartic) -> EmbeddingReport:
     explicit (b, r).
     """
     if not f.is_s4:
-        raise NotOctahedral(
-            f"{poly_str(f.poly())} does not have Galois group S4")
+        raise NotOctahedral(f"{_excerpt(poly_str(f.poly()), str)} does not"
+                            " have Galois group S4")
     d = f.disc_class()
     dec = decompose_discriminant(d)
     principal = is_principal(f)

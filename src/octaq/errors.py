@@ -5,6 +5,16 @@ out-of-scope input, exit 2) and computational limits (a configured bound
 or CPython's int-str digit limit was reached, exit 3).  All else is a bug.
 """
 
+_ECHO = 40  # the most characters of an input that an error message quotes
+
+
+def _excerpt(text: str, show=repr) -> str:
+    """show(text), or show of its first _ECHO characters and the length of
+    text when it is longer: no error message echoes a long input in full."""
+    if len(text) <= _ECHO:
+        return show(text)
+    return f"{show(text[:_ECHO])}... ({len(text)} characters)"
+
 
 class OctaqError(Exception):
     pass

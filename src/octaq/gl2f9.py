@@ -357,17 +357,14 @@ def verify_subgroup_classification() -> CheckLedger:
     g1, g2, g3, g4, g5 = (gs[k].elements for k in ("G1", "G2", "G3", "G4", "G5"))
 
     led.check("H_{1,0} = H_{1,2}", g2 == hs[1, 2].elements)
-    i_gl2f3 = set_product([ZETA_POW[2 * k] for k in range(4)], g1)
+    i_units = [ONE, I_UNIT, MINUS_ONE, ZETA_POW[6]]
+    i_g1, f9s_g1 = set_product(i_units, g1), set_product(F9_UNITS, g1)
     led.check("H_{0,2} = H_{2,2} = <i>GL2(F3)",
-              g4 == hs[2, 2].elements == i_gl2f3)
-    f9s_gl2f3 = set_product(F9_UNITS, g1)
+              g4 == hs[2, 2].elements == i_g1)
     led.check("H_{0,1} = H_{1,1} = H_{2,1} = F9*GL2(F3)",
-              g5 == hs[1, 1].elements == hs[2, 1].elements == f9s_gl2f3)
-    led.check("<i>G1 = <i>G3 = G4",
-              set_product([ONE, I_UNIT, MINUS_ONE, ZETA_POW[6]], g1)
-              == set_product([ONE, I_UNIT, MINUS_ONE, ZETA_POW[6]], g3) == g4)
-    led.check("F9*G1 = F9*G3 = G5",
-              set_product(F9_UNITS, g1) == set_product(F9_UNITS, g3) == g5)
+              g5 == hs[1, 1].elements == hs[2, 1].elements == f9s_g1)
+    led.check("<i>G1 = <i>G3 = G4", i_g1 == set_product(i_units, g3) == g4)
+    led.check("F9*G1 = F9*G3 = G5", f9s_g1 == set_product(F9_UNITS, g3) == g5)
 
     # -I lies in H_{j,k} once it lies in the group of three words in its
     # generators; they are scalar, so that group has at most 8 elements.
@@ -381,10 +378,7 @@ def verify_subgroup_classification() -> CheckLedger:
     expected = {"G1": (48, 24, "2S4+"), "G2": (96, 24, "4S4+"),
                 "G3": (48, 48, "2S4-"), "G4": (96, 48, "4S4-"),
                 "G5": (192, 48, "8S4-")}
-    table = {}
-    for name, grp in gs.items():
-        key = (grp.order, grp.sl2_order())
-        table[name] = (key[0], key[1], _LABELS.get(key, "?"))
+    table = {name: classify_hjk(*jk) for name, jk in _FIVE.items()}
     led.check("order table 48/96/48/96/192 with SL2 24/24/48/48/48",
               table == expected, detail=str(table))
 
@@ -424,7 +418,7 @@ def projective_det(m: tuple) -> int:
     a, b, c, d = row[a], row[b], row[c], row[d]
     if a > MINUS_ONE or b > MINUS_ONE or c > MINUS_ONE or d > MINUS_ONE:
         raise ValueError("matrix is not a scalar multiple of GL2(F3)")
-    return F9_ADD[F9_MUL[a][d]][F9_NEG[F9_MUL[b][c]]]
+    return mat_det((a, b, c, d))
 
 
 def twist_phi(m: tuple) -> tuple:

@@ -40,13 +40,13 @@ from typing import Optional
 
 from .errors import (CyclotomicExcluded, DegenerateParameter,
                      ExcludedParameter, NotOctahedral, NotPrimitive,
-                     NotPrincipal, OctaqError)
+                     NotPrincipal, OctaqError, _excerpt)
 from .hilbert import brauer_class
 from .polynomials import (QQ, PolyRing, QuadField, UniPoly, _horner,
                           discriminant, poly_str)
 from .quartic import (PrincipalQuartic, ReducedQuartic, _power_sums,
                       _principal_image, reduced_tschirnhaus_poly, trace_form)
-from .rationals import is_square, squarefree_part
+from .rationals import is_square
 
 J_AT_CUSP = 1728
 
@@ -136,25 +136,21 @@ def curve_from_t(t: Fraction | int) -> QCurveRecord:
 
 def _require_principal(g: ReducedQuartic) -> None:
     if g.a != 0:
-        raise NotPrincipal(f"{poly_str(g.poly())} is not of the principal"
-                           " shape X^4 + bX + c")
+        raise NotPrincipal(f"{_excerpt(poly_str(g.poly()), str)} is not of"
+                           " the principal shape X^4 + bX + c")
 
 
 def t_from_principal(g: PrincipalQuartic) -> Fraction:
-    """t = -disc(g)/(27 b^4) = 1 - 256 c^3/(27 b^4); the square class of t
-    is that of -3 disc(g), so Q(sqrt(t)) = Q(sqrt(-3 d))."""
+    """t = -disc(g)/(27 b^4) = 1 - 256 c^3/(27 b^4) = -3 disc(g)/(9 b^2)^2,
+    so Q(sqrt(t)) = Q(sqrt(-3 d)), and t is a square exactly when d = -3."""
     _require_principal(g)
     if g.b == 0:
-        raise NotOctahedral(f"{poly_str(g.poly())} has b = 0: X^4 + c is not"
-                            " octahedral and t is undefined")
-    disc = g.disc()
-    if squarefree_part(disc) == -3:
+        raise NotOctahedral(f"{_excerpt(poly_str(g.poly()), str)} has b = 0:"
+                            " X^4 + c is not octahedral and t is undefined")
+    t = -g.disc() / (27 * g.b**4)
+    if is_square(t):
         raise CyclotomicExcluded(
             "discriminant class -3: determinant character is cyclotomic")
-    t = -disc / (27 * g.b**4)
-    if is_square(t):
-        raise OctaqError(f"t = {t} from an irreducible principal quartic"
-                         " is a square")
     return t
 
 

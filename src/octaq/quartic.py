@@ -26,7 +26,7 @@ from math import factorial, gcd, isqrt, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (DegenerateUnresolvable, NotPrimitive, NotPrincipal,
-                     Reducible, SearchExhausted)
+                     Reducible, SearchExhausted, _excerpt)
 from .hilbert import INF, BrauerClass, _support, _witt, brauer_class
 from .polynomials import (QQ, UniPoly, _disc, _divmod_monic, _poly_mul,
                           poly_str, qpoly)
@@ -145,8 +145,8 @@ def _split_prime(model: _Model, avoid: int = 1
     (Stickelberger), which rules out half the primes unreduced.  Kept by
     the model and avoid in a cache bounded like rationals._factorize, so
     the least split prime of a model (avoid = 1) is searched once per
-    process for every same_field call on it; SearchExhausted is not kept
-    and names the cap on every call."""
+    process for every same_field call on it (its scans past one avoid go
+    round the cache); SearchExhausted is not kept and names the cap."""
     for p, d, values in _frobenius(model, avoid):
         if pow(d, (p - 1) // 2, p) == 1:
             roots = _roots_mod(values, p)
@@ -277,7 +277,7 @@ class ReducedQuartic:
         p = self.poly()
         object.__setattr__(self, "_model", _integer_model(p))
         if not _irreducible(self._model):
-            raise Reducible(f"{poly_str(p)} factors over Q")
+            raise Reducible(f"{_excerpt(poly_str(p), str)} factors over Q")
 
     def poly(self) -> UniPoly:
         return qpoly([self.c, self.b, self.a, 0, 1])
@@ -358,7 +358,8 @@ def depress(f: UniPoly) -> ReducedQuartic:
     try:
         return ReducedQuartic(c2, c1, c0)
     except Reducible:
-        raise Reducible(f"{poly_str(f)} factors over Q") from None
+        quoted = _excerpt(poly_str(f), str)
+        raise Reducible(f"{quoted} factors over Q") from None
 
 
 def reduced_tschirnhaus_poly(f: UniPoly, m, n, p) -> UniPoly:
@@ -553,8 +554,8 @@ def witt_formula(f: ReducedQuartic) -> BrauerClass:
         except NotPrimitive:
             continue
     raise DegenerateUnresolvable(
-        f"no non-degenerate model of {poly_str(f.poly())} after"
-        f" WITT_DODGES = {WITT_DODGES} Tschirnhaus dodges")
+        f"no non-degenerate model of {_excerpt(poly_str(f.poly()), str)}"
+        f" after WITT_DODGES = {WITT_DODGES} Tschirnhaus dodges")
 
 
 # -- principality ------------------------------------------------------------
@@ -612,15 +613,15 @@ def _principal_image(f: ReducedQuartic, m, n, p
                      ) -> Optional[tuple[PrincipalQuartic, Fraction]]:
     """The normalized image X^4 + bX + c of f under the reduced Tschirnhaus
     transformation (m, n, p) of an isotropic vector, with its scale r
-    (_normalize_principal); None when the image is not squarefree.  A
-    squarefree image is the minimal polynomial of a generator of the
+    (_normalize_principal); None when its discriminant 256 c^3 - 27 b^4 is
+    0.  A squarefree image is the minimal polynomial of a generator of the
     field, so irreducible; PrincipalQuartic checks it again."""
-    image = _rational_image(f._model, m, n, p)
-    if image[2] != 0:
+    c, b, a, _, _ = _rational_image(f._model, m, n, p).coeffs
+    if a != 0:
         raise AssertionError("isotropic vector gave nonzero X^2 term")
-    if _integer_model(image).disc == 0:
+    if 256 * c**3 == 27 * b**4:
         return None
-    return _normalize_principal(image[1], image[0])
+    return _normalize_principal(b, c)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -717,7 +718,7 @@ def principalize(f: ReducedQuartic, box: int = 50
     """
     if not is_principal(f):
         raise NotPrincipal("Witt invariant differs from (-1, -d) for"
-                           f" {poly_str(f.poly())}")
+                           f" {_excerpt(poly_str(f.poly()), str)}")
     for m, n, pf in _isotropic_vectors(f.trace_data.gram, box):
         image = _principal_image(f, m, n, pf)
         if image is not None:
@@ -773,10 +774,10 @@ def same_field(f: UniPoly, g: UniPoly) -> Optional[FieldCertificate]:
     double root of F mod it; so for G.  That p is the least split prime
     of F, kept by the model F and so found once per process for every
     call on F, unless it divides disc(G); only then is F scanned again,
-    past those primes.  By Dedekind, p splits completely in the field of
-    F, so G splits too when the fields agree; evaluating G at the
-    residues shows whether it has its 4 roots mod p, and if it does not,
-    the fields differ.
+    past those primes, uncached, as that search is this pair's alone.  By
+    Dedekind, p splits completely in the field of F, so G splits too when
+    the fields agree; evaluating G at the residues shows whether it has
+    its 4 roots mod p, and if it does not, the fields differ.
 
     Otherwise lift the 4 roots of F and of G mod p, distinct as p divides
     neither discriminant, once, to a modulus M = p^k above 2H for the
@@ -803,13 +804,13 @@ def same_field(f: UniPoly, g: UniPoly) -> Optional[FieldCertificate]:
             raise ValueError("need monic quartics")
         models.append(_integer_model(h))
         if not _irreducible(models[-1]):
-            raise Reducible(f"{poly_str(h)} factors over Q")
+            raise Reducible(f"{_excerpt(poly_str(h), str)} factors over Q")
     mf, mg = models
     if not same_square_class(mf.disc, mg.disc):
         return None
     p, f_roots = _split_prime(mf)
     if not mg.disc % p:
-        p, f_roots = _split_prime(mf, mg.disc)
+        p, f_roots = _split_prime.__wrapped__(mf, mg.disc)
     big_f, big_g = mf.coeffs, mg.coeffs
     g_roots = _roots_mod(
         list(itertools.islice(_tabulate([x % p for x in big_g]), p)), p)

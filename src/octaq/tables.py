@@ -86,46 +86,37 @@ def verify_table_row(row: TableRow, box: int = 50) -> dict:
     and same_field that the principal polynomial is irreducible (or
     raises) and defines the same field, which gives it the source's
     discriminant class too."""
-    failures = []
-    checks = {}
     reduced = depress(row.source_poly())
     report = classify(reduced)
-
-    checks["s4"] = True  # classify would have raised otherwise
-    checks["disc"] = report.d == squarefree_part(row.expected_disc)
-    if not checks["disc"]:
-        failures.append(f"discriminant class is {report.d},"
-                        f" row claims d = {row.expected_disc}")
-    checks["principal"] = report.principal
-    if not report.principal:
-        failures.append("field is not principal")
-
     got_table = report.table_id()
-    checks["table"] = got_table == row.table_id
-    if not checks["table"]:
-        failures.append(f"classified into table {got_table},"
-                        f" row claims {row.table_id}")
-
-    checks["star"] = report.star_norm2 == row.star
-    if not checks["star"]:
-        failures.append(f"star flag mismatch: (2,-3d) trivial is"
-                        f" {report.star_norm2}, row says {row.star}")
-
+    # (name, passed, failure): s4 holds, as classify would have raised
+    outcomes = [
+        ("s4", True, ""),
+        ("disc", report.d == squarefree_part(row.expected_disc),
+         f"discriminant class is {report.d}, row claims d ="
+         f" {row.expected_disc}"),
+        ("principal", report.principal, "field is not principal"),
+        ("table", got_table == row.table_id,
+         f"classified into table {got_table}, row claims {row.table_id}"),
+        ("star", report.star_norm2 == row.star,
+         f"star flag mismatch: (2,-3d) trivial is {report.star_norm2},"
+         f" row says {row.star}"),
+    ]
     cert = same_field(row.source_poly(), row.principal_poly())
-    checks["same_field"] = cert is not None
-    if cert is None:
-        failures.append("no field-equality certificate found")
-
+    outcomes.append(("same_field", cert is not None,
+                     "no field-equality certificate found"))
     principal_form = None
     if report.principal:
         try:
             out, _ = principalize(reduced, box=box)
-            principal_form = (out.b, out.c)
-            checks["principalize"] = True
+            principal_form = [str(out.b), str(out.c)]
+            outcomes.append(("principalize", True, ""))
         except ComputationalLimit as exc:
-            checks["principalize"] = False
-            failures.append(f"principalize failed: {exc}")
-    result = {
+            outcomes.append(("principalize", False,
+                             f"principalize failed: {exc}"))
+    checks = {name: passed for name, passed, _ in outcomes}
+    failures = [failure for _, passed, failure in outcomes if not passed]
+    return {
         "d": row.expected_disc,
         "d_class": report.d,
         "table": row.table_id,
@@ -138,7 +129,5 @@ def verify_table_row(row: TableRow, box: int = 50) -> dict:
         if report.principal and report.d != -3 else [],
         "certificate": None if cert is None else
         [str(cert.m), str(cert.n), str(cert.p), str(cert.q)],
-        "principal_form": None if principal_form is None else
-        [str(principal_form[0]), str(principal_form[1])],
+        "principal_form": principal_form,
     }
-    return result

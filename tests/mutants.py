@@ -41,6 +41,7 @@ QUARTIC = "src/octaq/quartic.py"
 QCURVE = "src/octaq/qcurve.py"
 GL2F9 = "src/octaq/gl2f9.py"
 POLYNOMIALS = "src/octaq/polynomials.py"
+TABLES = "src/octaq/tables.py"
 
 MUTANTS = (
     Mutant("vieta-root-sign", QUARTIC,
@@ -73,9 +74,9 @@ MUTANTS = (
            "m, scale = p**k, 1",
            ("tests/test_quartic.py",),
            "ROADMAP item 13"),
-    Mutant("disc-check-always-passes", "src/octaq/tables.py",
-           'checks["disc"] = report.d == squarefree_part(row.expected_disc)',
-           'checks["disc"] = True',
+    Mutant("disc-check-always-passes", TABLES,
+           '("disc", report.d == squarefree_part(row.expected_disc),',
+           '("disc", True,',
            ("tests/test_tables_cli.py",),
            "ROADMAP item 13"),
     Mutant("stickelberger-parity-flipped", QUARTIC,
@@ -100,7 +101,8 @@ MUTANTS = (
     Mutant("same-field-skips-the-least-split-prime", QUARTIC,
            "    p, f_roots = _split_prime(mf)\n",
            "    p, f_roots = _split_prime(mf, mg.disc)\n",
-           ("tests/test_quartic.py",),
+           ("tests/test_quartic.py::"
+            "test_family_pass_scans_each_integer_model_once",),
            "CHANGES.md: Frobenius memos keyed on the integer model"),
     # irreducible-key-drops-a-coefficient is retired: the caches are keyed
     # on the integer model itself, so no hand-built key is left to mutate
@@ -116,8 +118,8 @@ MUTANTS = (
            ("tests/test_qcurve.py",),
            "CHANGES.md: Q(sqrt(t)) divides only by rationals"),
     Mutant("t-from-principal-times-4", QCURVE,
-           "t = -disc / (27 * g.b**4)",
-           "t = -4 * disc / (27 * g.b**4)",
+           "t = -g.disc() / (27 * g.b**4)",
+           "t = -4 * g.disc() / (27 * g.b**4)",
            ("tests/test_frobenius.py",),
            "ROADMAP item 12"),
     Mutant("weierstrass-b-coefficient", QCURVE,
@@ -187,7 +189,8 @@ MUTANTS = (
     Mutant("compose-reversed", GL2F9,
            "return tuple(map(p.__getitem__, q))",
            "return tuple(map(q.__getitem__, p))",
-           ("tests/test_gl2f9.py",),
+           ("tests/test_gl2f9.py::"
+            "test_tuple_arithmetic_matches_packed_oracle",),
            "CHANGES.md: GL2(F9) on 4-tuples, PGL2(F9) as permutations"),
     Mutant("perm-without-singular-check", GL2F9,
            "    if mat_det(m) == ZERO:\n"
@@ -354,7 +357,8 @@ MUTANTS = (
     Mutant("perm-order-walk-from-point-zero", GL2F9,
            "        if p[x] != x:\n            break\n",
            "        if True:\n            break\n",
-           ("tests/test_gl2f9.py",),
+           ("tests/test_gl2f9.py::"
+            "test_perm_order_is_the_least_power_to_the_identity",),
            "CHANGES.md: GL2(F9) proofs without redundant group work"),
     # an m with a = 0 scaled by F9_INV[0] = 0 is "over F3" with det 0
     Mutant("projective-det-scales-by-first-entry", GL2F9,
@@ -369,12 +373,44 @@ MUTANTS = (
            ("tests/test_quartic.py::test_galois_s4_examples",),
            "CHANGES.md: the resolvent cubic read off the integer model"),
     # every malformed input quoted in full again
-    Mutant("excerpt-without-bound", "src/octaq/cli.py",
+    Mutant("excerpt-without-bound", "src/octaq/errors.py",
            "    if len(text) <= _ECHO:\n        return show(text)\n",
            "    return show(text)\n",
            ("tests/test_tables_cli.py::"
             "test_cli_parse_error_quotes_a_bounded_prefix",),
            "CHANGES.md: bounded input echo in ParseError messages"),
+    # a class -3 quartic passes, as its t > 0 makes -t no square
+    Mutant("t-from-principal-tests-minus-t", QCURVE,
+           "    if is_square(t):\n",
+           "    if is_square(-t):\n",
+           ("tests/test_qcurve.py::test_cyclotomic_excluded",),
+           "CHANGES.md: each fact decided once"),
+    # the zero vector's image X^4 reaches PrincipalQuartic, which raises
+    Mutant("principal-image-without-squarefree-test", QUARTIC,
+           "    if 256 * c**3 == 27 * b**4:\n        return None\n",
+           "",
+           ("tests/test_quartic.py::"
+            "test_principalize_skips_a_non_squarefree_candidate",),
+           "CHANGES.md: each fact decided once"),
+    Mutant("table-row-failures-of-the-passed-checks", TABLES,
+           "for _, passed, failure in outcomes if not passed]",
+           "for _, passed, failure in outcomes if passed]",
+           ("tests/test_tables_cli.py::test_verify_row_passes",),
+           "CHANGES.md: each fact decided once"),
+    # zeta^5 in place of zeta^6: the coset list is no longer <i>
+    Mutant("i-units-wrong-unit", GL2F9,
+           "i_units = [ONE, I_UNIT, MINUS_ONE, ZETA_POW[6]]",
+           "i_units = [ONE, I_UNIT, MINUS_ONE, ZETA_POW[5]]",
+           ("tests/test_gl2f9.py::"
+            "test_subgroup_classification_ledger_all_pass",),
+           "CHANGES.md: each fact decided once"),
+    # det of the unscaled m: zeta^2 det m0 for m = zeta m0, not +-1
+    Mutant("projective-det-unscaled", GL2F9,
+           "return mat_det((a, b, c, d))",
+           "return mat_det(m)",
+           ("tests/test_gl2f9.py::"
+            "test_projective_det_matches_search_over_scalars",),
+           "CHANGES.md: each fact decided once"),
 )
 
 EQUIVALENT = (
@@ -402,6 +438,16 @@ EQUIVALENT = (
      " the length of its order (the proof is in _perm_order's docstring),"
      " so the cycle through the last moved point gives the same order as"
      " the cycle through the first"),
+    (Mutant("principal-image-squarefree-exponent", QUARTIC,
+            "256 * c**3 == 27 * b**4",
+            "256 * c**3 == 27 * b**3",
+            ("tests/test_quartic.py",), "CHANGES.md: each fact decided"
+            " once"),
+     "the image is the characteristic polynomial of gamma, a power of its"
+     " minimal polynomial; with Tr gamma = Tr gamma^2 = 0 (no X^3 or X^2"
+     " term) a gamma of degree 1 or 2 is 0, so the only image that is not"
+     " squarefree is X^4, where b = c = 0 and both sides are 0 for any"
+     " exponent"),
 )
 
 

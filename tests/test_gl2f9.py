@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octaq.errors import OctaqError
@@ -166,6 +166,7 @@ invertible = st.tuples(*[st.integers(0, 8)] * 4).filter(
 
 @settings(max_examples=200, deadline=None)
 @given(invertible, invertible)
+@example(S_MAT, T_MAT)  # S T != T S in PGL2(F9): _compose's order shows
 def test_tuple_arithmetic_matches_packed_oracle(m, n):
     pm, pn = mat(*m), mat(*n)
     assert mat_mul(m, n) == mat_entries(packed_mul(pm, pn))

@@ -136,6 +136,29 @@ def test_cyclotomic_excluded():
     assert found
 
 
+def test_t_from_principal_factors_nothing(monkeypatch):
+    # t = -3 disc/(9 b^2)^2, so one square test of t decides the class -3,
+    # with no factorization of the discriminant under any name
+    import sys
+
+    from octaq import rationals
+    factorize, calls = rationals.factorize, []
+
+    def spy(n, *args, **kwargs):
+        calls.append(n)
+        return factorize(n, *args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name == "octaq" or name.startswith("octaq."):
+            for attr, value in list(vars(module).items()):
+                if value is factorize:
+                    monkeypatch.setattr(module, attr, spy)
+    g4 = principal_quartic_poly(QQ, Fraction(4))  # discriminant class -3
+    assert t_from_principal(PrincipalQuartic(1, -1)) == Fraction(283, 27)
+    with pytest.raises(CyclotomicExcluded):
+        t_from_principal(PrincipalQuartic(g4[1], g4[0]))
+    assert calls == []
+
+
 def test_family_spot_and_properties():
     g = PrincipalQuartic(1, -1)
     out, j = family(g, 0)

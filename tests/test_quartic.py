@@ -570,38 +570,39 @@ def test_invariants_computed_once_per_quartic(monkeypatch):
     # one model and one irreducibility proof each for f (in
     # ReducedQuartic) and the principal model (in PrincipalQuartic), one
     # more proof for the resolvent cubic, read off f's model in
-    # galois_is_S4; principalize builds one more model, of its candidate,
-    # for the squarefree test only
-    assert calls == {"_integer_model": 3, "_irreducible": 3,
+    # galois_is_S4; principalize tests its candidate for squarefreeness
+    # by the closed-form discriminant, with no model
+    assert calls == {"_integer_model": 2, "_irreducible": 3,
                      "galois_is_S4": 1, "trace_form": 1}
     # the principal model is its own reduced form and shares its caches
     assert out.reduced() is out
     assert is_principal(out.reduced())
-    assert calls["_integer_model"] == 3
+    assert calls["_integer_model"] == 2
     assert calls["trace_form"] == 2
 
-    # a table row models five polynomials once each: the source and the
-    # principal polynomial (in same_field), the depressed source,
-    # principalize's candidate and its normalized output; all but the
-    # candidate get one irreducibility proof, and so does the resolvent
-    # cubic, read off the depressed source's model; every discriminant is
-    # the closed form of a model, with no polynomials.discriminant
+    # a table row models four polynomials once each: the source and the
+    # principal polynomial (in same_field), the depressed source and
+    # principalize's normalized output; each gets one irreducibility
+    # proof, and so does the resolvent cubic, read off the depressed
+    # source's model; every discriminant is a closed form, with no
+    # polynomials.discriminant
     from octaq.tables import verify_table_row
     calls.clear()
     assert verify_table_row(CORPUS[0])["passed"]
-    assert calls["_integer_model"] == 5
+    assert calls["_integer_model"] == 4
     assert calls["_irreducible"] == 5
     assert calls["discriminant"] == 0
 
     # a family member: the Tschirnhaus image reads the seed's cached
-    # model; the image, the member and same_field's two inputs are
-    # modelled once each
+    # model and is tested for squarefreeness by its closed-form
+    # discriminant; the member and same_field's two inputs are modelled
+    # once each
     from octaq.qcurve import family
     g = PrincipalQuartic(1, -1)
     calls.clear()
     member, _ = family(g, 3)
     assert same_field(g.poly(), member.poly()) is not None
-    assert calls["_integer_model"] == 4
+    assert calls["_integer_model"] == 3
 
 
 def test_corpus_row_searches_read_value_tables(monkeypatch):
@@ -1184,24 +1185,25 @@ def test_family_pass_scans_each_integer_model_once():
             certified += 1
     assert certified == 40
     # 130 irreducibility questions prove 50 models once each; the 40
-    # same_field calls make one least-split-prime search per seed, and
-    # the one member whose avoid that prime divides costs one scan more
-    assert _memo_traffic() == [(130, 50), (41, 11)]
+    # same_field calls make one least-split-prime search per seed; the
+    # one member whose disc that prime divides costs one scan more, made
+    # round the cache, as no other pair asks for it
+    assert _memo_traffic() == [(130, 50), (40, 10)]
     # the 10 searches were of the seeds' models
     for g in seeds:
         _split_prime(g._model)
-    assert _memo_traffic()[1] == (51, 11)
+    assert _memo_traffic()[1] == (50, 10)
 
 
 def test_corpus_pass_scans_each_integer_model_once():
     # a verify_table_row pass over the corpus, as the corpus benchmark
     # runs it: 425 irreducibility questions about 370 models, and per row
-    # one least-split-prime search of the source, 3 of them followed by a
-    # scan past the primes of avoid
+    # one least-split-prime search of the source; the 3 scans past the
+    # primes of a row's avoid are made round the cache
     from octaq.tables import verify_table_row
     for row in CORPUS:
         assert verify_table_row(row)["passed"], row.line
-    assert _memo_traffic() == [(425, 370), (88, 88)]
+    assert _memo_traffic() == [(425, 370), (85, 85)]
 
 
 @settings(max_examples=60, deadline=None)

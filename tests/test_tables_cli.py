@@ -425,6 +425,18 @@ def test_cli_factor_bound_exhaustion_exit_code(capsys):
 
 
 @pytest.mark.parametrize("command", [("analyze",), ("qcurve", "from-quartic")])
+def test_cli_factors_no_principal_discriminant(capsys, command):
+    # at budget 0 the corpus source x^4 - x^3 + 2x^2 + 2x - 1 factors
+    # completely except for the discriminant of its principal form and
+    # its t, whose square class -3 d is known from the source: both
+    # commands exited 3 on factoring it
+    argv = (*command, "--", "-1,2,2,-1,1")
+    code, data = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, "--factor-budget", "0", *argv) == (code, data)
+
+
+@pytest.mark.parametrize("command", [("analyze",), ("qcurve", "from-quartic")])
 def test_cli_box_reaches_principalize(capsys, command):
     # x^4 + x^3 - 1 is principal, but not of the shape X^4 + bX + c, and
     # box 0 leaves only the excluded (m, n) = (0, 0)
@@ -509,6 +521,19 @@ def test_cli_parse_error_quotes_a_bounded_prefix(capsys):
         assert error["type"] == "ParseError"
         assert len(error["message"]) < 200, error["message"]
         assert " characters)" in error["message"], error["message"]
+    # a parsed polynomial is quoted by the same bound: these messages were
+    # 4108 to 4127 bytes
+    sevens = "7" * 4000
+    for text, kind in ((f"2x^4+{sevens}x-1", "ParseError"),
+                       (f"x^4+x^2+{sevens}x", "Reducible"),
+                       (f"x^4+{sevens}x^2+1", "NotOctahedral")):
+        assert main(["analyze", text]) == 2, kind
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == kind
+        assert len(error["message"]) < 200, error["message"]
+        assert " (4014 characters)" in error["message"], error["message"]
     # a short input is quoted whole, as before
     for argv, message in (
             (("--box", "7x", "principalize", "x^4+x-1"),
